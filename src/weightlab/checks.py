@@ -128,7 +128,7 @@ def check_cell_counts() -> CheckResult:
 def check_orbit_additivity() -> CheckResult:
     bad = []
     for name, fan in fan_corpus().items():
-        got = virtual_poincare(toric_cell_complex(fan).filtered)
+        got = virtual_poincare(SpectralSequence(toric_cell_complex(fan).filtered))
         want = orbit_sum_poly(fan)
         if got != want:
             bad.append(f"{name}: {got} != {want}")
@@ -138,7 +138,8 @@ def check_orbit_additivity() -> CheckResult:
 def check_purity_smooth_complete() -> CheckResult:
     bad = []
     for name, fan in smooth_complete_corpus().items():
-        report = purity_collapse_report(toric_cell_complex(fan).filtered, fan.n)
+        report = purity_collapse_report(
+            SpectralSequence(toric_cell_complex(fan).filtered), fan.n)
         if not report.is_pure:
             bad.append(name)
     return _result("smooth complete fixtures are pure", not bad, ", ".join(bad))
@@ -158,7 +159,8 @@ def check_collapse_low_dim() -> CheckResult:
 def check_support_triangle() -> CheckResult:
     bad = []
     for name, fan in fan_corpus().items():
-        report = purity_collapse_report(toric_cell_complex(fan).filtered, fan.n)
+        report = purity_collapse_report(
+            SpectralSequence(toric_cell_complex(fan).filtered), fan.n)
         if not report.support_ok:
             bad.append(name)
     return _result("pages lie in the support triangle", not bad, ", ".join(bad))
@@ -299,12 +301,12 @@ def _circle_chain_complex() -> ChainComplex:
 
 
 def check_klein_square_acyclic() -> CheckResult:
-    ok = is_acyclic(simple_filtered(klein_square()))
+    ok = is_acyclic(SpectralSequence(simple_filtered(klein_square())))
     return _result("blowup square total complex is acyclic", ok)
 
 
 def check_identity_cone_acyclic() -> CheckResult:
-    ok = is_acyclic(simple_filtered(_identity_square()))
+    ok = is_acyclic(SpectralSequence(simple_filtered(_identity_square())))
     return _result("cone of the identity is acyclic", ok)
 
 
@@ -338,7 +340,7 @@ def check_additivity_full() -> CheckResult:
     x = toric_cell_complex(standard_fan("P", 1)).filtered
     ident = {k: BitMatrix.identity(x.complex.dim(k)) for k in x.complex.degrees()}
     diagram = CubicalDiagram(0, {0: x, 1: x}, {(1, 0): ident})
-    ok = is_acyclic(simple_filtered(diagram))
+    ok = is_acyclic(SpectralSequence(simple_filtered(diagram)))
     return _result("removing everything leaves an acyclic complement", ok)
 
 
@@ -357,7 +359,7 @@ def check_hyperres_homology() -> CheckResult:
 def check_hyperres_compare() -> CheckResult:
     bad = []
     for name, h in all_hyperres().items():
-        report = hyperres_weight_compare(h)
+        report = hyperres_weight_compare(SpectralSequence(skeleton_filtration(h)))
         if not report.ok:
             bad.append(f"{name}: {report.mismatches}")
     return _result("hyperresolution pages match the shifted filtration",

@@ -64,7 +64,12 @@ def _fan_from_args(args) -> Fan:
     if getattr(args, "standard", None):
         name, _, param = args.standard.partition(":")
         try:
-            return standard_fan(name, int(param) if param else 0)
+            size = int(param) if param else 0
+        except ValueError:
+            raise CliError(f"--standard {args.standard}: {param!r} is not an integer",
+                           EXIT_PARSE)
+        try:
+            return standard_fan(name, size)
         except FanError as exc:
             raise CliError(str(exc), EXIT_VALIDATION)
     doc = _load_json(args.fan)
@@ -128,9 +133,9 @@ def _reindexed_rows(ss: SpectralSequence) -> list[tuple[int, int, int, int]]:
     return rows
 
 
-def _emit_pages(ss: SpectralSequence, fc: FilteredComplex, dim: int, fmt: str) -> None:
-    report = purity_collapse_report(fc, dim)
-    profile = weight_profile(fc)
+def _emit_pages(ss: SpectralSequence, dim: int, fmt: str) -> None:
+    report = purity_collapse_report(ss, dim)
+    profile = weight_profile(ss)
     if fmt == "doc":
         doc = {
             "pages": [
@@ -205,14 +210,13 @@ def cmd_ss(args) -> int:
     if args.emit_complex:
         with open(args.emit_complex, "w") as fh:
             json.dump(filtered_to_doc(fc), fh, indent=2, sort_keys=True)
-    ss = SpectralSequence(fc)
-    _emit_pages(ss, fc, dim, args.format)
+    _emit_pages(SpectralSequence(fc), dim, args.format)
     return EXIT_OK
 
 
 def cmd_vpoly(args) -> int:
     fan = _fan_from_args(args)
-    beta = virtual_poincare(toric_cell_complex(fan).filtered)
+    beta = virtual_poincare(SpectralSequence(toric_cell_complex(fan).filtered))
     prediction = orbit_sum_poly(fan)
     agree = beta == prediction
     if args.format == "doc":
@@ -256,31 +260,30 @@ def cmd_cubical_ss(args) -> int:
     if args.diagram:
         doc = _load_json(args.diagram)
         try:
-            fc = simple_filtered(diagram_from_doc(doc))
+            ss = SpectralSequence(simple_filtered(diagram_from_doc(doc)))
         except ComplexError as exc:
             raise CliError(str(exc), EXIT_VALIDATION)
-        print(f"total complex acyclic: {'yes' if is_acyclic(fc) else 'no'}")
+        print(f"total complex acyclic: {'yes' if is_acyclic(ss) else 'no'}")
     elif args.hyperres:
         doc = _load_json(args.hyperres)
         try:
             h = hyperres_from_doc(doc)
         except ComplexError as exc:
             raise CliError(str(exc), EXIT_VALIDATION)
-        fc = skeleton_filtration(h)
-        report = hyperres_weight_compare(h)
+        ss = SpectralSequence(skeleton_filtration(h))
+        report = hyperres_weight_compare(ss)
         print(f"shifted-filtration comparison: "
               f"{'ok' if report.ok else report.mismatches}")
     else:
         raise CliError("--diagram or --hyperres is required", EXIT_PARSE)
-    dim = max(fc.complex.degrees() or [0])
-    _emit_pages(SpectralSequence(fc), fc, dim, args.format)
+    _emit_pages(ss, max(ss.cx.degrees() or [0]), args.format)
     return EXIT_OK
 
 
 def cmd_euler(args) -> int:
     from . import euler
-    cx = euler.complex_from_doc(_load_json(args.complex))
     try:
+        cx = euler.complex_from_doc(_load_json(args.complex))
         if args.op == "link":
             phi = euler.function_from_doc(_load_json(args.function), cx)
             print(json.dumps(euler.function_to_doc(euler.link(phi)), sort_keys=True))

@@ -16,7 +16,7 @@ filtration by levels (skeleta).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, TypeAlias
 
 from .complexes import (
     ChainComplex,
@@ -32,7 +32,10 @@ from .gf2 import BitMatrix, BitSubspace
 from .pages import SpectralSequence, transported_page
 
 
-DegreeMaps = Mapping[int, BitMatrix]
+# A string, so that importing the module subscribes no typing generic:
+# typing caches subscriptions, and the cache would keep this module's
+# BitMatrix class alive after a re-import.
+DegreeMaps: TypeAlias = "Mapping[int, BitMatrix]"
 
 
 def _map_matrix(maps: DegreeMaps, src: ChainComplex, dst: ChainComplex, k: int) -> BitMatrix:
@@ -222,9 +225,9 @@ def simple_filtered(d: CubicalDiagram) -> FilteredComplex:
     return FilteredComplex(total, levels)
 
 
-def is_acyclic(fc: FilteredComplex) -> bool:
+def is_acyclic(ss: SpectralSequence) -> bool:
     """True iff the first page vanishes everywhere."""
-    return not SpectralSequence(fc).page(1)
+    return not ss.page(1)
 
 
 @dataclass(frozen=True)
@@ -358,16 +361,15 @@ class WeightCompareReport:
     mismatches: tuple[tuple[int, int, int, int, int], ...]  # (r, p, q, got, want)
 
 
-def hyperres_weight_compare(h: Hyperresolution) -> WeightCompareReport:
-    """Compare the level-filtered pages with the pages of the shifted
+def hyperres_weight_compare(ss: SpectralSequence) -> WeightCompareReport:
+    """Compare the level-filtered pages of a hyperresolution, ``ss`` of
+    its :func:`skeleton_filtration`, with the pages of the shifted
     filtration on the same total complex.
 
     For every r >= 1 the shifted page at (p, q) must equal the original
     page r+1 transported to (2p+q, -p).
     """
-    fc = skeleton_filtration(h)
-    ss = SpectralSequence(fc)
-    ss_dec = SpectralSequence(deligne_shift(fc))
+    ss_dec = SpectralSequence(deligne_shift(ss.fc))
     mismatches = []
     for r in range(1, max(ss.r_inf, ss_dec.r_inf) + 1):
         got = ss_dec.page(r)

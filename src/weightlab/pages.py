@@ -1,6 +1,19 @@
 """Spectral sequence of a filtered GF(2) chain complex.
 
-Pages are computed directly from the defining subspaces
+Page dimensions come from one persistence reduction.  Each degree gets
+an adapted basis, in which F_p is spanned by the basis vectors of level
+<= p; the boundary, written in these bases, is reduced once, column by
+column in order of level.  The reduction pairs a vector x at level a
+with a vector y at level b >= a, one degree up, where ∂y = x in a
+filtration-compatible change of basis.  Such a pair lives on E^r, at
+both of its ends, exactly while r <= b - a (its gap), and d^{b-a} kills
+it; an unpaired vector survives to E^∞.  So dim E^r_{p,q} counts the
+degree p+q vectors at level p that are unpaired or paired across a gap
+of at least r, and the weight filtration of homology counts the unpaired
+vectors at level <= p (Edelsbrunner–Harer, *Computational Topology*,
+ch. VII).
+
+Entries and differentials come from the defining subspaces
 
     Z^r_{p,q} = F_p K_{p+q} ∩ ∂⁻¹(F_{p-r} K_{p+q-1})
     E^r_{p,q} = Z^r_{p,q} / (Z^{r-1}_{p-1,q+1} + ∂ Z^{r-1}_{p+r-1,q-r+2})
@@ -9,7 +22,7 @@ with filtration levels clamped outside the stored range, so the same
 formulas are valid on every page including r = 0.  Differentials are
 returned as explicit matrices in the canonical quotient bases, which is
 what makes page-by-page regression tests and homology cross-checks
-meaningful.
+meaningful; ``entry(r, p, q).dim`` is the oracle for ``dim(r, p, q)``.
 
 The weight-style reuse of the first page goes through
 :func:`reindexed_page`: the (r+1)-st reindexed page at (2p+q, -p) is the
@@ -19,13 +32,88 @@ virtual Betti numbers) read off the second reindexed page.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Mapping
 
-from .complexes import ChainComplex, FilteredComplex, deligne_shift
+from .complexes import FilteredComplex, deligne_shift
 from .gf2 import BitMatrix, BitSubspace, Quotient, image_of_subspace, preimage
 from .poly import Poly
+
+# The gap recorded for a vector the reduction leaves unpaired.
+UNPAIRED = math.inf
+
+
+def _adapted_basis(fc: FilteredComplex, k: int) -> tuple[list[int], list[int]]:
+    """Basis vectors of degree k and their levels, levels ascending.
+
+    F_p in degree k is spanned by the vectors of level <= p.  The lowest
+    set bits of the nonzero vectors of a subspace are the pivots of any
+    echelon basis of it, so the basis vectors of F_p whose pivot is not
+    a pivot of F_{p-1} complete F_{p-1} to F_p.  The pivots of the whole
+    basis are distinct and cover every coordinate.
+    """
+    vectors: list[int] = []
+    levels: list[int] = []
+    seen = 0  # pivot bits of the levels already walked
+    p_min, p_max = fc.p_range
+    for p in range(p_min, p_max + 1):
+        for b in fc.level(p, k).basis:
+            bit = b & -b
+            if not seen & bit:
+                seen |= bit
+                vectors.append(b)
+                levels.append(p)
+    return vectors, levels
+
+
+def _coordinates(x: int, vectors: list[int], by_pivot: dict[int, int]) -> int:
+    """Coordinates of x in an adapted basis, as a bit vector over its
+    indices.  Each step clears the lowest set bit of x, and the vector
+    with that pivot has no lower bit, so the loop ends."""
+    c = 0
+    while x:
+        i = by_pivot[(x & -x).bit_length() - 1]
+        x ^= vectors[i]
+        c |= 1 << i
+    return c
+
+
+def _persistence_bars(fc: FilteredComplex) -> dict[tuple[int, int], Counter]:
+    """{(degree, level): Counter(gap -> number of basis vectors)}.
+
+    The gap of a paired vector is the level difference of its pair, the
+    gap of an unpaired vector is ``UNPAIRED``.  Degrees are reduced from
+    the top down, and a column whose vector is already the lower end of
+    a pair is skipped: its reduced column would be zero.
+    """
+    cx = fc.complex
+    bases = {k: _adapted_basis(fc, k) for k in cx.degrees()}
+    gaps: dict[tuple[int, int], int] = {}
+    for k in sorted(bases, reverse=True):
+        if k - 1 not in bases:
+            continue
+        vectors, levels = bases[k]
+        rows, row_levels = bases[k - 1]
+        by_pivot = {(v & -v).bit_length() - 1: i for i, v in enumerate(rows)}
+        d = cx.d(k)
+        reduced: dict[int, int] = {}  # lowest row index -> reduced column
+        for j, a in enumerate(vectors):
+            if (k, j) in gaps:
+                continue
+            col = _coordinates(d.mul_vec(a), rows, by_pivot)
+            while col:
+                low = col.bit_length() - 1
+                if low not in reduced:
+                    reduced[low] = col
+                    gaps[(k, j)] = gaps[(k - 1, low)] = levels[j] - row_levels[low]
+                    break
+                col ^= reduced[low]
+    bars: dict[tuple[int, int], Counter] = {}
+    for k, (_, levels) in bases.items():
+        for i, p in enumerate(levels):
+            bars.setdefault((k, p), Counter())[gaps.get((k, i), UNPAIRED)] += 1
+    return bars
 
 
 @dataclass(frozen=True)
@@ -42,7 +130,11 @@ class PageEntry:
 
 
 class SpectralSequence:
-    """Lazy page-by-page computation for a filtered complex."""
+    """Lazy page-by-page computation for a filtered complex.
+
+    Dimensions read one persistence reduction, made on first use;
+    entries and differentials are computed from the defining subspaces.
+    """
 
     def __init__(self, fc: FilteredComplex):
         self.fc = fc
@@ -55,6 +147,13 @@ class SpectralSequence:
         self._preimage_cache: dict[tuple[int, int], BitSubspace] = {}
         self._z_cache: dict[tuple[int, int, int], BitSubspace] = {}
         self._entry_cache: dict[tuple[int, int, int], PageEntry] = {}
+        self._bars: dict[tuple[int, int], Counter] | None = None
+
+    def bars(self) -> dict[tuple[int, int], Counter]:
+        """The persistence reduction, see :func:`_persistence_bars`."""
+        if self._bars is None:
+            self._bars = _persistence_bars(self.fc)
+        return self._bars
 
     # -- core subspaces ----------------------------------------------------
 
@@ -84,12 +183,14 @@ class SpectralSequence:
             incoming = image_of_subspace(
                 self.cx.d(p + q + 1), self.z(r - 1, p + r - 1, q - r + 2))
             den = below.sum(incoming)
-            assert num.contains_subspace(den), "page denominator escapes numerator"
             self._entry_cache[key] = PageEntry(p, q, Quotient(num, den))
         return self._entry_cache[key]
 
     def dim(self, r: int, p: int, q: int) -> int:
-        return self.entry(r, p, q).dim
+        """dim E^r_{p,q}: vectors of degree p+q at level p whose pair
+        spans a gap of at least r."""
+        bars = self.bars().get((p + q, p), {})
+        return sum(n for gap, n in bars.items() if gap >= r)
 
     # -- page-level views ----------------------------------------------------
 
@@ -163,35 +264,32 @@ def reindexed_infinity(ss: SpectralSequence) -> dict[tuple[int, int], int]:
     return reindexed_page(ss, ss.r_inf + 1)
 
 
-def weight_profile(fc: FilteredComplex) -> dict[int, dict[int, int]]:
+def weight_profile(ss: SpectralSequence) -> dict[int, dict[int, int]]:
     """Dimensions of the induced filtration on homology.
 
     Returns {degree: {p: dim of the image of F_p-cycles in H_degree}};
     only levels where the dimension jumps relative to p-1 need appear,
-    but all levels in range are reported for regularity.
+    but all levels in range are reported for regularity.  The image of
+    the F_p-cycles is spanned by the unpaired vectors of level <= p.
     """
-    cx = fc.complex
+    bars = ss.bars()
     out: dict[int, dict[int, int]] = {}
-    p_min, p_max = fc.p_range
-    for k in cx.degrees():
-        cycles = cx.cycles(k)
-        bdries = cx.boundaries(k)
-        by_p = {}
-        for p in range(p_min - 1, p_max + 1):
-            sub = cycles.intersect(fc.level(p, k)).sum(bdries)
-            by_p[p] = sub.dim - bdries.dim
+    for k in ss.cx.degrees():
+        by_p, total = {}, 0
+        for p in range(ss.p_min - 1, ss.p_max + 1):
+            total += bars.get((k, p), {}).get(UNPAIRED, 0)
+            by_p[p] = total
         out[k] = by_p
     return out
 
 
-def virtual_poincare(fc: FilteredComplex) -> Poly:
+def virtual_poincare(ss: SpectralSequence) -> Poly:
     """Alternating sums over the second reindexed page, as a polynomial.
 
     The t^q coefficient is Σ_p (-1)^p dim Ẽ²_{p,q}.  For the geometric
     filtrations this is an additive (cut-and-paste) invariant; the
     coefficients can be negative for non-pure inputs.
     """
-    ss = SpectralSequence(fc)
     page2 = reindexed_page(ss, 2)
     coeffs: dict[int, int] = {}
     for (pp, qq), d in page2.items():
@@ -213,7 +311,7 @@ class PurityReport:
 
 
 def purity_collapse_report(
-    fc: FilteredComplex, ambient_dim: int, reindexed: bool = True
+    ss: SpectralSequence, ambient_dim: int, reindexed: bool = True
 ) -> PurityReport:
     """Purity (everything in reindexed column p' = 0), degeneration page,
     and the support-triangle check.
@@ -223,7 +321,6 @@ def purity_collapse_report(
     -2p <= q <= ambient_dim - p in the native coordinates, equivalently
     p' >= 0, q' >= 0, p' + q' <= ambient_dim after reindexing.
     """
-    ss = SpectralSequence(fc)
     limit = reindexed_infinity(ss)
     pages = {}
     collapse = None

@@ -26,6 +26,7 @@ from weightlab.cubical import (
     hyperres_weight_compare,
     is_acyclic,
     simple_filtered,
+    skeleton_filtration,
 )
 from weightlab.euler import CellChain, chain_boundary, link
 from weightlab.fixtures import (
@@ -114,7 +115,7 @@ def test_criterion_04_purity_smooth_complete():
     with budget(4, 30.0):
         for name, fan in smooth_complete_corpus().items():
             report = purity_collapse_report(
-                toric_cell_complex(fan).filtered, fan.n)
+                SpectralSequence(toric_cell_complex(fan).filtered), fan.n)
             assert report.is_pure, name
 
 
@@ -130,16 +131,17 @@ def test_criterion_05_collapse_through_dim_3():
 def test_criterion_06_orbit_additivity():
     with budget(6, 60.0):
         for name, fan in fan_corpus().items():
-            beta = virtual_poincare(toric_cell_complex(fan).filtered)
+            beta = virtual_poincare(SpectralSequence(toric_cell_complex(fan).filtered))
             assert beta == orbit_sum_poly(fan), name
 
 
 def test_criterion_07_multiplicativity():
     with budget(7, 60.0):
         for name, f1, f2 in product_pairs():
-            b1 = virtual_poincare(toric_cell_complex(f1).filtered)
-            b2 = virtual_poincare(toric_cell_complex(f2).filtered)
-            prod = virtual_poincare(toric_cell_complex(product_fan(f1, f2)).filtered)
+            b1 = virtual_poincare(SpectralSequence(toric_cell_complex(f1).filtered))
+            b2 = virtual_poincare(SpectralSequence(toric_cell_complex(f2).filtered))
+            prod = virtual_poincare(
+                SpectralSequence(toric_cell_complex(product_fan(f1, f2)).filtered))
             assert prod == b1 * b2, name
 
 
@@ -195,7 +197,7 @@ def _homology_map(src, dst, maps, degrees=range(3)):
 def test_criterion_10_acyclic_square():
     with budget(10, 60.0):
         square = klein_square()
-        assert is_acyclic(simple_filtered(square))
+        assert is_acyclic(SpectralSequence(simple_filtered(square)))
         # induced homology maps of the square; masks: 0 = base surface,
         # 1 = double cover piece, 2 = point, 3 = circle over the point
         cxs = {s: square.objects[s].complex for s in range(4)}
@@ -240,7 +242,7 @@ def test_criterion_10_acyclic_square():
 def test_criterion_11_deligne_comparison():
     with budget(11, 60.0):
         for name, h in all_hyperres().items():
-            report = hyperres_weight_compare(h)
+            report = hyperres_weight_compare(SpectralSequence(skeleton_filtration(h)))
             assert report.ok, (name, report.mismatches)
 
 

@@ -163,3 +163,21 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert "beta = 1 + t" in proc.stdout
+
+
+def test_standard_parameter_not_an_integer_exit_code(capsys):
+    code, out, err = run(capsys, "ss", "--standard", "P:x")
+    assert code == 2
+    assert out == ""
+    assert "not an integer" in err
+
+
+def test_euler_malformed_complex_exit_code(capsys, tmp_path):
+    cx_path = tmp_path / "cx.json"
+    cx_path.write_text(json.dumps({"simplices": [[]]}))
+    fn_path = tmp_path / "fn.json"
+    fn_path.write_text(json.dumps({"weights": []}))
+    code, _, err = run(capsys, "euler", "--op", "integral",
+                       "--complex", str(cx_path), "--function", str(fn_path))
+    assert code == 3
+    assert "empty simplex" in err

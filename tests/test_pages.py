@@ -1,14 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weightlab.complexes import (
     ChainComplex,
     FilteredComplex,
     canonical_filtration,
+    deligne_shift,
     trivial_filtration,
 )
-from weightlab.fixtures import fan_corpus
+from weightlab.cubical import skeleton_filtration
+from weightlab.fixtures import all_hyperres, fan_corpus
 from weightlab.gf2 import BitMatrix, BitSubspace, image_of_subspace
 from weightlab.pages import (
     SpectralSequence,
@@ -136,7 +140,7 @@ def test_pages_invariant_under_filtered_isomorphism(seed):
 
 def test_weight_profile_endpoints():
     fc = toric_filtered("P", 2)
-    profile = weight_profile(fc)
+    profile = weight_profile(SpectralSequence(fc))
     p_min, p_max = fc.p_range
     betti = fc.complex.betti_numbers()
     for k, by_p in profile.items():
@@ -150,26 +154,28 @@ def test_profile_matches_limit_page():
     fc = toric_filtered("hirzebruch", 2)
     ss = SpectralSequence(fc)
     limit = ss.infinity_page()
-    profile = weight_profile(fc)
+    profile = weight_profile(ss)
     for (p, q), d in limit.items():
         by_p = profile[p + q]
         assert by_p[p] - by_p[p - 1] == d
 
 
 def test_virtual_poincare_values():
-    assert virtual_poincare(toric_filtered("P", 1)) == Poly.make([1, 1])
-    assert virtual_poincare(toric_filtered("P", 2)) == Poly.make([1, 1, 1])
+    def beta(name, param):
+        return virtual_poincare(SpectralSequence(toric_filtered(name, param)))
+    assert beta("P", 1) == Poly.make([1, 1])
+    assert beta("P", 2) == Poly.make([1, 1, 1])
     # the torus (R*)^3: beta = (t - 1)^3
-    assert virtual_poincare(toric_filtered("trivial", 3)) == Poly.make([-1, 3, -3, 1])
+    assert beta("trivial", 3) == Poly.make([-1, 3, -3, 1])
     # affine 3-space: beta = t^3
-    assert virtual_poincare(toric_filtered("A", 3)) == Poly.make([0, 0, 0, 1])
+    assert beta("A", 3) == Poly.make([0, 0, 0, 1])
 
 
 def test_purity_report():
-    rep = purity_collapse_report(toric_filtered("P", 2), 2)
+    rep = purity_collapse_report(SpectralSequence(toric_filtered("P", 2)), 2)
     assert rep.is_pure and rep.support_ok and rep.collapse_page == 2
     assert rep.pages[2] == {(0, 0): 1, (0, 1): 1, (0, 2): 1}
-    rep = purity_collapse_report(toric_filtered("trivial", 2), 2)
+    rep = purity_collapse_report(SpectralSequence(toric_filtered("trivial", 2)), 2)
     assert not rep.is_pure  # affine space is not compact
     assert rep.support_ok
 
@@ -205,3 +211,154 @@ def test_transported_page_reads_shifted_coordinates():
     assert sum(moved.values()) == sum(page.values())
     for (p, q), d in moved.items():
         assert page[(2 * p + q, -p)] == d
+
+
+# ---------------------------------------------------------------------------
+# Higher pages: complexes with prescribed pairs, where the answer is known,
+# and the pairing engine behind ``dim`` against the subspace engine behind
+# ``entry``.
+
+
+def _prescribed(cells, boundary):
+    """A filtered complex on standard basis vectors.
+
+    ``cells`` maps a name to (degree, level); ``boundary`` maps a name to
+    the name of its boundary.  A pair y -> x at levels b >= a lives on
+    E^0..E^{b-a} and is killed by d^{b-a}; a cell outside every pair
+    survives to the limit.
+    """
+    index, dims = {}, {}
+    for name, (k, _) in cells.items():
+        index[name] = dims.get(k, 0)
+        dims[k] = index[name] + 1
+    mats = {}
+    for y, x in boundary.items():
+        k = cells[y][0]
+        mats.setdefault(k, []).append((index[x], index[y]))
+    cx = ChainComplex.make(dims, {
+        k: BitMatrix.from_entries(dims.get(k - 1, 0), dims[k], entries)
+        for k, entries in mats.items()})
+    levels = [lvl for _, lvl in cells.values()]
+    filtration = {
+        p: {k: BitSubspace.span(n, [1 << index[c] for c, (kc, lvl) in cells.items()
+                                    if kc == k and lvl <= p])
+            for k, n in dims.items()}
+        for p in range(min(levels), max(levels) + 1)
+    }
+    return FilteredComplex(cx, filtration)
+
+
+def _profile_oracle(fc):
+    """The weight profile from cycles and boundaries, without pairing."""
+    cx = fc.complex
+    p_min, p_max = fc.p_range
+    out = {}
+    for k in cx.degrees():
+        cycles, bdries = cx.cycles(k), cx.boundaries(k)
+        out[k] = {p: cycles.intersect(fc.level(p, k)).sum(bdries).dim - bdries.dim
+                  for p in range(p_min - 1, p_max + 1)}
+    return out
+
+
+def _assert_matches_oracle(fc):
+    ss = SpectralSequence(fc)
+    for r in range(0, ss.r_inf + 2):
+        for p, q in ss.support():
+            assert ss.dim(r, p, q) == ss.entry(r, p, q).dim, (r, p, q)
+    assert weight_profile(ss) == _profile_oracle(fc)
+    return ss
+
+
+def _as_built_or_conjugated(fc, seed):
+    return fc if seed is None else _conjugated(fc, seed)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_drop_of_three_lives_to_page_three(seed):
+    # a 1-cell at level 3 whose boundary is a 0-cell at level 0
+    fc = _prescribed({"x": (0, 0), "y": (1, 3)}, {"y": "x"})
+    ss = _assert_matches_oracle(_as_built_or_conjugated(fc, seed))
+    assert ss.r_inf == 4
+    for r in (0, 1, 2, 3):
+        assert ss.page(r) == {(0, 0): 1, (3, -2): 1}
+        assert ss.differential(r, 3, -2).is_zero() == (r != 3)
+    assert ss.page(4) == ss.infinity_page() == {}
+    assert weight_profile(ss) == {0: {p: 0 for p in range(-1, 4)},
+                                  1: {p: 0 for p in range(-1, 4)}}
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_staircase_pages_and_differentials(seed):
+    # pairs across gaps 1, 1 and 2 in two degrees, and one survivor c
+    fc = _prescribed(
+        {"a": (0, 0), "b": (0, 1), "c": (0, 0),
+         "u": (1, 1), "v": (1, 2), "w": (1, 1), "s": (2, 3)},
+        {"u": "a", "v": "b", "s": "w"})
+    ss = _assert_matches_oracle(_as_built_or_conjugated(fc, seed))
+    assert ss.page(1) == {(0, 0): 2, (1, -1): 1, (1, 0): 2, (2, -1): 1, (3, -1): 1}
+    assert ss.page(2) == {(0, 0): 1, (1, 0): 1, (3, -1): 1}
+    assert ss.page(3) == ss.page(4) == ss.infinity_page() == {(0, 0): 1}
+    assert ss.differential(1, 1, 0).rank() == 1    # u -> a
+    assert ss.differential(1, 2, -1).rank() == 1   # v -> b
+    assert ss.differential(2, 3, -1).rank() == 1   # s -> w
+    assert not ss.differentials(3)
+    assert weight_profile(ss) == {
+        0: {-1: 0, 0: 1, 1: 1, 2: 1, 3: 1},
+        1: {p: 0 for p in range(-1, 4)},
+        2: {p: 0 for p in range(-1, 4)},
+    }
+
+
+@st.composite
+def prescribed_complexes(draw):
+    """A conjugated complex of prescribed pairs and survivors, and the
+    (degree, level, gap) of each cell, with gap None for a survivor."""
+    top_level = draw(st.integers(0, 3))
+    cells, boundary, expected = {}, {}, []
+    for i in range(draw(st.integers(0, 5))):
+        k = draw(st.integers(1, 3))
+        a = draw(st.integers(0, top_level))
+        b = draw(st.integers(a, top_level))
+        cells[f"x{i}"], cells[f"y{i}"] = (k - 1, a), (k, b)
+        boundary[f"y{i}"] = f"x{i}"
+        expected += [(k - 1, a, b - a), (k, b, b - a)]
+    for i in range(draw(st.integers(0 if cells else 1, 3))):
+        k, lvl = draw(st.integers(0, 3)), draw(st.integers(0, top_level))
+        cells[f"z{i}"] = (k, lvl)
+        expected.append((k, lvl, None))
+    seed = draw(st.integers(0, 2**16))
+    return _conjugated(_prescribed(cells, boundary), seed), expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(prescribed_complexes())
+def test_pairing_matches_subspace_engine_on_prescribed_pairs(case):
+    fc, expected = case
+    ss = _assert_matches_oracle(fc)
+    for r in range(0, ss.r_inf + 2):
+        want = {}
+        for k, lvl, gap in expected:
+            if gap is None or gap >= r:
+                want[(lvl, k - lvl)] = want.get((lvl, k - lvl), 0) + 1
+        assert ss.page(r) == want, r
+        for p, q in ss.page(r):
+            out = ss.differential(r, p, q)
+            inc = ss.differential(r, p + r, q - r + 1)
+            if out.cols and inc.cols:
+                assert out.mul(inc).is_zero()
+
+
+@pytest.mark.parametrize("variant", ["toric", "shifted", "canonical"])
+@pytest.mark.parametrize("name", sorted(fan_corpus()))
+def test_pairing_matches_subspace_engine_on_fans(name, variant):
+    fc = toric_cell_complex(fan_corpus()[name]).filtered
+    if variant == "shifted":
+        fc = deligne_shift(fc)
+    elif variant == "canonical":
+        fc = canonical_filtration(fc.complex)
+    _assert_matches_oracle(fc)
+
+
+@pytest.mark.parametrize("name", sorted(all_hyperres()))
+def test_pairing_matches_subspace_engine_on_hyperres(name):
+    _assert_matches_oracle(skeleton_filtration(all_hyperres()[name]))
