@@ -14,7 +14,7 @@ from .complexes import (
     deligne_shift,
     trivial_filtration,
 )
-from .gf2 import BitMatrix, BitSubspace, preimage, rank_kernel_image, subspace_lattice
+from .gf2 import BitMatrix, BitSubspace, preimage, rank_kernel_image
 from .lattice import saturate_mod2, smith_normal_form
 from .pages import (
     SpectralSequence,
@@ -61,7 +61,6 @@ __all__ = [
     "saturate_mod2",
     "smith_normal_form",
     "standard_fan",
-    "subspace_lattice",
     "toric_cell_complex",
     "toric_filtration",
     "trivial_filtration",

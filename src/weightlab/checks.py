@@ -1,26 +1,22 @@
 """Property suites over the fixture corpus.
 
 These back the ``check`` CLI command and are reused by the test suite.
-Each check returns a :class:`CheckResult`; a suite is just a list of
-named thunks so independent checks can run on a small thread pool when
-``WEIGHTLAB_THREADS`` asks for one.
+Each check returns a :class:`CheckResult`; a suite is a list of named
+thunks, run in order.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable
 
 from .complexes import ChainComplex, FilteredComplex, canonical_filtration, trivial_filtration
 from .cubical import (
     CubicalDiagram,
     additivity_check,
-    hyperres_weight_compare,
     is_acyclic,
     simple_filtered,
     skeleton_filtration,
@@ -36,7 +32,6 @@ from .euler import (
     fold_map,
     link,
     pushforward_cf,
-    pushforward_chain,
     restrict,
     simplex_cell,
 )
@@ -44,18 +39,23 @@ from .fixtures import (
     all_hyperres,
     fan_corpus,
     klein_square,
-    product_pairs,
     smooth_complete_corpus,
 )
 from .gf2 import BitSubspace
 from .pages import (
     SpectralSequence,
+    decalage_mismatches,
     purity_collapse_report,
     reindexed_page,
-    shifted_pages_agree,
     virtual_poincare,
 )
-from .toric import orbit_group, orbit_map, orbit_sum_poly, standard_fan, toric_cell_complex
+from .toric import (
+    ToricCellComplex,
+    orbit_map,
+    orbit_sum_poly,
+    standard_fan,
+    toric_cell_complex,
+)
 
 
 @dataclass(frozen=True)
@@ -83,33 +83,48 @@ def check_boundary_squares_zero() -> CheckResult:
     return _result("toric boundary squares to zero", not bad, ", ".join(bad))
 
 
+def coset_indicators(tcc: ToricCellComplex, cid: str, q: int) -> list[int]:
+    """The indicator vectors of the cosets of the subgroups of T_cid
+    generated by q of its standard generators, as degree-codim(cid)
+    chains: the paper's definition of the cone's part of T_{-q}."""
+    k = tcc.fan.codim(cid)
+    base = tcc.cell_index(cid, 0)
+    vecs = []
+    for s in itertools.combinations(range(k), q):
+        s_mask = sum(1 << i for i in s)
+        for g in range(1 << k):
+            if g & s_mask:
+                continue  # one representative per coset
+            vec, t = 0, s_mask
+            while True:
+                vec |= 1 << (base + (g | t))
+                if not t:
+                    break
+                t = (t - 1) & s_mask
+            vecs.append(vec)
+    return vecs
+
+
 def check_filtration_binomials() -> CheckResult:
-    """Per-cone quotient dimensions of the toric filtration are binomial."""
+    """The toric filtration is spanned by coset indicators, and its
+    per-cone quotient dimensions are binomial."""
     bad = []
     for name, fan in fan_corpus().items():
         tcc = toric_cell_complex(fan)
-        for cid in fan.cone_ids():
-            k = fan.codim(cid)
-            group = tcc.groups[cid]
-            base = tcc.cells[k].index((cid, 0))
-            prev_dim = 0
+        for k in tcc.complex.degrees():
+            n = tcc.complex.dim(k)
+            cids = [cid for cid in fan.cone_ids() if fan.codim(cid) == k]
+            prev = dict.fromkeys(cids, 0)
             for q in range(k, -1, -1):
-                vecs = []
-                for s in itertools.combinations(range(k), q):
-                    s_mask = sum(1 << i for i in s)
-                    rest = ((1 << k) - 1) ^ s_mask
-                    for g in range(1 << k):
-                        if g & s_mask:
-                            continue
-                        vec = 0
-                        for m in range(1 << k):
-                            if (m & rest) == (g & rest):
-                                vec |= 1 << (base + m)
-                        vecs.append(vec)
-                dim = BitSubspace.span(tcc.complex.dim(k), vecs).dim
-                if dim - prev_dim != comb(k, q):
-                    bad.append(f"{name}/{cid} q={q}: {dim - prev_dim} != C({k},{q})")
-                prev_dim = dim
+                by_cone = {cid: coset_indicators(tcc, cid, q) for cid in cids}
+                for cid, vecs in by_cone.items():
+                    dim = BitSubspace.span(n, vecs).dim
+                    if dim - prev[cid] != comb(k, q):
+                        bad.append(f"{name}/{cid} q={q}: {dim - prev[cid]} != C({k},{q})")
+                    prev[cid] = dim
+                span = BitSubspace.span(n, [v for vecs in by_cone.values() for v in vecs])
+                if span != tcc.filtered.level(-q, k):
+                    bad.append(f"{name} degree {k}: level {-q} is not the coset span")
     return _result("toric filtration quotients are binomial", not bad, "; ".join(bad))
 
 
@@ -240,10 +255,8 @@ def check_canonical_antidiagonal() -> CheckResult:
 def check_deligne_comparison_toric() -> CheckResult:
     bad = []
     for name, fc in _small_toric_filtered().items():
-        r_inf = SpectralSequence(fc).r_inf
-        for r in range(1, r_inf + 1):
-            if not shifted_pages_agree(fc, r):
-                bad.append(f"{name} page {r}")
+        pages = sorted({m[0] for m in decalage_mismatches(SpectralSequence(fc))})
+        bad.extend(f"{name} page {r}" for r in pages)
     return _result("shifted filtration matches reindexed pages", not bad, ", ".join(bad))
 
 
@@ -359,9 +372,9 @@ def check_hyperres_homology() -> CheckResult:
 def check_hyperres_compare() -> CheckResult:
     bad = []
     for name, h in all_hyperres().items():
-        report = hyperres_weight_compare(SpectralSequence(skeleton_filtration(h)))
-        if not report.ok:
-            bad.append(f"{name}: {report.mismatches}")
+        mismatches = decalage_mismatches(SpectralSequence(skeleton_filtration(h)))
+        if mismatches:
+            bad.append(f"{name}: {mismatches}")
     return _result("hyperresolution pages match the shifted filtration",
                    not bad, "; ".join(bad))
 
@@ -580,8 +593,4 @@ def run_suite(name: str) -> list[CheckResult]:
         thunks = SUITES[name]
     else:
         raise ValueError(f"unknown suite {name!r}")
-    threads = int(os.environ.get("WEIGHTLAB_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda t: t(), thunks))
     return [t() for t in thunks]

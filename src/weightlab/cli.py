@@ -11,10 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .complexes import (
-    ChainComplex,
     ComplexError,
     FilteredComplex,
     canonical_filtration,
@@ -24,13 +23,13 @@ from .complexes import (
 from .cubical import (
     diagram_from_doc,
     hyperres_from_doc,
-    hyperres_weight_compare,
     is_acyclic,
     simple_filtered,
     skeleton_filtration,
 )
 from .pages import (
     SpectralSequence,
+    decalage_mismatches,
     purity_collapse_report,
     reindexed_page,
     virtual_poincare,
@@ -271,9 +270,8 @@ def cmd_cubical_ss(args) -> int:
         except ComplexError as exc:
             raise CliError(str(exc), EXIT_VALIDATION)
         ss = SpectralSequence(skeleton_filtration(h))
-        report = hyperres_weight_compare(ss)
-        print(f"shifted-filtration comparison: "
-              f"{'ok' if report.ok else report.mismatches}")
+        mismatches = decalage_mismatches(ss)
+        print(f"shifted-filtration comparison: {mismatches or 'ok'}")
     else:
         raise CliError("--diagram or --hyperres is required", EXIT_PARSE)
     _emit_pages(ss, max(ss.cx.degrees() or [0]), args.format)

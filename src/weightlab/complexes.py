@@ -1,26 +1,37 @@
 """Filtered chain complexes over GF(2).
 
-A :class:`ChainComplex` stores one boundary matrix per degree; a
-:class:`FilteredComplex` adds an increasing filtration by subcomplexes.
-Both validate their defining identities on construction (``∂∘∂ = 0``,
-filtration monotone, exhaustive, and preserved by the boundary), so
-downstream spectral-sequence code can assume a well-formed object.
+A :class:`ChainComplex` stores one boundary matrix per degree, in the
+basis its producer chose.  A :class:`FilteredComplex` adds an increasing
+filtration by subcomplexes, stored as an *adapted basis* of each degree:
+vectors with one level each, sorted by ascending level, whose lowest set
+bits are distinct and cover every coordinate.  F_p is the span of the
+vectors of level <= p; below the level range it is zero and above it the
+whole space, with no clamping code.  Distinct lowest set bits make the
+coordinates of any vector a walk that clears its lowest set bit
+(:meth:`FilteredComplex.coordinates`).
+
+Both classes validate their defining identities on construction: ``∂∘∂
+= 0``, and that no boundary image has a coordinate above its source's
+level.  Producers emit adapted bases directly; a filtration given as
+nested level subspaces, as in documents, goes through
+:meth:`FilteredComplex.from_subspaces`, which also checks that it is
+monotone and exhaustive.
 
 Degrees may run over any finite integer range; filtration levels
-likewise.  Outside the stored ranges everything is zero (for degrees)
-or clamped (for filtration levels).
+likewise.  Outside the stored ranges everything is zero.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from typing import Mapping
 
 from .gf2 import (
     BitMatrix,
     BitSubspace,
-    DimensionError,
+    preimage,
     rank_kernel_image,
     vec_from_string,
     vec_to_string,
@@ -123,134 +134,175 @@ class ChainComplex:
 class FilteredComplex:
     """Chain complex with an increasing filtration by subcomplexes.
 
-    ``filtration[p][k]`` is a subspace of degree k; required to be
-    monotone in p, exhaustive at ``p_max``, and closed under the
-    boundary.  Levels below ``p_min`` are zero and above ``p_max`` equal
-    the whole space.
+    ``basis[k]`` is an adapted basis of degree k and ``levels[k]`` the
+    level of each of its vectors, ascending; the lowest set bits of the
+    vectors are distinct and cover every coordinate.  F_p in degree k is
+    spanned by the vectors of level <= p, so it is zero below ``p_range``
+    and the whole space above it.
     """
 
     complex: ChainComplex
-    filtration: Mapping[int, Mapping[int, BitSubspace]]
+    p_range: tuple[int, int]
+    basis: Mapping[int, tuple[int, ...]]
+    levels: Mapping[int, tuple[int, ...]]
+    _by_pivot: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _spans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        problems = filtration_diagnostics(self.complex, self.filtration)
+        problems = self.diagnostics()
         if problems:
             raise ComplexError("; ".join(problems))
 
-    @property
-    def p_range(self) -> tuple[int, int]:
-        ps = sorted(self.filtration)
-        return ps[0], ps[-1]
+    @classmethod
+    def from_subspaces(
+        cls,
+        complex_: ChainComplex,
+        levels: Mapping[int, Mapping[int, BitSubspace]],
+    ) -> "FilteredComplex":
+        """The filtered complex with F_p in degree k equal to levels[p][k].
+
+        A level or a degree missing from ``levels`` inherits the level
+        below it (zero below the lowest level); a degree missing from the
+        top level is the whole space.  The basis vectors of each level
+        whose lowest set bit is new complete the level below to an
+        adapted basis.  Raises :class:`ComplexError` when the levels are
+        not monotone or not exhaustive.
+        """
+        if not levels:
+            raise ComplexError("filtration has no levels")
+        out = [
+            f"filtration ambient mismatch at p={p}, degree {k}"
+            for p, by_k in levels.items() for k, sub in by_k.items()
+            if sub.ambient_dim != complex_.dim(k)
+        ]
+        if out:
+            raise ComplexError("; ".join(out))
+        ps = sorted(levels)
+        basis: dict[int, tuple[int, ...]] = {}
+        at: dict[int, tuple[int, ...]] = {}
+        for k in complex_.degrees():
+            vectors: list[int] = []
+            vector_levels: list[int] = []
+            taken = 0  # lowest set bits of the vectors so far
+            for p in ps:
+                sub = levels[p].get(k)
+                if sub is None:
+                    if p < ps[-1]:
+                        continue
+                    sub = BitSubspace.full(complex_.dim(k))
+                if not all(sub.contains(v) for v in vectors):
+                    out.append(f"filtration not monotone at p={p}, degree {k}")
+                    break
+                for v in sub.basis:
+                    if not taken & v & -v:
+                        taken |= v & -v
+                        vectors.append(v)
+                        vector_levels.append(p)
+            else:
+                if len(vectors) != complex_.dim(k):
+                    out.append(f"filtration not exhaustive in degree {k}")
+            basis[k], at[k] = tuple(vectors), tuple(vector_levels)
+        if out:
+            raise ComplexError("; ".join(out))
+        return cls(complex_, (ps[0], ps[-1]), basis, at)
+
+    def diagnostics(self) -> list[str]:
+        """Violated filtration axioms, one message per finding.
+
+        The basis must be adapted and its levels ascending inside
+        ``p_range``; then no boundary image may have a coordinate of a
+        level above its source's level.
+        """
+        cx = self.complex
+        p_min, p_max = self.p_range
+        if p_min > p_max:
+            return ["filtration has no levels"]
+        out = []
+        for k in sorted(set(self.basis) | set(cx.degrees())):
+            n = cx.dim(k)
+            vectors = self.basis.get(k, ())
+            levels = self.levels.get(k, ())
+            pivots = {(v & -v).bit_length() - 1 for v in vectors if 0 < v < 1 << n}
+            if not len(vectors) == len(levels) == len(pivots) == n:
+                out.append(f"filtration basis is not an adapted basis in degree {k}")
+            elif list(levels) != sorted(levels) or levels and levels[0] < p_min:
+                out.append(f"filtration levels not ascending from p={p_min} in degree {k}")
+            elif levels and levels[-1] > p_max:
+                out.append(f"filtration not exhaustive at p={p_max} in degree {k}")
+        if out:
+            return out
+        for k in cx.degrees():
+            if not cx.dim(k - 1):
+                continue
+            d, below = cx.d(k), self.levels[k - 1]
+            raised = sorted({
+                p for v, p in zip(self.basis[k], self.levels[k])
+                if (c := self.coordinates(k - 1, d.mul_vec(v)))
+                and below[c.bit_length() - 1] > p
+            })
+            out.extend(
+                f"boundary does not preserve filtration at p={p}, degree {k}"
+                for p in raised)
+        return out
+
+    def coordinates(self, k: int, x: int) -> int:
+        """Coordinates of x in the adapted basis of degree k, as a bit
+        vector over basis indices.  Each step clears the lowest set bit
+        of x with the basis vector whose lowest set bit it is; that
+        vector has no lower bit, so the walk ends."""
+        by_pivot = self._by_pivot.get(k)
+        if by_pivot is None:
+            by_pivot = self._by_pivot[k] = {
+                (v & -v).bit_length() - 1: i for i, v in enumerate(self.basis[k])}
+        vectors = self.basis[k]
+        c = 0
+        while x:
+            i = by_pivot[(x & -x).bit_length() - 1]
+            x ^= vectors[i]
+            c |= 1 << i
+        return c
 
     def level(self, p: int, k: int) -> BitSubspace:
-        """F_p in degree k, with clamping outside the stored level range."""
-        return _filtration_level(self.complex, self.filtration, p, k)
+        """F_p in degree k, computed once per distinct subspace."""
+        n = bisect_right(self.levels.get(k, ()), p)
+        sub = self._spans.get((k, n))
+        if sub is None:
+            sub = self._spans[(k, n)] = BitSubspace.span(
+                self.complex.dim(k), self.basis.get(k, ())[:n])
+        return sub
 
 
-def _filtration_level(
-    cx: ChainComplex,
-    filtration: Mapping[int, Mapping[int, BitSubspace]],
-    p: int,
-    k: int,
-) -> BitSubspace:
-    ps = sorted(filtration)
-    if p < ps[0]:
-        return BitSubspace.zero(cx.dim(k))
-    p = min(p, ps[-1])
-    sub = filtration[p].get(k)
-    if sub is None:
-        # Unstored degrees at a stored level default to the full space
-        # only at/above p_max; otherwise zero.
-        if p >= ps[-1]:
-            return BitSubspace.full(cx.dim(k))
-        return BitSubspace.zero(cx.dim(k))
-    return sub
-
-
-def filtration_diagnostics(
-    cx: ChainComplex, filtration: Mapping[int, Mapping[int, BitSubspace]]
-) -> list[str]:
-    """Violated filtration axioms against a valid complex, one per finding."""
-    out = []
-    ps = sorted(filtration)
-    if not ps:
-        return ["filtration has no levels"]
-    for p in ps:
-        for k, sub in filtration[p].items():
-            if sub.ambient_dim != cx.dim(k):
-                out.append(f"filtration ambient mismatch at p={p}, degree {k}")
-    if out:
-        return out
-    def level(p: int, k: int) -> BitSubspace:
-        return _filtration_level(cx, filtration, p, k)
-    for k in cx.degrees():
-        prev = BitSubspace.zero(cx.dim(k))
-        for p in ps:
-            cur = level(p, k)
-            if not cur.contains_subspace(prev):
-                out.append(f"filtration not monotone at p={p}, degree {k}")
-            prev = cur
-        if prev.dim != cx.dim(k):
-            out.append(f"filtration not exhaustive in degree {k}")
-    for p in ps:
-        for k in cx.degrees():
-            d = cx.d(k)
-            img = BitSubspace.span(
-                d.rows, [d.mul_vec(b) for b in level(p, k).basis])
-            if not level(p, k - 1).contains_subspace(img):
-                out.append(
-                    f"boundary does not preserve filtration at p={p}, degree {k}")
-    return out
-
-
-def filtered_from_levels(
-    complex_: ChainComplex,
-    levels: Mapping[int, Mapping[int, BitSubspace]],
-) -> FilteredComplex:
-    """Build a filtered complex, filling missing (p, k) slots explicitly."""
-    ps = sorted(levels)
-    full: dict[int, dict[int, BitSubspace]] = {}
-    for i, p in enumerate(ps):
-        full[p] = {}
-        for k in complex_.degrees():
-            sub = levels[p].get(k)
-            if sub is None:
-                if i + 1 == len(ps):
-                    sub = BitSubspace.full(complex_.dim(k))
-                else:
-                    # Inherit from the previous level (zero below p_min).
-                    sub = full[ps[i - 1]][k] if i else BitSubspace.zero(complex_.dim(k))
-            full[p][k] = sub
-    return FilteredComplex(complex_, full)
+def _unit_basis(n: int) -> tuple[int, ...]:
+    return tuple(1 << i for i in range(n))
 
 
 def canonical_filtration(complex_: ChainComplex) -> FilteredComplex:
     """The filtration whose first page carries homology on q = -2p.
 
     F_p in degree k is: everything if k > -p, the cycles if k = -p, and
-    zero if k < -p.
+    zero if k < -p.  Its adapted basis in degree k is a cycle basis at
+    level -k and the remaining unit vectors at level -k+1.
     """
     ks = complex_.degrees()
     if not ks:
-        return FilteredComplex(complex_, {0: {}})
-    k_min, k_max = ks[0], ks[-1]
-    levels: dict[int, dict[int, BitSubspace]] = {}
-    for p in range(-k_max, -k_min + 1):
-        levels[p] = {}
-        for k in ks:
-            if k > -p:
-                levels[p][k] = BitSubspace.full(complex_.dim(k))
-            elif k == -p:
-                levels[p][k] = complex_.cycles(k)
-            else:
-                levels[p][k] = BitSubspace.zero(complex_.dim(k))
-    return FilteredComplex(complex_, levels)
+        return trivial_filtration(complex_)
+    basis, levels = {}, {}
+    for k in ks:
+        cycles = complex_.cycles(k)
+        taken = set(cycles.pivots())
+        rest = tuple(
+            e for i, e in enumerate(_unit_basis(complex_.dim(k))) if i not in taken)
+        basis[k] = cycles.basis + rest
+        levels[k] = (-k,) * cycles.dim + (1 - k,) * len(rest)
+    return FilteredComplex(complex_, (-ks[-1], -ks[0]), basis, levels)
 
 
 def trivial_filtration(complex_: ChainComplex, p: int = 0) -> FilteredComplex:
+    ks = complex_.degrees()
     return FilteredComplex(
-        complex_,
-        {p: {k: BitSubspace.full(complex_.dim(k)) for k in complex_.degrees()}},
+        complex_, (p, p),
+        {k: _unit_basis(complex_.dim(k)) for k in ks},
+        {k: (p,) * complex_.dim(k) for k in ks},
     )
 
 
@@ -268,18 +320,12 @@ def deligne_shift(fc: FilteredComplex) -> FilteredComplex:
     p_min, p_max = fc.p_range
     levels: dict[int, dict[int, BitSubspace]] = {}
     for p in range(p_min - k_max, p_max - k_min + 1):
-        levels[p] = {}
-        for k in ks:
-            base = fc.level(p + k, k)
-            d = cx.d(k)
-            good = preimage_subspace(d, fc.level(p + k - 1, k - 1))
-            levels[p][k] = base.intersect(good)
-    return FilteredComplex(cx, levels)
-
-
-def preimage_subspace(m: BitMatrix, target: BitSubspace) -> BitSubspace:
-    from .gf2 import preimage
-    return preimage(m, target)
+        levels[p] = {
+            k: fc.level(p + k, k).intersect(
+                preimage(cx.d(k), fc.level(p + k - 1, k - 1)))
+            for k in ks
+        }
+    return FilteredComplex.from_subspaces(cx, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +345,19 @@ def complex_to_doc(cx: ChainComplex) -> dict:
 
 
 def complex_from_doc(doc: Mapping) -> ChainComplex:
-    dims = {int(k): int(n) for k, n in doc.get("dims", {}).items()}
-    boundary = {}
-    for k_str, entries in doc.get("boundary", {}).items():
-        k = int(k_str)
-        boundary[k] = BitMatrix.from_entries(
-            dims.get(k - 1, 0), dims.get(k, 0),
-            [(int(r), int(c)) for r, c in entries],
-        )
+    try:
+        dims = {int(k): int(n) for k, n in doc.get("dims", {}).items()}
+        if any(n < 0 for n in dims.values()):
+            raise ValueError("negative dimension")
+        boundary = {}
+        for k_str, entries in doc.get("boundary", {}).items():
+            k = int(k_str)
+            boundary[k] = BitMatrix.from_entries(
+                dims.get(k - 1, 0), dims.get(k, 0),
+                [(int(r), int(c)) for r, c in entries],
+            )
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ComplexError(f"malformed complex document: {exc}") from exc
     return ChainComplex.make(dims, boundary)
 
 
@@ -328,15 +379,18 @@ def filtered_from_doc(doc: Mapping) -> FilteredComplex:
     filt = doc.get("filtration")
     if not filt:
         return trivial_filtration(cx)
-    levels: dict[int, dict[int, BitSubspace]] = {}
-    for p_str, by_deg in filt.items():
-        p = int(p_str)
-        levels[p] = {}
-        for k_str, vecs in by_deg.items():
-            k = int(k_str)
-            levels[p][k] = BitSubspace.span(
-                cx.dim(k), [vec_from_string(s) for s in vecs])
-    return filtered_from_levels(cx, levels)
+    try:
+        levels = {
+            int(p_str): {
+                int(k_str): BitSubspace.span(
+                    cx.dim(int(k_str)), [vec_from_string(s) for s in vecs])
+                for k_str, vecs in by_deg.items()
+            }
+            for p_str, by_deg in filt.items()
+        }
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ComplexError(f"malformed filtration: {exc}") from exc
+    return FilteredComplex.from_subspaces(cx, levels)
 
 
 def load_filtered(path: str) -> FilteredComplex:

@@ -16,6 +16,7 @@ filtration by levels (skeleta).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping, TypeAlias
 
 from .complexes import (
@@ -24,12 +25,12 @@ from .complexes import (
     FilteredComplex,
     complex_from_doc,
     complex_to_doc,
-    deligne_shift,
     filtered_from_doc,
     filtered_to_doc,
+    trivial_filtration,
 )
-from .gf2 import BitMatrix, BitSubspace
-from .pages import SpectralSequence, transported_page
+from .gf2 import BitMatrix
+from .pages import SpectralSequence
 
 
 # A string, so that importing the module subscribes no typing generic:
@@ -103,29 +104,39 @@ class CubicalDiagram:
             self.objects[s].complex, self.objects[t].complex, k)
 
     def diagnostics(self) -> list[str]:
-        out = []
-        for s in self.vertex_masks():
-            if s not in self.objects:
-                out.append(f"missing diagram vertex for mask {s}")
+        if self.n < 0:
+            return [f"diagram shape n={self.n} is negative"]
+        size = 1 << (self.n + 1)
+        out = [f"diagram vertex for mask {s} is outside the shape"
+               for s in self.objects if not 0 <= s < size]
+        if len(self.objects) - len(out) < size:
+            out.append(f"a diagram of shape n={self.n} needs {size} vertices, "
+                       f"got {len(self.objects) - len(out)}")
         if out:
             return out
-        for s, t in self.edges():
+        edges = self.edges()
+        out = [f"map {s}->{t} is not along a codimension-one face"
+               for s, t in sorted(set(self.maps) - set(edges))]
+        for s, t in edges:
             src, dst = self.objects[s], self.objects[t]
             maps = self.maps.get((s, t), {})
             if not _is_chain_map(maps, src.complex, dst.complex):
                 out.append(f"map {s}->{t} is not a chain map")
                 continue
-            # Filtered: image of each level stays in the same level.
-            lo = min(src.p_range[0], dst.p_range[0])
-            hi = max(src.p_range[1], dst.p_range[1])
-            for p in range(lo, hi + 1):
-                for k in src.complex.degrees():
-                    f = self.map_between(s, t, k)
-                    img = BitSubspace.span(
-                        f.rows, [f.mul_vec(b) for b in src.level(p, k).basis])
-                    if not dst.level(p, k).contains_subspace(img):
-                        out.append(
-                            f"map {s}->{t} does not preserve level p={p} in degree {k}")
+            # Filtered: no basis vector's image has a coordinate of a
+            # higher level than the vector.
+            for k in src.complex.degrees():
+                if not dst.complex.dim(k):
+                    continue
+                f, dst_levels = self.map_between(s, t, k), dst.levels[k]
+                raised = sorted({
+                    p for v, p in zip(src.basis[k], src.levels[k])
+                    if (c := dst.coordinates(k, f.mul_vec(v)))
+                    and dst_levels[c.bit_length() - 1] > p
+                })
+                out.extend(
+                    f"map {s}->{t} does not preserve level p={p} in degree {k}"
+                    for p in raised)
         # Square commutativity for each codimension-two face pair.
         for s in self.vertex_masks():
             if s.bit_count() < 2:
@@ -162,67 +173,52 @@ def simple_filtered(d: CubicalDiagram) -> FilteredComplex:
     diagram map between blocks; the filtration is the blockwise direct
     sum of the object filtrations.
     """
-    masks = sorted(d.objects)
-    # offsets[(s, k)] = starting index of block (s, i) inside total degree
-    # i + |s| - 1; we key blocks by (s, internal degree i).
-    total_dims: dict[int, int] = {}
-    offsets: dict[tuple[int, int], int] = {}
-    for s in masks:
-        cx = d.objects[s].complex
-        shift = s.bit_count() - 1
-        for i in cx.degrees():
-            k = i + shift
-            offsets[(s, i)] = total_dims.get(k, 0)
-            total_dims[k] = total_dims.get(k, 0) + cx.dim(i)
+    return _totalize(
+        {s: (s.bit_count() - 1, d.objects[s]) for s in sorted(d.objects)}, d.maps)
 
-    boundary: dict[int, BitMatrix] = {}
-    for k in sorted(total_dims):
-        entries: list[tuple[int, int]] = []
-        for s in masks:
-            cx = d.objects[s].complex
-            shift = s.bit_count() - 1
-            i = k - shift
-            if cx.dim(i) == 0:
-                continue
-            col0 = offsets[(s, i)]
-            # internal boundary into block (s, i-1)
-            if cx.dim(i - 1):
-                row0 = offsets[(s, i - 1)]
-                entries.extend(
-                    (row0 + r, col0 + c) for r, c in cx.d(i).entries())
-            # diagram maps into blocks (t, i) at total degree k-1
-            m = s
-            while m:
-                bit = m & -m
-                m ^= bit
-                t = s ^ bit
-                if d.objects[t].complex.dim(i) == 0:
-                    continue
-                row0 = offsets[(t, i)]
-                f = d.map_between(s, t, i)
-                entries.extend((row0 + r, col0 + c) for r, c in f.entries())
-        boundary[k] = BitMatrix.from_entries(
-            total_dims.get(k - 1, 0), total_dims[k], entries)
 
-    total = ChainComplex.make(total_dims, boundary)
+def _totalize(
+    blocks: Mapping[int, tuple[int, FilteredComplex]],
+    maps: Mapping[tuple[int, int], DegreeMaps],
+) -> FilteredComplex:
+    """The total filtered complex of blocks joined by maps.
 
-    p_min = min(d.objects[s].p_range[0] for s in masks)
-    p_max = max(d.objects[s].p_range[1] for s in masks)
-    levels: dict[int, dict[int, BitSubspace]] = {}
-    for p in range(p_min, p_max + 1):
-        levels[p] = {}
-        for k in total.degrees():
-            vecs = []
-            for s in masks:
-                shift = s.bit_count() - 1
-                i = k - shift
-                if d.objects[s].complex.dim(i) == 0:
-                    continue
-                col0 = offsets[(s, i)]
-                for b in d.objects[s].level(p, i).basis:
-                    vecs.append(b << col0)
-            levels[p][k] = BitSubspace.span(total.dim(k), vecs)
-    return FilteredComplex(total, levels)
+    ``blocks[b] = (shift, fc)`` places degree i of fc in total degree
+    i + shift, blocks in order; ``maps[(b, c)][i]`` maps degree i of block
+    b to degree i of block c, whose shift is one lower.  The boundary is
+    each block's own plus every map out of it, and the adapted bases of
+    the blocks, side by side and sorted by level, filter the total.
+    """
+    dims: dict[int, int] = {}
+    offsets: dict[tuple[int, int], int] = {}  # (block, i) -> first index
+    for b, (shift, fc) in blocks.items():
+        for i in fc.complex.degrees():
+            offsets[(b, i)] = dims.get(i + shift, 0)
+            dims[i + shift] = offsets[(b, i)] + fc.complex.dim(i)
+    pieces = [((b, i), (b, i - 1), blocks[b][1].complex.d(i)) for b, i in offsets]
+    pieces += [((b, i), (c, i), m) for (b, c), by_i in maps.items() for i, m in by_i.items()]
+    entries: dict[int, list[tuple[int, int]]] = {k: [] for k in dims}
+    for src, dst, m in pieces:
+        if src in offsets and dst in offsets:
+            col0, row0 = offsets[src], offsets[dst]
+            entries[src[1] + blocks[src[0]][0]].extend(
+                (row0 + r, col0 + c) for r, c in m.entries())
+    total = ChainComplex.make(dims, {
+        k: BitMatrix.from_entries(dims.get(k - 1, 0), dims[k], es)
+        for k, es in entries.items()})
+    by_level: dict[int, list[tuple[int, int]]] = {}
+    for (b, i), col0 in offsets.items():
+        shift, fc = blocks[b]
+        by_level.setdefault(i + shift, []).extend(
+            (p, v << col0) for v, p in zip(fc.basis[i], fc.levels[i]))
+    basis, levels = {}, {}
+    for k, pairs in by_level.items():
+        pairs.sort(key=lambda pv: pv[0])
+        levels[k] = tuple(p for p, _ in pairs)
+        basis[k] = tuple(v for _, v in pairs)
+    p_range = (min((fc.p_range[0] for _, fc in blocks.values()), default=0),
+               max((fc.p_range[1] for _, fc in blocks.values()), default=-1))
+    return FilteredComplex(total, p_range, basis, levels)
 
 
 def is_acyclic(ss: SpectralSequence) -> bool:
@@ -307,78 +303,18 @@ def skeleton_filtration(h: Hyperresolution) -> FilteredComplex:
     """Total complex of a hyperresolution, filtered by levels.
 
     Degree k collects C_{k-i} of level i; the filtration level p keeps
-    the blocks with i <= p.
+    the blocks with i <= p.  The map from level i to level i - 1 is the
+    sum of the face maps.
     """
-    n = len(h.levels)
-    total_dims: dict[int, int] = {}
-    offsets: dict[tuple[int, int], int] = {}
-    for i, cx in enumerate(h.levels):
-        for j in cx.degrees():
-            k = i + j
-            offsets[(i, j)] = total_dims.get(k, 0)
-            total_dims[k] = total_dims.get(k, 0) + cx.dim(j)
-
-    boundary: dict[int, BitMatrix] = {}
-    for k in sorted(total_dims):
-        entries: list[tuple[int, int]] = []
-        for i, cx in enumerate(h.levels):
-            j = k - i
-            if cx.dim(j) == 0:
-                continue
-            col0 = offsets[(i, j)]
-            if cx.dim(j - 1):
-                row0 = offsets[(i, j - 1)]
-                entries.extend(
-                    (row0 + r, col0 + c) for r, c in cx.d(j).entries())
-            if i > 0 and h.levels[i - 1].dim(j):
-                row0 = offsets[(i - 1, j)]
-                for face_j in range(i + 1):
-                    f = h.face(i, face_j, j)
-                    entries.extend(
-                        (row0 + r, col0 + c) for r, c in f.entries())
-        boundary[k] = BitMatrix.from_entries(
-            total_dims.get(k - 1, 0), total_dims[k], entries)
-
-    total = ChainComplex.make(total_dims, boundary)
-    levels: dict[int, dict[int, BitSubspace]] = {}
-    for p in range(n):
-        levels[p] = {}
-        for k in total.degrees():
-            vecs = []
-            for i in range(min(p, n - 1) + 1):
-                j = k - i
-                if h.levels[i].dim(j) == 0:
-                    continue
-                col0 = offsets[(i, j)]
-                vecs.extend((1 << (col0 + c)) for c in range(h.levels[i].dim(j)))
-            levels[p][k] = BitSubspace.span(total.dim(k), vecs)
-    return FilteredComplex(total, levels)
-
-
-@dataclass(frozen=True)
-class WeightCompareReport:
-    ok: bool
-    mismatches: tuple[tuple[int, int, int, int, int], ...]  # (r, p, q, got, want)
-
-
-def hyperres_weight_compare(ss: SpectralSequence) -> WeightCompareReport:
-    """Compare the level-filtered pages of a hyperresolution, ``ss`` of
-    its :func:`skeleton_filtration`, with the pages of the shifted
-    filtration on the same total complex.
-
-    For every r >= 1 the shifted page at (p, q) must equal the original
-    page r+1 transported to (2p+q, -p).
-    """
-    ss_dec = SpectralSequence(deligne_shift(ss.fc))
-    mismatches = []
-    for r in range(1, max(ss.r_inf, ss_dec.r_inf) + 1):
-        got = ss_dec.page(r)
-        want = transported_page(ss, r + 1)
-        for key in sorted(set(got) | set(want)):
-            g, w = got.get(key, 0), want.get(key, 0)
-            if g != w:
-                mismatches.append((r, key[0], key[1], g, w))
-    return WeightCompareReport(not mismatches, tuple(mismatches))
+    face_sums = {
+        (i, i - 1): {
+            k: reduce(BitMatrix.add, (h.face(i, j, k) for j in range(i + 1)))
+            for k in cx.degrees()
+        }
+        for i, cx in enumerate(h.levels) if i
+    }
+    return _totalize(
+        {i: (i, trivial_filtration(cx, i)) for i, cx in enumerate(h.levels)}, face_sums)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +335,11 @@ def _maps_from_doc(doc: Mapping, src: ChainComplex, dst: ChainComplex) -> dict[i
     return out
 
 
+def _malformed(what: str, exc: Exception) -> ComplexError:
+    reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return ComplexError(f"malformed {what} document: {reason}")
+
+
 def diagram_to_doc(d: CubicalDiagram) -> dict:
     return {
         "n": d.n,
@@ -411,13 +352,20 @@ def diagram_to_doc(d: CubicalDiagram) -> dict:
 
 
 def diagram_from_doc(doc: Mapping) -> CubicalDiagram:
-    n = int(doc["n"])
-    objects = {int(s): filtered_from_doc(od) for s, od in doc["objects"].items()}
-    maps = {}
-    for entry in doc.get("maps", []):
-        s, t = int(entry["from_mask"]), int(entry["to_mask"])
-        maps[(s, t)] = _maps_from_doc(
-            entry.get("matrices", {}), objects[s].complex, objects[t].complex)
+    try:
+        n = int(doc["n"])
+        objects = {int(s): filtered_from_doc(od) for s, od in doc["objects"].items()}
+        maps = {}
+        for entry in doc.get("maps", []):
+            s, t = int(entry["from_mask"]), int(entry["to_mask"])
+            if s not in objects or t not in objects:
+                raise ValueError(f"map {s}->{t} names a missing vertex")
+            maps[(s, t)] = _maps_from_doc(
+                entry.get("matrices", {}), objects[s].complex, objects[t].complex)
+    except (KeyError, AttributeError, TypeError, ValueError) as exc:
+        if isinstance(exc, ComplexError):
+            raise
+        raise _malformed("diagram", exc) from exc
     return CubicalDiagram(n, objects, maps)
 
 
@@ -432,10 +380,17 @@ def hyperres_to_doc(h: Hyperresolution) -> dict:
 
 
 def hyperres_from_doc(doc: Mapping) -> Hyperresolution:
-    levels = tuple(complex_from_doc(cd) for cd in doc["levels"])
-    faces = {}
-    for entry in doc.get("faces", []):
-        i, j = int(entry["level"]), int(entry["face_index"])
-        faces[(i, j)] = _maps_from_doc(
-            entry.get("matrix", {}), levels[i], levels[i - 1])
+    try:
+        levels = tuple(complex_from_doc(cd) for cd in doc["levels"])
+        faces = {}
+        for entry in doc.get("faces", []):
+            i, j = int(entry["level"]), int(entry["face_index"])
+            if not (1 <= i < len(levels) and 0 <= j <= i):
+                raise ValueError(f"face map d_{j} at level {i} does not exist")
+            faces[(i, j)] = _maps_from_doc(
+                entry.get("matrix", {}), levels[i], levels[i - 1])
+    except (KeyError, AttributeError, TypeError, ValueError) as exc:
+        if isinstance(exc, ComplexError):
+            raise
+        raise _malformed("hyperresolution", exc) from exc
     return Hyperresolution(levels, faces)

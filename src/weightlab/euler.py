@@ -27,7 +27,7 @@ parity boundary square to zero.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .gf2 import BitMatrix

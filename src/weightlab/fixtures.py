@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from typing import Mapping
 
 from .complexes import canonical_filtration, complex_from_doc
 from .cubical import CubicalDiagram, Hyperresolution, hyperres_from_doc

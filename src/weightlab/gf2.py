@@ -29,12 +29,10 @@ def vec_from_bits(bits: Sequence[int]) -> int:
     return v
 
 
-def vec_bits(v: int, width: int) -> list[int]:
-    return [(v >> i) & 1 for i in range(width)]
-
-
 def vec_from_string(s: str) -> int:
     """Parse a little-endian 0/1 string (char i = coordinate i)."""
+    if not isinstance(s, str) or set(s) - {"0", "1"}:
+        raise ValueError(f"{s!r} is not a string of 0s and 1s")
     return vec_from_bits([1 if c == "1" else 0 for c in s])
 
 
@@ -148,9 +146,6 @@ class BitMatrix:
 
     def columns(self) -> list[int]:
         return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix.from_columns(self.cols, list(self.row_data))
 
     def mul_vec(self, x: int) -> int:
         y = 0
@@ -303,15 +298,6 @@ def rank_kernel_image(m: BitMatrix) -> tuple[int, BitSubspace, BitSubspace]:
     kernel = BitSubspace.span(m.cols, _kernel_of_columns(cols))
     image = BitSubspace.span(m.rows, cols)
     return image.dim, kernel, image
-
-
-def subspace_lattice(a: BitSubspace, b: BitSubspace, op: str) -> BitSubspace:
-    """Sum or intersection of two subspaces of the same ambient space."""
-    if op == "sum":
-        return a.sum(b)
-    if op == "intersect":
-        return a.intersect(b)
-    raise ValueError(f"unknown lattice op {op!r}")
 
 
 def preimage(m: BitMatrix, target: BitSubspace) -> BitSubspace:

@@ -1,9 +1,9 @@
 """Spectral sequence of a filtered GF(2) chain complex.
 
-Page dimensions come from one persistence reduction.  Each degree gets
-an adapted basis, in which F_p is spanned by the basis vectors of level
-<= p; the boundary, written in these bases, is reduced once, column by
-column in order of level.  The reduction pairs a vector x at level a
+Page dimensions come from one persistence reduction.  The filtered
+complex stores an adapted basis of each degree, in which F_p is spanned
+by the basis vectors of level <= p; the boundary, written in these
+bases, is reduced once, column by column in order of level.  The reduction pairs a vector x at level a
 with a vector y at level b >= a, one degree up, where ∂y = x in a
 filtration-compatible change of basis.  Such a pair lives on E^r, at
 both of its ends, exactly while r <= b - a (its gap), and d^{b-a} kills
@@ -18,7 +18,7 @@ Entries and differentials come from the defining subspaces
     Z^r_{p,q} = F_p K_{p+q} ∩ ∂⁻¹(F_{p-r} K_{p+q-1})
     E^r_{p,q} = Z^r_{p,q} / (Z^{r-1}_{p-1,q+1} + ∂ Z^{r-1}_{p+r-1,q-r+2})
 
-with filtration levels clamped outside the stored range, so the same
+with F_p zero below the level range and everything above it, so the same
 formulas are valid on every page including r = 0.  Differentials are
 returned as explicit matrices in the canonical quotient bases, which is
 what makes page-by-page regression tests and homology cross-checks
@@ -44,41 +44,6 @@ from .poly import Poly
 UNPAIRED = math.inf
 
 
-def _adapted_basis(fc: FilteredComplex, k: int) -> tuple[list[int], list[int]]:
-    """Basis vectors of degree k and their levels, levels ascending.
-
-    F_p in degree k is spanned by the vectors of level <= p.  The lowest
-    set bits of the nonzero vectors of a subspace are the pivots of any
-    echelon basis of it, so the basis vectors of F_p whose pivot is not
-    a pivot of F_{p-1} complete F_{p-1} to F_p.  The pivots of the whole
-    basis are distinct and cover every coordinate.
-    """
-    vectors: list[int] = []
-    levels: list[int] = []
-    seen = 0  # pivot bits of the levels already walked
-    p_min, p_max = fc.p_range
-    for p in range(p_min, p_max + 1):
-        for b in fc.level(p, k).basis:
-            bit = b & -b
-            if not seen & bit:
-                seen |= bit
-                vectors.append(b)
-                levels.append(p)
-    return vectors, levels
-
-
-def _coordinates(x: int, vectors: list[int], by_pivot: dict[int, int]) -> int:
-    """Coordinates of x in an adapted basis, as a bit vector over its
-    indices.  Each step clears the lowest set bit of x, and the vector
-    with that pivot has no lower bit, so the loop ends."""
-    c = 0
-    while x:
-        i = by_pivot[(x & -x).bit_length() - 1]
-        x ^= vectors[i]
-        c |= 1 << i
-    return c
-
-
 def _persistence_bars(fc: FilteredComplex) -> dict[tuple[int, int], Counter]:
     """{(degree, level): Counter(gap -> number of basis vectors)}.
 
@@ -88,20 +53,17 @@ def _persistence_bars(fc: FilteredComplex) -> dict[tuple[int, int], Counter]:
     a pair is skipped: its reduced column would be zero.
     """
     cx = fc.complex
-    bases = {k: _adapted_basis(fc, k) for k in cx.degrees()}
     gaps: dict[tuple[int, int], int] = {}
-    for k in sorted(bases, reverse=True):
-        if k - 1 not in bases:
+    for k in sorted(cx.degrees(), reverse=True):
+        if not cx.dim(k - 1):
             continue
-        vectors, levels = bases[k]
-        rows, row_levels = bases[k - 1]
-        by_pivot = {(v & -v).bit_length() - 1: i for i, v in enumerate(rows)}
+        levels, row_levels = fc.levels[k], fc.levels[k - 1]
         d = cx.d(k)
         reduced: dict[int, int] = {}  # lowest row index -> reduced column
-        for j, a in enumerate(vectors):
+        for j, a in enumerate(fc.basis[k]):
             if (k, j) in gaps:
                 continue
-            col = _coordinates(d.mul_vec(a), rows, by_pivot)
+            col = fc.coordinates(k - 1, d.mul_vec(a))
             while col:
                 low = col.bit_length() - 1
                 if low not in reduced:
@@ -110,8 +72,8 @@ def _persistence_bars(fc: FilteredComplex) -> dict[tuple[int, int], Counter]:
                     break
                 col ^= reduced[low]
     bars: dict[tuple[int, int], Counter] = {}
-    for k, (_, levels) in bases.items():
-        for i, p in enumerate(levels):
+    for k in cx.degrees():
+        for i, p in enumerate(fc.levels[k]):
             bars.setdefault((k, p), Counter())[gaps.get((k, i), UNPAIRED)] += 1
     return bars
 
@@ -351,14 +313,21 @@ def transported_page(ss: SpectralSequence, r: int) -> dict[tuple[int, int], int]
     return out
 
 
-def shifted_pages_agree(fc: FilteredComplex, r: int) -> bool:
-    """Check E^r(shifted filtration) against E^{r+1}(original).
+def decalage_mismatches(ss: SpectralSequence) -> tuple[tuple[int, int, int, int, int], ...]:
+    """Compare the pages of ``ss`` with those of the shifted (décalée)
+    filtration on the same complex, as (r, p, q, got, want) mismatches.
 
-    Valid for r >= 1: the décalage page at (p, q) matches the original
-    page r+1 at the original spot (2p+q, -p).
+    For every r >= 1 the shifted page at (p, q) must equal the original
+    page r+1 transported to (2p+q, -p).  Pages run from 1 until both
+    sequences are stable.
     """
-    if r < 1:
-        raise ValueError("comparison valid for r >= 1")
-    ss = SpectralSequence(fc)
-    ss_dec = SpectralSequence(deligne_shift(fc))
-    return ss_dec.page(r) == transported_page(ss, r + 1)
+    ss_dec = SpectralSequence(deligne_shift(ss.fc))
+    mismatches = []
+    for r in range(1, max(ss.r_inf + 1, ss_dec.r_inf) + 1):
+        got = ss_dec.page(r)
+        want = transported_page(ss, r + 1)
+        for key in sorted(set(got) | set(want)):
+            g, w = got.get(key, 0), want.get(key, 0)
+            if g != w:
+                mismatches.append((r, key[0], key[1], g, w))
+    return tuple(mismatches)

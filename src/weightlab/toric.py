@@ -10,18 +10,31 @@ The cell complex has one k-cell (sigma, g) for every cone sigma of
 codimension k and every element g of the orbit group T_sigma, the
 quotient of (Z/2)^n by the mod-2 reduction of the saturated sublattice
 spanned by sigma's rays.  The boundary sends a cell to the sum of its
-images under the quotient homomorphisms to the covering cones.  The
-filtration T_{-q} is spanned, cone by cone, by the indicator vectors of
-cosets of subgroups generated by q of the orbit group's standard
-generators (the augmentation-ideal powers of the group algebra).
+images under the quotient homomorphisms to the covering cones, read off
+the orbit groups the build computes once per cone.
+
+The filtration T_{-q} is, cone by cone, the q-th power of the
+augmentation ideal of the group algebra F_2[T_sigma]: the span of the
+indicator vectors of cosets of subgroups generated by q of the orbit
+group's standard generators x_i.  The build writes it as an adapted
+basis (see :mod:`weightlab.complexes`) with no elimination: for each
+subset S of the generators, the coset indicator
+
+    x^{complement of S} · ∏_{i ∈ S} (1 + x_i)
+
+at level -|S|.  Its lowest cell is g = complement of S, so the lowest
+cells are distinct and cover the cone's cells, and modulo the vectors of
+larger subsets it is ∏_{i ∈ S} (1 + x_i), so the vectors of level <= -q
+span T_{-q}.  Writing one vector costs 2^|S|, O(3^k) per cone of
+codimension k.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 from .complexes import ChainComplex, FilteredComplex
 from .gf2 import BitMatrix, BitSubspace
@@ -144,9 +157,25 @@ def parse_fan(doc: Mapping) -> Fan:
         n = int(doc["lattice_rank"])
         raw_rays = [list(map(int, r)) for r in doc.get("rays", [])]
         simplicial = bool(doc.get("simplicial", False))
-        raw_cones = list(doc.get("cones", []))
-    except (KeyError, TypeError, ValueError) as exc:
+        # (id, ray indices, declared faces); ids are optional only in
+        # simplicial mode, face lists only outside it.
+        raw_cones = [
+            (cd.get("id") if simplicial else str(cd["id"]),
+             frozenset(int(i) for i in (cd["rays"] if simplicial else cd.get("rays", []))),
+             {str(fid) for fid in cd.get("faces", [])})
+            for cd in doc.get("cones", [])
+        ]
+    except KeyError as exc:
+        raise FanError(f"malformed fan document: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
         raise FanError(f"malformed fan document: {exc}") from exc
+    if n < 0:
+        raise FanError(f"lattice rank {n} is negative")
+    for cid, idx, _ in raw_cones:
+        bad = sorted(i for i in idx if not 0 <= i < len(raw_rays))
+        if bad:
+            raise FanError(f"cone {cid!r} uses ray indices {bad}, the fan has "
+                           f"{len(raw_rays)} rays")
 
     rays = []
     for r in raw_rays:
@@ -165,14 +194,13 @@ def parse_fan(doc: Mapping) -> Fan:
     if simplicial:
         by_rayset: dict[frozenset[int], str] = {frozenset(): ZERO_ID}
         declared: dict[frozenset[int], str] = {}
-        for cd in raw_cones:
-            idx = frozenset(int(i) for i in cd["rays"])
+        for cid, idx, _ in raw_cones:
             dim = cone_dim(idx)
             if len(idx) != dim:
                 raise FanError(
-                    f"cone {cd.get('id')!r} marked simplicial has {len(idx)} rays "
+                    f"cone {cid!r} marked simplicial has {len(idx)} rays "
                     f"of rank {dim}")
-            declared[idx] = str(cd.get("id", _subset_id(idx)))
+            declared[idx] = _subset_id(idx) if cid is None else str(cid)
         # Every subset of a declared ray set is a cone.
         subsets: set[frozenset[int]] = {frozenset()}
         for idx in declared:
@@ -189,10 +217,8 @@ def parse_fan(doc: Mapping) -> Fan:
     else:
         cones[ZERO_ID] = Cone(ZERO_ID, frozenset(), 0, frozenset())
         declared_faces: dict[str, set[str]] = {}
-        for cd in raw_cones:
-            cid = str(cd["id"])
-            idx = frozenset(int(i) for i in cd.get("rays", []))
-            declared_faces[cid] = set(cd.get("faces", [])) | {ZERO_ID}
+        for cid, idx, faces in raw_cones:
+            declared_faces[cid] = faces | {ZERO_ID}
             cones[cid] = Cone(cid, idx, cone_dim(idx), frozenset())
         # Transitive closure of the declared face lists.
         closed: dict[str, frozenset[str]] = {ZERO_ID: frozenset()}
@@ -255,14 +281,6 @@ class OrbitGroup:
     basis: tuple[int, ...]
     ray_span: BitSubspace
 
-    def element_vector(self, g: int) -> int:
-        """A representative of g in (Z/2)^n."""
-        v = 0
-        for i, b in enumerate(self.basis):
-            if (g >> i) & 1:
-                v ^= b
-        return v
-
     def coords(self, v: int) -> int:
         """The element of the orbit group represented by v in (Z/2)^n."""
         v = self.ray_span.reduce(v)
@@ -287,9 +305,12 @@ def orbit_map(f: Fan, sigma: str, tau: str) -> BitMatrix:
     c_sigma, c_tau = f.cone(sigma), f.cone(tau)
     if sigma not in c_tau.faces or c_tau.dim != c_sigma.dim + 1:
         raise FanError(f"{tau!r} does not cover {sigma!r}")
-    g_sigma, g_tau = orbit_group(f, sigma), orbit_group(f, tau)
-    cols = [g_tau.coords(b) for b in g_sigma.basis]
-    return BitMatrix.from_columns(g_tau.dim, cols)
+    return _cover_matrix(orbit_group(f, sigma), orbit_group(f, tau))
+
+
+def _cover_matrix(g_sigma: OrbitGroup, g_tau: OrbitGroup) -> BitMatrix:
+    """The quotient map T_sigma -> T_tau on the groups' chosen bases."""
+    return BitMatrix.from_columns(g_tau.dim, [g_tau.coords(b) for b in g_sigma.basis])
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +353,7 @@ def toric_cell_complex(f: Fan) -> ToricCellComplex:
             continue
         entries = []
         for cid in by_codim[k]:
-            phis = {tau: orbit_map(f, cid, tau) for tau in f.covers(cid)}
+            phis = {tau: _cover_matrix(groups[cid], groups[tau]) for tau in f.covers(cid)}
             for g in range(1 << groups[cid].dim):
                 col = offsets[cid] + g
                 for tau, phi in phis.items():
@@ -341,33 +362,26 @@ def toric_cell_complex(f: Fan) -> ToricCellComplex:
 
     cx = ChainComplex.make(dims, boundary)
 
-    max_codim = f.max_codim()
-    levels: dict[int, dict[int, BitSubspace]] = {}
-    for p in range(-max_codim, 1):
-        q = -p
-        levels[p] = {}
-        for k in sorted(dims):
-            vecs = []
-            for cid in by_codim[k]:
-                kk = groups[cid].dim  # == k
-                if q > kk:
-                    continue
-                base = offsets[cid]
-                for s in itertools.combinations(range(kk), q):
-                    s_mask = 0
-                    for i in s:
-                        s_mask |= 1 << i
-                    rest = ((1 << kk) - 1) ^ s_mask
-                    for g in range(1 << kk):
-                        if g & s_mask:
-                            continue  # one representative per coset
-                        vec = 0
-                        for m in range(1 << kk):
-                            if (m & rest) == (g & rest):
-                                vec |= 1 << (base + m)
-                        vecs.append(vec)
-            levels[p][k] = BitSubspace.span(dims[k], vecs)
-    fc = FilteredComplex(cx, levels)
+    basis: dict[int, tuple[int, ...]] = {}
+    levels: dict[int, tuple[int, ...]] = {}
+    for k, cids in by_codim.items():
+        by_level = []
+        full = (1 << k) - 1
+        for cid in cids:
+            for s in range(1 << k):
+                # x^(complement of S) * prod_{i in S} (1 + x_i): the sum of
+                # x^(rest | t) over the subsets t of S.
+                rest, t, vec = full ^ s, s, 0
+                while True:
+                    vec |= 1 << (rest | t)
+                    if not t:
+                        break
+                    t = (t - 1) & s
+                by_level.append((-s.bit_count(), vec << offsets[cid]))
+        by_level.sort(key=lambda lv: lv[0])
+        levels[k] = tuple(lv for lv, _ in by_level)
+        basis[k] = tuple(v for _, v in by_level)
+    fc = FilteredComplex(cx, (-f.max_codim(), 0), basis, levels)
     return ToricCellComplex(f, cells, cx, fc, groups)
 
 
@@ -380,14 +394,21 @@ def toric_filtration(f: Fan) -> FilteredComplex:
 
 
 def product_fan(f1: Fan, f2: Fan) -> Fan:
-    """Fan of the product variety: pairwise cones and product face lattice."""
+    """Fan of the product variety: pairwise cones and product face lattice.
+
+    The cone of a pair (a, b) of cone ids gets the id ``f"{len(a)}:{a}*{b}"``
+    (the zero cone keeps ``"0"``), which is unambiguous also for nested
+    products.
+    """
     n = f1.n + f2.n
     rays = [tuple(r) + (0,) * f2.n for r in f1.rays]
     rays += [(0,) * f1.n + tuple(r) for r in f2.rays]
     shift = len(f1.rays)
 
     def pid(a: str, b: str) -> str:
-        return ZERO_ID if (a, b) == (ZERO_ID, ZERO_ID) else f"{a}*{b}"
+        # The length of a makes the pair readable back from the id, so
+        # distinct pairs of ids never give the same id.
+        return ZERO_ID if a == b == ZERO_ID else f"{len(a)}:{a}*{b}"
 
     cones: dict[str, Cone] = {}
     for c1 in f1.cones.values():

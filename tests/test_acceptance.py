@@ -18,12 +18,12 @@ import pytest
 
 from weightlab.checks import (
     check_fold_pushforward,
+    coset_indicators,
     random_function,
     random_simplicial_complex,
 )
 from weightlab.complexes import canonical_filtration
 from weightlab.cubical import (
-    hyperres_weight_compare,
     is_acyclic,
     simple_filtered,
     skeleton_filtration,
@@ -36,9 +36,10 @@ from weightlab.fixtures import (
     product_pairs,
     smooth_complete_corpus,
 )
-from weightlab.gf2 import BitMatrix, Quotient
+from weightlab.gf2 import BitMatrix, BitSubspace, Quotient
 from weightlab.pages import (
     SpectralSequence,
+    decalage_mismatches,
     purity_collapse_report,
     reindexed_infinity,
     reindexed_page,
@@ -51,7 +52,6 @@ from weightlab.toric import (
     product_fan,
     standard_fan,
     toric_cell_complex,
-    toric_filtration,
 )
 
 from oracles import betti_numbers, matrix_to_dense
@@ -69,11 +69,14 @@ def budget(criterion, seconds):
 def test_criterion_01_binomial_filtration_dims():
     with budget(1, 1.0):
         for k in range(1, 6):
-            fc = toric_filtration(standard_fan("trivial", k))
+            tcc = toric_cell_complex(standard_fan("trivial", k))
+            fc = tcc.filtered
             for q in range(k + 1):
                 lo = fc.level(-q - 1, k).dim
                 hi = fc.level(-q, k).dim
                 assert hi - lo == comb(k, q), (k, q)
+                cosets = BitSubspace.span(2**k, coset_indicators(tcc, "0", q))
+                assert fc.level(-q, k) == cosets, (k, q)
 
 
 def test_criterion_02_group_algebra_dims():
@@ -242,8 +245,8 @@ def test_criterion_10_acyclic_square():
 def test_criterion_11_deligne_comparison():
     with budget(11, 60.0):
         for name, h in all_hyperres().items():
-            report = hyperres_weight_compare(SpectralSequence(skeleton_filtration(h)))
-            assert report.ok, (name, report.mismatches)
+            mismatches = decalage_mismatches(SpectralSequence(skeleton_filtration(h)))
+            assert not mismatches, (name, mismatches)
 
 
 @pytest.mark.skipif(

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import weightlab
 from weightlab.cli import main
 from weightlab.complexes import filtered_from_doc
 from weightlab.pages import SpectralSequence
@@ -181,3 +188,107 @@ def test_euler_malformed_complex_exit_code(capsys, tmp_path):
                        "--complex", str(cx_path), "--function", str(fn_path))
     assert code == 3
     assert "empty simplex" in err
+
+
+def test_filtration_with_a_skipped_level(capsys, tmp_path):
+    # Level 1 is missing: it inherits level 0, so the pages equal those of
+    # the same document with level 1 written out.
+    skipped = {"dims": {"0": 1}, "filtration": {"0": {"0": []}, "2": {"0": ["1"]}}}
+    written = {"dims": {"0": 1},
+               "filtration": {"0": {"0": []}, "1": {"0": []}, "2": {"0": ["1"]}}}
+    outputs = []
+    for doc in (skipped, written):
+        path = tmp_path / "fc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "ss", "--complex", str(path), "--format", "doc")
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert {"r": 1, "p": 2, "q": -2, "dim": 1} in json.loads(outputs[0])["pages"]
+
+
+@pytest.mark.parametrize("verb, doc, message", [
+    ("cubical-ss --diagram", {"n": 0}, "missing key 'objects'"),
+    ("cubical-ss --hyperres",
+     {"levels": [{"dims": {"0": 1}}],
+      "faces": [{"level": 9, "face_index": 0, "matrix": {}}]},
+     "d_0 at level 9 does not exist"),
+    ("fan-info --fan",
+     {"lattice_rank": 1, "rays": [[1]], "simplicial": False,
+      "cones": [{"rays": [0], "faces": []}]},
+     "missing key 'id'"),
+    ("fan-info --fan",
+     {"lattice_rank": 1, "rays": [[1]], "simplicial": True,
+      "cones": [{"rays": [-1]}]},
+     "ray indices [-1]"),
+])
+def test_malformed_documents_exit_3(capsys, tmp_path, verb, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *verb.split(), str(path))
+    assert code == 3
+    assert message in err
+
+
+DATA = Path(weightlab.__file__).parent / "data"
+# Each shipped document and the commands that read it.
+SHIPPED = [
+    (path, argv)
+    for path in sorted(DATA.glob("*.json")) + sorted(DATA.glob("fans/*.json"))
+    for argv in (
+        [["fan-info", "--fan"], ["ss", "--fan"]] if path.parent.name == "fans"
+        else [["cubical-ss", "--hyperres"], ["ss", "--hyperres"]]
+        if path.name.startswith("hyperres")
+        else [["cubical-ss", "--diagram"]])
+]
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A shipped document with one or two keys dropped, values retyped or
+    out-of-range indices written in, and a command that reads it."""
+    path, argv = draw(st.sampled_from(SHIPPED))
+    doc = json.loads(path.read_text())
+    for _ in range(draw(st.integers(1, 2))):
+        target = draw(st.sampled_from(list(_paths(doc))))
+        kind = draw(st.sampled_from(["drop", "retype", "index"]))
+        if kind == "retype":
+            new = draw(st.sampled_from(["x", None, [], {}, 1.5, True, [[0]]]))
+        else:
+            new = draw(st.sampled_from([-1, 9, 99]))
+        if not target:
+            doc = {} if kind == "drop" else new
+            continue
+        parent = doc
+        for key in target[:-1]:
+            parent = parent[key]
+        if kind == "drop":
+            del parent[target[-1]]
+        elif kind == "index" and isinstance(parent[target[-1]], list):
+            parent[target[-1]].append(new)
+        else:
+            parent[target[-1]] = new
+    return argv, doc
+
+
+@pytest.mark.filterwarnings("ignore:ray .* is not primitive")
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_mutated_shipped_documents_keep_the_exit_code_contract(case):
+    argv, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, str(path)])
+    assert code in (0, 2, 3, 4), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -12,9 +12,7 @@ from weightlab.complexes import (
     complex_to_doc,
     deligne_shift,
     filtered_from_doc,
-    filtered_from_levels,
     filtered_to_doc,
-    filtration_diagnostics,
     load_filtered,
     trivial_filtration,
 )
@@ -77,10 +75,8 @@ def test_filtration_diagnostics_monotone():
         0: {0: BitSubspace.span(2, [0b01])},
         1: {0: BitSubspace.span(2, [0b10])},
     }
-    msgs = filtration_diagnostics(cx, bad)
-    assert any("monotone" in m for m in msgs)
-    with pytest.raises(ComplexError):
-        FilteredComplex(cx, bad)
+    with pytest.raises(ComplexError, match="not monotone at p=1, degree 0"):
+        FilteredComplex.from_subspaces(cx, bad)
 
 
 def test_filtration_diagnostics_boundary():
@@ -89,15 +85,57 @@ def test_filtration_diagnostics_boundary():
         -1: {0: BitSubspace.zero(2), 1: BitSubspace.full(1)},
         0: {0: BitSubspace.full(2), 1: BitSubspace.full(1)},
     }
-    msgs = filtration_diagnostics(cx, bad)
-    assert any("boundary" in m for m in msgs)
+    with pytest.raises(ComplexError,
+                       match="boundary does not preserve filtration at p=-1, degree 1"):
+        FilteredComplex.from_subspaces(cx, bad)
 
 
 def test_filtered_from_levels_fills_slots():
     cx = interval()
-    fc = filtered_from_levels(cx, {0: {0: BitSubspace.full(2)}, 1: {}})
+    fc = FilteredComplex.from_subspaces(cx, {0: {0: BitSubspace.full(2)}, 1: {}})
     assert fc.level(0, 1).dim == 0  # inherited zero
     assert fc.level(1, 1).dim == 1  # top level defaults to full
+
+
+def test_filtration_not_exhaustive():
+    cx = interval()
+    with pytest.raises(ComplexError, match="not exhaustive in degree 0"):
+        FilteredComplex.from_subspaces(cx, {0: {0: BitSubspace.span(2, [0b01])}})
+
+
+def test_missing_level_inherits_the_level_below():
+    cx = ChainComplex.make({0: 2})
+    fc = FilteredComplex.from_subspaces(
+        cx, {0: {0: BitSubspace.span(2, [0b01])}, 2: {0: BitSubspace.full(2)}})
+    assert fc.p_range == (0, 2)
+    assert fc.level(1, 0) == fc.level(0, 0) == BitSubspace.span(2, [0b01])
+    assert fc.basis[0] == (0b01, 0b10) and fc.levels[0] == (0, 2)
+
+
+@pytest.mark.parametrize("basis, levels, message", [
+    ((0b11, 0b10), (0, 0), None),                  # valid: lowest bits 0 and 1
+    ((0b11, 0b01), (0, 0), "not an adapted basis"),  # lowest bit 0 twice
+    ((0b01,), (0,), "not an adapted basis"),         # too few vectors
+    ((0b01, 0b100), (0, 0), "not an adapted basis"),  # outside the degree
+    ((0b01, 0b10), (1, 0), "not ascending"),
+    ((0b01, 0b10), (-2, 0), "not ascending from p=-1"),
+    ((0b01, 0b10), (0, 1), "not exhaustive at p=0"),
+])
+def test_adapted_basis_shape(basis, levels, message):
+    cx = ChainComplex.make({0: 2})
+    if message is None:
+        assert FilteredComplex(cx, (-1, 0), {0: basis}, {0: levels}).level(0, 0).dim == 2
+    else:
+        with pytest.raises(ComplexError, match=message):
+            FilteredComplex(cx, (-1, 0), {0: basis}, {0: levels})
+
+
+def test_boundary_raising_a_level_is_rejected_in_any_basis():
+    # the edge's boundary u + w has coordinates 0b11 in the basis (u+w, w)
+    cx = interval()
+    FilteredComplex(cx, (0, 1), {0: (0b11, 0b10), 1: (0b1,)}, {0: (0, 1), 1: (0,)})
+    with pytest.raises(ComplexError, match="at p=0, degree 1"):
+        FilteredComplex(cx, (0, 1), {0: (0b01, 0b10), 1: (0b1,)}, {0: (0, 1), 1: (0,)})
 
 
 def test_doc_round_trip(tmp_path):
@@ -118,7 +156,7 @@ def test_doc_round_trip(tmp_path):
 def test_deligne_shift_is_valid_filtration():
     fc = trivial_filtration(interval())
     shifted = deligne_shift(fc)
-    assert not filtration_diagnostics(shifted.complex, shifted.filtration)
+    assert not shifted.diagnostics()
     # shifting the trivial filtration yields the canonical one level-by-level
     canon = canonical_filtration(interval())
     for k in (0, 1):

@@ -16,14 +16,13 @@ from weightlab.cubical import (
     diagram_to_doc,
     hyperres_from_doc,
     hyperres_to_doc,
-    hyperres_weight_compare,
     is_acyclic,
     simple_filtered,
     skeleton_filtration,
 )
 from weightlab.fixtures import all_hyperres, klein_square
 from weightlab.gf2 import BitMatrix
-from weightlab.pages import SpectralSequence
+from weightlab.pages import SpectralSequence, decalage_mismatches
 from weightlab.toric import standard_fan, toric_cell_complex
 
 
@@ -88,6 +87,19 @@ def test_diagram_rejects_non_chain_map():
         CubicalDiagram(0, {0: fc, 1: fc}, bad)
 
 
+@pytest.mark.parametrize("src_level, dst_level", [(1, 0), (0, 0), (0, 1)])
+def test_diagram_maps_may_not_raise_levels(src_level, dst_level):
+    pt = point()
+    diagram = (0, {1: trivial_filtration(pt, src_level), 0: trivial_filtration(pt, dst_level)},
+               {(1, 0): {0: BitMatrix.identity(1)}})
+    if dst_level <= src_level:
+        CubicalDiagram(*diagram)
+    else:
+        with pytest.raises(ComplexError,
+                           match=f"map 1->0 does not preserve level p={src_level} in degree 0"):
+            CubicalDiagram(*diagram)
+
+
 def test_additivity_two_points_in_line():
     # X = P^1 (a circle), Y = the two torus-fixed points; the complement
     # is the 1-torus, whose filtered complex is the trivial-fan one.
@@ -121,8 +133,8 @@ def test_hyperres_total_homology():
 
 def test_hyperres_weight_compare():
     for name, h in all_hyperres().items():
-        report = hyperres_weight_compare(SpectralSequence(skeleton_filtration(h)))
-        assert report.ok, (name, report)
+        mismatches = decalage_mismatches(SpectralSequence(skeleton_filtration(h)))
+        assert not mismatches, (name, mismatches)
 
 
 def test_hyperres_rejects_broken_simplicial_identity():

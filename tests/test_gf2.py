@@ -33,6 +33,12 @@ def test_vec_string_round_trip():
         assert vec_from_string(vec_to_string(v, 4)) == v
 
 
+@pytest.mark.parametrize("bad", ["x1", "1 0", 101, ["1"]])
+def test_vec_from_string_rejects_other_characters(bad):
+    with pytest.raises(ValueError):
+        vec_from_string(bad)
+
+
 @given(vectors6)
 def test_rref_preserves_span(vs):
     basis = rref(vs)

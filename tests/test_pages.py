@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weightlab.checks import coset_indicators
 from weightlab.complexes import (
     ChainComplex,
     FilteredComplex,
@@ -16,11 +17,11 @@ from weightlab.fixtures import all_hyperres, fan_corpus
 from weightlab.gf2 import BitMatrix, BitSubspace, image_of_subspace
 from weightlab.pages import (
     SpectralSequence,
+    decalage_mismatches,
     purity_collapse_report,
     reindexed_differential,
     reindexed_infinity,
     reindexed_page,
-    shifted_pages_agree,
     transported_page,
     virtual_poincare,
     weight_profile,
@@ -126,7 +127,7 @@ def _conjugated(fc, seed):
         p: {k: image_of_subspace(gs[k], fc.level(p, k)) for k in cx.degrees()}
         for p in range(p_min, p_max + 1)
     }
-    return FilteredComplex(new_cx, filtration)
+    return FilteredComplex.from_subspaces(new_cx, filtration)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -199,9 +200,8 @@ def test_reindexed_differential_agrees():
 
 @pytest.mark.parametrize("name", ["P1", "P2", "A1", "hirzebruch1", "trivial2"])
 def test_deligne_shift_comparison(name):
-    fc = toric_cell_complex(fan_corpus()[name]).filtered
-    for r in range(1, SpectralSequence(fc).r_inf + 2):
-        assert shifted_pages_agree(fc, r)
+    ss = SpectralSequence(toric_cell_complex(fan_corpus()[name]).filtered)
+    assert not decalage_mismatches(ss)
 
 
 def test_transported_page_reads_shifted_coordinates():
@@ -245,7 +245,7 @@ def _prescribed(cells, boundary):
             for k, n in dims.items()}
         for p in range(min(levels), max(levels) + 1)
     }
-    return FilteredComplex(cx, filtration)
+    return FilteredComplex.from_subspaces(cx, filtration)
 
 
 def _profile_oracle(fc):
@@ -362,3 +362,27 @@ def test_pairing_matches_subspace_engine_on_fans(name, variant):
 @pytest.mark.parametrize("name", sorted(all_hyperres()))
 def test_pairing_matches_subspace_engine_on_hyperres(name):
     _assert_matches_oracle(skeleton_filtration(all_hyperres()[name]))
+
+
+_COSET_FANS = {
+    **fan_corpus(),
+    "P6": standard_fan("P", 6),
+    **{f"trivial{n}": standard_fan("trivial", n) for n in range(1, 8)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COSET_FANS))
+def test_toric_levels_are_coset_spans(name):
+    # The build's adapted basis against the paper's definition: T_{-q} is
+    # spanned by the indicators of the cosets of the subgroups generated
+    # by q standard generators of each orbit group.
+    fan = _COSET_FANS[name]
+    tcc = toric_cell_complex(fan)
+    fc = tcc.filtered
+    p_min, p_max = fc.p_range
+    for k in fc.complex.degrees():
+        cids = [cid for cid in fan.cone_ids() if fan.codim(cid) == k]
+        for p in range(p_min - 1, p_max + 2):
+            cosets = [v for cid in cids for v in coset_indicators(tcc, cid, max(-p, 0))]
+            assert fc.level(p, k) == BitSubspace.span(fc.complex.dim(k), cosets), (p, k)
+    _assert_matches_oracle(fc)

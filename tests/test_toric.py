@@ -168,6 +168,33 @@ def test_product_fan():
     assert orbit_sum_poly(prod) == Poly.make([1, 2, 1])
 
 
+def _beta(fan):
+    return virtual_poincare(SpectralSequence(toric_cell_complex(fan).filtered))
+
+
+_NAMED = {**fan_corpus(), "A1xA1": product_fan(standard_fan("A", 1), standard_fan("A", 1))}
+
+
+def _nested(name):
+    """A named fan, or the product "a x b" of two names."""
+    left, sep, right = name.rpartition(" x ")
+    return product_fan(_nested(left), _nested(right)) if sep else _NAMED[name]
+
+
+@pytest.mark.parametrize("left, right", [
+    ("P1xP1", "P1xP1"),
+    ("A1xA1", "A1xA1"),
+    ("P1xP1", "quadric_cone"),
+    ("P1xP1 x P1", "P1"),
+    ("A2", "P1xP1 x trivial1"),
+])
+def test_nested_product_fans(left, right):
+    f1, f2 = _nested(left), _nested(right)
+    prod = product_fan(f1, f2)
+    assert len(prod.cone_ids()) == len(f1.cone_ids()) * len(f2.cone_ids())
+    assert _beta(prod) == _beta(f1) * _beta(f2)
+
+
 def test_virtual_poincare_multiplicative_example():
     p1 = standard_fan("P", 1)
     p2 = standard_fan("P", 2)
