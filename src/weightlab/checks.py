@@ -454,9 +454,10 @@ def check_boundary_oracle(chains: int = 200, seed: int = 9) -> CheckResult:
 
 
 def check_fold_pushforward(max_k: int = 4) -> CheckResult:
-    circle = circle_complex()
     fold = fold_map()
-    ident = SimpMap.identity(circle)
+    # On fold's own circle, so that all 2^k maps of each k share one
+    # (memoized) product complex circle^k.
+    ident = SimpMap.identity(fold.source)
     edge0 = simplex_cell((0, 1), 0)
     bad = []
     for k in range(1, max_k + 1):

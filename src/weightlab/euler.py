@@ -64,6 +64,7 @@ class CellComplex:
             for f in fs:
                 acc[f].add(c)
         self.cofaces = {c: frozenset(s) for c, s in acc.items()}
+        self._products: dict[CellComplex, CellComplex] = {}
 
     @classmethod
     def from_simplices(cls, simplices: Iterable[tuple[Sequence[int], int]]) -> "CellComplex":
@@ -102,20 +103,29 @@ class CellComplex:
 
     @classmethod
     def product(cls, a: "CellComplex", b: "CellComplex") -> "CellComplex":
+        """The product complex, built once per operand pair.
+
+        Maps and functions are tied to their complex by identity, so
+        products of the same operands must be the same object for maps
+        between them to compose.  The product is cached on ``a``, keyed
+        by ``b``.
+        """
+        cached = a._products.get(b)
+        if cached is not None:
+            return cached
+        closure_a = {ca: a.faces[ca] | {ca} for ca in a.dims}
+        closure_b = {cb: b.faces[cb] | {cb} for cb in b.dims}
         dims = {}
         faces = {}
         for ca, da in a.dims.items():
             for cb, db in b.dims.items():
                 dims[("x", ca, cb)] = da + db
-        for ca in a.dims:
-            for cb in b.dims:
-                fs = set()
-                for fa in a.faces[ca] | {ca}:
-                    for fb in b.faces[cb] | {cb}:
-                        if (fa, fb) != (ca, cb):
-                            fs.add(("x", fa, fb))
-                faces[("x", ca, cb)] = frozenset(fs)
-        return cls(dims, faces)
+                faces[("x", ca, cb)] = frozenset(
+                    ("x", fa, fb)
+                    for fa in closure_a[ca] for fb in closure_b[cb]
+                    if (fa, fb) != (ca, cb))
+        product = a._products[b] = cls(dims, faces)
+        return product
 
     def dim(self, c: Cell) -> int:
         return self.dims[c]

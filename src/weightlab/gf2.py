@@ -7,6 +7,12 @@ makes every derived object (kernels, images, sums, intersections,
 quotient bases) canonical: equal subspaces have identical
 representations.
 
+Matrix kernels walk set bits, so they cost time in proportion to
+nonzeros: a product XORs rows of the right factor, and ``mul_vec``
+XORs columns taken from a per-matrix column table.  The table is built
+on first use and is a cache that never changes a result; it takes no
+part in equality, hashing or ``repr``.
+
 Everything here is immutable after construction and safe to share
 between threads.
 """
@@ -14,7 +20,8 @@ between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 
 class DimensionError(ValueError):
@@ -43,6 +50,14 @@ def vec_to_string(v: int, width: int) -> str:
 def _pivot(v: int) -> int:
     """Index of the lowest set bit of a nonzero vector."""
     return (v & -v).bit_length() - 1
+
+
+def _set_bits(v: int) -> Iterator[int]:
+    """Indices of the set bits of a nonnegative vector, lowest first."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
 
 
 def rref(vectors: Iterable[int]) -> tuple[int, ...]:
@@ -120,46 +135,53 @@ class BitMatrix:
     def from_columns(cls, rows: int, columns: Sequence[int]) -> "BitMatrix":
         data = [0] * rows
         for j, col in enumerate(columns):
-            for i in range(rows):
-                if (col >> i) & 1:
-                    data[i] |= 1 << j
+            if col >> rows:
+                raise DimensionError("column entries out of row range")
+            for i in _set_bits(col):
+                data[i] |= 1 << j
         return cls(rows, len(columns), tuple(data))
 
     def entry(self, r: int, c: int) -> int:
         return (self.row_data[r] >> c) & 1
 
     def entries(self) -> list[tuple[int, int]]:
-        out = []
+        return [(i, j) for i, row in enumerate(self.row_data) for j in _set_bits(row)]
+
+    @cached_property
+    def _column_table(self) -> tuple[int, ...]:
+        cols = [0] * self.cols
         for i, row in enumerate(self.row_data):
-            while row:
-                j = _pivot(row)
-                out.append((i, j))
-                row &= row - 1
-        return out
+            for j in _set_bits(row):
+                cols[j] |= 1 << i
+        return tuple(cols)
 
     def column(self, j: int) -> int:
-        col = 0
-        for i, row in enumerate(self.row_data):
-            if (row >> j) & 1:
-                col |= 1 << i
-        return col
+        return self._column_table[j]
 
     def columns(self) -> list[int]:
-        return [self.column(j) for j in range(self.cols)]
+        return list(self._column_table)
 
     def mul_vec(self, x: int) -> int:
+        if x >> self.cols:
+            raise DimensionError("vector entries out of column range")
+        cols = self._column_table
         y = 0
-        for i, row in enumerate(self.row_data):
-            if (row & x).bit_count() & 1:
-                y |= 1 << i
+        for j in _set_bits(x):
+            y ^= cols[j]
         return y
 
     def mul(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
             raise DimensionError("inner dimensions do not match")
-        return BitMatrix.from_columns(
-            self.rows, [self.mul_vec(c) for c in other.columns()]
-        )
+        # Row i of the product is the sum of other's rows at row i's bits.
+        b = other.row_data
+        out = []
+        for row in self.row_data:
+            acc = 0
+            for k in _set_bits(row):
+                acc ^= b[k]
+            out.append(acc)
+        return BitMatrix(self.rows, other.cols, tuple(out))
 
     def add(self, other: "BitMatrix") -> "BitMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -8,12 +8,14 @@ the rational rank of the generators — this is what makes mod-2 quotient
 tori well defined for non-smooth cones.
 
 Smith normal form is implemented from scratch because we need the
-unimodular transform matrices, not just the diagonal.
+unimodular transform matrices, not just the diagonal.  It carries the
+inverse of the column transform v alongside v (each column operation on
+v is mirrored by the inverse row operation on v⁻¹), so the saturation
+reads v⁻¹ off directly and no rational arithmetic is needed.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .gf2 import BitSubspace, vec_from_bits
@@ -65,16 +67,19 @@ def rational_rank(m: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
-    """Return (u, d, v) with u·m·v = d in Smith normal form.
+def smith_normal_form(
+    m: Sequence[Sequence[int]],
+) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+    """Return (u, d, v, v_inv) with u·m·v = d in Smith normal form.
 
-    u and v are unimodular; d is diagonal with d[i][i] dividing
-    d[i+1][i+1].
+    u and v are unimodular and v·v_inv is the identity; d is diagonal
+    with d[i][i] dividing d[i+1][i+1].
     """
     d = [list(row) for row in m]
     rows, cols = len(d), len(d[0]) if d else 0
     u = identity(rows)
     v = identity(cols)
+    v_inv = identity(cols)
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -85,6 +90,7 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matri
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(src, dst, q):
         # row dst += q * row src
@@ -94,10 +100,13 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matri
             u[dst][k] += q * u[src][k]
 
     def add_col(src, dst, q):
+        # col dst += q * col src; on v_inv, row src -= q * row dst
         for row in d:
             row[dst] += q * row[src]
         for row in v:
             row[dst] += q * row[src]
+        for k in range(cols):
+            v_inv[src][k] -= q * v_inv[dst][k]
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
@@ -154,47 +163,18 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matri
         if d[t][t] < 0:
             negate_row(t)
         t += 1
-    return u, d, v
-
-
-def unimodular_inverse(m: Sequence[Sequence[int]]) -> Matrix:
-    """Exact inverse of a unimodular integer matrix (result is integral)."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n, 2 * n):
-            x = a[i][j]
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(x))
-        out.append(row)
-    return out
+    return u, d, v, v_inv
 
 
 def saturation_basis(vectors: Sequence[Sequence[int]], n: int) -> Matrix:
     """Integer basis of the saturation of the lattice spanned by vectors."""
     if not vectors:
         return []
-    u, d, v = smith_normal_form(vectors)
+    _, d, _, v_inv = smith_normal_form(vectors)
     rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i])
     # u·m·v = d, so m = u⁻¹·d·v⁻¹; the row space of m over Q equals that
     # of d·v⁻¹, whose saturation is spanned by the first `rank` rows of
     # v⁻¹ (d is diagonal).
-    v_inv = unimodular_inverse(v)
     return [v_inv[i] for i in range(rank)]
 
 

@@ -48,6 +48,10 @@ class FanError(ValueError):
 
 ZERO_ID = "0"
 
+# The most cells toric_cell_complex builds; a fan above it is refused
+# before any orbit group or boundary is allocated.
+MAX_CELLS = 1 << 20
+
 
 @dataclass(frozen=True)
 class Cone:
@@ -331,6 +335,10 @@ class ToricCellComplex:
 
 
 def toric_cell_complex(f: Fan) -> ToricCellComplex:
+    n_cells = sum(1 << f.codim(cid) for cid in f.cone_ids())
+    if n_cells > MAX_CELLS:
+        raise FanError(f"the fan has {n_cells} cells, more than the "
+                       f"{MAX_CELLS} the build allows")
     groups = {cid: orbit_group(f, cid) for cid in f.cone_ids()}
     by_codim: dict[int, list[str]] = {}
     for cid in f.cone_ids():

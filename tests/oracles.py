@@ -6,7 +6,9 @@ code shared with the package under test) so agreement is meaningful.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
+from typing import Sequence
 
 
 def dense_rank(rows: list[list[int]]) -> int:
@@ -69,3 +71,31 @@ def betti_numbers(dims: dict[int, int], boundary_dense: dict[int, list[list[int]
 def subspace_from_bits(basis: list[int], width: int) -> set[tuple[int, ...]]:
     dense = [[(b >> j) & 1 for j in range(width)] for b in basis]
     return span_vectors(dense) if dense else {tuple([0] * width)}
+
+
+def unimodular_inverse(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Exact inverse of a unimodular integer matrix (result is integral)."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        a[c], a[piv] = a[piv], a[c]
+        inv = 1 / a[c][c]
+        a[c] = [x * inv for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n, 2 * n):
+            x = a[i][j]
+            if x.denominator != 1:
+                raise ValueError("matrix is not unimodular")
+            row.append(int(x))
+        out.append(row)
+    return out

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -164,9 +165,11 @@ def test_euler_boundary_command(capsys, tmp_path):
 
 
 def test_installed_entry_point():
+    # The child imports the weightlab these tests import, installed or not.
+    src = str(Path(weightlab.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "weightlab.cli", "vpoly", "--standard", "P:1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     assert "beta = 1 + t" in proc.stdout
@@ -177,6 +180,22 @@ def test_standard_parameter_not_an_integer_exit_code(capsys):
     assert code == 2
     assert out == ""
     assert "not an integer" in err
+
+
+@pytest.mark.parametrize("verb", ["fan-info", "ss", "vpoly"])
+def test_cell_count_above_the_cap_exits_3(capsys, monkeypatch, verb):
+    # P:3 has 8 + 4*4 + 6*2 + 4*1 = 40 cells.
+    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 40)
+    assert run(capsys, verb, "--standard", "P:3")[0] == 0
+    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 39)
+
+    def no_orbit_group(*args):
+        raise AssertionError("an orbit group was computed above the cap")
+
+    monkeypatch.setattr(weightlab.toric, "orbit_group", no_orbit_group)
+    code, _, err = run(capsys, verb, "--standard", "P:3")
+    assert code == 3
+    assert "40 cells" in err and "Traceback" not in err
 
 
 def test_euler_malformed_complex_exit_code(capsys, tmp_path):

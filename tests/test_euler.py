@@ -240,3 +240,23 @@ def test_product_complex():
     assert len(sq.cells()) == 9
     assert sq.top_dim() == 2
     assert euler_integral(ConstructibleFunction.constant(sq)) == 1
+
+
+def test_product_maps_compose():
+    f = fold_map()
+    ff = SimpMap.product(f, f)
+    assert ff.source is ff.target is CellComplex.product(f.source, f.source)
+    twice = ff.compose(ff)
+    e0, e1 = simplex_cell((0, 1), 0), simplex_cell((0, 1), 1)
+    assert twice(("x", e1, e1)) == ("x", e0, e0)
+    assert twice.assignment == ff.assignment  # the fold is idempotent
+
+
+def test_pushforward_along_product_map():
+    f = fold_map()
+    torus = CellComplex.product(f.source, f.source)
+    out = pushforward_cf(SimpMap.product(f, f), ConstructibleFunction.constant(torus))
+    e0 = simplex_cell((0, 1), 0)
+    # four open squares fold onto one
+    assert out.value(("x", e0, e0)) == 4
+    assert euler_integral(out) == euler_integral(ConstructibleFunction.constant(torus))

@@ -99,6 +99,26 @@ def test_mul_matches_dense(a, b):
             assert prod.entry(i, j) == want
 
 
+@given(bit_matrices(), st.data())
+def test_column_kernels_match_dense(m, data):
+    dense = matrix_to_dense(m)
+    cols = [sum(dense[i][j] << i for i in range(m.rows)) for j in range(m.cols)]
+    twin = BitMatrix(m.rows, m.cols, m.row_data)
+    assert m.columns() == cols  # only m builds its column table
+    assert m == twin and hash(m) == hash(twin) and repr(m) == repr(twin)
+    assert [m.column(j) for j in range(m.cols)] == cols
+    assert BitMatrix.from_columns(m.rows, cols) == m
+    x = data.draw(st.integers(0, 2**m.cols - 1))
+    want = [sum(dense[i][j] * ((x >> j) & 1) for j in range(m.cols)) % 2
+            for i in range(m.rows)]
+    assert m.mul_vec(x) == twin.mul_vec(x) == vec_from_bits(want)
+    for bad in (1 << m.cols, -1):
+        with pytest.raises(DimensionError):
+            m.mul_vec(bad)
+        with pytest.raises(DimensionError):
+            BitMatrix.from_columns(m.rows, cols + [bad << m.rows])
+
+
 def test_inverse():
     m = BitMatrix.from_dense([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     inv = m.inverse()

@@ -11,9 +11,11 @@ from weightlab.lattice import (
     rational_rank,
     saturate_mod2,
     saturation_basis,
+    identity,
     smith_normal_form,
-    unimodular_inverse,
 )
+
+from oracles import unimodular_inverse
 
 
 def det(m):
@@ -46,10 +48,12 @@ small_matrices = st.lists(
 
 @given(small_matrices)
 def test_snf_properties(m):
-    u, d, v = smith_normal_form(m)
+    u, d, v, v_inv = smith_normal_form(m)
     assert mat_mul(mat_mul(u, m), v) == d
     assert abs(det(u)) == 1
     assert abs(det(v)) == 1
+    assert mat_mul(v, v_inv) == identity(len(v))
+    assert v_inv == unimodular_inverse(v)
     diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
     for i in range(len(d)):
         for j in range(len(d[0])):
@@ -63,7 +67,7 @@ def test_snf_properties(m):
 
 def test_snf_divisibility_example():
     # 2x2 with gcd 1 but no entry equal to 1 exercises the repair step
-    _, d, _ = smith_normal_form([[2, 0], [0, 3]])
+    _, d, _, _ = smith_normal_form([[2, 0], [0, 3]])
     assert d[0][0] == 1 and d[1][1] == 6
 
 
