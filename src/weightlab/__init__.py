@@ -24,17 +24,8 @@ from .pages import (
     weight_profile,
 )
 from .poly import Poly
-from .toric import (
-    Fan,
-    FanError,
-    orbit_group,
-    orbit_map,
-    parse_fan,
-    product_fan,
-    standard_fan,
-    toric_cell_complex,
-    toric_filtration,
-)
+from .fan import Fan, FanError, parse_fan, product_fan, standard_fan
+from .toric import orbit_group, orbit_map, toric_cell_complex, toric_filtration
 
 __version__ = "0.1.0"
 

@@ -106,13 +106,14 @@ def coset_indicators(tcc: ToricCellComplex, cid: str, q: int) -> list[int]:
 
 
 def check_filtration_binomials() -> CheckResult:
-    """The toric filtration is spanned by coset indicators, and its
-    per-cone quotient dimensions are binomial."""
+    """The toric filtration, written in the cell basis, is spanned by
+    coset indicators, and its per-cone quotient dimensions are binomial."""
     bad = []
     for name, fan in fan_corpus().items():
         tcc = toric_cell_complex(fan)
-        for k in tcc.complex.degrees():
-            n = tcc.complex.dim(k)
+        cells = tcc.cell_filtered
+        for k in cells.complex.degrees():
+            n = cells.complex.dim(k)
             cids = [cid for cid in fan.cone_ids() if fan.codim(cid) == k]
             prev = dict.fromkeys(cids, 0)
             for q in range(k, -1, -1):
@@ -123,7 +124,7 @@ def check_filtration_binomials() -> CheckResult:
                         bad.append(f"{name}/{cid} q={q}: {dim - prev[cid]} != C({k},{q})")
                     prev[cid] = dim
                 span = BitSubspace.span(n, [v for vecs in by_cone.values() for v in vecs])
-                if span != tcc.filtered.level(-q, k):
+                if span != cells.level(-q, k):
                     bad.append(f"{name} degree {k}: level {-q} is not the coset span")
     return _result("toric filtration quotients are binomial", not bad, "; ".join(bad))
 
@@ -131,11 +132,11 @@ def check_filtration_binomials() -> CheckResult:
 def check_cell_counts() -> CheckResult:
     bad = []
     for name, fan in fan_corpus().items():
-        tcc = toric_cell_complex(fan)
-        for k in tcc.complex.degrees():
+        cx = toric_cell_complex(fan).filtered.complex
+        for k in cx.degrees():
             want = sum(1 << fan.codim(cid) for cid in fan.cone_ids()
                        if fan.codim(cid) == k)
-            if tcc.complex.dim(k) != want:
+            if cx.dim(k) != want:
                 bad.append(f"{name} degree {k}")
     return _result("cell counts are sums of 2^codim", not bad, ", ".join(bad))
 
@@ -184,12 +185,11 @@ def check_support_triangle() -> CheckResult:
 def check_convergence() -> CheckResult:
     bad = []
     for name, fan in fan_corpus().items():
-        tcc = toric_cell_complex(fan)
-        ss = SpectralSequence(tcc.filtered)
-        inf = ss.infinity_page()
-        for k in tcc.complex.degrees():
+        fc = toric_cell_complex(fan).filtered
+        inf = SpectralSequence(fc).infinity_page()
+        for k in fc.complex.degrees():
             total = sum(d for (p, q), d in inf.items() if p + q == k)
-            if total != tcc.complex.betti(k):
+            if total != fc.complex.betti(k):
                 bad.append(f"{name} degree {k}")
     return _result("limit page sums to homology", not bad, ", ".join(bad))
 
@@ -215,10 +215,10 @@ def check_positive_part() -> CheckResult:
     """The p = 0 graded piece has one dimension per cone."""
     bad = []
     for name, fan in fan_corpus().items():
-        tcc = toric_cell_complex(fan)
-        for k in tcc.complex.degrees():
-            top = tcc.filtered.level(0, k).dim
-            below = tcc.filtered.level(-1, k).dim
+        fc = toric_cell_complex(fan).filtered
+        for k in fc.complex.degrees():
+            top = fc.level(0, k).dim
+            below = fc.level(-1, k).dim
             count = sum(1 for cid in fan.cone_ids() if fan.codim(cid) == k)
             if top - below != count:
                 bad.append(f"{name} degree {k}")
@@ -240,7 +240,7 @@ def _small_toric_filtered() -> dict[str, FilteredComplex]:
 def check_canonical_antidiagonal() -> CheckResult:
     bad = []
     for name, fan in fan_corpus().items():
-        cx = toric_cell_complex(fan).complex
+        cx = toric_cell_complex(fan).filtered.complex
         ss = SpectralSequence(canonical_filtration(cx))
         page = ss.page(1)
         for (p, q), d in page.items():

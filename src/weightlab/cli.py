@@ -2,14 +2,17 @@
 
 Verbs: ``fan-info``, ``ss``, ``vpoly``, ``check``, ``cubical-ss``,
 ``euler``.  Exit codes are a stable contract: 0 success, 2 parse error,
-3 validation error, 4 property-check failure.  All tabular output is
-deterministically ordered (cones by id, page entries by (r, p, q)).
+3 validation error, 4 property-check failure; a run whose reader closes
+the output pipe early stops quietly with 141, as if killed by SIGPIPE.
+All tabular output is deterministically ordered (cones by id, page
+entries by (r, p, q)).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -41,6 +44,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_PROPERTY = 4
+EXIT_BROKEN_PIPE = 128 + 13  # SIGPIPE
 
 
 class CliError(Exception):
@@ -79,15 +83,21 @@ def _fan_from_args(args) -> Fan:
 
 
 def _filtered_from_args(args) -> tuple[FilteredComplex, int]:
-    """Returns the filtered complex and the ambient dimension for reports."""
+    """Returns the filtered complex and the ambient dimension for reports.
+
+    A fan's complex is written in the augmentation basis, unless it is
+    to be emitted as a document, which is written in the cell basis; the
+    pages are the same in both."""
     selector = getattr(args, "filtration", None) or "toric"
     if getattr(args, "fan", None) or getattr(args, "standard", None):
         fan = _fan_from_args(args)
-        cx = toric_cell_complex(fan)
+        tcc = toric_cell_complex(fan)
+        cells = bool(getattr(args, "emit_complex", None))
         if selector == "canonical":
-            return canonical_filtration(cx.complex), fan.n
+            return canonical_filtration(
+                tcc.complex if cells else tcc.filtered.complex), fan.n
         if selector in ("toric", "file"):
-            return cx.filtered, fan.n
+            return tcc.cell_filtered if cells else tcc.filtered, fan.n
         raise CliError(f"filtration {selector!r} does not apply to fans", EXIT_PARSE)
     if getattr(args, "hyperres", None):
         doc = _load_json(args.hyperres)
@@ -198,7 +208,7 @@ def cmd_fan_info(args) -> int:
         c = fan.cone(cid)
         print(f"  {cid}: dim {c.dim}, codim {fan.n - c.dim}, "
               f"rays {sorted(c.ray_indices)}, faces {sorted(c.faces)}")
-    cx = toric_cell_complex(fan).complex
+    cx = toric_cell_complex(fan).filtered.complex
     counts = ", ".join(f"{k}:{cx.dim(k)}" for k in cx.degrees())
     print(f"cell counts by degree: {counts}")
     return EXIT_OK
@@ -376,13 +386,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except (FanError, ComplexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except BrokenPipeError:
+        # The reader closed the pipe (`weightlab ss ... | head`).  Point
+        # stdout at /dev/null so the interpreter's last flush cannot fail
+        # again, and end as a writer stopped by SIGPIPE does.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

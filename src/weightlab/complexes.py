@@ -8,10 +8,13 @@ bits are distinct and cover every coordinate.  F_p is the span of the
 vectors of level <= p; below the level range it is zero and above it the
 whole space, with no clamping code.  Distinct lowest set bits make the
 coordinates of any vector a walk that clears its lowest set bit
-(:meth:`FilteredComplex.coordinates`).
+(:meth:`FilteredComplex.coordinates`).  A producer whose coordinates are
+already adapted (the toric build, trivial filtrations) stores no vectors:
+its adapted basis is the unit basis, and its boundary columns are the
+coordinates of the boundaries.
 
 Both classes validate their defining identities on construction: ``∂∘∂
-= 0``, and that no boundary image has a coordinate above its source's
+= 0``, and that no boundary column has a coordinate above its source's
 level.  Producers emit adapted bases directly; a filtration given as
 nested level subspaces, as in documents, goes through
 :meth:`FilteredComplex.from_subspaces`, which also checks that it is
@@ -136,14 +139,15 @@ class FilteredComplex:
 
     ``basis[k]`` is an adapted basis of degree k and ``levels[k]`` the
     level of each of its vectors, ascending; the lowest set bits of the
-    vectors are distinct and cover every coordinate.  F_p in degree k is
-    spanned by the vectors of level <= p, so it is zero below ``p_range``
-    and the whole space above it.
+    vectors are distinct and cover every coordinate.  ``basis`` None
+    stands for the unit basis in every degree: the coordinates themselves
+    are adapted.  F_p in degree k is spanned by the vectors of level <= p,
+    so it is zero below ``p_range`` and the whole space above it.
     """
 
     complex: ChainComplex
     p_range: tuple[int, int]
-    basis: Mapping[int, tuple[int, ...]]
+    basis: Mapping[int, tuple[int, ...]] | None
     levels: Mapping[int, tuple[int, ...]]
     _by_pivot: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _spans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -210,7 +214,7 @@ class FilteredComplex:
         """Violated filtration axioms, one message per finding.
 
         The basis must be adapted and its levels ascending inside
-        ``p_range``; then no boundary image may have a coordinate of a
+        ``p_range``; then no boundary column may have a coordinate of a
         level above its source's level.
         """
         cx = self.complex
@@ -218,12 +222,16 @@ class FilteredComplex:
         if p_min > p_max:
             return ["filtration has no levels"]
         out = []
-        for k in sorted(set(self.basis) | set(cx.degrees())):
+        for k in sorted(set(self.levels) | set(self.basis or ()) | set(cx.degrees())):
             n = cx.dim(k)
-            vectors = self.basis.get(k, ())
             levels = self.levels.get(k, ())
-            pivots = {(v & -v).bit_length() - 1 for v in vectors if 0 < v < 1 << n}
-            if not len(vectors) == len(levels) == len(pivots) == n:
+            if self.basis is None:
+                adapted = len(levels) == n
+            else:
+                vectors = self.basis.get(k, ())
+                pivots = {(v & -v).bit_length() - 1 for v in vectors if 0 < v < 1 << n}
+                adapted = len(vectors) == len(levels) == len(pivots) == n
+            if not adapted:
                 out.append(f"filtration basis is not an adapted basis in degree {k}")
             elif list(levels) != sorted(levels) or levels and levels[0] < p_min:
                 out.append(f"filtration levels not ascending from p={p_min} in degree {k}")
@@ -234,22 +242,38 @@ class FilteredComplex:
         for k in cx.degrees():
             if not cx.dim(k - 1):
                 continue
-            d, below = cx.d(k), self.levels[k - 1]
+            below = self.levels[k - 1]
             raised = sorted({
-                p for v, p in zip(self.basis[k], self.levels[k])
-                if (c := self.coordinates(k - 1, d.mul_vec(v)))
-                and below[c.bit_length() - 1] > p
+                p for c, p in zip(self.boundary_columns(k), self.levels[k])
+                if c and below[c.bit_length() - 1] > p
             })
             out.extend(
                 f"boundary does not preserve filtration at p={p}, degree {k}"
                 for p in raised)
         return out
 
+    def vectors(self, k: int) -> tuple[int, ...]:
+        """The adapted basis of degree k."""
+        if self.basis is None:
+            return _unit_basis(self.complex.dim(k))
+        return self.basis.get(k, ())
+
+    def boundary_columns(self, k: int) -> list[int]:
+        """The boundary of degree k written in the adapted bases: item j
+        is the coordinates of the boundary of basis vector j.  With the
+        unit basis these are the matrix's own columns."""
+        d = self.complex.d(k)
+        if self.basis is None:
+            return d.columns()
+        return [self.coordinates(k - 1, d.mul_vec(v)) for v in self.basis[k]]
+
     def coordinates(self, k: int, x: int) -> int:
         """Coordinates of x in the adapted basis of degree k, as a bit
         vector over basis indices.  Each step clears the lowest set bit
         of x with the basis vector whose lowest set bit it is; that
         vector has no lower bit, so the walk ends."""
+        if self.basis is None:
+            return x
         by_pivot = self._by_pivot.get(k)
         if by_pivot is None:
             by_pivot = self._by_pivot[k] = {
@@ -267,8 +291,12 @@ class FilteredComplex:
         n = bisect_right(self.levels.get(k, ()), p)
         sub = self._spans.get((k, n))
         if sub is None:
-            sub = self._spans[(k, n)] = BitSubspace.span(
-                self.complex.dim(k), self.basis.get(k, ())[:n])
+            dim = self.complex.dim(k)
+            if self.basis is None:  # unit vectors are already reduced
+                sub = BitSubspace(dim, _unit_basis(n))
+            else:
+                sub = BitSubspace.span(dim, self.basis.get(k, ())[:n])
+            self._spans[(k, n)] = sub
         return sub
 
 
@@ -298,11 +326,9 @@ def canonical_filtration(complex_: ChainComplex) -> FilteredComplex:
 
 
 def trivial_filtration(complex_: ChainComplex, p: int = 0) -> FilteredComplex:
-    ks = complex_.degrees()
     return FilteredComplex(
-        complex_, (p, p),
-        {k: _unit_basis(complex_.dim(k)) for k in ks},
-        {k: (p,) * complex_.dim(k) for k in ks},
+        complex_, (p, p), None,
+        {k: (p,) * complex_.dim(k) for k in complex_.degrees()},
     )
 
 

@@ -130,7 +130,7 @@ class CubicalDiagram:
                     continue
                 f, dst_levels = self.map_between(s, t, k), dst.levels[k]
                 raised = sorted({
-                    p for v, p in zip(src.basis[k], src.levels[k])
+                    p for v, p in zip(src.vectors(k), src.levels[k])
                     if (c := dst.coordinates(k, f.mul_vec(v)))
                     and dst_levels[c.bit_length() - 1] > p
                 })
@@ -210,7 +210,7 @@ def _totalize(
     for (b, i), col0 in offsets.items():
         shift, fc = blocks[b]
         by_level.setdefault(i + shift, []).extend(
-            (p, v << col0) for v, p in zip(fc.basis[i], fc.levels[i]))
+            (p, v << col0) for v, p in zip(fc.vectors(i), fc.levels[i]))
     basis, levels = {}, {}
     for k, pairs in by_level.items():
         pairs.sort(key=lambda pv: pv[0])

@@ -1,0 +1,343 @@
+"""Rational fans with an explicit face lattice.
+
+Validation is structural: grading of the face relation, the diamond
+property on length-two intervals, primitivity of rays, rank consistency.
+The face lattice's covers are computed once per fan, and gradedness and
+the diamond property are checked on them.  Convex-geometric axioms —
+that cones actually intersect in common faces — are *not* checked;
+inputs are trusted on that point.
+"""
+
+from __future__ import annotations
+
+import itertools
+import warnings
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Mapping
+
+from .lattice import is_primitive, make_primitive, rational_rank
+
+
+class FanError(ValueError):
+    """Raised for structural problems in fan data."""
+
+
+ZERO_ID = "0"
+
+@dataclass(frozen=True)
+class Cone:
+    id: str
+    ray_indices: frozenset[int]
+    dim: int
+    faces: frozenset[str]  # ids of all proper faces, including the zero cone
+
+
+@dataclass(frozen=True)
+class Fan:
+    n: int
+    rays: tuple[tuple[int, ...], ...]
+    cones: Mapping[str, Cone]
+
+    def __post_init__(self) -> None:
+        problems = self.diagnostics()
+        if problems:
+            raise FanError("; ".join(problems))
+
+    def cone_ids(self) -> list[str]:
+        return sorted(self.cones)
+
+    def cone(self, cid: str) -> Cone:
+        if cid not in self.cones:
+            raise FanError(f"unknown cone {cid!r}")
+        return self.cones[cid]
+
+    def codim(self, cid: str) -> int:
+        return self.n - self.cone(cid).dim
+
+    def covers(self, cid: str) -> list[str]:
+        """Cones covering cid in the face order (cofaces one dim up)."""
+        self.cone(cid)
+        return list(self._covers[cid])
+
+    def max_codim(self) -> int:
+        return max(self.n - c.dim for c in self.cones.values())
+
+    @cached_property
+    def _facets(self) -> dict[str, tuple[str, ...]]:
+        """The maximal proper faces of each cone, for face lists that drop
+        dimension and are transitively closed.  A face below another face
+        lies below a maximal one, so a walk down by dimension that skips
+        the faces of the maximal faces found so far finds them all, at
+        the cost of the face lists of the maximal faces alone."""
+        out = {}
+        for c in self.cones.values():
+            covered: set[str] = set()
+            facets = []
+            for fid in sorted(c.faces, key=lambda f: -self.cones[f].dim):
+                if fid not in covered:
+                    facets.append(fid)
+                    covered.update(self.cones[fid].faces)
+            out[c.id] = tuple(facets)
+        return out
+
+    @cached_property
+    def _covers(self) -> dict[str, list[str]]:
+        out: dict[str, list[str]] = {cid: [] for cid in self.cones}
+        for c in self.cones.values():
+            for fid in self._facets[c.id]:
+                if self.cones[fid].dim == c.dim - 1:
+                    out[fid].append(c.id)
+        for ids in out.values():
+            ids.sort()
+        return out
+
+    def diagnostics(self) -> list[str]:
+        out = []
+        if ZERO_ID not in self.cones:
+            out.append("zero cone missing")
+        for ray in self.rays:
+            if len(ray) != self.n:
+                out.append(f"ray {ray} has wrong length")
+            elif not is_primitive(ray):
+                out.append(f"ray {ray} is not primitive")
+        for c in self.cones.values():
+            want = rational_rank([self.rays[i] for i in sorted(c.ray_indices)])
+            if c.dim != want:
+                out.append(f"cone {c.id!r} declares dim {c.dim}, rays have rank {want}")
+            for fid in c.faces:
+                if fid not in self.cones:
+                    out.append(f"cone {c.id!r} lists unknown face {fid!r}")
+                elif self.cones[fid].dim >= c.dim:
+                    out.append(f"face {fid!r} of {c.id!r} does not drop dimension")
+            if c.id != ZERO_ID and ZERO_ID not in c.faces:
+                out.append(f"cone {c.id!r} does not list the zero cone as a face")
+            for fid in c.faces:
+                if fid in self.cones and not self.cones[fid].faces <= c.faces:
+                    out.append(f"faces of cone {c.id!r} are not transitively closed")
+                    break
+        if out:
+            return out
+        # Graded: every covering relation drops dimension by exactly one.
+        # The scans in face-list order, which fix the order of the
+        # messages, run only for a cone that fails.
+        graded = {}
+        for c in self.cones.values():
+            facets = self._facets[c.id]
+            graded[c.id] = all(self.cones[f].dim == c.dim - 1 for f in facets)
+            if not graded[c.id]:
+                out.extend(
+                    f"face lattice not graded: {fid!r} < {c.id!r} skips dimension"
+                    for fid in c.faces
+                    if fid in facets and self.cones[fid].dim != c.dim - 1)
+        # Diamond property on length-two intervals: every face two dims
+        # down lies in exactly two faces one dim down.  Those are facets,
+        # and in a graded cone the faces two dims down are their facets.
+        for c in self.cones.values():
+            between: dict[str, int] = {}
+            for mid in self._facets[c.id]:
+                if self.cones[mid].dim == c.dim - 1:
+                    for fid in self._facets[mid]:
+                        if self.cones[fid].dim == c.dim - 2:
+                            between[fid] = between.get(fid, 0) + 1
+            if graded[c.id] and all(n == 2 for n in between.values()):
+                continue
+            out.extend(
+                f"diamond property fails between {fid!r} and {c.id!r} "
+                f"({between.get(fid, 0)} intermediate cones)"
+                for fid in c.faces
+                if self.cones[fid].dim == c.dim - 2 and between.get(fid, 0) != 2)
+        return out
+
+
+def parse_fan(doc: Mapping) -> Fan:
+    """Build and validate a fan from its document form.
+
+    With ``simplicial: true`` every subset of each cone's rays becomes a
+    cone and face lists may be omitted.  Non-primitive rays are divided
+    by their gcd with a warning.  The zero cone is implicit.
+    """
+    try:
+        n = int(doc["lattice_rank"])
+        raw_rays = [list(map(int, r)) for r in doc.get("rays", [])]
+        simplicial = bool(doc.get("simplicial", False))
+        # (id, ray indices, declared faces); ids are optional only in
+        # simplicial mode, face lists only outside it.
+        raw_cones = [
+            (cd.get("id") if simplicial else str(cd["id"]),
+             frozenset(int(i) for i in (cd["rays"] if simplicial else cd.get("rays", []))),
+             {str(fid) for fid in cd.get("faces", [])})
+            for cd in doc.get("cones", [])
+        ]
+    except KeyError as exc:
+        raise FanError(f"malformed fan document: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise FanError(f"malformed fan document: {exc}") from exc
+    if n < 0:
+        raise FanError(f"lattice rank {n} is negative")
+    for cid, idx, _ in raw_cones:
+        bad = sorted(i for i in idx if not 0 <= i < len(raw_rays))
+        if bad:
+            raise FanError(f"cone {cid!r} uses ray indices {bad}, the fan has "
+                           f"{len(raw_rays)} rays")
+
+    rays = []
+    for r in raw_rays:
+        if len(r) != n:
+            raise FanError(f"ray {r} has length {len(r)}, expected {n}")
+        if not is_primitive(r):
+            fixed = make_primitive(r)
+            warnings.warn(f"ray {r} is not primitive; replaced by {fixed}")
+            r = fixed
+        rays.append(tuple(r))
+
+    def cone_dim(idx: frozenset[int]) -> int:
+        return rational_rank([rays[i] for i in sorted(idx)])
+
+    cones: dict[str, Cone] = {}
+    if simplicial:
+        by_rayset: dict[frozenset[int], str] = {frozenset(): ZERO_ID}
+        declared: dict[frozenset[int], str] = {}
+        for cid, idx, _ in raw_cones:
+            dim = cone_dim(idx)
+            if len(idx) != dim:
+                raise FanError(
+                    f"cone {cid!r} marked simplicial has {len(idx)} rays "
+                    f"of rank {dim}")
+            declared[idx] = _subset_id(idx) if cid is None else str(cid)
+        # Every subset of a declared ray set is a cone.
+        subsets: set[frozenset[int]] = {frozenset()}
+        for idx in declared:
+            for r in range(len(idx) + 1):
+                subsets.update(map(frozenset, itertools.combinations(sorted(idx), r)))
+        for idx in subsets:
+            by_rayset[idx] = declared.get(idx, _subset_id(idx)) if idx else ZERO_ID
+        for idx, cid in by_rayset.items():
+            faces = frozenset(
+                by_rayset[sub] for r in range(len(idx))
+                for sub in map(frozenset, itertools.combinations(sorted(idx), r))
+            )
+            # Rays of a simplicial cone are independent, and so are
+            # those of each of its faces.
+            cones[cid] = Cone(cid, idx, len(idx), faces)
+    else:
+        cones[ZERO_ID] = Cone(ZERO_ID, frozenset(), 0, frozenset())
+        declared_faces: dict[str, set[str]] = {}
+        for cid, idx, faces in raw_cones:
+            declared_faces[cid] = faces | {ZERO_ID}
+            cones[cid] = Cone(cid, idx, cone_dim(idx), frozenset())
+        # Transitive closure of the declared face lists.
+        closed: dict[str, frozenset[str]] = {ZERO_ID: frozenset()}
+        def close(cid: str, seen: tuple = ()) -> frozenset[str]:
+            if cid in closed:
+                return closed[cid]
+            if cid in seen:
+                raise FanError(f"cyclic face declaration at cone {cid!r}")
+            acc = set()
+            for fid in declared_faces.get(cid, set()):
+                if fid not in cones:
+                    raise FanError(f"cone {cid!r} lists unknown face {fid!r}")
+                acc.add(fid)
+                acc.update(close(fid, seen + (cid,)))
+            closed[cid] = frozenset(acc)
+            return closed[cid]
+        for cid in list(cones):
+            if cid != ZERO_ID:
+                c = cones[cid]
+                cones[cid] = Cone(c.id, c.ray_indices, c.dim, close(cid))
+    return Fan(n, tuple(rays), cones)
+
+
+def _subset_id(idx: frozenset[int]) -> str:
+    return "c" + ",".join(map(str, sorted(idx))) if idx else ZERO_ID
+
+
+def fan_to_doc(f: Fan) -> dict:
+    return {
+        "lattice_rank": f.n,
+        "rays": [list(r) for r in f.rays],
+        "simplicial": False,
+        "cones": [
+            {
+                "id": c.id,
+                "rays": sorted(c.ray_indices),
+                "faces": sorted(c.faces),
+            }
+            for c in (f.cones[cid] for cid in f.cone_ids())
+            if c.id != ZERO_ID
+        ],
+    }
+
+
+# ---------------------------------------------------------------------------
+# Constructions
+
+
+def product_fan(f1: Fan, f2: Fan) -> Fan:
+    """Fan of the product variety: pairwise cones and product face lattice.
+
+    The cone of a pair (a, b) of cone ids gets the id ``f"{len(a)}:{a}*{b}"``
+    (the zero cone keeps ``"0"``), which is unambiguous also for nested
+    products.
+    """
+    n = f1.n + f2.n
+    rays = [tuple(r) + (0,) * f2.n for r in f1.rays]
+    rays += [(0,) * f1.n + tuple(r) for r in f2.rays]
+    shift = len(f1.rays)
+
+    def pid(a: str, b: str) -> str:
+        # The length of a makes the pair readable back from the id, so
+        # distinct pairs of ids never give the same id.
+        return ZERO_ID if a == b == ZERO_ID else f"{len(a)}:{a}*{b}"
+
+    cones: dict[str, Cone] = {}
+    for c1 in f1.cones.values():
+        for c2 in f2.cones.values():
+            idx = frozenset(c1.ray_indices) | frozenset(i + shift for i in c2.ray_indices)
+            faces = set()
+            for a in c1.faces | {c1.id}:
+                for b in c2.faces | {c2.id}:
+                    if (a, b) != (c1.id, c2.id):
+                        faces.add(pid(a, b))
+            cid = pid(c1.id, c2.id)
+            cones[cid] = Cone(cid, idx, c1.dim + c2.dim, frozenset(faces))
+    return Fan(n, tuple(rays), cones)
+
+
+def standard_fan(name: str, param: int = 0) -> Fan:
+    """Named fixture fans: projective/affine spaces, tori, Hirzebruch."""
+    if name == "trivial":
+        return parse_fan({"lattice_rank": param, "rays": [], "cones": []})
+    if name == "A":
+        rays = [[1 if j == i else 0 for j in range(param)] for i in range(param)]
+        return parse_fan({
+            "lattice_rank": param,
+            "rays": rays,
+            "simplicial": True,
+            "cones": [{"id": "max", "rays": list(range(param))}] if param else [],
+        })
+    if name == "P":
+        n = param
+        rays = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+        rays.append([-1] * n)
+        maximal = [
+            {"id": f"m{i}", "rays": [j for j in range(n + 1) if j != i]}
+            for i in range(n + 1)
+        ]
+        return parse_fan({
+            "lattice_rank": n, "rays": rays, "simplicial": True, "cones": maximal,
+        })
+    if name == "hirzebruch":
+        a = param
+        return parse_fan({
+            "lattice_rank": 2,
+            "rays": [[1, 0], [0, 1], [-1, a], [0, -1]],
+            "simplicial": True,
+            "cones": [
+                {"id": "m0", "rays": [0, 1]},
+                {"id": "m1", "rays": [1, 2]},
+                {"id": "m2", "rays": [2, 3]},
+                {"id": "m3", "rays": [3, 0]},
+            ],
+        })
+    raise FanError(f"unknown standard fan {name!r}")

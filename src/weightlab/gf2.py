@@ -10,8 +10,9 @@ representations.
 Matrix kernels walk set bits, so they cost time in proportion to
 nonzeros: a product XORs rows of the right factor, and ``mul_vec``
 XORs columns taken from a per-matrix column table.  The table is built
-on first use and is a cache that never changes a result; it takes no
-part in equality, hashing or ``repr``.
+on first use, or with the rows when a matrix is built from the row
+indices of its columns; it is a cache that never changes a result and
+takes no part in equality, hashing or ``repr``.
 
 Everything here is immutable after construction and safe to share
 between threads.
@@ -60,6 +61,14 @@ def _set_bits(v: int) -> Iterator[int]:
         v ^= low
 
 
+def _pack(indices: Iterable[int]) -> int:
+    """The vector with the given bits set; a repeated index cancels."""
+    v = 0
+    for i in indices:
+        v ^= 1 << i
+    return v
+
+
 def rref(vectors: Iterable[int]) -> tuple[int, ...]:
     """Reduced row-echelon basis of the span, sorted by pivot index."""
     by_pivot: dict[int, int] = {}
@@ -100,8 +109,8 @@ class BitMatrix:
     def __post_init__(self) -> None:
         if len(self.row_data) != self.rows:
             raise DimensionError("row count mismatch")
-        mask = (1 << self.cols) - 1
-        if any(r & ~mask for r in self.row_data):
+        cols = self.cols
+        if any(r >> cols for r in self.row_data):
             raise DimensionError("row entries out of column range")
 
     @classmethod
@@ -117,12 +126,30 @@ class BitMatrix:
         cls, rows: int, cols: int, entries: Iterable[tuple[int, int]]
     ) -> "BitMatrix":
         """Build from unit entries (r, c); repeated entries cancel mod 2."""
-        data = [0] * rows
+        by_col: list[list[int]] = [[] for _ in range(cols)]
         for r, c in entries:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise DimensionError(f"entry ({r},{c}) out of bounds")
-            data[r] ^= 1 << c
-        return cls(rows, cols, tuple(data))
+            by_col[c].append(r)
+        return cls.from_column_indices(rows, by_col)
+
+    @classmethod
+    def from_column_indices(
+        cls, rows: int, columns: Sequence[Sequence[int]]
+    ) -> "BitMatrix":
+        """Build from the row indices of the entries of each column;
+        repeated entries cancel mod 2.  Rows and columns are packed from
+        their indices, with no walk over set bits, and the columns become
+        the column table."""
+        by_row: list[list[int]] = [[] for _ in range(rows)]
+        for j, col in enumerate(columns):
+            for i in col:
+                if not 0 <= i < rows:
+                    raise DimensionError(f"entry ({i},{j}) out of bounds")
+                by_row[i].append(j)
+        m = cls(rows, len(columns), tuple(map(_pack, by_row)))
+        m.__dict__["_column_table"] = tuple(map(_pack, columns))
+        return m
 
     @classmethod
     def from_dense(cls, dense: Sequence[Sequence[int]], cols: int | None = None) -> "BitMatrix":

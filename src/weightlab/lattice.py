@@ -114,56 +114,58 @@ def smith_normal_form(
 
     t = 0
     while t < min(rows, cols):
-        # Find a pivot in the remaining block.
-        piv = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if d[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
+        # Pivot on the smallest nonzero entry of the remaining block, then
+        # reduce the rest of its row and column modulo it, to remainders
+        # of at most half the pivot.  A nonzero remainder is smaller than
+        # the pivot, so the pivot shrinks on every pass that is not clean
+        # and the loop ends; a smallest pivot also keeps the quotients,
+        # and so the entries, small (Havas–Majewski, J. Symb. Comp. 1997).
+        piv = _smallest_entry(d, t)
         if piv is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        # Clear row and column t; repeat until clean (quotients may
-        # reintroduce entries).
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    add_row(t, i, -q)
-                    if d[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    add_col(t, j, -q)
-                    if d[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
+        if piv[0] != t:
+            swap_rows(t, piv[0])
+        if piv[1] != t:
+            swap_cols(t, piv[1])
+        if d[t][t] < 0:
+            negate_row(t)
+        p = d[t][t]
+        clean = True
+        for i in range(t + 1, rows):
+            if d[i][t]:
+                add_row(t, i, -((d[i][t] + p // 2) // p))
+                clean = clean and not d[i][t]
+        for j in range(t + 1, cols):
+            if d[t][j]:
+                add_col(t, j, -((d[t][j] + p // 2) // p))
+                clean = clean and not d[t][j]
+        if not clean:
+            continue
         # Enforce divisibility: if some later entry is not divisible by
         # the pivot, fold its row into row t and redo this pivot.
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if d[i][j] % d[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = None if p == 1 else next(
+            (i for i in range(t + 1, rows)
+             if any(d[i][j] % p for j in range(t + 1, cols))), None)
         if offender is not None:
             add_row(offender, t, 1)
             continue
-        if d[t][t] < 0:
-            negate_row(t)
         t += 1
     return u, d, v, v_inv
+
+
+def _smallest_entry(d: Matrix, t: int) -> tuple[int, int] | None:
+    """The position of a nonzero entry of least absolute value in the
+    block of d from (t, t), or None when the block is zero."""
+    best, at = 0, None
+    for i in range(t, len(d)):
+        row = d[i]
+        for j in range(t, len(row)):
+            x = abs(row[j])
+            if x and (not best or x < best):
+                if x == 1:
+                    return i, j
+                best, at = x, (i, j)
+    return at
 
 
 def saturation_basis(vectors: Sequence[Sequence[int]], n: int) -> Matrix:

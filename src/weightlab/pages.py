@@ -58,12 +58,10 @@ def _persistence_bars(fc: FilteredComplex) -> dict[tuple[int, int], Counter]:
         if not cx.dim(k - 1):
             continue
         levels, row_levels = fc.levels[k], fc.levels[k - 1]
-        d = cx.d(k)
         reduced: dict[int, int] = {}  # lowest row index -> reduced column
-        for j, a in enumerate(fc.basis[k]):
+        for j, col in enumerate(fc.boundary_columns(k)):
             if (k, j) in gaps:
                 continue
-            col = fc.coordinates(k - 1, d.mul_vec(a))
             while col:
                 low = col.bit_length() - 1
                 if low not in reduced:

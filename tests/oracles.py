@@ -99,3 +99,59 @@ def unimodular_inverse(m: Sequence[Sequence[int]]) -> list[list[int]]:
             row.append(int(x))
         out.append(row)
     return out
+
+
+def pairwise_fan_diagnostics(n: int, rays, cones) -> list[str]:
+    """``Fan.diagnostics`` as a pairwise scan over the face lists: the
+    gradedness and diamond checks look for intermediate faces among all
+    faces of each cone, in O(Σ |faces|²).  The ray checks reuse the
+    package's rank and primitivity helpers; the face-lattice checks share
+    no code with it."""
+    from weightlab.lattice import is_primitive, rational_rank
+
+    out = []
+    if "0" not in cones:
+        out.append("zero cone missing")
+    for ray in rays:
+        if len(ray) != n:
+            out.append(f"ray {ray} has wrong length")
+        elif not is_primitive(ray):
+            out.append(f"ray {ray} is not primitive")
+    for c in cones.values():
+        want = rational_rank([rays[i] for i in sorted(c.ray_indices)])
+        if c.dim != want:
+            out.append(f"cone {c.id!r} declares dim {c.dim}, rays have rank {want}")
+        for fid in c.faces:
+            if fid not in cones:
+                out.append(f"cone {c.id!r} lists unknown face {fid!r}")
+            elif cones[fid].dim >= c.dim:
+                out.append(f"face {fid!r} of {c.id!r} does not drop dimension")
+        if c.id != "0" and "0" not in c.faces:
+            out.append(f"cone {c.id!r} does not list the zero cone as a face")
+        for fid in c.faces:
+            if fid in cones:
+                if cones[fid].faces - c.faces:
+                    out.append(f"faces of cone {c.id!r} are not transitively closed")
+                    break
+    if out:
+        return out
+    for c in cones.values():
+        for fid in c.faces:
+            intermediate = any(
+                fid in cones[mid].faces for mid in c.faces if mid != fid)
+            if not intermediate and cones[fid].dim != c.dim - 1:
+                out.append(
+                    f"face lattice not graded: {fid!r} < {c.id!r} skips dimension")
+    for c in cones.values():
+        for fid in c.faces:
+            if cones[fid].dim != c.dim - 2:
+                continue
+            between = [
+                mid for mid in c.faces
+                if cones[mid].dim == c.dim - 1 and fid in cones[mid].faces
+            ]
+            if len(between) != 2:
+                out.append(
+                    f"diamond property fails between {fid!r} and {c.id!r} "
+                    f"({len(between)} intermediate cones)")
+    return out

@@ -76,7 +76,7 @@ def test_criterion_01_binomial_filtration_dims():
                 hi = fc.level(-q, k).dim
                 assert hi - lo == comb(k, q), (k, q)
                 cosets = BitSubspace.span(2**k, coset_indicators(tcc, "0", q))
-                assert fc.level(-q, k) == cosets, (k, q)
+                assert tcc.cell_filtered.level(-q, k) == cosets, (k, q)
 
 
 def test_criterion_02_group_algebra_dims():

@@ -311,3 +311,74 @@ def test_mutated_shipped_documents_keep_the_exit_code_contract(case):
             code = main([*argv, str(path)])
     assert code in (0, 2, 3, 4), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+EMITTED = Path(__file__).parent / "data" / "emit"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--standard", "P:2"], "P_2"),
+    (["--standard", "hirzebruch:1"], "hirzebruch_1"),
+    (["--standard", "trivial:3"], "trivial_3"),
+    (["--standard", "A:2"], "A_2"),
+    (["--standard", "P:2", "--filtration", "canonical"], "P_2_canonical"),
+])
+def test_emitted_complex_documents_are_unchanged(capsys, tmp_path, argv, name):
+    # The stored documents are the cell-basis documents of the earlier
+    # build, which wrote the filtration as coset indicators.
+    path = tmp_path / "out.json"
+    code, _, _ = run(capsys, "ss", *argv, "--emit-complex", str(path))
+    assert code == 0
+    assert path.read_bytes() == (EMITTED / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ss", "--standard", "P:3"],
+    ["ss", "--fan", str(Path(weightlab.__file__).parent / "data" / "fans" / "cone_over_square.json"),
+     "--format", "doc"],
+    ["vpoly", "--standard", "hirzebruch:2"],
+    ["fan-info", "--standard", "A:3"],
+])
+def test_fan_requests_stay_in_the_augmentation_basis(capsys, monkeypatch, argv):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a fan request left the augmentation basis")
+
+    monkeypatch.setattr(weightlab.complexes.FilteredComplex, "coordinates", forbidden)
+    monkeypatch.setattr(weightlab.gf2.BitMatrix, "mul_vec", forbidden)
+    monkeypatch.setattr(weightlab.toric.ToricCellComplex, "complex", property(forbidden))
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out
+
+
+def test_closed_output_pipe_ends_quietly():
+    # `weightlab ss ... | head -1`: the reader is gone before the output.
+    src = str(Path(weightlab.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weightlab.cli", "ss", "--standard", "P:4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == ""
+
+
+def test_fan_info_on_a_cone_whose_smith_form_used_to_explode(tmp_path):
+    # The Smith normal form of these six rays once grew its entries to
+    # about 28,000 bits and did not finish.
+    rays = [[-3, -4, 0, 4, 8, -4], [-8, -2, -1, -7, 5, 4], [8, -1, 8, 5, 8, 5],
+            [-9, 3, 1, -4, -1, 6], [-9, 4, 9, -9, -8, 2], [9, -5, 9, -5, -5, -1]]
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"lattice_rank": 6, "rays": rays, "simplicial": True,
+                                "cones": [{"rays": list(range(6))}]}))
+    src = str(Path(weightlab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "weightlab.cli", "fan-info", "--fan", str(path)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "cell counts by degree: 0:1, 1:12, 2:60, 3:160, 4:240, 5:192, 6:64" in proc.stdout

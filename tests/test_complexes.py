@@ -136,6 +136,23 @@ def test_boundary_raising_a_level_is_rejected_in_any_basis():
     FilteredComplex(cx, (0, 1), {0: (0b11, 0b10), 1: (0b1,)}, {0: (0, 1), 1: (0,)})
     with pytest.raises(ComplexError, match="at p=0, degree 1"):
         FilteredComplex(cx, (0, 1), {0: (0b01, 0b10), 1: (0b1,)}, {0: (0, 1), 1: (0,)})
+    # with the unit basis (basis None) the coordinates are u, w themselves
+    with pytest.raises(ComplexError, match="at p=0, degree 1"):
+        FilteredComplex(cx, (0, 1), None, {0: (0, 1), 1: (0,)})
+    fc = FilteredComplex(cx, (0, 1), None, {0: (0, 0), 1: (0,)})
+    assert fc.boundary_columns(1) == [0b11] and fc.coordinates(0, 0b10) == 0b10
+    assert fc.level(0, 0) == BitSubspace.full(2)
+
+
+@pytest.mark.parametrize("levels, message", [
+    ((0,), "not an adapted basis"),         # one level for two coordinates
+    ((0, 0, 0), "not an adapted basis"),
+    ((1, 0), "not ascending"),
+    ((0, 1), "not exhaustive at p=0"),
+])
+def test_unit_basis_shape(levels, message):
+    with pytest.raises(ComplexError, match=message):
+        FilteredComplex(ChainComplex.make({0: 2}), (-1, 0), None, {0: levels})
 
 
 def test_doc_round_trip(tmp_path):

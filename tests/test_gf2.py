@@ -119,6 +119,26 @@ def test_column_kernels_match_dense(m, data):
             BitMatrix.from_columns(m.rows, cols + [bad << m.rows])
 
 
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_entries_with_repeats_cancel(rows, cols, data):
+    # Built from indices, rows and columns are packed separately; the
+    # seeded column table must equal the one walked from the rows.
+    entries = data.draw(st.lists(st.tuples(
+        st.integers(0, max(rows - 1, 0)), st.integers(0, max(cols - 1, 0))),
+        max_size=12)) if rows and cols else []
+    dense = [[0] * cols for _ in range(rows)]
+    for r, c in entries:
+        dense[r][c] ^= 1
+    m = BitMatrix.from_entries(rows, cols, entries)
+    by_col = [[r for r, c in entries if c == j] for j in range(cols)]
+    for built in (m, BitMatrix.from_column_indices(rows, by_col)):
+        assert matrix_to_dense(built) == dense
+        assert built.columns() == BitMatrix(rows, cols, built.row_data).columns()
+    if rows and cols:
+        with pytest.raises(DimensionError):
+            BitMatrix.from_column_indices(rows, by_col[:-1] + [[rows]])
+
+
 def test_inverse():
     m = BitMatrix.from_dense([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     inv = m.inverse()

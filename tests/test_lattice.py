@@ -45,10 +45,20 @@ small_matrices = st.lists(
     max_size=4,
 ).filter(lambda m: len({len(r) for r in m}) == 1)
 
+wide_matrices = st.integers(1, 5).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-50, 50), min_size=cols, max_size=cols),
+    min_size=1, max_size=5))
 
-@given(small_matrices)
+
+def _bits(*matrices):
+    return max(abs(x).bit_length() for m in matrices for row in m for x in row)
+
+
+@given(st.one_of(small_matrices, wide_matrices))
 def test_snf_properties(m):
     u, d, v, v_inv = smith_normal_form(m)
+    # Entries stay within the bit length of the input times its size.
+    assert _bits(u, d, v, v_inv) <= max(_bits(m), 2) * len(m) * len(m[0])
     assert mat_mul(mat_mul(u, m), v) == d
     assert abs(det(u)) == 1
     assert abs(det(v)) == 1
@@ -63,6 +73,18 @@ def test_snf_properties(m):
     for a, b in zip(nz, nz[1:]):
         assert b % a == 0
     assert len(nz) == rational_rank(m)
+
+
+def test_snf_ends_on_a_matrix_that_used_to_explode():
+    # A clearing loop without reduction modulo a smallest pivot grew these
+    # entries to about 28,000 bits and did not finish.
+    m = [[-3, -4, 0, 4, 8, -4], [-8, -2, -1, -7, 5, 4], [8, -1, 8, 5, 8, 5],
+         [-9, 3, 1, -4, -1, 6], [-9, 4, 9, -9, -8, 2], [9, -5, 9, -5, -5, -1]]
+    u, d, v, v_inv = smith_normal_form(m)
+    assert mat_mul(mat_mul(u, m), v) == d
+    assert mat_mul(v, v_inv) == identity(6)
+    assert [d[i][i] for i in range(6)] == [1, 1, 1, 1, 1, abs(det(m))]
+    assert _bits(u, d, v, v_inv) <= _bits(m) * 36
 
 
 def test_snf_divisibility_example():

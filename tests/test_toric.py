@@ -1,11 +1,18 @@
+from dataclasses import replace
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weightlab.fixtures import corpus_fan, fan_corpus
 from weightlab.pages import SpectralSequence, virtual_poincare
 from weightlab.poly import Poly
 from weightlab.toric import (
+    _bit_masks,
+    _times_image,
+    Cone,
+    Fan,
     FanError,
     fan_to_doc,
     orbit_group,
@@ -18,7 +25,7 @@ from weightlab.toric import (
     toric_filtration,
 )
 
-from oracles import betti_numbers, matrix_to_dense
+from oracles import betti_numbers, matrix_to_dense, pairwise_fan_diagnostics
 
 
 def test_standard_p1():
@@ -238,3 +245,184 @@ def test_limit_page_sums_to_betti_corpus():
         for (p, q), d in ss.infinity_page().items():
             by_degree[p + q] = by_degree.get(p + q, 0) + d
         assert by_degree == tc.complex.betti_numbers(), name
+
+
+def _conjugation_fans():
+    p1, p2 = standard_fan("P", 1), standard_fan("P", 2)
+    return {
+        **fan_corpus(),
+        "P6": standard_fan("P", 6),
+        "P1x(P1xP2)": product_fan(p1, product_fan(p1, p2)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_conjugation_fans()))
+def test_augmentation_boundary_conjugates_to_the_cell_boundary(name):
+    # Z ∂_aug = ∂_cell Z, where Z writes a vector of the augmentation basis
+    # in the cell basis, and ∂_cell is built from the orbit maps alone.
+    tcc = toric_cell_complex(_conjugation_fans()[name])
+    aug, cells = tcc.filtered.complex, tcc.complex
+    assert dict(aug.dims) == dict(cells.dims)
+    for k in aug.degrees():
+        if not aug.dim(k - 1):
+            continue
+        d_aug, d_cell = aug.d(k), cells.d(k)
+        for j in range(aug.dim(k)):
+            assert tcc.cell_vector(k - 1, d_aug.column(j)) == \
+                d_cell.mul_vec(tcc.cell_vector(k, 1 << j)), (k, j)
+
+
+def test_cell_vector_is_the_zeta_transform():
+    # On one cone, a_S = ∏_{i∈S}(1 + x_i) is the sum of the cells x^t, t ⊆ S.
+    k = 4
+    tcc = toric_cell_complex(standard_fan("trivial", k))
+    levels = tcc.filtered.levels[k]
+    seen = set()
+    for j in range(1 << k):
+        v = tcc.cell_vector(k, 1 << j)
+        s = v.bit_length() - 1  # the largest t ⊆ S is S itself
+        assert v == sum(1 << t for t in range(1 << k) if t & ~s == 0)
+        assert levels[j] == -s.bit_count()
+        seen.add(s)
+    assert len(seen) == 1 << k
+
+
+def test_cell_basis_complex_is_built_once():
+    tcc = toric_cell_complex(standard_fan("P", 2))
+    assert tcc.complex is tcc.complex
+    assert tcc.cell_filtered is tcc.cell_filtered
+    assert tcc.cell_filtered.complex is tcc.complex
+
+
+def _fan_problems(n, rays, cones):
+    try:
+        Fan(n, rays, cones)
+    except FanError as exc:
+        return str(exc)
+    return ""
+
+
+def _cone(cid, rays, dim, faces):
+    return Cone(cid, frozenset(rays), dim, frozenset(faces))
+
+
+_BROKEN_LATTICES = {
+    # a 2-cone right above the zero cone: not graded, an empty diamond
+    "skips a dimension": (2, ((1, 0), (0, 1)), [
+        _cone("0", (), 0, ()), _cone("s", (0, 1), 2, ("0",))]),
+    "one intermediate cone": (2, ((1, 0), (0, 1)), [
+        _cone("0", (), 0, ()), _cone("r0", (0,), 1, ("0",)),
+        _cone("s", (0, 1), 2, ("0", "r0"))]),
+    "three intermediate cones": (2, ((1, 0), (0, 1), (1, 1)), [
+        _cone("0", (), 0, ()), _cone("r0", (0,), 1, ("0",)),
+        _cone("r1", (1,), 1, ("0",)), _cone("r2", (2,), 1, ("0",)),
+        _cone("s", (0, 1, 2), 2, ("0", "r0", "r1", "r2"))]),
+    "a 3-cone over one ray and the zero cone": (3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), [
+        _cone("0", (), 0, ()), _cone("r0", (0,), 1, ("0",)),
+        _cone("t", (0, 1, 2), 3, ("0", "r0"))]),
+    "not transitively closed": (2, ((1, 0), (0, 1)), [
+        _cone("0", (), 0, ()), _cone("r0", (0,), 1, ("0",)),
+        _cone("r1", (1,), 1, ()), _cone("s", (0, 1), 2, ("r0", "r1"))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BROKEN_LATTICES))
+def test_fan_diagnostics_match_the_pairwise_scan(name):
+    n, rays, cones = _BROKEN_LATTICES[name]
+    by_id = {c.id: c for c in cones}
+    want = "; ".join(pairwise_fan_diagnostics(n, rays, by_id))
+    assert want
+    assert _fan_problems(n, rays, by_id) == want
+
+
+@st.composite
+def mutated_face_lattices(draw):
+    """A shipped or named fan with up to three cones edited.  Dropping a
+    maximal face, or adding to a cone that is no other cone's face a
+    lower cone whose faces it has, keeps the face lists closed, so the
+    gradedness and diamond checks see the result; dropping or adding any
+    face, or moving a declared dimension by one, exercises the rest."""
+    fans = {**fan_corpus(), "P3": standard_fan("P", 3), "h2": standard_fan("hirzebruch", 2)}
+    fan = fans[draw(st.sampled_from(sorted(fans)))]
+    cones = dict(fan.cones)
+    ids = sorted(cones)
+    for _ in range(draw(st.integers(1, 3))):
+        c = cones[draw(st.sampled_from(ids))]
+        kind = draw(st.sampled_from(["drop_facet", "add_below", "drop", "add", "dim"]))
+        if kind == "drop_facet":
+            facets = sorted(f for f in c.faces
+                            if not any(f in cones[g].faces for g in c.faces))
+            if facets:
+                c = replace(c, faces=c.faces - {draw(st.sampled_from(facets))})
+        elif kind == "add_below":
+            tops = [e for e in ids if not any(e in cones[g].faces for g in ids)]
+            c = cones[draw(st.sampled_from(tops))] if tops else c
+            below = [e for e in ids if e != c.id and e not in c.faces
+                     and cones[e].dim < c.dim and cones[e].faces <= c.faces]
+            if tops and below:
+                c = replace(c, faces=c.faces | {draw(st.sampled_from(below))})
+        elif kind == "drop" and c.faces:
+            c = replace(c, faces=c.faces - {draw(st.sampled_from(sorted(c.faces)))})
+        elif kind == "add":
+            c = replace(c, faces=c.faces | {draw(st.sampled_from(ids))})
+        elif kind == "dim":
+            c = replace(c, dim=c.dim + draw(st.sampled_from([-1, 1])))
+        cones[c.id] = c
+    return fan.n, fan.rays, cones
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_face_lattices())
+def test_fan_diagnostics_match_the_pairwise_scan_on_mutated_fans(case):
+    n, rays, cones = case
+    assert _fan_problems(n, rays, cones) == "; ".join(
+        pairwise_fan_diagnostics(n, rays, cones))
+
+
+def test_covers_are_the_cofaces_one_dimension_up():
+    for fan in (*fan_corpus().values(), standard_fan("P", 4)):
+        for cid in fan.cone_ids():
+            c = fan.cone(cid)
+            assert fan.covers(cid) == sorted(
+                other.id for other in fan.cones.values()
+                if cid in other.faces and other.dim == c.dim + 1)
+
+
+def _subsets(mask):
+    t = mask
+    while True:
+        yield t
+        if not t:
+            return
+        t = (t - 1) & mask
+
+
+def _z_to_x(v, k):
+    """A group-algebra element in the monomials z^T (bit T of v) as the set
+    of group elements x^a with coefficient 1: z^T is the sum of x^t, t ⊆ T."""
+    out = set()
+    for big in range(1 << k):
+        if v >> big & 1:
+            out ^= set(_subsets(big))
+    return out
+
+
+def _x_to_z(xs):
+    v = 0
+    for a in xs:  # x^a = ∏_{i∈a}(1 + z_i) is the sum of z^T, T ⊆ a
+        for t in _subsets(a):
+            v ^= 1 << t
+    return v
+
+
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.just(k), st.integers(0, 2 ** (1 << k) - 1), st.integers(0, (1 << k) - 1))))
+def test_times_image_multiplies_in_the_group_algebra(case):
+    # Against multiplication of group elements: v · (1 + x^c).
+    k, v, c = case
+    without = _bit_masks(k, 1, 0)
+    want = set()
+    for a in _z_to_x(v, k):
+        want ^= {a}
+        want ^= {a ^ c}
+    assert _times_image(v, c, without) == _x_to_z(want)
