@@ -3,9 +3,12 @@
 Validation is structural: grading of the face relation, the diamond
 property on length-two intervals, primitivity of rays, rank consistency.
 The face lattice's covers are computed once per fan, and gradedness and
-the diamond property are checked on them.  Convex-geometric axioms —
-that cones actually intersect in common faces — are *not* checked;
-inputs are trusted on that point.
+the diamond property are checked on them.  Each cone's rank is the
+dimension of the mod-2 reduction of its saturated ray lattice
+(:func:`weightlab.lattice.saturate_mod2`); the fan keeps that subspace
+per cone, with its rays reduced mod 2 once, and the orbit groups read it.
+Convex-geometric axioms — that cones actually intersect in common faces —
+are *not* checked; inputs are trusted on that point.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .lattice import is_primitive, make_primitive, rational_rank
+from .gf2 import BitSubspace
+from .lattice import Saturations, is_primitive, make_primitive
 
 
 class FanError(ValueError):
@@ -63,6 +67,16 @@ class Fan:
     def max_codim(self) -> int:
         return max(self.n - c.dim for c in self.cones.values())
 
+    def ray_span(self, cid: str) -> BitSubspace:
+        """The mod-2 reduction of the saturated lattice spanned by the rays
+        of cid; its dimension is the cone's rational rank."""
+        return self._spans[self.cone(cid).ray_indices]
+
+    @cached_property
+    def _spans(self) -> Saturations:
+        """The mod-2 saturations of the cones' ray sets, filled on first use."""
+        return Saturations(self.rays, self.n)
+
     @cached_property
     def _facets(self) -> dict[str, tuple[str, ...]]:
         """The maximal proper faces of each cone, for face lists that drop
@@ -101,10 +115,16 @@ class Fan:
                 out.append(f"ray {ray} has wrong length")
             elif not is_primitive(ray):
                 out.append(f"ray {ray} is not primitive")
+        # The rank check skips cones on a ray named above or on none.
+        well_formed = {i for i, ray in enumerate(self.rays) if len(ray) == self.n}
         for c in self.cones.values():
-            want = rational_rank([self.rays[i] for i in sorted(c.ray_indices)])
-            if c.dim != want:
-                out.append(f"cone {c.id!r} declares dim {c.dim}, rays have rank {want}")
+            if c.ray_indices <= well_formed:
+                want = self.ray_span(c.id).dim
+                if c.dim != want:
+                    out.append(f"cone {c.id!r} declares dim {c.dim}, rays have rank {want}")
+            elif bad := sorted(i for i in c.ray_indices if not 0 <= i < len(self.rays)):
+                out.append(f"cone {c.id!r} uses ray indices {bad}, the fan has "
+                           f"{len(self.rays)} rays")
             for fid in c.faces:
                 if fid not in self.cones:
                     out.append(f"cone {c.id!r} lists unknown face {fid!r}")
@@ -182,29 +202,34 @@ def parse_fan(doc: Mapping) -> Fan:
                            f"{len(raw_rays)} rays")
 
     rays = []
-    for r in raw_rays:
+    for i, r in enumerate(raw_rays):
         if len(r) != n:
             raise FanError(f"ray {r} has length {len(r)}, expected {n}")
+        if not any(r):
+            raise FanError(f"ray {i} is zero: {r}")
         if not is_primitive(r):
             fixed = make_primitive(r)
             warnings.warn(f"ray {r} is not primitive; replaced by {fixed}")
             r = fixed
         rays.append(tuple(r))
 
-    def cone_dim(idx: frozenset[int]) -> int:
-        return rational_rank([rays[i] for i in sorted(idx)])
+    spans = Saturations(rays, n)
 
+    # (id, ray indices) of the zero cone, the declared cones and, in
+    # simplicial mode, the faces generated for them.
+    ids = [(ZERO_ID, frozenset())]
+    ids += [(_subset_id(idx) if cid is None else str(cid), idx) for cid, idx, _ in raw_cones]
     cones: dict[str, Cone] = {}
     if simplicial:
         by_rayset: dict[frozenset[int], str] = {frozenset(): ZERO_ID}
         declared: dict[frozenset[int], str] = {}
-        for cid, idx, _ in raw_cones:
-            dim = cone_dim(idx)
+        for cid, idx in ids[1:]:
+            dim = spans[idx].dim
             if len(idx) != dim:
                 raise FanError(
                     f"cone {cid!r} marked simplicial has {len(idx)} rays "
                     f"of rank {dim}")
-            declared[idx] = _subset_id(idx) if cid is None else str(cid)
+            declared[idx] = cid
         # Every subset of a declared ray set is a cone.
         subsets: set[frozenset[int]] = {frozenset()}
         for idx in declared:
@@ -212,6 +237,7 @@ def parse_fan(doc: Mapping) -> Fan:
                 subsets.update(map(frozenset, itertools.combinations(sorted(idx), r)))
         for idx in subsets:
             by_rayset[idx] = declared.get(idx, _subset_id(idx)) if idx else ZERO_ID
+        ids += [(cid, idx) for idx, cid in by_rayset.items()]
         for idx, cid in by_rayset.items():
             faces = frozenset(
                 by_rayset[sub] for r in range(len(idx))
@@ -225,7 +251,7 @@ def parse_fan(doc: Mapping) -> Fan:
         declared_faces: dict[str, set[str]] = {}
         for cid, idx, faces in raw_cones:
             declared_faces[cid] = faces | {ZERO_ID}
-            cones[cid] = Cone(cid, idx, cone_dim(idx), frozenset())
+            cones[cid] = Cone(cid, idx, spans[idx].dim, frozenset())
         # Transitive closure of the declared face lists.
         closed: dict[str, frozenset[str]] = {ZERO_ID: frozenset()}
         def close(cid: str, seen: tuple = ()) -> frozenset[str]:
@@ -245,7 +271,23 @@ def parse_fan(doc: Mapping) -> Fan:
             if cid != ZERO_ID:
                 c = cones[cid]
                 cones[cid] = Cone(c.id, c.ray_indices, c.dim, close(cid))
+    _check_ids(ids)
     return Fan(n, tuple(rays), cones)
+
+
+def _check_ids(cones: Iterable[tuple[str, frozenset[int]]]) -> None:
+    """Refuse an id given to two ray sets, or a ray set given two ids;
+    either would drop a cone or duplicate one.  A cone repeated with the
+    same id and rays is the same cone."""
+    rays_of: dict[str, frozenset[int]] = {}
+    id_of: dict[frozenset[int], str] = {}
+    for cid, idx in cones:
+        if rays_of.setdefault(cid, idx) != idx:
+            a, b = sorted((sorted(rays_of[cid]), sorted(idx)))
+            raise FanError(f"cone id {cid!r} names two cones, on rays {a} and {b}")
+        if id_of.setdefault(idx, cid) != cid:
+            raise FanError(f"cones {id_of[idx]!r} and {cid!r} have the same "
+                           f"rays {sorted(idx)}")
 
 
 def _subset_id(idx: frozenset[int]) -> str:
@@ -317,6 +359,8 @@ def standard_fan(name: str, param: int = 0) -> Fan:
             "cones": [{"id": "max", "rays": list(range(param))}] if param else [],
         })
     if name == "P":
+        if param == 0:  # the point: no rays, as for A:0 and trivial:0
+            return standard_fan("trivial", 0)
         n = param
         rays = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
         rays.append([-1] * n)

@@ -5,17 +5,30 @@ integer vectors spanning a sublattice L of Z^n, compute the mod-2
 reduction of the saturation (QL ∩ Z^n).  The saturation is a direct
 summand of Z^n, so its mod-2 reduction always has the same dimension as
 the rational rank of the generators — this is what makes mod-2 quotient
-tori well defined for non-smooth cones.
+tori well defined for non-smooth cones, and what lets the fan layer read
+each cone's rank off the same subspace.
 
-Smith normal form is implemented from scratch because we need the
-unimodular transform matrices, not just the diagonal.  It carries the
-inverse of the column transform v alongside v (each column operation on
-v is mirrored by the inverse row operation on v⁻¹), so the saturation
-reads v⁻¹ off directly and no rational arithmetic is needed.
+Most cones never need more than the mod-2 reductions of their rays.  If
+those are independent over GF(2), they span the answer:
+
+- an integer relation with coprime coefficients reduces to a nonzero
+  relation mod 2, so the vectors are independent over Q;
+- their span L then has odd index in its saturation (an x outside L
+  with 2x in L would give a relation mod 2), so L and the saturation,
+  both of rank k, reduce to the same k-dimensional subspace.
+
+Otherwise the saturation comes from the Smith normal form, implemented
+from scratch because we need the unimodular transform matrices, not just
+the diagonal.  It carries the inverse of the column transform v alongside
+v (each column operation on v is mirrored by the inverse row operation on
+v⁻¹), so the saturation reads v⁻¹ off directly and no rational arithmetic
+is needed.  Both routes return the canonical RREF basis, so they agree
+bit for bit.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Sequence
 
 from .gf2 import BitSubspace, vec_from_bits
@@ -26,45 +39,6 @@ Matrix = list[list[int]]
 
 def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            x = ai[k]
-            if x:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += x * bk[j]
-    return out
-
-
-def rational_rank(m: Sequence[Sequence[int]]) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination."""
-    a = [list(row) for row in m]
-    rows, cols = len(a), len(a[0]) if a else 0
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        rank += 1
-        if r == rows:
-            break
-    return rank
 
 
 def smith_normal_form(
@@ -182,26 +156,38 @@ def saturation_basis(vectors: Sequence[Sequence[int]], n: int) -> Matrix:
 
 def saturate_mod2(vectors: Sequence[Sequence[int]], n: int) -> BitSubspace:
     """Mod-2 reduction of the saturation of span_Z(vectors) in Z^n."""
-    for v in vectors:
-        if len(v) != n:
+    return Saturations(vectors, n)[frozenset(range(len(vectors)))]
+
+
+class Saturations(dict):
+    """:func:`saturate_mod2` of subsets of a list of vectors in Z^n, keyed
+    by the frozenset of their indices and computed on first lookup.  The
+    vectors are reduced mod 2 once, here; the Smith normal form runs only
+    for a subset whose reductions are dependent."""
+
+    def __init__(self, vectors: Sequence[Sequence[int]], n: int) -> None:
+        super().__init__()
+        self.vectors, self.n = vectors, n
+        self.reduced = [vec_from_bits(v) for v in vectors]
+
+    def __missing__(self, idx: frozenset[int]) -> BitSubspace:
+        vectors = [self.vectors[i] for i in sorted(idx)]
+        if any(len(v) != self.n for v in vectors):
             raise ValueError("vector length does not match ambient rank")
-    basis = saturation_basis(vectors, n)
-    return BitSubspace.span(n, [vec_from_bits([x & 1 for x in row]) for row in basis])
+        span = BitSubspace.span(self.n, [self.reduced[i] for i in idx])
+        if span.dim < len(idx):
+            span = BitSubspace.span(
+                self.n, [vec_from_bits(row) for row in saturation_basis(vectors, self.n)])
+        self[idx] = span
+        return span
 
 
 def is_primitive(v: Sequence[int]) -> bool:
-    from math import gcd
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g == 1
+    return gcd(*v) == 1
 
 
 def make_primitive(v: Sequence[int]) -> list[int]:
-    from math import gcd
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector cannot be made primitive")
     return [x // g for x in v]

@@ -3,9 +3,13 @@
 The cell complex has one k-cell (sigma, g) for every cone sigma of
 codimension k and every element g of the orbit group T_sigma, the
 quotient of (Z/2)^n by the mod-2 reduction of the saturated sublattice
-spanned by sigma's rays.  The boundary sends a cell to the sum of its
+spanned by sigma's rays.  That subspace is the fan's (``Fan.ray_span``),
+computed once per cone: the span of the rays mod 2 when they are
+independent there, the Smith normal form route otherwise (see
+:mod:`weightlab.lattice`).  The boundary sends a cell to the sum of its
 images under the quotient homomorphisms to the covering cones, read off
-the orbit groups the build computes once per cone.
+the orbit groups the build computes once per cone: each group holds the
+class of every unit vector e_i, so an image is a table lookup.
 
 The filtration T_{-q} is, cone by cone, the q-th power of the
 augmentation ideal of the group algebra F_2[T_sigma] (in the paper's
@@ -52,7 +56,6 @@ from .fan import (  # re-exported: callers read fans from this module too
     standard_fan,
 )
 from .gf2 import BitMatrix, BitSubspace
-from .lattice import saturate_mod2
 from .poly import Poly
 
 
@@ -69,33 +72,37 @@ MAX_CELLS = 1 << 20
 class OrbitGroup:
     """The group (Z/2)^n / <rays of the cone>, with a chosen complement basis.
 
-    ``basis`` lists the standard basis vectors of (Z/2)^n at the
-    non-pivot coordinates of the ray span — the lowest-pivot complement,
-    so labels are reproducible.  Elements are masks over ``basis``.
+    ``free`` lists the non-pivot coordinates of the ray span; the
+    standard basis vectors there are the complement — the lowest-pivot
+    one, so labels are reproducible.  Elements are masks over ``free``;
+    ``units[i]`` is the element represented by e_i.
     """
 
     cone_id: str
     dim: int
-    basis: tuple[int, ...]
+    free: tuple[int, ...]
     ray_span: BitSubspace
+    units: tuple[int, ...]
 
     def coords(self, v: int) -> int:
         """The element of the orbit group represented by v in (Z/2)^n."""
-        v = self.ray_span.reduce(v)
         g = 0
-        for i, b in enumerate(self.basis):
-            pos = b.bit_length() - 1
-            if (v >> pos) & 1:
-                g |= 1 << i
+        for i, u in enumerate(self.units):
+            if v >> i & 1:
+                g ^= u
         return g
 
 
 def orbit_group(f: Fan, cid: str) -> OrbitGroup:
-    c = f.cone(cid)
-    span = saturate_mod2([f.rays[i] for i in sorted(c.ray_indices)], f.n)
+    span = f.ray_span(cid)
     pivots = set(span.pivots())
-    basis = tuple(1 << i for i in range(f.n) if i not in pivots)
-    return OrbitGroup(cid, len(basis), basis, span)
+    free = tuple(i for i in range(f.n) if i not in pivots)
+    units = [0] * f.n
+    for j, i in enumerate(free):
+        units[i] = 1 << j
+    for b in span.basis:  # zero in the group: e_p is b's free part, p its pivot
+        units[(b & -b).bit_length() - 1] = sum(units[i] for i in free if b >> i & 1)
+    return OrbitGroup(cid, len(free), free, span, tuple(units))
 
 
 def orbit_map(f: Fan, sigma: str, tau: str) -> BitMatrix:
@@ -109,7 +116,7 @@ def orbit_map(f: Fan, sigma: str, tau: str) -> BitMatrix:
 
 def _cover_images(g_sigma: OrbitGroup, g_tau: OrbitGroup) -> list[int]:
     """The images in T_tau of the generators of T_sigma, as masks."""
-    return [g_tau.coords(b) for b in g_sigma.basis]
+    return [g_tau.units[i] for i in g_sigma.free]
 
 
 # ---------------------------------------------------------------------------

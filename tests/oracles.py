@@ -73,6 +73,12 @@ def subspace_from_bits(basis: list[int], width: int) -> set[tuple[int, ...]]:
     return span_vectors(dense) if dense else {tuple([0] * width)}
 
 
+def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Integer matrix product."""
+    cols = len(b[0]) if b else 0
+    return [[sum(x * b[k][j] for k, x in enumerate(row)) for j in range(cols)] for row in a]
+
+
 def unimodular_inverse(m: Sequence[Sequence[int]]) -> list[list[int]]:
     """Exact inverse of a unimodular integer matrix (result is integral)."""
     n = len(m)
@@ -101,13 +107,75 @@ def unimodular_inverse(m: Sequence[Sequence[int]]) -> list[list[int]]:
     return out
 
 
+def rational_rank(m: Sequence[Sequence[int]]) -> int:
+    """Rank over Q by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in m]
+    rows, cols = len(a), len(a[0]) if a else 0
+    rank = 0
+    prev = 1
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
+            a[i][c] = 0
+        prev = a[r][c]
+        r += 1
+        rank += 1
+        if r == rows:
+            break
+    return rank
+
+
+def snf_saturate_mod2(vectors: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
+    """The RREF basis of the mod-2 saturation, always by the package's
+    Smith normal form route (no mod-2 shortcut), reduced and echelonized
+    here on dense rows."""
+    from weightlab.lattice import saturation_basis
+
+    rows = [[x % 2 for x in row] for row in saturation_basis(vectors, n)] if vectors else []
+    # Gauss-Jordan over GF(2), pivot = lowest coordinate.
+    basis: list[list[int]] = []
+    for c in range(n):
+        piv = next((r for r in rows if r[c]), None)
+        if piv is None:
+            continue
+        rows = [r for r in rows if r is not piv]
+        for r in rows + basis:
+            if r[c]:
+                r[:] = [(a + b) % 2 for a, b in zip(r, piv)]
+        basis.append(piv)
+    return tuple(sum(1 << j for j, x in enumerate(r) if x) for r in basis)
+
+
+def oracle_orbit_group(n: int, ray_vectors) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
+    """(ray span basis, free coordinates, element of every v < 2^n) for
+    the orbit group (Z/2)^n / span, on the SNF route: the complement is
+    the unit vectors off the pivots, and v's element reads the free
+    coordinates of v reduced by the span."""
+    span = snf_saturate_mod2(ray_vectors, n)
+    pivots = {(b & -b).bit_length() - 1 for b in span}
+    free = [i for i in range(n) if i not in pivots]
+    coords = []
+    for v in range(1 << n):
+        for b in span:
+            if v >> ((b & -b).bit_length() - 1) & 1:
+                v ^= b
+        coords.append(sum(1 << j for j, i in enumerate(free) if v >> i & 1))
+    return span, tuple(free), coords
+
+
 def pairwise_fan_diagnostics(n: int, rays, cones) -> list[str]:
     """``Fan.diagnostics`` as a pairwise scan over the face lists: the
     gradedness and diamond checks look for intermediate faces among all
     faces of each cone, in O(Σ |faces|²).  The ray checks reuse the
-    package's rank and primitivity helpers; the face-lattice checks share
-    no code with it."""
-    from weightlab.lattice import is_primitive, rational_rank
+    package's primitivity helper and take ranks by Bareiss elimination;
+    the face-lattice checks share no code with it."""
+    from weightlab.lattice import is_primitive
 
     out = []
     if "0" not in cones:
@@ -118,9 +186,14 @@ def pairwise_fan_diagnostics(n: int, rays, cones) -> list[str]:
         elif not is_primitive(ray):
             out.append(f"ray {ray} is not primitive")
     for c in cones.values():
-        want = rational_rank([rays[i] for i in sorted(c.ray_indices)])
-        if c.dim != want:
-            out.append(f"cone {c.id!r} declares dim {c.dim}, rays have rank {want}")
+        bad = sorted(i for i in c.ray_indices if not 0 <= i < len(rays))
+        if bad:
+            out.append(f"cone {c.id!r} uses ray indices {bad}, the fan has "
+                       f"{len(rays)} rays")
+        elif all(len(rays[i]) == n for i in c.ray_indices):
+            want = rational_rank([rays[i] for i in sorted(c.ray_indices)])
+            if c.dim != want:
+                out.append(f"cone {c.id!r} declares dim {c.dim}, rays have rank {want}")
         for fid in c.faces:
             if fid not in cones:
                 out.append(f"cone {c.id!r} lists unknown face {fid!r}")

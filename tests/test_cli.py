@@ -182,6 +182,13 @@ def test_standard_parameter_not_an_integer_exit_code(capsys):
     assert "not an integer" in err
 
 
+@pytest.mark.parametrize("argv", [["ss", "--standard", "P:0"], ["fan-info", "--standard", "P"]])
+def test_p0_is_the_point(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == run(capsys, *argv[:-1], "A:0")[1]
+
+
 @pytest.mark.parametrize("verb", ["fan-info", "ss", "vpoly"])
 def test_cell_count_above_the_cap_exits_3(capsys, monkeypatch, verb):
     # P:3 has 8 + 4*4 + 6*2 + 4*1 = 40 cells.
@@ -240,6 +247,19 @@ def test_filtration_with_a_skipped_level(capsys, tmp_path):
      {"lattice_rank": 1, "rays": [[1]], "simplicial": True,
       "cones": [{"rays": [-1]}]},
      "ray indices [-1]"),
+    ("fan-info --fan",
+     {"lattice_rank": 2, "rays": [[0, 0], [1, 0]], "simplicial": True,
+      "cones": [{"rays": [1]}]},
+     "ray 0 is zero"),
+    ("ss --fan",
+     {"lattice_rank": 2, "rays": [[1, 0], [0, 1]], "simplicial": True,
+      "cones": [{"id": "a", "rays": [0, 1]}, {"id": "a", "rays": [1]}]},
+     "cone id 'a' names two cones"),
+    ("fan-info --fan",
+     {"lattice_rank": 2, "rays": [[1, 0], [0, 1]], "simplicial": False,
+      "cones": [{"id": "r", "rays": [0], "faces": []},
+                {"id": "s", "rays": [0], "faces": []}]},
+     "cones 'r' and 's' have the same rays [0]"),
 ])
 def test_malformed_documents_exit_3(capsys, tmp_path, verb, doc, message):
     path = tmp_path / "doc.json"
@@ -272,14 +292,17 @@ def _paths(node, prefix=()):
 
 @st.composite
 def mutated_documents(draw):
-    """A shipped document with one or two keys dropped, values retyped or
-    out-of-range indices written in, and a command that reads it."""
+    """A shipped document with one or two keys dropped, values retyped,
+    out-of-range indices written in, a list zeroed or an item repeated
+    with its last entry dropped, and a command that reads it."""
     path, argv = draw(st.sampled_from(SHIPPED))
     doc = json.loads(path.read_text())
     for _ in range(draw(st.integers(1, 2))):
         target = draw(st.sampled_from(list(_paths(doc))))
-        kind = draw(st.sampled_from(["drop", "retype", "index"]))
-        if kind == "retype":
+        kind = draw(st.sampled_from(["drop", "retype", "index", "zero", "repeat"]))
+        if kind in ("zero", "repeat"):
+            new = None
+        elif kind == "retype":
             new = draw(st.sampled_from(["x", None, [], {}, 1.5, True, [[0]]]))
         else:
             new = draw(st.sampled_from([-1, 9, 99]))
@@ -291,6 +314,18 @@ def mutated_documents(draw):
             parent = parent[key]
         if kind == "drop":
             del parent[target[-1]]
+        elif kind == "zero":
+            # a zero ray, when the target is one
+            if isinstance(parent[target[-1]], list):
+                parent[target[-1]] = [0] * len(parent[target[-1]])
+        elif kind == "repeat":
+            # a second cone with the same id over fewer rays, when the
+            # target is a cone
+            if isinstance(parent, list):
+                item = json.loads(json.dumps(parent[target[-1]]))
+                if isinstance(item, dict) and isinstance(item.get("rays"), list):
+                    item["rays"] = item["rays"][:-1]
+                parent.append(item)
         elif kind == "index" and isinstance(parent[target[-1]], list):
             parent[target[-1]].append(new)
         else:

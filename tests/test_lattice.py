@@ -1,21 +1,20 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import weightlab.lattice
 from weightlab.lattice import (
     is_primitive,
     make_primitive,
-    mat_mul,
-    rational_rank,
     saturate_mod2,
     saturation_basis,
     identity,
     smith_normal_form,
 )
 
-from oracles import unimodular_inverse
+from oracles import mat_mul, rational_rank, snf_saturate_mod2, unimodular_inverse
 
 
 def det(m):
@@ -124,6 +123,32 @@ def test_saturate_mod2():
 def test_saturate_rank(vectors):
     sub = saturate_mod2(vectors, 3)
     assert sub.dim == rational_rank(vectors) if vectors else sub.dim == 0
+
+
+@example(([[1, 1], [1, -1]], 2))  # index 2 in its saturation Z^2
+@example(([[1, 0], [1, 3]], 2))  # index 3: independent mod 2
+@example(([[2, 4]], 2))  # not primitive, zero mod 2
+@example(([[3, 0], [0, 1]], 2))  # not primitive, independent mod 2
+@example(([[1, 1, 0], [1, 0, 1], [0, 1, 1]], 3))  # index 2, rank 3
+@example(([[0, 0, 0]], 3))
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=n + 1),
+    st.just(n))))
+def test_saturate_mod2_equals_the_smith_form_route(case):
+    vectors, n = case
+    assert saturate_mod2(vectors, n).basis == snf_saturate_mod2(vectors, n)
+
+
+def test_saturate_mod2_takes_the_smith_form_only_for_dependent_reductions(monkeypatch):
+    calls = []
+    snf = weightlab.lattice.smith_normal_form
+    monkeypatch.setattr(weightlab.lattice, "smith_normal_form",
+                        lambda m: calls.append(m) or snf(m))
+    saturate_mod2([[1, 0], [1, 3]], 2)
+    saturate_mod2([[3, 0, 5], [0, 1, 0]], 3)
+    assert calls == []
+    saturate_mod2([[1, 1], [1, -1]], 2)
+    assert calls == [[[1, 1], [1, -1]]]
 
 
 def test_primitive():

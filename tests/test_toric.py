@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from math import comb
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weightlab.lattice
 from weightlab.fixtures import corpus_fan, fan_corpus
 from weightlab.pages import SpectralSequence, virtual_poincare
 from weightlab.poly import Poly
@@ -25,7 +27,12 @@ from weightlab.toric import (
     toric_filtration,
 )
 
-from oracles import betti_numbers, matrix_to_dense, pairwise_fan_diagnostics
+from oracles import (
+    betti_numbers,
+    matrix_to_dense,
+    oracle_orbit_group,
+    pairwise_fan_diagnostics,
+)
 
 
 def test_standard_p1():
@@ -80,6 +87,49 @@ def test_parse_rejects_broken_face_lattice():
         parse_fan(doc)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"lattice_rank": 2, "rays": [[0, 0], [1, 0]], "simplicial": True,
+      "cones": [{"rays": [1]}]}, "ray 0 is zero: [0, 0]"),
+    ({"lattice_rank": 0, "rays": [[]], "cones": []}, "ray 0 is zero: []"),
+    # the second declaration used to replace the first, so the 2-cone was lost
+    ({"lattice_rank": 2, "rays": [[1, 0], [0, 1]], "simplicial": True,
+      "cones": [{"id": "a", "rays": [0, 1]}, {"id": "a", "rays": [1]}]},
+     "cone id 'a' names two cones, on rays [0, 1] and [1]"),
+    ({"lattice_rank": 2, "rays": [[1, 0], [0, 1]], "simplicial": True,
+      "cones": [{"id": "a", "rays": [0, 1]}, {"id": "b", "rays": [1, 0]}]},
+     "cones 'a' and 'b' have the same rays [0, 1]"),
+    # a declared id that is also the generated id of another face
+    ({"lattice_rank": 2, "rays": [[1, 0], [0, 1]], "simplicial": True,
+      "cones": [{"id": "c1", "rays": [0, 1]}]},
+     "cone id 'c1' names two cones, on rays [0, 1] and [1]"),
+    ({"lattice_rank": 2, "rays": [[1, 0], [0, 1]], "simplicial": True,
+      "cones": [{"id": "0", "rays": [0]}]},
+     "cone id '0' names two cones, on rays [] and [0]"),
+    ({"lattice_rank": 1, "rays": [[1]], "simplicial": False,
+      "cones": [{"id": "r", "rays": [0], "faces": []},
+                {"id": "s", "rays": [0], "faces": []}]},
+     "cones 'r' and 's' have the same rays [0]"),
+    ({"lattice_rank": 2, "rays": [[1, 0], [0, 1]], "simplicial": False,
+      "cones": [{"id": "r", "rays": [0], "faces": []},
+                {"id": "r", "rays": [1], "faces": []}]},
+     "cone id 'r' names two cones, on rays [0] and [1]"),
+])
+def test_parse_refuses_zero_rays_and_repeated_cones(doc, message):
+    with pytest.raises(FanError, match=re.escape(message)):
+        parse_fan(doc)
+
+
+def test_a_cone_repeated_with_the_same_id_and_rays_is_one_cone():
+    for simplicial in (True, False):
+        cone = {"id": "r", "rays": [0], "faces": []}
+        doc = {"lattice_rank": 1, "rays": [[1]], "simplicial": simplicial}
+        assert parse_fan({**doc, "cones": [cone, cone]}) == parse_fan({**doc, "cones": [cone]})
+
+
+def test_p0_is_the_point():
+    assert standard_fan("P", 0) == standard_fan("A", 0) == standard_fan("trivial", 0)
+
+
 def test_nonsimplicial_fixture_loads():
     fan = corpus_fan("cone_over_square")
     assert fan.n == 3
@@ -103,6 +153,97 @@ def test_orbit_group_saturation():
     fan = parse_fan(doc)
     ray_id = [c for c in fan.cone_ids() if c != "0"][0]
     assert orbit_group(fan, ray_id).dim == 1
+
+
+# The corpus and the fans of the benchmark's ladder.
+_LADDER = {
+    **fan_corpus(),
+    **{f"P{n}": standard_fan("P", n) for n in range(3, 7)},
+    **{f"A{n}": standard_fan("A", n) for n in (5, 6)},
+    **{f"trivial{n}": standard_fan("trivial", n) for n in (6, 7)},
+    "P1xP2": product_fan(standard_fan("P", 1), standard_fan("P", 2)),
+    "P2xP2": product_fan(standard_fan("P", 2), standard_fan("P", 2)),
+}
+
+
+def _assert_orbit_groups_match_the_oracle(fan):
+    for cid in fan.cone_ids():
+        g = orbit_group(fan, cid)
+        span, free, coords = oracle_orbit_group(
+            fan.n, [fan.rays[i] for i in sorted(fan.cone(cid).ray_indices)])
+        assert g.ray_span.basis == span
+        assert g.free == free and g.dim == len(free)
+        assert [g.coords(v) for v in range(1 << fan.n)] == coords
+
+
+@pytest.mark.parametrize("name", sorted(_LADDER))
+def test_orbit_groups_match_the_smith_form_route(name):
+    _assert_orbit_groups_match_the_oracle(_LADDER[name])
+
+
+def _disguised(fan, m):
+    """fan with its rays written in the coordinates of the unimodular m."""
+    doc = fan_to_doc(fan)
+    doc["rays"] = [[sum(r[k] * m[k][j] for k in range(fan.n)) for j in range(fan.n)]
+                   for r in fan.rays]
+    return parse_fan(doc)
+
+
+@st.composite
+def disguised_fans(draw):
+    """A corpus fan in random lattice coordinates: a signed permutation
+    followed by a few elementary column operations."""
+    fans = fan_corpus()
+    fan = fans[draw(st.sampled_from(sorted(fans)))]
+    n = fan.n
+    perm = draw(st.permutations(range(n)))
+    m = [[draw(st.sampled_from([-1, 1])) if perm[i] == j else 0 for j in range(n)]
+         for i in range(n)]
+    if n > 1:
+        for _ in range(draw(st.integers(0, 2 * n))):
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            s = draw(st.integers(-2, 2))
+            for row in m:
+                row[j] += s * row[i]
+    return _disguised(fan, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(disguised_fans())
+def test_orbit_groups_match_the_smith_form_route_in_other_coordinates(fan):
+    _assert_orbit_groups_match_the_oracle(fan)
+
+
+def test_a_copy_with_other_rays_saturates_its_own_rays():
+    fan = standard_fan("P", 2)
+    _assert_orbit_groups_match_the_oracle(fan)  # fills fan's saturations
+    copy = replace(fan, rays=_disguised(fan, [[1, 1], [0, 1]]).rays)
+    assert copy.ray_span("c0") != fan.ray_span("c0")
+    _assert_orbit_groups_match_the_oracle(copy)
+
+
+_SMOOTH = {
+    **{f"P{n}": ("P", n) for n in range(1, 8)},
+    **{f"A{n}": ("A", n) for n in range(1, 8)},
+    **{f"hirzebruch{a}": ("hirzebruch", a) for a in range(4)},
+    "P2xP2": ("P", 2, "P", 2),
+    "P1x(P1xP2)": ("P", 1, "P", 1, "P", 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMOOTH))
+def test_smooth_fans_need_no_smith_form(monkeypatch, name):
+    def refuse(m):
+        raise AssertionError(f"Smith normal form of {m}")
+
+    monkeypatch.setattr(weightlab.lattice, "smith_normal_form", refuse)
+    spec = _SMOOTH[name]
+    factors = [standard_fan(spec[i], spec[i + 1]) for i in range(0, len(spec), 2)]
+    fan = factors.pop()
+    while factors:
+        fan = product_fan(factors.pop(), fan)
+    tcc = toric_cell_complex(fan)
+    assert all(tcc.groups[cid].dim == fan.codim(cid) for cid in fan.cone_ids())
 
 
 def test_orbit_map_path_independence():
@@ -323,6 +464,15 @@ _BROKEN_LATTICES = {
     "not transitively closed": (2, ((1, 0), (0, 1)), [
         _cone("0", (), 0, ()), _cone("r0", (0,), 1, ("0",)),
         _cone("r1", (1,), 1, ()), _cone("s", (0, 1), 2, ("r0", "r1"))]),
+    # the rank check skips the cones on the short ray
+    "a short ray": (2, ((1, 0), (1,)), [
+        _cone("0", (), 0, ()), _cone("r0", (0,), 1, ("0",)),
+        _cone("r1", (1,), 1, ("0",)), _cone("s", (0, 1), 2, ("0", "r0", "r1"))]),
+    "an unknown ray index": (2, ((1, 0),), [
+        _cone("0", (), 0, ()), _cone("r0", (0,), 1, ("0",)), _cone("r1", (1,), 1, ())]),
+    "a zero ray": (2, ((1, 0), (0, 0)), [
+        _cone("0", (), 0, ()), _cone("r0", (0,), 1, ("0",)),
+        _cone("r1", (1,), 1, ("0",)), _cone("s", (0, 1), 2, ("0", "r0", "r1"))]),
 }
 
 
