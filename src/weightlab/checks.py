@@ -10,10 +10,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Callable
 
-from .complexes import ChainComplex, FilteredComplex, canonical_filtration, trivial_filtration
+from .complexes import ChainComplex, canonical_filtration, trivial_filtration
 from .cubical import (
     CubicalDiagram,
     additivity_check,
@@ -50,6 +51,7 @@ from .pages import (
     virtual_poincare,
 )
 from .toric import (
+    Fan,
     ToricCellComplex,
     orbit_map,
     orbit_sum_poly,
@@ -69,14 +71,54 @@ def _result(name: str, ok: bool, detail: str = "") -> CheckResult:
     return CheckResult(name, ok, detail if not ok else "")
 
 
+class ToricCorpus:
+    """The fans the toric and fcomplex suites run over, with each fan's
+    toric cell complex and the spectral sequence of its filtration.
+
+    Each is built on first use and shared by the checks that read it.
+    :func:`run_suite` makes one corpus per call, so a request builds each
+    object once and nothing outlives the call; a check called on its own
+    makes its own.  A name denotes one fan in both fixture corpora.
+    """
+
+    def __init__(self) -> None:
+        self._complexes: dict[str, ToricCellComplex] = {}
+        self._sequences: dict[str, SpectralSequence] = {}
+
+    @cached_property
+    def fans(self) -> dict[str, Fan]:
+        return fan_corpus()
+
+    @cached_property
+    def smooth_complete(self) -> dict[str, Fan]:
+        return smooth_complete_corpus(self.fans)
+
+    def small(self) -> list[str]:
+        """The names of the fans of rank at most 2."""
+        return [name for name, fan in self.fans.items() if fan.n <= 2]
+
+    def complex(self, name: str) -> ToricCellComplex:
+        if name not in self._complexes:
+            fan = self.fans[name] if name in self.fans else self.smooth_complete[name]
+            self._complexes[name] = toric_cell_complex(fan)
+        return self._complexes[name]
+
+    def sequence(self, name: str) -> SpectralSequence:
+        """The spectral sequence of the fan's toric filtration."""
+        if name not in self._sequences:
+            self._sequences[name] = SpectralSequence(self.complex(name).filtered)
+        return self._sequences[name]
+
+
 # ---------------------------------------------------------------------------
 # toric suite
 
 
-def check_boundary_squares_zero() -> CheckResult:
+def check_boundary_squares_zero(corpus: ToricCorpus | None = None) -> CheckResult:
+    corpus = corpus or ToricCorpus()
     bad = []
-    for name, fan in fan_corpus().items():
-        cx = toric_cell_complex(fan).complex
+    for name in corpus.fans:
+        cx = corpus.complex(name).complex
         for k in cx.degrees():
             if not cx.d(k).mul(cx.d(k + 1)).is_zero():
                 bad.append(f"{name} degree {k + 1}")
@@ -105,12 +147,13 @@ def coset_indicators(tcc: ToricCellComplex, cid: str, q: int) -> list[int]:
     return vecs
 
 
-def check_filtration_binomials() -> CheckResult:
+def check_filtration_binomials(corpus: ToricCorpus | None = None) -> CheckResult:
     """The toric filtration, written in the cell basis, is spanned by
     coset indicators, and its per-cone quotient dimensions are binomial."""
+    corpus = corpus or ToricCorpus()
     bad = []
-    for name, fan in fan_corpus().items():
-        tcc = toric_cell_complex(fan)
+    for name, fan in corpus.fans.items():
+        tcc = corpus.complex(name)
         cells = tcc.cell_filtered
         for k in cells.complex.degrees():
             n = cells.complex.dim(k)
@@ -129,10 +172,11 @@ def check_filtration_binomials() -> CheckResult:
     return _result("toric filtration quotients are binomial", not bad, "; ".join(bad))
 
 
-def check_cell_counts() -> CheckResult:
+def check_cell_counts(corpus: ToricCorpus | None = None) -> CheckResult:
+    corpus = corpus or ToricCorpus()
     bad = []
-    for name, fan in fan_corpus().items():
-        cx = toric_cell_complex(fan).filtered.complex
+    for name, fan in corpus.fans.items():
+        cx = corpus.complex(name).filtered.complex
         for k in cx.degrees():
             want = sum(1 << fan.codim(cid) for cid in fan.cone_ids()
                        if fan.codim(cid) == k)
@@ -141,52 +185,55 @@ def check_cell_counts() -> CheckResult:
     return _result("cell counts are sums of 2^codim", not bad, ", ".join(bad))
 
 
-def check_orbit_additivity() -> CheckResult:
+def check_orbit_additivity(corpus: ToricCorpus | None = None) -> CheckResult:
+    corpus = corpus or ToricCorpus()
     bad = []
-    for name, fan in fan_corpus().items():
-        got = virtual_poincare(SpectralSequence(toric_cell_complex(fan).filtered))
+    for name, fan in corpus.fans.items():
+        got = virtual_poincare(corpus.sequence(name))
         want = orbit_sum_poly(fan)
         if got != want:
             bad.append(f"{name}: {got} != {want}")
     return _result("virtual polynomial equals the orbit sum", not bad, "; ".join(bad))
 
 
-def check_purity_smooth_complete() -> CheckResult:
+def check_purity_smooth_complete(corpus: ToricCorpus | None = None) -> CheckResult:
+    corpus = corpus or ToricCorpus()
     bad = []
-    for name, fan in smooth_complete_corpus().items():
-        report = purity_collapse_report(
-            SpectralSequence(toric_cell_complex(fan).filtered), fan.n)
+    for name, fan in corpus.smooth_complete.items():
+        report = purity_collapse_report(corpus.sequence(name), fan.n)
         if not report.is_pure:
             bad.append(name)
     return _result("smooth complete fixtures are pure", not bad, ", ".join(bad))
 
 
-def check_collapse_low_dim() -> CheckResult:
+def check_collapse_low_dim(corpus: ToricCorpus | None = None) -> CheckResult:
+    corpus = corpus or ToricCorpus()
     bad = []
-    for name, fan in fan_corpus().items():
+    for name, fan in corpus.fans.items():
         if fan.n > 3:
             continue
-        ss = SpectralSequence(toric_cell_complex(fan).filtered)
+        ss = corpus.sequence(name)
         if reindexed_page(ss, 2) != reindexed_page(ss, ss.r_inf + 1):
             bad.append(name)
     return _result("second page equals the limit in rank <= 3", not bad, ", ".join(bad))
 
 
-def check_support_triangle() -> CheckResult:
+def check_support_triangle(corpus: ToricCorpus | None = None) -> CheckResult:
+    corpus = corpus or ToricCorpus()
     bad = []
-    for name, fan in fan_corpus().items():
-        report = purity_collapse_report(
-            SpectralSequence(toric_cell_complex(fan).filtered), fan.n)
+    for name, fan in corpus.fans.items():
+        report = purity_collapse_report(corpus.sequence(name), fan.n)
         if not report.support_ok:
             bad.append(name)
     return _result("pages lie in the support triangle", not bad, ", ".join(bad))
 
 
-def check_convergence() -> CheckResult:
+def check_convergence(corpus: ToricCorpus | None = None) -> CheckResult:
+    corpus = corpus or ToricCorpus()
     bad = []
-    for name, fan in fan_corpus().items():
-        fc = toric_cell_complex(fan).filtered
-        inf = SpectralSequence(fc).infinity_page()
+    for name in corpus.fans:
+        fc = corpus.complex(name).filtered
+        inf = corpus.sequence(name).infinity_page()
         for k in fc.complex.degrees():
             total = sum(d for (p, q), d in inf.items() if p + q == k)
             if total != fc.complex.betti(k):
@@ -194,9 +241,10 @@ def check_convergence() -> CheckResult:
     return _result("limit page sums to homology", not bad, ", ".join(bad))
 
 
-def check_orbit_map_paths() -> CheckResult:
+def check_orbit_map_paths(corpus: ToricCorpus | None = None) -> CheckResult:
+    corpus = corpus or ToricCorpus()
     bad = []
-    for name, fan in fan_corpus().items():
+    for name, fan in corpus.fans.items():
         for cid in fan.cone_ids():
             for mid in fan.covers(cid):
                 for top in fan.covers(mid):
@@ -211,11 +259,12 @@ def check_orbit_map_paths() -> CheckResult:
     return _result("orbit maps are path independent", not bad, ", ".join(bad))
 
 
-def check_positive_part() -> CheckResult:
+def check_positive_part(corpus: ToricCorpus | None = None) -> CheckResult:
     """The p = 0 graded piece has one dimension per cone."""
+    corpus = corpus or ToricCorpus()
     bad = []
-    for name, fan in fan_corpus().items():
-        fc = toric_cell_complex(fan).filtered
+    for name, fan in corpus.fans.items():
+        fc = corpus.complex(name).filtered
         for k in fc.complex.degrees():
             top = fc.level(0, k).dim
             below = fc.level(-1, k).dim
@@ -229,18 +278,11 @@ def check_positive_part() -> CheckResult:
 # fcomplex suite
 
 
-def _small_toric_filtered() -> dict[str, FilteredComplex]:
-    return {
-        name: toric_cell_complex(fan).filtered
-        for name, fan in fan_corpus().items()
-        if fan.n <= 2
-    }
-
-
-def check_canonical_antidiagonal() -> CheckResult:
+def check_canonical_antidiagonal(corpus: ToricCorpus | None = None) -> CheckResult:
+    corpus = corpus or ToricCorpus()
     bad = []
-    for name, fan in fan_corpus().items():
-        cx = toric_cell_complex(fan).filtered.complex
+    for name in corpus.fans:
+        cx = corpus.complex(name).filtered.complex
         ss = SpectralSequence(canonical_filtration(cx))
         page = ss.page(1)
         for (p, q), d in page.items():
@@ -252,20 +294,25 @@ def check_canonical_antidiagonal() -> CheckResult:
     return _result("canonical filtration pages sit on q = -2p", not bad, ", ".join(bad))
 
 
-def check_deligne_comparison_toric() -> CheckResult:
+def check_deligne_comparison_toric(corpus: ToricCorpus | None = None) -> CheckResult:
+    corpus = corpus or ToricCorpus()
     bad = []
-    for name, fc in _small_toric_filtered().items():
-        pages = sorted({m[0] for m in decalage_mismatches(SpectralSequence(fc))})
+    for name in corpus.small():
+        pages = sorted({m[0] for m in decalage_mismatches(corpus.sequence(name))})
         bad.extend(f"{name} page {r}" for r in pages)
     return _result("shifted filtration matches reindexed pages", not bad, ", ".join(bad))
 
 
-def check_page_homology() -> CheckResult:
-    """d^r squares to zero and computes the next page, as matrices."""
-    from .gf2 import rank_kernel_image
+def check_page_homology(corpus: ToricCorpus | None = None) -> CheckResult:
+    """d^r squares to zero and computes the next page, as matrices.
+
+    The entries and differentials come from a spectral sequence of the
+    check's own, dropped after each fan: no other check reads them, and
+    in the corpus the caches of every small fan would be held at once."""
+    corpus = corpus or ToricCorpus()
     bad = []
-    for name, fc in _small_toric_filtered().items():
-        ss = SpectralSequence(fc)
+    for name in corpus.small():
+        ss = SpectralSequence(corpus.complex(name).filtered)
         for r in range(0, ss.r_inf + 1):
             page = ss.page(r)
             for (p, q) in page:
@@ -282,10 +329,11 @@ def check_page_homology() -> CheckResult:
     return _result("differentials compute the next page", not bad, "; ".join(bad))
 
 
-def check_reindex_first_quadrant() -> CheckResult:
+def check_reindex_first_quadrant(corpus: ToricCorpus | None = None) -> CheckResult:
+    corpus = corpus or ToricCorpus()
     bad = []
-    for name, fc in _small_toric_filtered().items():
-        ss = SpectralSequence(fc)
+    for name in corpus.small():
+        ss = corpus.sequence(name)
         for r in range(2, ss.r_inf + 2):
             for (pp, qq), d in reindexed_page(ss, r).items():
                 if pp < 0 or qq < 0:
@@ -585,13 +633,21 @@ SUITES: dict[str, list[Callable[[], CheckResult]]] = {
 }
 
 
+# The suites whose checks take the shared ToricCorpus.
+CORPUS_SUITES = ("toric", "fcomplex")
+
+
 def run_suite(name: str) -> list[CheckResult]:
+    """Run one suite, every suite for "all", none for "none".  The toric
+    and fcomplex checks share one :class:`ToricCorpus`, made here."""
     if name == "none":
         return []
     if name == "all":
-        thunks = [t for suite in SUITES.values() for t in suite]
+        names = list(SUITES)
     elif name in SUITES:
-        thunks = SUITES[name]
+        names = [name]
     else:
         raise ValueError(f"unknown suite {name!r}")
-    return [t() for t in thunks]
+    corpus = ToricCorpus()
+    return [check(corpus) if suite in CORPUS_SUITES else check()
+            for suite in names for check in SUITES[suite]]

@@ -290,13 +290,20 @@ def cmd_cubical_ss(args) -> int:
 
 def cmd_euler(args) -> int:
     from . import euler
+
+    def doc(option: str):
+        path = getattr(args, option)
+        if path is None:
+            raise CliError(f"--op {args.op} needs --{option}", EXIT_PARSE)
+        return _load_json(path)
+
     try:
-        cx = euler.complex_from_doc(_load_json(args.complex))
+        cx = euler.complex_from_doc(doc("complex"))
         if args.op == "link":
-            phi = euler.function_from_doc(_load_json(args.function), cx)
+            phi = euler.function_from_doc(doc("function"), cx)
             print(json.dumps(euler.function_to_doc(euler.link(phi)), sort_keys=True))
         elif args.op == "boundary":
-            chain = euler.chain_from_doc(_load_json(args.chain), cx)
+            chain = euler.chain_from_doc(doc("chain"), cx)
             out = euler.chain_boundary(chain)
             members = sorted(out.members, key=str)
             print(json.dumps({
@@ -306,12 +313,12 @@ def cmd_euler(args) -> int:
                 ],
             }, sort_keys=True))
         elif args.op == "integral":
-            phi = euler.function_from_doc(_load_json(args.function), cx)
+            phi = euler.function_from_doc(doc("function"), cx)
             print(euler.euler_integral(phi))
         elif args.op == "pushforward":
-            target = euler.complex_from_doc(_load_json(args.target))
-            f = euler.map_from_doc(_load_json(args.map), cx, target)
-            phi = euler.function_from_doc(_load_json(args.function), cx)
+            target = euler.complex_from_doc(doc("target"))
+            f = euler.map_from_doc(doc("map"), cx, target)
+            phi = euler.function_from_doc(doc("function"), cx)
             out = euler.pushforward_cf(f, phi)
             print(json.dumps(euler.function_to_doc(out), sort_keys=True))
         else:

@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
+from weakref import WeakKeyDictionary
 
 from .gf2 import BitMatrix
 
@@ -47,24 +49,63 @@ def simplex_cell(vertices: Iterable[int], copy: int = 0) -> Cell:
 
 
 class CellComplex:
-    """Finite cell complex given by dimensions and the face partial order."""
+    """Finite cell complex given by dimensions and the face partial order.
+
+    The cells are numbered once, in ``dims`` order, and the operators
+    work on the numbers: a cell (a nested tuple for product cells) is
+    hashed once per construction instead of once per incidence.  Each
+    cell keeps the numbers of its faces; the closures, the cofaces and
+    the sorted cell lists are built on first use.
+    """
 
     def __init__(self, dims: Mapping[Cell, int], faces: Mapping[Cell, frozenset]):
         self.dims = dict(dims)
         self.faces = {c: frozenset(faces.get(c, ())) for c in self.dims}
-        for c, fs in self.faces.items():
-            for f in fs:
-                if f not in self.dims:
-                    raise EulerError(f"cell {c} has unknown face {f}")
-                if self.dims[f] >= self.dims[c]:
-                    raise EulerError(f"face {f} of {c} does not drop dimension")
-        self.cofaces: dict[Cell, frozenset] = {c: frozenset() for c in self.dims}
-        acc: dict[Cell, set] = {c: set() for c in self.dims}
-        for c, fs in self.faces.items():
-            for f in fs:
-                acc[f].add(c)
-        self.cofaces = {c: frozenset(s) for c, s in acc.items()}
-        self._products: dict[CellComplex, CellComplex] = {}
+        self._cells = list(self.dims)
+        self._dims = list(self.dims.values())
+        self._ids = ids = {c: i for i, c in enumerate(self._cells)}
+        self._face_ids = [[ids.get(f) for f in fs] for fs in self.faces.values()]
+        dim_of = self._dims.__getitem__
+        for c, d, face_ids in zip(self._cells, self._dims, self._face_ids):
+            if face_ids and (None in face_ids or max(map(dim_of, face_ids)) >= d):
+                raise EulerError(self._face_fault(c))
+        # Weak keys: the square of a complex is cached on it and keyed by
+        # it, and a strong key would make that a reference cycle, keeping
+        # the complex and all its products alive until the cycle collector
+        # runs.
+        self._products: WeakKeyDictionary[CellComplex, CellComplex] = WeakKeyDictionary()
+
+    def _face_fault(self, c: Cell) -> str:
+        """The message for the first faulty face of c, in face-set order."""
+        for f in self.faces[c]:
+            if f not in self.dims:
+                return f"cell {c} has unknown face {f}"
+            if self.dims[f] >= self.dims[c]:
+                return f"face {f} of {c} does not drop dimension"
+        raise AssertionError(f"cell {c} has no faulty face")
+
+    @cached_property
+    def cofaces(self) -> dict[Cell, frozenset]:
+        """The cells of which each cell is a face."""
+        up: list[set] = [set() for _ in self._cells]
+        for c, face_ids in zip(self._cells, self._face_ids):
+            for j in face_ids:
+                up[j].add(c)
+        return {c: frozenset(s) for c, s in zip(self._cells, up)}
+
+    @cached_property
+    def _closures(self) -> list[frozenset]:
+        """The numbers of each cell's closure: its faces and itself."""
+        return [frozenset(face_ids).union((i,)) for i, face_ids in enumerate(self._face_ids)]
+
+    @cached_property
+    def _sorted_ids(self) -> dict[int, list[int]]:
+        """Cell numbers by dimension, each list ordered by the cells' text."""
+        names = [str(c) for c in self._cells]
+        by_dim: dict[int, list[int]] = {}
+        for i in sorted(range(len(names)), key=lambda i: (self._dims[i], names[i])):
+            by_dim.setdefault(self._dims[i], []).append(i)
+        return by_dim
 
     @classmethod
     def from_simplices(cls, simplices: Iterable[tuple[Sequence[int], int]]) -> "CellComplex":
@@ -74,6 +115,7 @@ class CellComplex:
         indices are meaningful only for maximal parallel cells.
         """
         dims: dict[Cell, int] = {}
+        face_sets: dict[tuple, frozenset] = {}  # vertex tuple -> its proper faces
         seen: set[Cell] = set()
         for vs, copy in simplices:
             vs = tuple(sorted(set(vs)))
@@ -84,17 +126,17 @@ class CellComplex:
                 raise EulerError(f"duplicate simplex {vs} copy {copy}")
             seen.add(cell)
             dims[cell] = len(vs) - 1
-            for r in range(1, len(vs)):
-                for sub in itertools.combinations(vs, r):
-                    dims.setdefault(("s", sub, 0), r - 1)
+            if vs not in face_sets:
+                subs = _proper_faces(vs)
+                face_sets[vs] = frozenset(subs)
+                for sub in subs:
+                    dims.setdefault(sub, len(sub[1]) - 1)
         faces = {}
         for cell in dims:
-            _, vs, _ = cell
-            faces[cell] = frozenset(
-                ("s", sub, 0)
-                for r in range(1, len(vs))
-                for sub in itertools.combinations(vs, r)
-            )
+            vs = cell[1]
+            if vs not in face_sets:
+                face_sets[vs] = frozenset(_proper_faces(vs))
+            faces[cell] = face_sets[vs]
         return cls(dims, faces)
 
     @classmethod
@@ -108,7 +150,7 @@ class CellComplex:
         Maps and functions are tied to their complex by identity, so
         products of the same operands must be the same object for maps
         between them to compose.  The product is cached on ``a``, keyed
-        by ``b``.
+        weakly by ``b``.
         """
         cached = a._products.get(b)
         if cached is not None:
@@ -131,23 +173,32 @@ class CellComplex:
         return self.dims[c]
 
     def cells(self, k: int | None = None) -> list[Cell]:
-        out = [c for c in self.dims if k is None or self.dims[c] == k]
-        return sorted(out, key=lambda c: (self.dims[c], str(c)))
+        """The cells of dimension k (all cells if k is None), ordered by
+        dimension and then by their text."""
+        by_dim = self._sorted_ids
+        ids = by_dim.get(k, []) if k is not None else [
+            i for d in sorted(by_dim) for i in by_dim[d]]
+        return [self._cells[i] for i in ids]
 
     def top_dim(self) -> int:
         return max(self.dims.values()) if self.dims else -1
 
     def boundary_matrix(self, k: int) -> BitMatrix:
         """Incidence matrix of codimension-one faces (mod 2)."""
-        rows = self.cells(k - 1)
-        cols = self.cells(k)
-        idx = {c: i for i, c in enumerate(rows)}
-        entries = []
-        for j, c in enumerate(cols):
-            for f in self.faces[c]:
-                if self.dims[f] == k - 1:
-                    entries.append((idx[f], j))
+        rows = self._sorted_ids.get(k - 1, [])
+        cols = self._sorted_ids.get(k, [])
+        row_of = {i: r for r, i in enumerate(rows)}
+        entries = [(row_of[f], col) for col, i in enumerate(cols)
+                   for f in self._face_ids[i] if self._dims[f] == k - 1]
         return BitMatrix.from_entries(len(rows), len(cols), entries)
+
+
+def _proper_faces(vs: tuple) -> list[Cell]:
+    """The cells of the nonempty proper subsets of a vertex tuple, by size."""
+    if len(vs) == 1:
+        return []
+    return [("s", sub, 0) for r in range(1, len(vs))
+            for sub in itertools.combinations(vs, r)]
 
 
 @dataclass(frozen=True)
@@ -175,7 +226,7 @@ class ConstructibleFunction:
 
     @classmethod
     def constant(cls, cx: CellComplex, value: int = 1) -> "ConstructibleFunction":
-        return cls(cx, {c: value for c in cx.dims})
+        return cls(cx, dict.fromkeys(cx.dims, value))
 
 
 @dataclass(frozen=True)
@@ -198,25 +249,58 @@ class CellChain:
 
 @dataclass(frozen=True)
 class SimpMap:
-    """Cellwise map: every open cell maps onto an open cell of the target."""
+    """Cellwise map: every open cell maps onto an open cell of the target.
+
+    Construction checks the map and keeps, as ``_image``, the number of
+    each source cell's image in the target.
+    """
 
     source: CellComplex
     target: CellComplex
     assignment: Mapping[Cell, Cell]
 
     def __post_init__(self) -> None:
+        image = self._image_ids()
+        if image is None:
+            raise EulerError(self._first_fault())
+        object.__setattr__(self, "_image", image)
+
+    def _image_ids(self) -> list[int] | None:
+        """The number of each source cell's image, or None if the map is
+        not a cellwise map: the assignment must cover exactly the source
+        cells, land in the target, not raise dimension, and send the
+        faces of each cell into the closure of its image."""
+        src, dst, assignment = self.source, self.target, self.assignment
+        if len(assignment) != len(src._cells):
+            return None
+        try:
+            image = [dst._ids[assignment[c]] for c in src._cells]
+        except KeyError:
+            return None
+        closures, dst_dims, image_of = dst._closures, dst._dims, image.__getitem__
+        for t, d, face_ids in zip(image, src._dims, src._face_ids):
+            if dst_dims[t] > d or not closures[t].issuperset(map(image_of, face_ids)):
+                return None
+        return image
+
+    def _first_fault(self) -> str:
+        """The message for the first fault, in assignment order, of a map
+        that :meth:`_image_ids` refused."""
         for c in self.source.dims:
             if c not in self.assignment:
-                raise EulerError(f"map not defined on cell {c}")
+                return f"map not defined on cell {c}"
         for c, d in self.assignment.items():
+            if c not in self.source.dims:
+                return f"map assigns cell {c}, which is not in the source"
             if d not in self.target.dims:
-                raise EulerError(f"image cell {d} not in target")
+                return f"image cell {d} not in target"
             if self.target.dims[d] > self.source.dims[c]:
-                raise EulerError(f"map raises dimension on {c}")
+                return f"map raises dimension on {c}"
             for f in self.source.faces[c]:
                 img = self.assignment[f]
                 if img != d and img not in self.target.faces[d]:
-                    raise EulerError(f"map not face-compatible at {f} < {c}")
+                    return f"map not face-compatible at {f} < {c}"
+        raise AssertionError("a refused map has no fault")
 
     def __call__(self, c: Cell) -> Cell:
         return self.assignment[c]
@@ -232,9 +316,12 @@ class SimpMap:
     def product(cls, f: "SimpMap", g: "SimpMap") -> "SimpMap":
         src = CellComplex.product(f.source, g.source)
         dst = CellComplex.product(f.target, g.target)
+        f_images = [f.target._cells[t] for t in f._image]
+        g_images = [g.target._cells[t] for t in g._image]
         return cls(src, dst, {
-            ("x", ca, cb): ("x", f.assignment[ca], g.assignment[cb])
-            for ca in f.source.dims for cb in g.source.dims
+            ("x", ca, cb): ("x", fa, gb)
+            for ca, fa in zip(f.source._cells, f_images)
+            for cb, gb in zip(g.source._cells, g_images)
         })
 
     @classmethod
@@ -247,18 +334,24 @@ class SimpMap:
 
 
 def link(phi: ConstructibleFunction) -> ConstructibleFunction:
+    """The link operator, pushed forward from the support: a cell tau of
+    weight a adds a * (1 + (-1)^(dim tau - 1)) to itself and
+    a * (-1)^(dim tau - 1) to each of its faces, which sums to the
+    formula of the module docstring at every cell."""
     cx = phi.complex
-    out = {}
-    for c in cx.dims:
-        s = cx.dims[c]
-        val = phi.value(c) * (0 if s % 2 == 0 else 2)
-        for tau in cx.cofaces[c]:
-            a = phi.value(tau)
-            if a:
-                val += a if (cx.dims[tau] - 1) % 2 == 0 else -a
-        if val:
-            out[c] = val
-    return ConstructibleFunction(cx, out)
+    out = [0] * len(cx._cells)
+    for tau, a in phi.weights.items():
+        if not a:
+            continue
+        i = cx._ids[tau]
+        if cx._dims[i] % 2:
+            out[i] += 2 * a
+        else:
+            a = -a
+        for j in cx._face_ids[i]:
+            out[j] += a
+    return ConstructibleFunction(
+        cx, {cx._cells[i]: v for i, v in enumerate(out) if v})
 
 
 def chain_boundary(c: CellChain) -> CellChain:
@@ -278,14 +371,16 @@ def euler_integral(phi: ConstructibleFunction) -> int:
 def pushforward_cf(f: SimpMap, phi: ConstructibleFunction) -> ConstructibleFunction:
     if phi.complex is not f.source:
         raise EulerError("function lives on a different complex")
-    out: dict[Cell, int] = {}
+    src, dst, image = f.source, f.target, f._image
+    out: dict[int, int] = {}
     for c, v in phi.weights.items():
         if not v:
             continue
-        d = f.assignment[c]
-        sign = 1 if (f.source.dims[c] - f.target.dims[d]) % 2 == 0 else -1
-        out[d] = out.get(d, 0) + sign * v
-    return ConstructibleFunction(f.target, {d: v for d, v in out.items() if v})
+        i = src._ids[c]
+        t = image[i]
+        sign = 1 if (src._dims[i] - dst._dims[t]) % 2 == 0 else -1
+        out[t] = out.get(t, 0) + sign * v
+    return ConstructibleFunction(dst, {dst._cells[t]: v for t, v in out.items() if v})
 
 
 def pushforward_chain(f: SimpMap, c: CellChain) -> CellChain:
@@ -415,37 +510,83 @@ def fold_map() -> SimpMap:
 # Serialization
 
 
-def _cell_from_doc(entry) -> tuple[Sequence[int], int]:
+# Documents come from outside: every shape and type is checked here, so
+# that a malformed document raises EulerError and never a KeyError or
+# TypeError from deeper down.
+
+
+def _object(doc, what: str) -> Mapping:
+    if not isinstance(doc, Mapping):
+        raise EulerError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    return doc
+
+
+def _list(doc: Mapping, key: str, what: str) -> list:
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise EulerError(f"{what}: {key!r} must be a list")
+    return entries
+
+
+def _field(entry, key: str, what: str):
+    if key not in _object(entry, what):
+        raise EulerError(f"{what} {entry!r} has no {key!r}")
+    return entry[key]
+
+
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise EulerError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _cell_from_doc(entry) -> tuple[list[int], int]:
+    """(vertices, copy) of a cell written as a vertex list or as
+    {"vertices": [...], "copy": c}."""
     if isinstance(entry, Mapping):
-        return list(entry["vertices"]), int(entry.get("copy", 0))
-    return list(entry), 0
+        vertices = _field(entry, "vertices", "cell")
+        copy = _integer(entry.get("copy", 0), "a cell's copy")
+    else:
+        vertices, copy = entry, 0
+    if not isinstance(vertices, list):
+        raise EulerError(f"cell {entry!r} is not a vertex list")
+    return [_integer(v, "a vertex") for v in vertices], copy
+
+
+def _assign(table: dict, cell: Cell, value, what: str) -> None:
+    if table.setdefault(cell, value) != value:
+        raise EulerError(f"{what} gives cell {cell} two values")
 
 
 def complex_from_doc(doc: Mapping) -> CellComplex:
-    simplices = [_cell_from_doc(e) for e in doc.get("simplices", [])]
-    return CellComplex.from_simplices(simplices)
+    entries = _list(_object(doc, "complex document"), "simplices", "complex")
+    return CellComplex.from_simplices([_cell_from_doc(e) for e in entries])
 
 
 def function_from_doc(doc: Mapping, cx: CellComplex) -> ConstructibleFunction:
-    weights = {}
-    for e in doc.get("weights", []):
-        vs, copy = _cell_from_doc(e["simplex"] if "simplex" in e else e["cell"])
-        weights[simplex_cell(vs, copy)] = int(e["value"])
+    weights: dict[Cell, int] = {}
+    for e in _list(_object(doc, "function document"), "weights", "function"):
+        if "simplex" not in _object(e, "weight") and "cell" not in e:
+            raise EulerError(f"weight {e!r} has no 'simplex' or 'cell'")
+        cell = simplex_cell(*_cell_from_doc(e["simplex"] if "simplex" in e else e["cell"]))
+        _assign(weights, cell, _integer(_field(e, "value", "weight"), "a weight"),
+                "the function")
     return ConstructibleFunction(cx, weights)
 
 
 def chain_from_doc(doc: Mapping, cx: CellComplex) -> CellChain:
+    if "k" not in _object(doc, "chain document"):
+        raise EulerError("chain document has no 'k'")
     members = frozenset(
-        simplex_cell(*_cell_from_doc(e)) for e in doc.get("members", []))
-    return CellChain(cx, int(doc["k"]), members)
+        simplex_cell(*_cell_from_doc(e)) for e in _list(doc, "members", "chain"))
+    return CellChain(cx, _integer(doc["k"], "a chain's k"), members)
 
 
 def map_from_doc(doc: Mapping, src: CellComplex, dst: CellComplex) -> SimpMap:
-    assignment = {}
-    for e in doc.get("cells", []):
-        f_vs, f_copy = _cell_from_doc(e["from"])
-        t_vs, t_copy = _cell_from_doc(e["to"])
-        assignment[simplex_cell(f_vs, f_copy)] = simplex_cell(t_vs, t_copy)
+    assignment: dict[Cell, Cell] = {}
+    for e in _list(_object(doc, "map document"), "cells", "map"):
+        _assign(assignment, simplex_cell(*_cell_from_doc(_field(e, "from", "map entry"))),
+                simplex_cell(*_cell_from_doc(_field(e, "to", "map entry"))), "the map")
     return SimpMap(src, dst, assignment)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from importlib import resources
+from typing import Mapping
 
 from .complexes import canonical_filtration, complex_from_doc
 from .cubical import CubicalDiagram, Hyperresolution, hyperres_from_doc
@@ -66,23 +67,23 @@ def fan_corpus() -> dict[str, Fan]:
         fans[f"hirzebruch{a}"] = standard_fan("hirzebruch", a)
     for name in ("blowup_p2", "weighted_p112", "quadric_cone", "cone_over_square"):
         fans[name] = corpus_fan(name)
-    fans["P1xP1"] = product_fan(standard_fan("P", 1), standard_fan("P", 1))
+    fans["P1xP1"] = product_fan(fans["P1"], fans["P1"])
     return fans
 
 
-def smooth_complete_corpus() -> dict[str, Fan]:
-    """Fans of smooth complete varieties, for the purity suite."""
-    fans = {
-        "P1": standard_fan("P", 1),
-        "P2": standard_fan("P", 2),
-        "P3": standard_fan("P", 3),
-        "P4": standard_fan("P", 4),
-        "P1xP1": product_fan(standard_fan("P", 1), standard_fan("P", 1)),
-        "P1xP2": product_fan(standard_fan("P", 1), standard_fan("P", 2)),
-        "blowup_p2": corpus_fan("blowup_p2"),
-    }
+def smooth_complete_corpus(corpus: Mapping[str, Fan] | None = None) -> dict[str, Fan]:
+    """Fans of smooth complete varieties, for the purity suite.
+
+    Those it shares with :func:`fan_corpus` are taken, by name, from
+    ``corpus`` when one is given, so that they are parsed once."""
+    base = fan_corpus() if corpus is None else corpus
+    fans = {name: base[name] for name in ("P1", "P2", "P3")}
+    fans["P4"] = standard_fan("P", 4)
+    fans["P1xP1"] = base["P1xP1"]
+    fans["P1xP2"] = product_fan(base["P1"], base["P2"])
+    fans["blowup_p2"] = base["blowup_p2"]
     for a in range(4):
-        fans[f"hirzebruch{a}"] = standard_fan("hirzebruch", a)
+        fans[f"hirzebruch{a}"] = base[f"hirzebruch{a}"]
     return fans
 
 

@@ -228,3 +228,66 @@ def pairwise_fan_diagnostics(n: int, rays, cones) -> list[str]:
                     f"diamond property fails between {fid!r} and {c.id!r} "
                     f"({len(between)} intermediate cones)")
     return out
+
+
+# ---------------------------------------------------------------------------
+# Euler calculus: the cell-keyed forms the numbered operators replaced.
+
+
+def oracle_link(cx, weights) -> dict:
+    """The link operator in pull form, cell by cell in ``dims`` order:
+    (La)(s) = a(s) * (1 + (-1)^(dim s - 1)) + sum over the cofaces t of s
+    of a(t) * (-1)^(dim t - 1), the cofaces found by scanning every
+    cell's face set."""
+    out = {}
+    for c, s in cx.dims.items():
+        val = weights.get(c, 0) * (0 if s % 2 == 0 else 2)
+        for tau, fs in cx.faces.items():
+            if c in fs and weights.get(tau, 0):
+                a = weights[tau]
+                val += a if (cx.dims[tau] - 1) % 2 == 0 else -a
+        if val:
+            out[c] = val
+    return out
+
+
+def oracle_map_fault(source, target, assignment) -> str | None:
+    """The first fault of a cellwise map, scanning the assignment face by
+    face, or None for a valid map."""
+    for c in source.dims:
+        if c not in assignment:
+            return f"map not defined on cell {c}"
+    for c, d in assignment.items():
+        if c not in source.dims:
+            return f"map assigns cell {c}, which is not in the source"
+        if d not in target.dims:
+            return f"image cell {d} not in target"
+        if target.dims[d] > source.dims[c]:
+            return f"map raises dimension on {c}"
+        for f in source.faces[c]:
+            img = assignment[f]
+            if img != d and img not in target.faces[d]:
+                return f"map not face-compatible at {f} < {c}"
+    return None
+
+
+def oracle_simplex_order(simplices) -> list:
+    """The cells of the closure of (vertex set, copy) simplices in order
+    of first appearance: each simplex, then its proper subsets (copy 0)
+    by size and lexicographically."""
+    from itertools import combinations
+
+    order = {}
+    for vs, copy in simplices:
+        vs = tuple(sorted(set(vs)))
+        order.setdefault(("s", vs, copy), None)
+        for r in range(1, len(vs)):
+            for sub in combinations(vs, r):
+                order.setdefault(("s", sub, 0), None)
+    return list(order)
+
+
+def oracle_sorted_cells(dims, k=None) -> list:
+    """The cells of dimension k (every cell for None), by dimension and text."""
+    return sorted((c for c in dims if k is None or dims[c] == k),
+                  key=lambda c: (dims[c], str(c)))

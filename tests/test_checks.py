@@ -1,0 +1,82 @@
+import json
+import weakref
+from collections import Counter
+
+import weightlab.fan
+import weightlab.fixtures
+from weightlab import checks
+from weightlab.fan import fan_to_doc
+from weightlab.fixtures import fan_corpus, smooth_complete_corpus
+
+
+def _key(doc) -> str:
+    return json.dumps(doc, sort_keys=True)
+
+
+class Counters:
+    """Counts, by document, the fans parsed and the toric complexes the
+    checks build, and holds weak references to every complex and corpus."""
+
+    def __init__(self, monkeypatch):
+        self.parsed: Counter = Counter()
+        self.built: Counter = Counter()
+        self.refs: list[weakref.ref] = []
+        parse, build = weightlab.fan.parse_fan, checks.toric_cell_complex
+        init = checks.ToricCorpus.__init__
+
+        def counting_parse(doc):
+            self.parsed[_key(doc)] += 1
+            return parse(doc)
+
+        def counting_build(fan):
+            self.built[_key(fan_to_doc(fan))] += 1
+            tcc = build(fan)
+            self.refs.append(weakref.ref(tcc))
+            return tcc
+
+        def recording_init(corpus):
+            init(corpus)
+            self.refs.append(weakref.ref(corpus))
+
+        monkeypatch.setattr(weightlab.fan, "parse_fan", counting_parse)
+        monkeypatch.setattr(weightlab.fixtures, "parse_fan", counting_parse)
+        monkeypatch.setattr(checks, "toric_cell_complex", counting_build)
+        monkeypatch.setattr(checks.ToricCorpus, "__init__", recording_init)
+
+    def run(self, suite: str) -> tuple[Counter, Counter]:
+        self.parsed.clear()
+        self.built.clear()
+        results = checks.run_suite(suite)
+        assert results and all(r.ok for r in results), suite
+        return Counter(self.parsed), Counter(self.built)
+
+
+def test_run_suite_builds_each_corpus_fan_once(monkeypatch):
+    counters = Counters(monkeypatch)
+    corpus = smooth_complete_corpus(fan_corpus())
+    corpus_docs = Counter(counters.parsed)
+    assert set(corpus_docs.values()) == {1}  # the fixtures parse each document once
+    fans = {**fan_corpus(), **corpus}
+    # The cubical suite builds its own P:1 and trivial:1; everything else
+    # comes from the one corpus the toric and fcomplex suites share.
+    parsed_all, built_all = counters.run("all")
+    parsed_cubical, built_cubical = counters.run("cubical")
+    assert parsed_all - parsed_cubical == corpus_docs
+    assert built_all - built_cubical == Counter(_key(fan_to_doc(f)) for f in fans.values())
+    assert len(built_all - built_cubical) == 19
+    assert counters.refs and all(ref() is None for ref in counters.refs)
+
+
+def test_checks_run_on_their_own():
+    for suite in ("toric", "fcomplex"):
+        for check in checks.SUITES[suite]:
+            assert check().ok, check.__name__
+
+
+def test_corpus_names_denote_one_fan():
+    fans = fan_corpus()
+    for name, fan in smooth_complete_corpus().items():
+        if name in fans:
+            assert fan_to_doc(fan) == fan_to_doc(fans[name]), name
+    shared = smooth_complete_corpus(fans)
+    assert all(shared[name] is fans[name] for name in shared if name in fans)

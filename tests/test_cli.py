@@ -17,6 +17,20 @@ from weightlab.complexes import filtered_from_doc
 from weightlab.pages import SpectralSequence
 
 
+EULER = Path(__file__).parent / "data" / "euler"
+EULER_DOCS = {name: str(EULER / f"{name}.json")
+              for name in ("complex", "function", "chain", "map")}
+
+
+def _euler_argv(op: str, last: str, *others: str) -> list[str]:
+    """An euler command reading the shipped documents (the complex also
+    as the target), ending with the option ``last`` for one more path."""
+    argv = ["euler", "--op", op]
+    for name in others:
+        argv += [f"--{name}", EULER_DOCS["complex" if name == "target" else name]]
+    return argv + [f"--{last}"]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -95,6 +109,17 @@ def test_check_euler_suite(capsys):
     code, out, _ = run(capsys, "check", "--suite", "euler")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_check_all_suites(capsys):
+    from weightlab.checks import SUITES
+    code, out, _ = run(capsys, "check", "--suite", "all")
+    lines = out.splitlines()
+    total = sum(len(checks) for checks in SUITES.values())
+    assert code == 0
+    assert len(lines) == total + 1
+    assert all(line.startswith("PASS  ") for line in lines[:-1])
+    assert lines[-1] == f"{total} passed, 0 failed"
 
 
 def test_parse_error_exit_code(capsys, tmp_path):
@@ -216,6 +241,36 @@ def test_euler_malformed_complex_exit_code(capsys, tmp_path):
     assert "empty simplex" in err
 
 
+@pytest.mark.parametrize("op, option", [
+    ("link", "--function"), ("boundary", "--chain"), ("integral", "--function"),
+    ("pushforward", "--target"),
+])
+def test_euler_op_without_its_document_exits_2(capsys, op, option):
+    code, out, err = run(capsys, "euler", "--op", op, "--complex", EULER_DOCS["complex"])
+    assert code == 2 and out == ""
+    assert f"needs {option}" in err
+
+
+def test_euler_shipped_documents(capsys):
+    def euler(op, *docs):
+        code, out, err = run(capsys, *_euler_argv(op, "complex", *docs),
+                             EULER_DOCS["complex"])
+        assert code == 0, err
+        return out
+
+    assert euler("integral", "function").strip() == "-4"
+    assert json.loads(euler("link", "function"))["weights"] == [
+        {"simplex": [0], "value": 2}, {"simplex": [1], "value": 3},
+        {"simplex": [2], "value": 1},
+        {"simplex": {"copy": 1, "vertices": [0, 1]}, "value": 4},
+        {"simplex": [1, 2], "value": 2}]
+    assert json.loads(euler("boundary", "chain")) == {
+        "k": 0, "members": [{"copy": 0, "vertices": [0]}, {"copy": 0, "vertices": [2]}]}
+    assert json.loads(euler("pushforward", "function", "map", "target"))["weights"] == [
+        {"simplex": [2], "value": -1}, {"simplex": [0, 1], "value": 2},
+        {"simplex": [1, 2], "value": 1}]
+
+
 def test_filtration_with_a_skipped_level(capsys, tmp_path):
     # Level 1 is missing: it inherits level 0, so the pages equal those of
     # the same document with level 1 written out.
@@ -260,16 +315,42 @@ def test_filtration_with_a_skipped_level(capsys, tmp_path):
       "cones": [{"id": "r", "rays": [0], "faces": []},
                 {"id": "s", "rays": [0], "faces": []}]},
      "cones 'r' and 's' have the same rays [0]"),
+    ("euler --op integral --function {function} --complex", [[0, 1]],
+     "complex document must be a JSON object, not list"),
+    ("euler --op integral --complex {complex} --function",
+     [{"simplex": [0], "value": 1}], "function document must be a JSON object"),
+    ("euler --op boundary --complex {complex} --chain", {"members": [[0, 1]]},
+     "has no 'k'"),
+    ("euler --op integral --complex {complex} --function", {"weights": [{"value": 1}]},
+     "has no 'simplex' or 'cell'"),
+    ("euler --op integral --complex {complex} --function",
+     {"weights": [{"simplex": [0], "value": "x"}]}, "not 'x'"),
+    ("euler --op integral --complex {complex} --function",
+     {"weights": [{"simplex": [0], "value": 1.5}]}, "not 1.5"),
+    ("euler --op integral --function {function} --complex",
+     {"simplices": [[0], {"vertices": [1], "copy": "a"}]}, "not 'a'"),
+    ("euler --op pushforward --complex {complex} --target {complex} "
+     "--function {function} --map",
+     {"cells": json.loads((EULER / "map.json").read_text())["cells"]
+      + [{"from": [7], "to": [0]}]},
+     "map assigns cell ('s', (7,), 0), which is not in the source"),
+    ("euler --op pushforward --complex {complex} --target {complex} "
+     "--function {function} --map",
+     {"cells": [{"from": [0], "to": [0]}, {"from": [0], "to": [1]}]},
+     "gives cell ('s', (0,), 0) two values"),
 ])
 def test_malformed_documents_exit_3(capsys, tmp_path, verb, doc, message):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, *verb.split(), str(path))
+    argv = [part.format(**EULER_DOCS) for part in verb.split()]
+    code, out, err = run(capsys, *argv, str(path))
     assert code == 3
     assert message in err
 
 
 DATA = Path(weightlab.__file__).parent / "data"
+
+
 # Each shipped document and the commands that read it.
 SHIPPED = [
     (path, argv)
@@ -279,6 +360,24 @@ SHIPPED = [
         else [["cubical-ss", "--hyperres"], ["ss", "--hyperres"]]
         if path.name.startswith("hyperres")
         else [["cubical-ss", "--diagram"]])
+] + [
+    (EULER / f"{name}.json", argv)
+    for name, commands in {
+        "complex": [
+            _euler_argv("integral", "complex", "function"),
+            _euler_argv("boundary", "complex", "chain"),
+            _euler_argv("pushforward", "complex", "target", "map", "function"),
+            _euler_argv("pushforward", "target", "complex", "map", "function"),
+        ],
+        "function": [
+            _euler_argv("link", "function", "complex"),
+            _euler_argv("integral", "function", "complex"),
+            _euler_argv("pushforward", "function", "complex", "target", "map"),
+        ],
+        "chain": [_euler_argv("boundary", "chain", "complex")],
+        "map": [_euler_argv("pushforward", "map", "complex", "target", "function")],
+    }.items()
+    for argv in commands
 ]
 
 

@@ -1,3 +1,7 @@
+import gc
+import itertools
+import weakref
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,7 +26,14 @@ from weightlab.euler import (
     simplex_cell,
 )
 
-from oracles import dense_rank, matrix_to_dense
+from oracles import (
+    dense_rank,
+    matrix_to_dense,
+    oracle_link,
+    oracle_map_fault,
+    oracle_simplex_order,
+    oracle_sorted_cells,
+)
 
 
 def interval():
@@ -260,3 +271,169 @@ def test_pushforward_along_product_map():
     # four open squares fold onto one
     assert out.value(("x", e0, e0)) == 4
     assert euler_integral(out) == euler_integral(ConstructibleFunction.constant(torus))
+
+
+# ---------------------------------------------------------------------------
+# The numbered operators against the cell-keyed oracles
+
+
+@st.composite
+def simplex_lists(draw, copies=True):
+    """(vertex set, copy) simplices on at most seven vertices, each pair
+    at most once; with copies, parallel cells up to copy 2."""
+    out = {}
+    for vs in draw(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=4),
+                            min_size=1, max_size=8)):
+        copy = draw(st.integers(0, 2)) if copies else 0
+        out[(tuple(sorted(set(vs))), copy)] = None
+    return list(out)
+
+
+def _circle_power(k):
+    cx = circle_complex()
+    out = cx
+    for _ in range(k - 1):
+        out = CellComplex.product(out, cx)
+    return out
+
+
+complexes = st.one_of(
+    simplex_lists(copies=False).map(CellComplex.from_simplices),
+    simplex_lists().map(CellComplex.from_simplices),
+    st.integers(1, 3).map(_circle_power),
+)
+
+
+@given(complexes, st.data())
+def test_link_matches_the_pull_form(cx, data):
+    cells = list(cx.dims)
+    weights = data.draw(st.dictionaries(
+        st.sampled_from(cells), st.integers(-3, 3), max_size=len(cells)))
+    got = link(ConstructibleFunction(cx, weights)).weights
+    assert list(got.items()) == list(oracle_link(cx, weights).items())
+
+
+@given(simplex_lists())
+def test_simplex_complex_order_is_first_appearance(simplices):
+    cx = CellComplex.from_simplices(simplices)
+    assert list(cx.dims) == oracle_simplex_order(simplices)
+    for c in cx.dims:
+        vs = c[1]
+        assert cx.faces[c] == {("s", sub, 0) for r in range(1, len(vs))
+                               for sub in itertools.combinations(vs, r)}
+    _assert_sorted_cells(cx)
+
+
+@given(simplex_lists(), st.integers(1, 2))
+def test_product_order_pairs_the_operands_in_order(simplices, k):
+    a = CellComplex.from_simplices(simplices)
+    b = _circle_power(k)
+    for first, second in ((a, b), (b, a)):
+        cx = CellComplex.product(first, second)
+        assert list(cx.dims) == [("x", p, q) for p in first.dims for q in second.dims]
+        _assert_sorted_cells(cx)
+
+
+def _assert_sorted_cells(cx):
+    assert cx.cells() == oracle_sorted_cells(cx.dims)
+    for k in range(-1, cx.top_dim() + 2):
+        assert cx.cells(k) == oracle_sorted_cells(cx.dims, k)
+        rows, cols = cx.cells(k - 1), cx.cells(k)
+        want = {(rows.index(f), j) for j, c in enumerate(cols)
+                for f in cx.faces[c] if cx.dims[f] == k - 1}
+        m = cx.boundary_matrix(k)
+        assert {(i, j) for i, row in enumerate(matrix_to_dense(m))
+                for j, x in enumerate(row) if x} == want
+
+
+def _vertex_map_images(source, vertex_map):
+    """Each simplex-like cell to the simplex spanned by its vertices'
+    images, copy 0: a valid map into a full simplex."""
+    return {c: simplex_cell({vertex_map[v] for v in c[1]}) for c in source.dims}
+
+
+@st.composite
+def maps(draw):
+    """A cellwise map, valid or with one cell mutated: reassigned to any
+    target cell, dropped, or joined by a cell outside the source."""
+    kind = draw(st.sampled_from(["simplicial", "product"]))
+    if kind == "simplicial":
+        source = CellComplex.from_simplices(draw(simplex_lists()))
+        m = draw(st.integers(1, 4))
+        target = CellComplex.simplicial([range(m)])
+        verts = sorted({v for c in source.dims for v in c[1]})
+        vertex_map = {v: draw(st.integers(0, m - 1)) for v in verts}
+        assignment = _vertex_map_images(source, vertex_map)
+    else:
+        f = fold_map()
+        factors = [draw(st.sampled_from([f, SimpMap.identity(f.source)]))
+                   for _ in range(draw(st.integers(2, 3)))]
+        g = factors[0]
+        for h in factors[1:]:
+            g = SimpMap.product(g, h)
+        source, target, assignment = g.source, g.target, dict(g.assignment)
+    mutation = draw(st.sampled_from(["none", "reassign", "drop", "foreign"]))
+    cells = list(source.dims)
+    if mutation == "reassign":
+        assignment[draw(st.sampled_from(cells))] = draw(st.sampled_from(list(target.dims)))
+    elif mutation == "drop":
+        del assignment[draw(st.sampled_from(cells))]
+    elif mutation == "foreign":
+        assignment[simplex_cell((99,))] = draw(st.sampled_from(list(target.dims)))
+    return source, target, assignment
+
+
+@given(maps(), st.data())
+def test_maps_match_the_face_scan(case, data):
+    source, target, assignment = case
+    want = oracle_map_fault(source, target, assignment)
+    try:
+        f = SimpMap(source, target, assignment)
+    except EulerError as exc:
+        assert str(exc) == want
+        return
+    assert want is None
+    cells = list(source.dims)
+    weights = dict(zip(cells, data.draw(st.lists(
+        st.integers(-3, 3), min_size=len(cells), max_size=len(cells)))))
+    expected = {}
+    for c, v in weights.items():
+        d = assignment[c]
+        sign = 1 if (source.dims[c] - target.dims[d]) % 2 == 0 else -1
+        expected[d] = expected.get(d, 0) + sign * v
+    got = pushforward_cf(f, ConstructibleFunction(source, weights)).weights
+    assert got == {d: v for d, v in expected.items() if v}
+
+
+def test_map_with_a_cell_outside_the_source_is_refused():
+    f = fold_map()
+    assignment = {**f.assignment, simplex_cell((7,)): simplex_cell((0,))}
+    with pytest.raises(EulerError, match=r"map assigns cell \('s', \(7,\), 0\)"):
+        SimpMap(f.source, f.target, assignment)
+
+
+def test_cell_complex_refuses_a_broken_face_order():
+    a, b = simplex_cell((0,)), simplex_cell((0, 1))
+    with pytest.raises(EulerError, match=r"cell \('s', \(0, 1\), 0\) has unknown face "
+                                         r"\('s', \(9,\), 0\)"):
+        CellComplex({a: 0, b: 1}, {b: frozenset({a, simplex_cell((9,))})})
+    with pytest.raises(EulerError, match=r"face \('s', \(0, 1\), 0\) of \('s', \(0,\), 0\) "
+                                         r"does not drop dimension"):
+        CellComplex({a: 0, b: 1}, {a: frozenset({b})})
+    c = simplex_cell((1,))
+    with pytest.raises(EulerError, match=r"face \('s', \(1,\), 0\) of \('s', \(0,\), 0\) "
+                                         r"does not drop dimension"):
+        CellComplex({a: 0, c: 0}, {a: frozenset({c})})
+
+
+def test_products_do_not_keep_their_operands_alive():
+    gc.disable()
+    try:
+        cx = circle_complex()
+        square = CellComplex.product(cx, cx)
+        assert CellComplex.product(cx, cx) is square
+        refs = [weakref.ref(cx), weakref.ref(square)]
+        del cx, square
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
