@@ -42,7 +42,7 @@ from .fixtures import (
     klein_square,
     smooth_complete_corpus,
 )
-from .gf2 import BitSubspace
+from .gf2 import BitMatrix, BitSubspace
 from .pages import (
     SpectralSequence,
     decalage_mismatches,
@@ -53,7 +53,7 @@ from .pages import (
 from .toric import (
     Fan,
     ToricCellComplex,
-    orbit_map,
+    _orbit_map,
     orbit_sum_poly,
     standard_fan,
     toric_cell_complex,
@@ -245,14 +245,15 @@ def check_orbit_map_paths(corpus: ToricCorpus | None = None) -> CheckResult:
     corpus = corpus or ToricCorpus()
     bad = []
     for name, fan in corpus.fans.items():
+        groups = corpus.complex(name).groups
         for cid in fan.cone_ids():
             for mid in fan.covers(cid):
                 for top in fan.covers(mid):
                     composites = set()
                     for other in fan.covers(cid):
                         if top in fan.covers(other):
-                            m = orbit_map(fan, other, top).mul(
-                                orbit_map(fan, cid, other))
+                            m = _orbit_map(groups[other], groups[top]).mul(
+                                _orbit_map(groups[cid], groups[other]))
                             composites.add(m.row_data)
                     if len(composites) > 1:
                         bad.append(f"{name}: {cid} -> {top}")
@@ -346,7 +347,6 @@ def check_reindex_first_quadrant(corpus: ToricCorpus | None = None) -> CheckResu
 
 
 def _identity_square() -> CubicalDiagram:
-    from .gf2 import BitMatrix
     fc = canonical_filtration(_circle_chain_complex())
     n0, n1 = fc.complex.dim(0), fc.complex.dim(1)
     ident = {0: BitMatrix.identity(n0), 1: BitMatrix.identity(n1)}
@@ -354,7 +354,6 @@ def _identity_square() -> CubicalDiagram:
 
 
 def _circle_chain_complex() -> ChainComplex:
-    from .gf2 import BitMatrix
     return ChainComplex.make(
         {0: 2, 1: 2},
         {1: BitMatrix.from_entries(2, 2, [(0, 0), (1, 0), (0, 1), (1, 1)])},
@@ -372,7 +371,6 @@ def check_identity_cone_acyclic() -> CheckResult:
 
 
 def check_additivity_trivial() -> CheckResult:
-    from .gf2 import BitMatrix
     x = toric_cell_complex(standard_fan("P", 1)).filtered
     empty = trivial_filtration(ChainComplex.make({}, {}))
     diagram = CubicalDiagram(0, {0: x, 1: empty}, {(1, 0): {}})
@@ -383,7 +381,6 @@ def check_additivity_trivial() -> CheckResult:
 
 def check_additivity_toric() -> CheckResult:
     """Two fixed points inside the projective line leave a split torus."""
-    from .gf2 import BitMatrix
     x = toric_cell_complex(standard_fan("P", 1)).filtered
     y = trivial_filtration(ChainComplex.make({0: 2}, {}))
     # The two degree-0 cells of the line's toric complex are the two
@@ -397,7 +394,6 @@ def check_additivity_toric() -> CheckResult:
 
 
 def check_additivity_full() -> CheckResult:
-    from .gf2 import BitMatrix
     x = toric_cell_complex(standard_fan("P", 1)).filtered
     ident = {k: BitMatrix.identity(x.complex.dim(k)) for k in x.complex.degrees()}
     diagram = CubicalDiagram(0, {0: x, 1: x}, {(1, 0): ident})

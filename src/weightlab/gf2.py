@@ -288,19 +288,6 @@ class BitSubspace:
     def reduce(self, v: int) -> int:
         return reduce_mod(v, self.basis)
 
-    def vectors(self):
-        """Enumerate all 2^dim vectors (intended for small dims in tests)."""
-        for mask in range(1 << self.dim):
-            v = 0
-            m = mask
-            i = 0
-            while m:
-                if m & 1:
-                    v ^= self.basis[i]
-                m >>= 1
-                i += 1
-            yield v
-
     def sum(self, other: "BitSubspace") -> "BitSubspace":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionError("ambient dimensions differ")

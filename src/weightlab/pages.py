@@ -154,22 +154,13 @@ class SpectralSequence:
 
     # -- page-level views ----------------------------------------------------
 
-    def support(self) -> list[tuple[int, int]]:
-        """All (p, q) that can possibly carry a nonzero group."""
-        out = []
-        for k in self.cx.degrees():
-            if self.cx.dim(k) == 0:
-                continue
-            for p in range(self.p_min, self.p_max + 1):
-                out.append((p, k - p))
-        return sorted(set(out))
-
     def page(self, r: int) -> dict[tuple[int, int], int]:
-        """Nonzero dimensions on page r, keyed by (p, q)."""
+        """Nonzero dimensions on page r, keyed by (p, q).  Only the
+        occupied (degree, level) spots of the bars are read."""
         return {
-            (p, q): d
-            for p, q in self.support()
-            if (d := self.dim(r, p, q))
+            (p, k - p): d
+            for k, p in self.bars()
+            if (d := self.dim(r, p, k - p))
         }
 
     def differential(self, r: int, p: int, q: int) -> BitMatrix:
@@ -266,40 +257,28 @@ def virtual_poincare(ss: SpectralSequence) -> Poly:
 class PurityReport:
     is_pure: bool
     collapse_page: int
-    pages: dict[int, dict[tuple[int, int], int]]
     support_ok: bool
 
 
-def purity_collapse_report(
-    ss: SpectralSequence, ambient_dim: int, reindexed: bool = True
-) -> PurityReport:
+def purity_collapse_report(ss: SpectralSequence, ambient_dim: int) -> PurityReport:
     """Purity (everything in reindexed column p' = 0), degeneration page,
     and the support-triangle check.
 
     The collapse page is the least r >= 2 whose reindexed page already
-    equals the limit page.  The support check verifies p <= 0 and
+    equals the limit page.  A pair of gap g lives on the reindexed pages
+    up to g + 1, so this is the widest finite gap plus 2, or 2 if there
+    is none.  The support check verifies p <= 0 and
     -2p <= q <= ambient_dim - p in the native coordinates, equivalently
     p' >= 0, q' >= 0, p' + q' <= ambient_dim after reindexing.
     """
-    limit = reindexed_infinity(ss)
-    pages = {}
-    collapse = None
-    for r in range(2, ss.r_inf + 2):
-        pg = reindexed_page(ss, r)
-        pages[r] = pg
-        if collapse is None and pg == limit:
-            collapse = r
-    if collapse is None:
-        collapse = ss.r_inf + 1
-    page2 = pages[2]
+    collapse = max((gap + 2 for gaps in ss.bars().values() for gap in gaps
+                    if gap != UNPAIRED), default=2)
+    page2 = reindexed_page(ss, 2)
     is_pure = all(pp == 0 for (pp, qq) in page2)
     support_ok = all(
         pp >= 0 and qq >= 0 and pp + qq <= ambient_dim for (pp, qq) in page2
     )
-    if not reindexed:
-        pages = {r - 1: {(-qq, pp + 2 * qq): d for (pp, qq), d in pg.items()}
-                 for r, pg in pages.items()}
-    return PurityReport(is_pure, collapse, pages, support_ok)
+    return PurityReport(is_pure, collapse, support_ok)
 
 
 def transported_page(ss: SpectralSequence, r: int) -> dict[tuple[int, int], int]:

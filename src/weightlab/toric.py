@@ -110,8 +110,12 @@ def orbit_map(f: Fan, sigma: str, tau: str) -> BitMatrix:
     c_sigma, c_tau = f.cone(sigma), f.cone(tau)
     if sigma not in c_tau.faces or c_tau.dim != c_sigma.dim + 1:
         raise FanError(f"{tau!r} does not cover {sigma!r}")
-    g_tau = orbit_group(f, tau)
-    return BitMatrix.from_columns(g_tau.dim, _cover_images(orbit_group(f, sigma), g_tau))
+    return _orbit_map(orbit_group(f, sigma), orbit_group(f, tau))
+
+
+def _orbit_map(g_sigma: OrbitGroup, g_tau: OrbitGroup) -> BitMatrix:
+    """The map T_sigma -> T_tau of the given orbit groups of a cover."""
+    return BitMatrix.from_columns(g_tau.dim, _cover_images(g_sigma, g_tau))
 
 
 def _cover_images(g_sigma: OrbitGroup, g_tau: OrbitGroup) -> list[int]:

@@ -291,3 +291,11 @@ def oracle_sorted_cells(dims, k=None) -> list:
     """The cells of dimension k (every cell for None), by dimension and text."""
     return sorted((c for c in dims if k is None or dims[c] == k),
                   key=lambda c: (dims[c], str(c)))
+
+
+def oracle_collapse_page(page, r_inf: int) -> int:
+    """The least r >= 2 whose reindexed page equals the limit page, found
+    by walking the pages: ``page(r)`` is reindexed page r, and page
+    r_inf + 1 is the limit."""
+    limit = page(r_inf + 1)
+    return next(r for r in range(2, r_inf + 2) if page(r) == limit)

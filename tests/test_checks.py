@@ -2,6 +2,8 @@ import json
 import weakref
 from collections import Counter
 
+import pytest
+
 import weightlab.fan
 import weightlab.fixtures
 from weightlab import checks
@@ -67,10 +69,12 @@ def test_run_suite_builds_each_corpus_fan_once(monkeypatch):
     assert counters.refs and all(ref() is None for ref in counters.refs)
 
 
-def test_checks_run_on_their_own():
-    for suite in ("toric", "fcomplex"):
-        for check in checks.SUITES[suite]:
-            assert check().ok, check.__name__
+@pytest.mark.parametrize("check", [
+    pytest.param(check, id=f"{suite}-{check.__name__}")
+    for suite, suite_checks in checks.SUITES.items() for check in suite_checks])
+def test_checks_run_on_their_own(check):
+    result = check()
+    assert result.ok, result.detail
 
 
 def test_corpus_names_denote_one_fan():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -286,6 +287,25 @@ def test_filtration_with_a_skipped_level(capsys, tmp_path):
         outputs.append(out)
     assert outputs[0] == outputs[1]
     assert {"r": 1, "p": 2, "q": -2, "dim": 1} in json.loads(outputs[0])["pages"]
+
+
+def test_wide_level_span_reads_only_occupied_levels(capsys, tmp_path):
+    # One cell at level 5000 over an empty level 0: every page prints it
+    # once, and no page walks the 5000 empty levels between.
+    path = tmp_path / "fc.json"
+    path.write_text(json.dumps(
+        {"dims": {"0": 1}, "filtration": {"0": {"0": []}, "5000": {"0": ["1"]}}}))
+    start = time.monotonic()
+    code, out, err = run(capsys, "ss", "--complex", str(path), "--format", "doc")
+    elapsed = time.monotonic() - start
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["pages"] == [{"r": r, "p": 5000, "q": -5000, "dim": 1}
+                            for r in range(1, 5002)]
+    assert doc["reindexed"] == [{"r": r, "p": 5000, "q": -5000, "dim": 1}
+                                for r in range(2, 5003)]
+    assert (doc["collapse_page"], doc["pure"], doc["support_ok"]) == (2, False, False)
+    assert elapsed < 2.0, f"ss on a 5000-level span took {elapsed:.1f}s"
 
 
 @pytest.mark.parametrize("verb, doc, message", [

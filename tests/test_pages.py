@@ -29,6 +29,8 @@ from weightlab.pages import (
 from weightlab.poly import Poly
 from weightlab.toric import standard_fan, toric_cell_complex
 
+from oracles import oracle_collapse_page
+
 
 def toric_filtered(name, param):
     return toric_cell_complex(standard_fan(name, param)).filtered
@@ -173,9 +175,10 @@ def test_virtual_poincare_values():
 
 
 def test_purity_report():
-    rep = purity_collapse_report(SpectralSequence(toric_filtered("P", 2)), 2)
+    ss = SpectralSequence(toric_filtered("P", 2))
+    rep = purity_collapse_report(ss, 2)
     assert rep.is_pure and rep.support_ok and rep.collapse_page == 2
-    assert rep.pages[2] == {(0, 0): 1, (0, 1): 1, (0, 2): 1}
+    assert reindexed_page(ss, 2) == {(0, 0): 1, (0, 1): 1, (0, 2): 1}
     rep = purity_collapse_report(SpectralSequence(toric_filtered("trivial", 2)), 2)
     assert not rep.is_pure  # affine space is not compact
     assert rep.support_ok
@@ -261,11 +264,17 @@ def _profile_oracle(fc):
 
 
 def _assert_matches_oracle(fc):
+    """Dimensions against entries on every spot of the level range, the
+    weight profile against cycles and boundaries, and the collapse page
+    against the walk over the reindexed pages."""
     ss = SpectralSequence(fc)
     for r in range(0, ss.r_inf + 2):
-        for p, q in ss.support():
-            assert ss.dim(r, p, q) == ss.entry(r, p, q).dim, (r, p, q)
+        for k in ss.cx.degrees():
+            for p in range(ss.p_min, ss.p_max + 1):
+                assert ss.dim(r, p, k - p) == ss.entry(r, p, k - p).dim, (r, p, k)
     assert weight_profile(ss) == _profile_oracle(fc)
+    assert purity_collapse_report(ss, 0).collapse_page == oracle_collapse_page(
+        lambda r: reindexed_page(ss, r), ss.r_inf)
     return ss
 
 
@@ -283,6 +292,7 @@ def test_drop_of_three_lives_to_page_three(seed):
         assert ss.page(r) == {(0, 0): 1, (3, -2): 1}
         assert ss.differential(r, 3, -2).is_zero() == (r != 3)
     assert ss.page(4) == ss.infinity_page() == {}
+    assert purity_collapse_report(ss, 1).collapse_page == 5
     assert weight_profile(ss) == {0: {p: 0 for p in range(-1, 4)},
                                   1: {p: 0 for p in range(-1, 4)}}
 
@@ -302,6 +312,7 @@ def test_staircase_pages_and_differentials(seed):
     assert ss.differential(1, 2, -1).rank() == 1   # v -> b
     assert ss.differential(2, 3, -1).rank() == 1   # s -> w
     assert not ss.differentials(3)
+    assert purity_collapse_report(ss, 2).collapse_page == 4
     assert weight_profile(ss) == {
         0: {-1: 0, 0: 1, 1: 1, 2: 1, 3: 1},
         1: {p: 0 for p in range(-1, 4)},
