@@ -11,6 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from inspect import signature
 from math import comb
 from typing import Callable
 
@@ -73,7 +74,8 @@ def _result(name: str, ok: bool, detail: str = "") -> CheckResult:
 
 class ToricCorpus:
     """The fans the toric and fcomplex suites run over, with each fan's
-    toric cell complex and the spectral sequence of its filtration.
+    toric cell complex and the spectral sequence of its filtration, and
+    the complexes of the standard fans the cubical suite reads.
 
     Each is built on first use and shared by the checks that read it.
     :func:`run_suite` makes one corpus per call, so a request builds each
@@ -84,6 +86,7 @@ class ToricCorpus:
     def __init__(self) -> None:
         self._complexes: dict[str, ToricCellComplex] = {}
         self._sequences: dict[str, SpectralSequence] = {}
+        self._standard: dict[tuple[str, int], ToricCellComplex] = {}
 
     @cached_property
     def fans(self) -> dict[str, Fan]:
@@ -102,6 +105,14 @@ class ToricCorpus:
             fan = self.fans[name] if name in self.fans else self.smooth_complete[name]
             self._complexes[name] = toric_cell_complex(fan)
         return self._complexes[name]
+
+    def standard(self, name: str, param: int) -> ToricCellComplex:
+        """The toric cell complex of ``standard_fan(name, param)``, without
+        reading the fixture corpus."""
+        key = (name, param)
+        if key not in self._standard:
+            self._standard[key] = toric_cell_complex(standard_fan(name, param))
+        return self._standard[key]
 
     def sequence(self, name: str) -> SpectralSequence:
         """The spectral sequence of the fan's toric filtration."""
@@ -370,8 +381,9 @@ def check_identity_cone_acyclic() -> CheckResult:
     return _result("cone of the identity is acyclic", ok)
 
 
-def check_additivity_trivial() -> CheckResult:
-    x = toric_cell_complex(standard_fan("P", 1)).filtered
+def check_additivity_trivial(corpus: ToricCorpus | None = None) -> CheckResult:
+    corpus = corpus or ToricCorpus()
+    x = corpus.standard("P", 1).filtered
     empty = trivial_filtration(ChainComplex.make({}, {}))
     diagram = CubicalDiagram(0, {0: x, 1: empty}, {(1, 0): {}})
     report = additivity_check(diagram, x)
@@ -379,22 +391,24 @@ def check_additivity_trivial() -> CheckResult:
                    str(report.mismatches))
 
 
-def check_additivity_toric() -> CheckResult:
+def check_additivity_toric(corpus: ToricCorpus | None = None) -> CheckResult:
     """Two fixed points inside the projective line leave a split torus."""
-    x = toric_cell_complex(standard_fan("P", 1)).filtered
+    corpus = corpus or ToricCorpus()
+    x = corpus.standard("P", 1).filtered
     y = trivial_filtration(ChainComplex.make({0: 2}, {}))
     # The two degree-0 cells of the line's toric complex are the two
     # torus-fixed points; include them identically.
     incl = {0: BitMatrix.identity(2)}
     diagram = CubicalDiagram(0, {0: x, 1: y}, {(1, 0): incl})
-    complement = toric_cell_complex(standard_fan("trivial", 1)).filtered
+    complement = corpus.standard("trivial", 1).filtered
     report = additivity_check(diagram, complement)
     return _result("additivity for fixed points in the line", report.ok,
                    str(report.mismatches))
 
 
-def check_additivity_full() -> CheckResult:
-    x = toric_cell_complex(standard_fan("P", 1)).filtered
+def check_additivity_full(corpus: ToricCorpus | None = None) -> CheckResult:
+    corpus = corpus or ToricCorpus()
+    x = corpus.standard("P", 1).filtered
     ident = {k: BitMatrix.identity(x.complex.dim(k)) for k in x.complex.degrees()}
     diagram = CubicalDiagram(0, {0: x, 1: x}, {(1, 0): ident})
     ok = is_acyclic(SpectralSequence(simple_filtered(diagram)))
@@ -629,13 +643,9 @@ SUITES: dict[str, list[Callable[[], CheckResult]]] = {
 }
 
 
-# The suites whose checks take the shared ToricCorpus.
-CORPUS_SUITES = ("toric", "fcomplex")
-
-
 def run_suite(name: str) -> list[CheckResult]:
-    """Run one suite, every suite for "all", none for "none".  The toric
-    and fcomplex checks share one :class:`ToricCorpus`, made here."""
+    """Run one suite, every suite for "all", none for "none".  The checks
+    that take a ``corpus`` share one :class:`ToricCorpus`, made here."""
     if name == "none":
         return []
     if name == "all":
@@ -645,5 +655,5 @@ def run_suite(name: str) -> list[CheckResult]:
     else:
         raise ValueError(f"unknown suite {name!r}")
     corpus = ToricCorpus()
-    return [check(corpus) if suite in CORPUS_SUITES else check()
+    return [check(corpus) if "corpus" in signature(check).parameters else check()
             for suite in names for check in SUITES[suite]]

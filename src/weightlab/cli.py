@@ -38,7 +38,15 @@ from .pages import (
     virtual_poincare,
     weight_profile,
 )
-from .toric import Fan, FanError, orbit_sum_poly, parse_fan, standard_fan, toric_cell_complex
+from .toric import (
+    Fan,
+    FanError,
+    cell_counts,
+    orbit_sum_poly,
+    parse_fan,
+    standard_fan,
+    toric_cell_complex,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -201,6 +209,7 @@ def _emit_pages(ss: SpectralSequence, dim: int, fmt: str) -> None:
 
 def cmd_fan_info(args) -> int:
     fan = _fan_from_args(args)
+    counts = cell_counts(fan)
     print(f"lattice rank: {fan.n}")
     print(f"rays: {[list(r) for r in fan.rays]}")
     print("cones (id, dim, codim, rays, faces):")
@@ -208,9 +217,8 @@ def cmd_fan_info(args) -> int:
         c = fan.cone(cid)
         print(f"  {cid}: dim {c.dim}, codim {fan.n - c.dim}, "
               f"rays {sorted(c.ray_indices)}, faces {sorted(c.faces)}")
-    cx = toric_cell_complex(fan).filtered.complex
-    counts = ", ".join(f"{k}:{cx.dim(k)}" for k in cx.degrees())
-    print(f"cell counts by degree: {counts}")
+    by_degree = ", ".join(f"{k}:{n}" for k, n in sorted(counts.items()))
+    print(f"cell counts by degree: {by_degree}")
     return EXIT_OK
 
 

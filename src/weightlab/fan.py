@@ -13,7 +13,6 @@ are *not* checked; inputs are trusted on that point.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -230,22 +229,29 @@ def parse_fan(doc: Mapping) -> Fan:
                     f"cone {cid!r} marked simplicial has {len(idx)} rays "
                     f"of rank {dim}")
             declared[idx] = cid
-        # Every subset of a declared ray set is a cone.
-        subsets: set[frozenset[int]] = {frozenset()}
-        for idx in declared:
-            for r in range(len(idx) + 1):
-                subsets.update(map(frozenset, itertools.combinations(sorted(idx), r)))
-        for idx in subsets:
+        # Every subset of a declared ray set is a cone: walk down from the
+        # declared sets one ray at a time, recording each set's facets.
+        facets: dict[frozenset[int], list[frozenset[int]]] = {}
+        todo = [frozenset(), *declared]
+        while todo:
+            idx = todo.pop()
+            if idx in facets:
+                continue
+            facets[idx] = [idx - {i} for i in idx]
+            todo.extend(facets[idx])
+        for idx in facets:
             by_rayset[idx] = declared.get(idx, _subset_id(idx)) if idx else ZERO_ID
         ids += [(cid, idx) for idx, cid in by_rayset.items()]
-        for idx, cid in by_rayset.items():
-            faces = frozenset(
-                by_rayset[sub] for r in range(len(idx))
-                for sub in map(frozenset, itertools.combinations(sorted(idx), r))
-            )
+        # A face set is the union over the facets of each facet and its
+        # faces; by increasing size, the facets' sets are done first.
+        faces: dict[frozenset[int], frozenset[str]] = {}
+        for idx in sorted(facets, key=len):
+            faces[idx] = frozenset().union(
+                *(faces[f] | {by_rayset[f]} for f in facets[idx]))
             # Rays of a simplicial cone are independent, and so are
             # those of each of its faces.
-            cones[cid] = Cone(cid, idx, len(idx), faces)
+            cid = by_rayset[idx]
+            cones[cid] = Cone(cid, idx, len(idx), faces[idx])
     else:
         cones[ZERO_ID] = Cone(ZERO_ID, frozenset(), 0, frozenset())
         declared_faces: dict[str, set[str]] = {}

@@ -39,6 +39,7 @@ re-exported here.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
@@ -247,16 +248,25 @@ class ToricCellComplex:
         return FilteredComplex.from_subspaces(self.complex, levels)
 
 
-def toric_cell_complex(f: Fan) -> ToricCellComplex:
-    n_cells = sum(1 << f.codim(cid) for cid in f.cone_ids())
+def cell_counts(f: Fan) -> dict[int, int]:
+    """The number of cells of each degree k, Σ_{codim σ = k} 2^k, from the
+    cones alone.  Raises :class:`FanError` when the total exceeds
+    ``MAX_CELLS``."""
+    cones = Counter(f.codim(cid) for cid in f.cone_ids())
+    counts = {k: m << k for k, m in cones.items()}
+    n_cells = sum(counts.values())
     if n_cells > MAX_CELLS:
         raise FanError(f"the fan has {n_cells} cells, more than the "
                        f"{MAX_CELLS} the build allows")
+    return counts
+
+
+def toric_cell_complex(f: Fan) -> ToricCellComplex:
+    dims = cell_counts(f)
     groups = {cid: orbit_group(f, cid) for cid in f.cone_ids()}
     by_codim: dict[int, list[str]] = {}
     for cid in f.cone_ids():
         by_codim.setdefault(f.codim(cid), []).append(cid)
-    dims = {k: len(cids) << k for k, cids in by_codim.items()}
     offsets = {cid: i << k for k, cids in by_codim.items() for i, cid in enumerate(cids)}
     # position[k][b]: the coordinate of block position b of degree k.
     position: dict[int, list[int]] = {}
@@ -314,12 +324,11 @@ def toric_filtration(f: Fan) -> FilteredComplex:
 
 def orbit_sum_poly(f: Fan) -> Poly:
     """The orbit decomposition's prediction for the virtual polynomial:
-    sum over cones of (t - 1)^codim."""
-    t_minus_1 = Poly.make([-1, 1])
-    total = Poly.zero()
-    for cid in f.cone_ids():
-        term = Poly.one()
-        for _ in range(f.codim(cid)):
-            term = term * t_minus_1
-        total = total + term
-    return total
+    sum over cones of (t - 1)^codim.  With m_k cones of codimension k,
+    the coefficient of t^j is Σ_k m_k·C(k, j)·(-1)^(k-j)."""
+    cones = Counter(f.codim(cid) for cid in f.cone_ids())
+    coeffs = [0] * (max(cones) + 1)
+    for k, m in cones.items():
+        for j in range(k + 1):
+            coeffs[j] += m * comb(k, j) * (-1) ** (k - j)
+    return Poly.make(coeffs)

@@ -299,3 +299,38 @@ def oracle_collapse_page(page, r_inf: int) -> int:
     r_inf + 1 is the limit."""
     limit = page(r_inf + 1)
     return next(r for r in range(2, r_inf + 2) if page(r) == limit)
+
+
+def oracle_complex_diagnostics(dims, boundary) -> list[str]:
+    """``complexes.complex_diagnostics`` with ∂∂ tested row-wise: the
+    product d_k·d_{k+1} is formed as a matrix and compared with zero."""
+    from weightlab.gf2 import BitMatrix
+
+    out = []
+    def dim(k: int) -> int:
+        return dims.get(k, 0)
+    for k, m in boundary.items():
+        if m.cols != dim(k) or m.rows != dim(k - 1):
+            out.append(f"boundary shape mismatch in degree {k}")
+    if out:
+        return out
+    for k in sorted(dims):
+        d_k = boundary.get(k, BitMatrix.zero(dim(k - 1), dim(k)))
+        d_k1 = boundary.get(k + 1, BitMatrix.zero(dim(k), dim(k + 1)))
+        if not d_k.mul(d_k1).is_zero():
+            out.append(f"boundary squared is nonzero at degree {k + 1}")
+    return out
+
+
+def oracle_orbit_sum_poly(fan):
+    """Σ_σ (t − 1)^codim σ, one polynomial product per factor."""
+    from weightlab.poly import Poly
+
+    t_minus_1 = Poly.make([-1, 1])
+    total = Poly.zero()
+    for cid in fan.cone_ids():
+        term = Poly.one()
+        for _ in range(fan.codim(cid)):
+            term = term * t_minus_1
+        total = total + term
+    return total

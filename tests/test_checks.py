@@ -7,7 +7,7 @@ import pytest
 import weightlab.fan
 import weightlab.fixtures
 from weightlab import checks
-from weightlab.fan import fan_to_doc
+from weightlab.fan import fan_to_doc, standard_fan
 from weightlab.fixtures import fan_corpus, smooth_complete_corpus
 
 
@@ -59,10 +59,14 @@ def test_run_suite_builds_each_corpus_fan_once(monkeypatch):
     corpus_docs = Counter(counters.parsed)
     assert set(corpus_docs.values()) == {1}  # the fixtures parse each document once
     fans = {**fan_corpus(), **corpus}
-    # The cubical suite builds its own P:1 and trivial:1; everything else
-    # comes from the one corpus the toric and fcomplex suites share.
+    # The cubical suite builds its own P:1 and trivial:1, once each and
+    # without reading the fixture corpus; everything else comes from the
+    # one corpus the toric and fcomplex suites share.
     parsed_all, built_all = counters.run("all")
     parsed_cubical, built_cubical = counters.run("cubical")
+    line = [_key(fan_to_doc(standard_fan(name, 1))) for name in ("P", "trivial")]
+    assert built_cubical == Counter(line)
+    assert sorted(parsed_cubical.values()) == [1, 1]
     assert parsed_all - parsed_cubical == corpus_docs
     assert built_all - built_cubical == Counter(_key(fan_to_doc(f)) for f in fans.values())
     assert len(built_all - built_cubical) == 19

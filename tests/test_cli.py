@@ -45,6 +45,18 @@ def test_fan_info(capsys):
     assert "cell counts by degree: 0:2, 1:2" in out
 
 
+def test_fan_info_builds_no_complex(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("fan-info built part of the toric complex")
+
+    for module, name in (("toric", "orbit_group"), ("toric", "toric_cell_complex"),
+                         ("cli", "toric_cell_complex"), ("complexes", "complex_diagnostics")):
+        monkeypatch.setattr(getattr(weightlab, module), name, refuse)
+    code, out, err = run(capsys, "fan-info", "--standard", "P:3")
+    assert code == 0, err
+    assert out.endswith("cell counts by degree: 0:4, 1:12, 2:16, 3:8\n")
+
+
 def test_ss_text(capsys):
     code, out, _ = run(capsys, "ss", "--standard", "P:2")
     assert code == 0

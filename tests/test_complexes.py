@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weightlab.complexes import (
     ChainComplex,
@@ -16,9 +18,10 @@ from weightlab.complexes import (
     load_filtered,
     trivial_filtration,
 )
-from weightlab.gf2 import BitMatrix, BitSubspace
+from weightlab.gf2 import BitMatrix, BitSubspace, rank_kernel_image
+from weightlab.toric import standard_fan, toric_cell_complex
 
-from oracles import betti_numbers, matrix_to_dense
+from oracles import betti_numbers, matrix_to_dense, oracle_complex_diagnostics
 
 
 def circle():
@@ -55,6 +58,71 @@ def test_diagnostics_nonsquaring_boundary():
 def test_diagnostics_shape_mismatch():
     msgs = complex_diagnostics({0: 1, 1: 1}, {1: BitMatrix.zero(2, 1)})
     assert msgs
+
+
+# ∂∂ nonzero only in the last column of d_2; d_1 missing below a
+# nonzero d_2; d_1 one row too tall.
+_LAST_COLUMN = ({0: 1, 1: 2, 2: 3},
+                {1: BitMatrix.from_dense([[1, 1]]),
+                 2: BitMatrix.from_columns(2, [0b11, 0b00, 0b01])})
+_MISSING = ({0: 2, 1: 2, 2: 1},
+            {2: BitMatrix.from_dense([[1], [1]])})
+_SHAPE = ({0: 1, 1: 2, 2: 1},
+          {1: BitMatrix.zero(2, 2), 2: BitMatrix.from_dense([[1], [1]])})
+
+
+@pytest.mark.parametrize("case, messages", [
+    (_LAST_COLUMN, ["boundary squared is nonzero at degree 2"]),
+    (_MISSING, []),
+    (_SHAPE, ["boundary shape mismatch in degree 1"]),
+])
+def test_diagnostics_cases_match_the_row_wise_oracle(case, messages):
+    assert complex_diagnostics(*case) == oracle_complex_diagnostics(*case) == messages
+
+
+@st.composite
+def boundary_data(draw):
+    """Dimensions and boundaries of a random graded complex.  Each degree's
+    boundary composes to zero with the one below it (its columns drawn
+    from that one's kernel), or is random, missing, one row too tall, or
+    closed but for one entry flipped in its last column."""
+    lo = draw(st.integers(-2, 2))
+    dims = {k: draw(st.integers(0, 4)) for k in range(lo, lo + draw(st.integers(1, 4)))}
+    boundary = {}
+    for k in sorted(dims):
+        kind = draw(st.sampled_from(["closed", "random", "missing", "shape", "flip"]))
+        if kind == "missing":
+            continue
+        rows, cols = dims.get(k - 1, 0) + (kind == "shape"), dims[k]
+        below = boundary.get(k - 1)
+        if kind in ("closed", "flip") and below is not None and below.cols == rows:
+            kernel = rank_kernel_image(below)[1].basis
+            columns = []
+            for _ in range(cols):
+                v = 0
+                for b in draw(st.lists(st.sampled_from(kernel), max_size=3)) if kernel else ():
+                    v ^= b
+                columns.append(v)
+        else:
+            columns = [draw(st.integers(0, (1 << rows) - 1)) for _ in range(cols)]
+        if kind == "flip" and rows and cols:
+            columns[-1] ^= 1 << draw(st.integers(0, rows - 1))
+        boundary[k] = BitMatrix.from_columns(rows, columns)
+    return dims, boundary
+
+
+@given(boundary_data())
+def test_diagnostics_match_the_row_wise_oracle(case):
+    assert complex_diagnostics(*case) == oracle_complex_diagnostics(*case)
+
+
+def test_validation_forms_no_product_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a product matrix was formed")
+
+    monkeypatch.setattr(BitMatrix, "mul", refuse)
+    tcc = toric_cell_complex(standard_fan("P", 3))
+    assert tcc.complex.betti_numbers() == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
 def test_canonical_filtration_levels():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weightlab.lattice
-from weightlab.fixtures import corpus_fan, fan_corpus
+from weightlab.fixtures import corpus_fan, fan_corpus, product_pairs, smooth_complete_corpus
 from weightlab.pages import SpectralSequence, virtual_poincare
 from weightlab.poly import Poly
 from weightlab.toric import (
@@ -16,6 +16,7 @@ from weightlab.toric import (
     Cone,
     Fan,
     FanError,
+    cell_counts,
     fan_to_doc,
     orbit_group,
     orbit_map,
@@ -31,6 +32,7 @@ from oracles import (
     betti_numbers,
     matrix_to_dense,
     oracle_orbit_group,
+    oracle_orbit_sum_poly,
     pairwise_fan_diagnostics,
 )
 
@@ -279,6 +281,19 @@ def test_cell_counts():
         assert {k: cx.dim(k) for k in cx.degrees()} == expected, name
 
 
+_COUNTED = {
+    **smooth_complete_corpus(),  # a name denotes one fan in both corpora
+    **fan_corpus(),
+    **{f"{name}:{n}": standard_fan(name, n) for name in ("P", "A", "trivial") for n in range(5)},
+}
+
+
+@pytest.mark.parametrize("name", list(_COUNTED))
+def test_cell_counts_are_the_built_dimensions(name):
+    fan = _COUNTED[name]
+    assert cell_counts(fan) == toric_cell_complex(fan).filtered.complex.dims
+
+
 def test_homology_p1_p2():
     assert toric_cell_complex(standard_fan("P", 1)).complex.betti_numbers() == \
         {0: 1, 1: 1}
@@ -358,6 +373,14 @@ def test_orbit_sum_poly():
     # hirzebruch surfaces all have beta = 1 + 2t + t^2
     for a in range(4):
         assert orbit_sum_poly(standard_fan("hirzebruch", a)) == Poly.make([1, 2, 1])
+
+
+def test_orbit_sum_poly_matches_the_product_oracle():
+    fans = {**fan_corpus(), **{label: product_fan(f1, f2) for label, f1, f2 in product_pairs()}}
+    for left, right in (("P1xP1", "quadric_cone"), ("P3", "cone_over_square")):
+        fans[f"{left} x {right}"] = product_fan(fans[left], fans[right])
+    for name, fan in fans.items():
+        assert orbit_sum_poly(fan) == oracle_orbit_sum_poly(fan), name
 
 
 def test_fan_doc_round_trip():
