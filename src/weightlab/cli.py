@@ -11,6 +11,7 @@ entries by (r, p, q)).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -336,7 +337,10 @@ def cmd_euler(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="weightlab",
         description="Weight spectral sequences of real toric varieties and "

@@ -34,6 +34,7 @@ from typing import Mapping
 from .gf2 import (
     BitMatrix,
     BitSubspace,
+    json_int,
     preimage,
     rank_kernel_image,
     vec_from_string,
@@ -382,7 +383,8 @@ def complex_to_doc(cx: ChainComplex) -> dict:
 
 def complex_from_doc(doc: Mapping) -> ChainComplex:
     try:
-        dims = {int(k): int(n) for k, n in doc.get("dims", {}).items()}
+        dims = {int(k): json_int(n, "a dimension")
+                for k, n in doc.get("dims", {}).items()}
         if any(n < 0 for n in dims.values()):
             raise ValueError("negative dimension")
         boundary = {}
@@ -390,7 +392,8 @@ def complex_from_doc(doc: Mapping) -> ChainComplex:
             k = int(k_str)
             boundary[k] = BitMatrix.from_entries(
                 dims.get(k - 1, 0), dims.get(k, 0),
-                [(int(r), int(c)) for r, c in entries],
+                [(json_int(r, "a row index"), json_int(c, "a column index"))
+                 for r, c in entries],
             )
     except (AttributeError, TypeError, ValueError) as exc:
         raise ComplexError(f"malformed complex document: {exc}") from exc

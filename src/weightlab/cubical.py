@@ -29,7 +29,7 @@ from .complexes import (
     filtered_to_doc,
     trivial_filtration,
 )
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, json_int
 from .pages import SpectralSequence
 
 
@@ -331,7 +331,9 @@ def _maps_from_doc(doc: Mapping, src: ChainComplex, dst: ChainComplex) -> dict[i
     for k_str, entries in doc.items():
         k = int(k_str)
         out[k] = BitMatrix.from_entries(
-            dst.dim(k), src.dim(k), [(int(r), int(c)) for r, c in entries])
+            dst.dim(k), src.dim(k),
+            [(json_int(r, "a row index"), json_int(c, "a column index"))
+             for r, c in entries])
     return out
 
 
@@ -353,11 +355,12 @@ def diagram_to_doc(d: CubicalDiagram) -> dict:
 
 def diagram_from_doc(doc: Mapping) -> CubicalDiagram:
     try:
-        n = int(doc["n"])
+        n = json_int(doc["n"], "n")
         objects = {int(s): filtered_from_doc(od) for s, od in doc["objects"].items()}
         maps = {}
         for entry in doc.get("maps", []):
-            s, t = int(entry["from_mask"]), int(entry["to_mask"])
+            s = json_int(entry["from_mask"], "a map's from_mask")
+            t = json_int(entry["to_mask"], "a map's to_mask")
             if s not in objects or t not in objects:
                 raise ValueError(f"map {s}->{t} names a missing vertex")
             maps[(s, t)] = _maps_from_doc(
@@ -384,7 +387,8 @@ def hyperres_from_doc(doc: Mapping) -> Hyperresolution:
         levels = tuple(complex_from_doc(cd) for cd in doc["levels"])
         faces = {}
         for entry in doc.get("faces", []):
-            i, j = int(entry["level"]), int(entry["face_index"])
+            i = json_int(entry["level"], "a face map's level")
+            j = json_int(entry["face_index"], "a face map's face_index")
             if not (1 <= i < len(levels) and 0 <= j <= i):
                 raise ValueError(f"face map d_{j} at level {i} does not exist")
             faces[(i, j)] = _maps_from_doc(

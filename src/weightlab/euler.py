@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 from weakref import WeakKeyDictionary
 
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, json_int
 
 
 class EulerError(ValueError):
@@ -534,23 +534,17 @@ def _field(entry, key: str, what: str):
     return entry[key]
 
 
-def _integer(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise EulerError(f"{what} must be an integer, not {value!r}")
-    return value
-
-
 def _cell_from_doc(entry) -> tuple[list[int], int]:
     """(vertices, copy) of a cell written as a vertex list or as
     {"vertices": [...], "copy": c}."""
     if isinstance(entry, Mapping):
         vertices = _field(entry, "vertices", "cell")
-        copy = _integer(entry.get("copy", 0), "a cell's copy")
+        copy = json_int(entry.get("copy", 0), "a cell's copy", EulerError)
     else:
         vertices, copy = entry, 0
     if not isinstance(vertices, list):
         raise EulerError(f"cell {entry!r} is not a vertex list")
-    return [_integer(v, "a vertex") for v in vertices], copy
+    return [json_int(v, "a vertex", EulerError) for v in vertices], copy
 
 
 def _assign(table: dict, cell: Cell, value, what: str) -> None:
@@ -569,8 +563,8 @@ def function_from_doc(doc: Mapping, cx: CellComplex) -> ConstructibleFunction:
         if "simplex" not in _object(e, "weight") and "cell" not in e:
             raise EulerError(f"weight {e!r} has no 'simplex' or 'cell'")
         cell = simplex_cell(*_cell_from_doc(e["simplex"] if "simplex" in e else e["cell"]))
-        _assign(weights, cell, _integer(_field(e, "value", "weight"), "a weight"),
-                "the function")
+        value = json_int(_field(e, "value", "weight"), "a weight", EulerError)
+        _assign(weights, cell, value, "the function")
     return ConstructibleFunction(cx, weights)
 
 
@@ -579,7 +573,7 @@ def chain_from_doc(doc: Mapping, cx: CellComplex) -> CellChain:
         raise EulerError("chain document has no 'k'")
     members = frozenset(
         simplex_cell(*_cell_from_doc(e)) for e in _list(doc, "members", "chain"))
-    return CellChain(cx, _integer(doc["k"], "a chain's k"), members)
+    return CellChain(cx, json_int(doc["k"], "a chain's k", EulerError), members)
 
 
 def map_from_doc(doc: Mapping, src: CellComplex, dst: CellComplex) -> SimpMap:

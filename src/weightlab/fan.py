@@ -3,10 +3,14 @@
 Validation is structural: grading of the face relation, the diamond
 property on length-two intervals, primitivity of rays, rank consistency.
 The face lattice's covers are computed once per fan, and gradedness and
-the diamond property are checked on them.  Each cone's rank is the
-dimension of the mod-2 reduction of its saturated ray lattice
-(:func:`weightlab.lattice.saturate_mod2`); the fan keeps that subspace
-per cone, with its rays reduced mod 2 once, and the orbit groups read it.
+the diamond property are checked on them.  Transitive closure of the
+face lists is checked over each cone's facets alone (each facet's faces
+lie among the cone's), which by induction on dimension gives it for every
+face; the scan over all pairs of faces runs only to name the cones that
+fail.  Each cone's rank is the dimension of the mod-2 reduction of its
+saturated ray lattice (:func:`weightlab.lattice.saturate_mod2`); the fan
+keeps that subspace per cone, with its rays reduced mod 2 once, and the
+orbit groups read it.
 Convex-geometric axioms — that cones actually intersect in common faces —
 are *not* checked; inputs are trusted on that point.
 """
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .gf2 import BitSubspace
+from .gf2 import BitSubspace, json_int
 from .lattice import Saturations, is_primitive, make_primitive
 
 
@@ -82,7 +86,9 @@ class Fan:
         dimension and are transitively closed.  A face below another face
         lies below a maximal one, so a walk down by dimension that skips
         the faces of the maximal faces found so far finds them all, at
-        the cost of the face lists of the maximal faces alone."""
+        the cost of the face lists of the maximal faces alone.  On lists
+        that only drop dimension, each face it skips still lies in the
+        list of a facet above it, which the closure check relies on."""
         out = {}
         for c in self.cones.values():
             covered: set[str] = set()
@@ -116,25 +122,36 @@ class Fan:
                 out.append(f"ray {ray} is not primitive")
         # The rank check skips cones on a ray named above or on none.
         well_formed = {i for i, ray in enumerate(self.rays) if len(ray) == self.n}
+        by_cone = []
         for c in self.cones.values():
+            found = []
             if c.ray_indices <= well_formed:
                 want = self.ray_span(c.id).dim
                 if c.dim != want:
-                    out.append(f"cone {c.id!r} declares dim {c.dim}, rays have rank {want}")
+                    found.append(f"cone {c.id!r} declares dim {c.dim}, rays have rank {want}")
             elif bad := sorted(i for i in c.ray_indices if not 0 <= i < len(self.rays)):
-                out.append(f"cone {c.id!r} uses ray indices {bad}, the fan has "
-                           f"{len(self.rays)} rays")
+                found.append(f"cone {c.id!r} uses ray indices {bad}, the fan has "
+                             f"{len(self.rays)} rays")
             for fid in c.faces:
                 if fid not in self.cones:
-                    out.append(f"cone {c.id!r} lists unknown face {fid!r}")
+                    found.append(f"cone {c.id!r} lists unknown face {fid!r}")
                 elif self.cones[fid].dim >= c.dim:
-                    out.append(f"face {fid!r} of {c.id!r} does not drop dimension")
+                    found.append(f"face {fid!r} of {c.id!r} does not drop dimension")
             if c.id != ZERO_ID and ZERO_ID not in c.faces:
-                out.append(f"cone {c.id!r} does not list the zero cone as a face")
-            for fid in c.faces:
-                if fid in self.cones and not self.cones[fid].faces <= c.faces:
-                    out.append(f"faces of cone {c.id!r} are not transitively closed")
-                    break
+                found.append(f"cone {c.id!r} does not list the zero cone as a face")
+            by_cone.append((c, found))
+        # Transitive closure.  Once every face exists and drops dimension,
+        # closure over each cone's facets implies it over all its faces,
+        # by induction on dimension.  The scans over every face, which fix
+        # the messages, run only when something above fails.
+        if out or any(found for _, found in by_cone) or not all(
+                self.cones[f].faces <= c.faces
+                for c in self.cones.values() for f in self._facets[c.id]):
+            for c, found in by_cone:
+                if any(fid in self.cones and not self.cones[fid].faces <= c.faces
+                       for fid in c.faces):
+                    found.append(f"faces of cone {c.id!r} are not transitively closed")
+                out.extend(found)
         if out:
             return out
         # Graded: every covering relation drops dimension by exactly one.
@@ -177,14 +194,16 @@ def parse_fan(doc: Mapping) -> Fan:
     by their gcd with a warning.  The zero cone is implicit.
     """
     try:
-        n = int(doc["lattice_rank"])
-        raw_rays = [list(map(int, r)) for r in doc.get("rays", [])]
+        n = json_int(doc["lattice_rank"], "the lattice rank")
+        raw_rays = [[json_int(x, "a ray coordinate") for x in r]
+                    for r in doc.get("rays", [])]
         simplicial = bool(doc.get("simplicial", False))
         # (id, ray indices, declared faces); ids are optional only in
         # simplicial mode, face lists only outside it.
         raw_cones = [
             (cd.get("id") if simplicial else str(cd["id"]),
-             frozenset(int(i) for i in (cd["rays"] if simplicial else cd.get("rays", []))),
+             frozenset(json_int(i, "a ray index")
+                       for i in (cd["rays"] if simplicial else cd.get("rays", []))),
              {str(fid) for fid in cd.get("faces", [])})
             for cd in doc.get("cones", [])
         ]

@@ -48,6 +48,14 @@ def vec_to_string(v: int, width: int) -> str:
     return "".join("1" if (v >> i) & 1 else "0" for i in range(width))
 
 
+def json_int(value, what: str, error: type[ValueError] = ValueError) -> int:
+    """A number read from a JSON document: an integer and not a bool, so a
+    float is refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def _pivot(v: int) -> int:
     """Index of the lowest set bit of a nonzero vector."""
     return (v & -v).bit_length() - 1

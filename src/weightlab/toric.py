@@ -251,8 +251,12 @@ class ToricCellComplex:
 def cell_counts(f: Fan) -> dict[int, int]:
     """The number of cells of each degree k, Σ_{codim σ = k} 2^k, from the
     cones alone.  Raises :class:`FanError` when the total exceeds
-    ``MAX_CELLS``."""
+    ``MAX_CELLS``; a cone of codimension k alone brings 2^k cells, so past
+    the cap's bit length the total is refused before it is formed."""
     cones = Counter(f.codim(cid) for cid in f.cone_ids())
+    if (k := max(cones)) >= MAX_CELLS.bit_length():
+        raise FanError(f"the fan has a cone of codimension {k}, so more than "
+                       f"the {MAX_CELLS} cells the build allows")
     counts = {k: m << k for k, m in cones.items()}
     n_cells = sum(counts.values())
     if n_cells > MAX_CELLS:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -243,6 +244,21 @@ def test_cell_count_above_the_cap_exits_3(capsys, monkeypatch, verb):
     assert "40 cells" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["fan-info", "ss", "vpoly"])
+def test_cell_cap_refuses_a_large_codimension_before_counting(capsys, monkeypatch, verb):
+    code, _, err = run(capsys, verb, "--standard", "trivial:20000")
+    assert code == 3 and "Traceback" not in err
+    assert "a cone of codimension 20000, so more than the 1048576 cells" in err
+    # P:3's zero cone has codimension 3, which alone brings 8 cells: the
+    # early refusal starts at the cap's bit length, read at call time.
+    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 8)
+    assert "the fan has 40 cells" in run(capsys, verb, "--standard", "P:3")[2]
+    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 7)
+    code, _, err = run(capsys, verb, "--standard", "P:3")
+    assert code == 3
+    assert "a cone of codimension 3, so more than the 7 cells" in err
+
+
 def test_euler_malformed_complex_exit_code(capsys, tmp_path):
     cx_path = tmp_path / "cx.json"
     cx_path.write_text(json.dumps({"simplices": [[]]}))
@@ -370,6 +386,29 @@ def test_wide_level_span_reads_only_occupied_levels(capsys, tmp_path):
      "--function {function} --map",
      {"cells": [{"from": [0], "to": [0]}, {"from": [0], "to": [1]}]},
      "gives cell ('s', (0,), 0) two values"),
+    # Numbers that int() would truncate are refused, not read.
+    ("fan-info --fan",
+     {"lattice_rank": 2, "rays": [[1.5, 0], [0, 1]], "simplicial": True,
+      "cones": [{"rays": [0, 1]}]},
+     "a ray coordinate must be an integer, not 1.5"),
+    ("ss --fan",
+     {"lattice_rank": 2, "rays": [[1, 0], [0, 1]], "simplicial": True,
+      "cones": [{"rays": [0.7, 1]}]},
+     "a ray index must be an integer, not 0.7"),
+    ("vpoly --fan", {"lattice_rank": True, "rays": [[1]], "cones": []},
+     "the lattice rank must be an integer, not True"),
+    ("ss --complex", {"dims": {"0": 1.7}}, "a dimension must be an integer, not 1.7"),
+    ("ss --complex", {"dims": {"0": 1, "1": 1}, "boundary": {"1": [[0, 0.0]]}},
+     "a column index must be an integer, not 0.0"),
+    ("cubical-ss --diagram", {"n": 1.0, "objects": {}}, "n must be an integer, not 1.0"),
+    ("cubical-ss --hyperres",
+     {"levels": [{"dims": {"0": 1}}, {"dims": {"0": 1}}],
+      "faces": [{"level": 1, "face_index": False, "matrix": {}}]},
+     "a face map's face_index must be an integer, not False"),
+    # A cone of codimension past the cap's bit length: refused before the
+    # count, which would have more digits than int-to-str converts.
+    ("fan-info --fan", {"lattice_rank": 20000, "rays": [], "cones": []},
+     "a cone of codimension 20000"),
 ])
 def test_malformed_documents_exit_3(capsys, tmp_path, verb, doc, message):
     path = tmp_path / "doc.json"
@@ -548,3 +587,43 @@ def test_fan_info_on_a_cone_whose_smith_form_used_to_explode(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "cell counts by degree: 0:1, 1:12, 2:60, 3:160, 4:240, 5:192, 6:64" in proc.stdout
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    weightlab.cli.build_parser.cache_clear()
+    assert run(capsys, "fan-info", "--standard", "P:1")[0] == 0
+    first = len(built)
+    for argv in (["ss", "--standard", "P:1"], ["vpoly", "--standard", "A:1"],
+                 ["check", "--suite", "none"], ["fan-info", "--standard", "P:2"]):
+        assert run(capsys, *argv)[0] == 0
+    assert built.count("weightlab") == 1
+    assert len(built) == first
+
+
+def test_a_usage_error_leaves_the_parser_as_it_was(capsys):
+    argv = ["ss", "--standard", "P:2", "--format", "doc"]
+    want = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["ss", "--standard", "P:2", "--format", "yaml"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *argv) == want
+
+
+def test_help_is_the_same_on_every_call(capsys):
+    outputs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].out.startswith("usage: weightlab")
+    assert outputs[0] == outputs[1]

@@ -1,3 +1,4 @@
+import itertools
 import re
 from dataclasses import replace
 from math import comb
@@ -470,6 +471,22 @@ def _cone(cid, rays, dim, faces):
     return Cone(cid, frozenset(rays), dim, frozenset(faces))
 
 
+def _simplex_cones(rays, extra=()):
+    """A cone on every subset of ``rays``, named by its rays, with every
+    proper subset as a face, and ``extra`` added to each face list named
+    as a key."""
+    extra = dict(extra)
+    subsets = [frozenset(s) for k in range(len(rays) + 1)
+               for s in itertools.combinations(rays, k)]
+
+    def name(s):
+        return "c" + "".join(map(str, sorted(s))) if s else "0"
+
+    return [_cone(name(s), s, len(s),
+                  {name(t) for t in subsets if t < s} | set(extra.get(name(s), ())))
+            for s in subsets]
+
+
 _BROKEN_LATTICES = {
     # a 2-cone right above the zero cone: not graded, an empty diamond
     "skips a dimension": (2, ((1, 0), (0, 1)), [
@@ -493,6 +510,20 @@ _BROKEN_LATTICES = {
         _cone("r1", (1,), 1, ("0",)), _cone("s", (0, 1), 2, ("0", "r0", "r1"))]),
     "an unknown ray index": (2, ((1, 0),), [
         _cone("0", (), 0, ()), _cone("r0", (0,), 1, ("0",)), _cone("r1", (1,), 1, ())]),
+    # c01 lists the ray c4 as a face, which no 3-cone or the 4-cone has:
+    # the 3-cones fail at a facet, c0123 only below its non-facet c01
+    "closure broken only below a non-facet face": (
+        4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0)),
+        [*_simplex_cones(range(4), {"c01": ("c4",)}),
+         _cone("c4", (4,), 1, ("0",))]),
+    # both 3-cones miss the face c4 of their common facet c01; c013
+    # comes first in the cone order, so its message leads
+    "two cones not closed": (
+        3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1), (1, 1, 1)),
+        [*_simplex_cones((0, 1, 3), {"c01": ("c4",)}), _cone("c4", (4,), 1, ("0",)),
+         _cone("c2", (2,), 1, ("0",)), _cone("c02", (0, 2), 2, ("0", "c0", "c2")),
+         _cone("c12", (1, 2), 2, ("0", "c1", "c2")),
+         _cone("c012", (0, 1, 2), 3, ("0", "c0", "c1", "c2", "c01", "c02", "c12"))]),
     "a zero ray": (2, ((1, 0), (0, 0)), [
         _cone("0", (), 0, ()), _cone("r0", (0,), 1, ("0",)),
         _cone("r1", (1,), 1, ("0",)), _cone("s", (0, 1), 2, ("0", "r0", "r1"))]),
