@@ -32,6 +32,7 @@ from .cubical import (
     skeleton_filtration,
 )
 from .pages import (
+    PurityReport,
     SpectralSequence,
     decalage_mismatches,
     purity_collapse_report,
@@ -151,30 +152,54 @@ def _reindexed_rows(ss: SpectralSequence) -> list[tuple[int, int, int, int]]:
     return rows
 
 
+def page_doc_text(pages, reindexed, infinity, report: PurityReport,
+                  profile: dict[int, dict[int, int]]) -> str:
+    """The ``--format doc`` document: the text that
+    ``json.dumps(doc, indent=2, sort_keys=True)`` gives, written straight
+    from the page rows with one template per row shape.
+
+    ``pages`` and ``reindexed`` hold (r, p, q, dim) rows, ``infinity``
+    holds (p, q, dim) rows.  The profile's keys are written as strings,
+    so both of its levels are ordered as strings are (``"-1" < "-2"``).
+    """
+    row = '    {\n      "dim": %d,\n      "p": %d,\n      "q": %d,\n      "r": %d\n    }'
+    spot = '    {\n      "dim": %d,\n      "p": %d,\n      "q": %d\n    }'
+
+    def block(items: list[str], indent: str, brackets: str) -> str:
+        if not items:
+            return brackets
+        return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{indent}{brackets[1]}"
+
+    degrees = [
+        '    "%s": ' % k + block(
+            ['      "%s": %d' % level
+             for level in sorted((str(p), d) for p, d in by_p.items())],
+            "    ", "{}")
+        for k, by_p in sorted((str(k), by_p) for k, by_p in profile.items())
+    ]
+    return (
+        '{\n  "collapse_page": %d,\n  "infinity": %s,\n  "pages": %s,\n'
+        '  "pure": %s,\n  "reindexed": %s,\n  "support_ok": %s,\n'
+        '  "weight_profile": %s\n}' % (
+            report.collapse_page,
+            block([spot % (d, p, q) for p, q, d in infinity], "  ", "[]"),
+            block([row % (d, p, q, r) for r, p, q, d in pages], "  ", "[]"),
+            "true" if report.is_pure else "false",
+            block([row % (d, p, q, r) for r, p, q, d in reindexed], "  ", "[]"),
+            "true" if report.support_ok else "false",
+            block(degrees, "  ", "{}"),
+        )
+    )
+
+
 def _emit_pages(ss: SpectralSequence, dim: int, fmt: str) -> None:
     report = purity_collapse_report(ss, dim)
     profile = weight_profile(ss)
     if fmt == "doc":
-        doc = {
-            "pages": [
-                {"r": r, "p": p, "q": q, "dim": d} for r, p, q, d in _page_rows(ss)
-            ],
-            "reindexed": [
-                {"r": r, "p": p, "q": q, "dim": d} for r, p, q, d in _reindexed_rows(ss)
-            ],
-            "infinity": [
-                {"p": p, "q": q, "dim": d}
-                for (p, q), d in sorted(ss.infinity_page().items())
-            ],
-            "pure": report.is_pure,
-            "collapse_page": report.collapse_page,
-            "support_ok": report.support_ok,
-            "weight_profile": {
-                str(k): {str(p): d for p, d in sorted(by_p.items())}
-                for k, by_p in sorted(profile.items())
-            },
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(page_doc_text(
+            _page_rows(ss), _reindexed_rows(ss),
+            [(p, q, d) for (p, q), d in sorted(ss.infinity_page().items())],
+            report, profile))
         return
     if fmt == "csv":
         print("table,r,p,q,dim")

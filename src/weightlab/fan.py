@@ -197,14 +197,16 @@ def parse_fan(doc: Mapping) -> Fan:
         n = json_int(doc["lattice_rank"], "the lattice rank")
         raw_rays = [[json_int(x, "a ray coordinate") for x in r]
                     for r in doc.get("rays", [])]
-        simplicial = bool(doc.get("simplicial", False))
+        simplicial = doc.get("simplicial", False)
+        if not isinstance(simplicial, bool):
+            raise ValueError(f"simplicial must be true or false, not {simplicial!r}")
         # (id, ray indices, declared faces); ids are optional only in
         # simplicial mode, face lists only outside it.
         raw_cones = [
             (cd.get("id") if simplicial else str(cd["id"]),
              frozenset(json_int(i, "a ray index")
                        for i in (cd["rays"] if simplicial else cd.get("rays", []))),
-             {str(fid) for fid in cd.get("faces", [])})
+             {str(fid) for fid in _face_list(cd.get("faces", []))})
             for cd in doc.get("cones", [])
         ]
     except KeyError as exc:
@@ -298,6 +300,14 @@ def parse_fan(doc: Mapping) -> Fan:
                 cones[cid] = Cone(c.id, c.ray_indices, c.dim, close(cid))
     _check_ids(ids)
     return Fan(n, tuple(rays), cones)
+
+
+def _face_list(faces) -> list:
+    """A cone's declared faces: a JSON list, so a string is refused
+    rather than read as the set of its characters."""
+    if not isinstance(faces, list):
+        raise ValueError(f"the faces of a cone must be a list, not {faces!r}")
+    return faces
 
 
 def _check_ids(cones: Iterable[tuple[str, frozenset[int]]]) -> None:

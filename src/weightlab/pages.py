@@ -92,8 +92,9 @@ class PageEntry:
 class SpectralSequence:
     """Lazy page-by-page computation for a filtered complex.
 
-    Dimensions read one persistence reduction, made on first use;
-    entries and differentials are computed from the defining subspaces.
+    Dimensions read one persistence reduction, made on first use, and
+    each page is read off it once; entries and differentials are
+    computed from the defining subspaces.
     """
 
     def __init__(self, fc: FilteredComplex):
@@ -107,6 +108,7 @@ class SpectralSequence:
         self._preimage_cache: dict[tuple[int, int], BitSubspace] = {}
         self._z_cache: dict[tuple[int, int, int], BitSubspace] = {}
         self._entry_cache: dict[tuple[int, int, int], PageEntry] = {}
+        self._page_cache: dict[int, dict[tuple[int, int], int]] = {}
         self._bars: dict[tuple[int, int], Counter] | None = None
 
     def bars(self) -> dict[tuple[int, int], Counter]:
@@ -156,12 +158,15 @@ class SpectralSequence:
 
     def page(self, r: int) -> dict[tuple[int, int], int]:
         """Nonzero dimensions on page r, keyed by (p, q).  Only the
-        occupied (degree, level) spots of the bars are read."""
-        return {
-            (p, k - p): d
-            for k, p in self.bars()
-            if (d := self.dim(r, p, k - p))
-        }
+        occupied (degree, level) spots of the bars are read, once per
+        page; each call returns a copy the caller may change."""
+        if r not in self._page_cache:
+            self._page_cache[r] = {
+                (p, k - p): d
+                for k, p in self.bars()
+                if (d := self.dim(r, p, k - p))
+            }
+        return dict(self._page_cache[r])
 
     def differential(self, r: int, p: int, q: int) -> BitMatrix:
         """d^r: E^r_{p,q} -> E^r_{p-r, q+r-1} in the canonical bases."""

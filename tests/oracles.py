@@ -334,3 +334,22 @@ def oracle_orbit_sum_poly(fan):
             term = term * t_minus_1
         total = total + term
     return total
+
+
+def oracle_page_doc(pages, reindexed, infinity, report, profile) -> str:
+    """The ``--format doc`` document through the ``json`` encoder: rows
+    as dicts, the profile with string keys, ``indent=2, sort_keys=True``."""
+    import json
+
+    return json.dumps({
+        "pages": [{"r": r, "p": p, "q": q, "dim": d} for r, p, q, d in pages],
+        "reindexed": [{"r": r, "p": p, "q": q, "dim": d} for r, p, q, d in reindexed],
+        "infinity": [{"p": p, "q": q, "dim": d} for p, q, d in infinity],
+        "pure": report.is_pure,
+        "collapse_page": report.collapse_page,
+        "support_ok": report.support_ok,
+        "weight_profile": {
+            str(k): {str(p): d for p, d in sorted(by_p.items())}
+            for k, by_p in sorted(profile.items())
+        },
+    }, indent=2, sort_keys=True)

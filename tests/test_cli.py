@@ -7,16 +7,19 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import weightlab
-from weightlab.cli import main
+from weightlab.cli import main, page_doc_text
 from weightlab.complexes import filtered_from_doc
-from weightlab.pages import SpectralSequence
+from weightlab.pages import PurityReport, SpectralSequence
+
+from oracles import oracle_page_doc
 
 
 EULER = Path(__file__).parent / "data" / "euler"
@@ -317,12 +320,15 @@ def test_filtration_with_a_skipped_level(capsys, tmp_path):
     assert {"r": 1, "p": 2, "q": -2, "dim": 1} in json.loads(outputs[0])["pages"]
 
 
+# One cell at level 5000 over an empty level 0.
+WIDE_SPAN = {"dims": {"0": 1}, "filtration": {"0": {"0": []}, "5000": {"0": ["1"]}}}
+
+
 def test_wide_level_span_reads_only_occupied_levels(capsys, tmp_path):
-    # One cell at level 5000 over an empty level 0: every page prints it
-    # once, and no page walks the 5000 empty levels between.
+    # Every page prints the cell once, and no page walks the 5000 empty
+    # levels between.
     path = tmp_path / "fc.json"
-    path.write_text(json.dumps(
-        {"dims": {"0": 1}, "filtration": {"0": {"0": []}, "5000": {"0": ["1"]}}}))
+    path.write_text(json.dumps(WIDE_SPAN))
     start = time.monotonic()
     code, out, err = run(capsys, "ss", "--complex", str(path), "--format", "doc")
     elapsed = time.monotonic() - start
@@ -409,6 +415,21 @@ def test_wide_level_span_reads_only_occupied_levels(capsys, tmp_path):
     # count, which would have more digits than int-to-str converts.
     ("fan-info --fan", {"lattice_rank": 20000, "rays": [], "cones": []},
      "a cone of codimension 20000"),
+    # A flag that is not a JSON boolean, or a face list that is not a
+    # list, is refused rather than read by truth value or by character.
+    ("fan-info --fan",
+     {"lattice_rank": 2, "rays": [[1, 0], [0, 1]], "simplicial": "no",
+      "cones": [{"rays": [0, 1]}]},
+     "simplicial must be true or false, not 'no'"),
+    ("fan-info --fan",
+     {"lattice_rank": 2, "rays": [[1, 0], [0, 1]], "simplicial": 1,
+      "cones": [{"rays": [0, 1]}]},
+     "simplicial must be true or false, not 1"),
+    ("fan-info --fan",
+     {"lattice_rank": 2, "rays": [[1, 0], [0, 1]],
+      "cones": [{"id": "m0", "rays": [0], "faces": []},
+                {"id": "m1", "rays": [0, 1], "faces": "m0"}]},
+     "the faces of a cone must be a list, not 'm0'"),
 ])
 def test_malformed_documents_exit_3(capsys, tmp_path, verb, doc, message):
     path = tmp_path / "doc.json"
@@ -627,3 +648,66 @@ def test_help_is_the_same_on_every_call(capsys):
         outputs.append(capsys.readouterr())
     assert outputs[0].out.startswith("usage: weightlab")
     assert outputs[0] == outputs[1]
+
+
+_spot = st.integers(-150, 150)
+_rows = st.lists(st.tuples(st.integers(1, 150), _spot, _spot, st.integers(1, 10**30)),
+                 max_size=8)
+_profiles = st.dictionaries(
+    st.integers(-25, 25),
+    st.dictionaries(st.integers(-25, 25), st.integers(0, 10**30), max_size=6),
+    max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows, _rows, st.lists(st.tuples(_spot, _spot, st.integers(1, 10**30)), max_size=6),
+       st.builds(PurityReport, st.booleans(), st.integers(2, 10**6), st.booleans()),
+       _profiles)
+@example([], [], [], PurityReport(False, 2, False), {})
+@example([(1, -12, 3, 10**20)], [(2, 10, -2, 1)], [(-1, 0, 5)],
+         PurityReport(True, 12, True),
+         {-1: {}, -2: {10: 1, 2: 0, -1: 3, -2: 4}, 10: {0: 1}, 2: {}})
+def test_page_document_equals_the_json_encoder(pages, reindexed, infinity, report,
+                                               profile):
+    assert page_doc_text(pages, reindexed, infinity, report, profile) == \
+        oracle_page_doc(pages, reindexed, infinity, report, profile)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ss", "--standard", "P:2"],
+    ["ss", "--standard", "trivial:3"],
+    ["ss", "--fan", str(DATA / "fans" / "cone_over_square.json")],
+    ["ss", "--complex", "{wide_span}"],
+    ["cubical-ss", "--hyperres", str(DATA / "hyperres_wedge1.json")],
+])
+def test_doc_output_skips_the_python_json_encoder(capsys, monkeypatch, tmp_path, argv):
+    wide_span = tmp_path / "fc.json"
+    wide_span.write_text(json.dumps(WIDE_SPAN))
+    argv = [part.format(wide_span=wide_span) for part in argv]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the document went through the pure-Python encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    code, out, err = run(capsys, *argv, "--format", "doc")
+    monkeypatch.undo()
+    assert code == 0, err
+    if argv[0] == "cubical-ss":
+        first, out = out.split("\n", 1)
+        assert first.startswith("shifted-filtration comparison: ")
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["doc", "text", "csv"])
+def test_ss_computes_each_page_entry_once(capsys, monkeypatch, fmt):
+    calls = Counter()
+    dim = SpectralSequence.dim
+
+    def counted(self, r, p, q):
+        calls[(r, p, q)] += 1
+        return dim(self, r, p, q)
+
+    monkeypatch.setattr(SpectralSequence, "dim", counted)
+    code, _, err = run(capsys, "ss", "--standard", "P:3", "--format", fmt)
+    assert code == 0, err
+    assert calls and max(calls.values()) == 1, calls.most_common(3)

@@ -398,3 +398,14 @@ def test_toric_levels_are_coset_spans(name):
             assert tcc.cell_filtered.level(p, k) == BitSubspace.span(
                 fc.complex.dim(k), cosets), (p, k)
     _assert_matches_oracle(fc)
+
+
+def test_a_changed_page_leaves_the_memo_as_it_was():
+    ss = SpectralSequence(toric_filtered("P", 2))
+    page = ss.page(1)
+    want = dict(page)
+    page[next(iter(page))] += 1
+    page[(99, 99)] = 7
+    assert ss.page(1) == want
+    ss.page(1).clear()
+    assert ss.page(1) == want
