@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 from weakref import WeakKeyDictionary
 
+from . import toric
 from .gf2 import BitMatrix, json_int
 
 
@@ -51,29 +52,36 @@ def simplex_cell(vertices: Iterable[int], copy: int = 0) -> Cell:
 class CellComplex:
     """Finite cell complex given by dimensions and the face partial order.
 
-    The cells are numbered once, in ``dims`` order, and the operators
-    work on the numbers: a cell (a nested tuple for product cells) is
-    hashed once per construction instead of once per incidence.  Each
-    cell keeps the numbers of its faces; the closures, the cofaces and
-    the sorted cell lists are built on first use.
+    A complex is held in numbered form: ``_cells`` lists the cells,
+    ``_dims`` their dimensions, ``_ids`` numbers them and ``_face_ids``
+    holds the numbers of each cell's faces.  The operators work on the
+    numbers, so a cell (a nested tuple for product cells) is hashed once
+    per construction instead of once per incidence.
+    :meth:`from_simplices` and :meth:`product` number their cells as they
+    build them; the constructor takes caller-supplied tables and
+    validates them.  The cell-keyed ``dims``, ``faces`` and ``cofaces``,
+    the closures and the sorted cell lists are built on first use.
     """
 
     def __init__(self, dims: Mapping[Cell, int], faces: Mapping[Cell, frozenset]):
-        self.dims = dict(dims)
-        self.faces = {c: frozenset(faces.get(c, ())) for c in self.dims}
-        self._cells = list(self.dims)
-        self._dims = list(self.dims.values())
-        self._ids = ids = {c: i for i, c in enumerate(self._cells)}
-        self._face_ids = [[ids.get(f) for f in fs] for fs in self.faces.values()]
+        cells = list(dims)
+        ids = {c: i for i, c in enumerate(cells)}
+        face_sets = [frozenset(faces.get(c, ())) for c in cells]
+        self._cells, self._dims, self._ids = cells, list(dims.values()), ids
+        self._face_ids = [[ids.get(f) for f in fs] for fs in face_sets]
+        self.faces = dict(zip(cells, face_sets))
         dim_of = self._dims.__getitem__
         for c, d, face_ids in zip(self._cells, self._dims, self._face_ids):
             if face_ids and (None in face_ids or max(map(dim_of, face_ids)) >= d):
                 raise EulerError(self._face_fault(c))
-        # Weak keys: the square of a complex is cached on it and keyed by
-        # it, and a strong key would make that a reference cycle, keeping
-        # the complex and all its products alive until the cycle collector
-        # runs.
-        self._products: WeakKeyDictionary[CellComplex, CellComplex] = WeakKeyDictionary()
+
+    @classmethod
+    def _numbered(cls, cells: list[Cell], dims: list[int], ids: dict[Cell, int],
+                  face_ids: list[list[int]]) -> "CellComplex":
+        """A complex from its numbered form, which must be valid."""
+        cx = cls.__new__(cls)
+        cx._cells, cx._dims, cx._ids, cx._face_ids = cells, dims, ids, face_ids
+        return cx
 
     def _face_fault(self, c: Cell) -> str:
         """The message for the first faulty face of c, in face-set order."""
@@ -83,6 +91,17 @@ class CellComplex:
             if self.dims[f] >= self.dims[c]:
                 return f"face {f} of {c} does not drop dimension"
         raise AssertionError(f"cell {c} has no faulty face")
+
+    @cached_property
+    def dims(self) -> dict[Cell, int]:
+        return dict(zip(self._cells, self._dims))
+
+    @cached_property
+    def faces(self) -> dict[Cell, frozenset]:
+        """The faces of each cell."""
+        cell_of = self._cells.__getitem__
+        return {c: frozenset(map(cell_of, face_ids))
+                for c, face_ids in zip(self._cells, self._face_ids)}
 
     @cached_property
     def cofaces(self) -> dict[Cell, frozenset]:
@@ -107,37 +126,78 @@ class CellComplex:
             by_dim.setdefault(self._dims[i], []).append(i)
         return by_dim
 
+    @cached_property
+    def _products(self) -> WeakKeyDictionary[CellComplex, CellComplex]:
+        # Weak keys: the square of a complex is cached on it and keyed by
+        # it, and a strong key would make that a reference cycle, keeping
+        # the complex and all its products alive until the cycle collector
+        # runs.
+        return WeakKeyDictionary()
+
     @classmethod
     def from_simplices(cls, simplices: Iterable[tuple[Sequence[int], int]]) -> "CellComplex":
         """Closure of the given (vertex set, copy) simplices.
 
         Implied faces (proper subsets) are added with copy 0, so copy
-        indices are meaningful only for maximal parallel cells.
+        indices are meaningful only for maximal parallel cells.  The cells
+        are numbered in order of first appearance: each simplex, then its
+        new proper faces by size in ``combinations`` order.  A simplex
+        whose closure alone, or simplices whose closures together, have
+        more face incidences than ``toric.MAX_CELLS`` are refused.
         """
-        dims: dict[Cell, int] = {}
-        face_sets: dict[tuple, frozenset] = {}  # vertex tuple -> its proper faces
-        seen: set[Cell] = set()
+        limit = toric.MAX_CELLS
+        cells: list[Cell] = []
+        dims: list[int] = []
+        ids: dict[Cell, int] = {}
+        face_ids: list = []
+        faces_of: dict[tuple, list[int]] = {}  # vertex tuple -> its proper faces' numbers
+        given: set[Cell] = set()
+        incidences = 0
         for vs, copy in simplices:
             vs = tuple(sorted(set(vs)))
             if not vs:
                 raise EulerError("empty simplex")
             cell = ("s", vs, copy)
-            if cell in seen:
+            if cell in given:
                 raise EulerError(f"duplicate simplex {vs} copy {copy}")
-            seen.add(cell)
-            dims[cell] = len(vs) - 1
-            if vs not in face_sets:
-                subs = _proper_faces(vs)
-                face_sets[vs] = frozenset(subs)
-                for sub in subs:
-                    dims.setdefault(sub, len(sub[1]) - 1)
-        faces = {}
-        for cell in dims:
-            vs = cell[1]
-            if vs not in face_sets:
-                face_sets[vs] = frozenset(_proper_faces(vs))
-            faces[cell] = face_sets[vs]
-        return cls(dims, faces)
+            given.add(cell)
+            n = len(vs)
+            # The closure of n vertices has 3^n - 2^(n+1) + 1 face incidences;
+            # past the first bound 2^n alone exceeds the limit.
+            if n > limit.bit_length() + 1 or 3 ** n - 2 ** (n + 1) + 1 > limit:
+                raise EulerError(f"simplex {vs} has more face incidences in its "
+                                 f"closure than the {limit} the build allows")
+            if cell in ids:
+                continue
+            i = ids[cell] = len(cells)
+            cells.append(cell)
+            dims.append(n - 1)
+            face_ids.append(None)
+            own = faces_of.get(vs)
+            if own is None:
+                own = faces_of[vs] = []
+                fresh = []  # (position in own, vertex tuple) of the faces new here
+                for r in range(1, n):
+                    for sub in itertools.combinations(vs, r):
+                        f = ("s", sub, 0)
+                        j = ids.get(f)
+                        if j is None:
+                            j = ids[f] = len(cells)
+                            cells.append(f)
+                            dims.append(r - 1)
+                            face_ids.append(None)
+                            fresh.append((len(own), sub))
+                        own.append(j)
+                template = _face_template(n)
+                for t, sub in fresh:
+                    face_ids[own[t]] = faces_of[sub] = [own[u] for u in template[t]]
+                    incidences += len(template[t])
+            face_ids[i] = own
+            incidences += len(own)
+            if incidences > limit:
+                raise EulerError(f"the simplices have {incidences} face incidences, "
+                                 f"more than the {limit} the build allows")
+        return cls._numbered(cells, dims, ids, face_ids)
 
     @classmethod
     def simplicial(cls, simplices: Iterable[Sequence[int]]) -> "CellComplex":
@@ -147,26 +207,30 @@ class CellComplex:
     def product(cls, a: "CellComplex", b: "CellComplex") -> "CellComplex":
         """The product complex, built once per operand pair.
 
-        Maps and functions are tied to their complex by identity, so
-        products of the same operands must be the same object for maps
-        between them to compose.  The product is cached on ``a``, keyed
-        weakly by ``b``.
+        Cell ``(ia, ib)`` is numbered ``ia * nb + ib``, so the faces of a
+        product cell, the pairs from the two closures but the cell itself,
+        are numbered by arithmetic.  Maps and functions are tied to their
+        complex by identity, so products of the same operands must be the
+        same object for maps between them to compose.  The product is
+        cached on ``a``, keyed weakly by ``b``.
         """
         cached = a._products.get(b)
         if cached is not None:
             return cached
-        closure_a = {ca: a.faces[ca] | {ca} for ca in a.dims}
-        closure_b = {cb: b.faces[cb] | {cb} for cb in b.dims}
-        dims = {}
-        faces = {}
-        for ca, da in a.dims.items():
-            for cb, db in b.dims.items():
-                dims[("x", ca, cb)] = da + db
-                faces[("x", ca, cb)] = frozenset(
-                    ("x", fa, fb)
-                    for fa in closure_a[ca] for fb in closure_b[cb]
-                    if (fa, fb) != (ca, cb))
-        product = a._products[b] = cls(dims, faces)
+        nb = len(b._cells)
+        cells = [("x", ca, cb) for ca in a._cells for cb in b._cells]
+        dims = [da + db for da in a._dims for db in b._dims]
+        closures_b = [face_ids + [ib] for ib, face_ids in enumerate(b._face_ids)]
+        face_ids = []
+        for ia, faces_a in enumerate(a._face_ids):
+            rows = [ja * nb for ja in faces_a]
+            rows.append(ia * nb)
+            for closure_b in closures_b:
+                pairs = [row + jb for row in rows for jb in closure_b]
+                pairs.pop()  # the last pair is the cell itself
+                face_ids.append(pairs)
+        product = a._products[b] = cls._numbered(
+            cells, dims, {c: i for i, c in enumerate(cells)}, face_ids)
         return product
 
     def dim(self, c: Cell) -> int:
@@ -181,7 +245,7 @@ class CellComplex:
         return [self._cells[i] for i in ids]
 
     def top_dim(self) -> int:
-        return max(self.dims.values()) if self.dims else -1
+        return max(self._dims, default=-1)
 
     def boundary_matrix(self, k: int) -> BitMatrix:
         """Incidence matrix of codimension-one faces (mod 2)."""
@@ -193,12 +257,15 @@ class CellComplex:
         return BitMatrix.from_entries(len(rows), len(cols), entries)
 
 
-def _proper_faces(vs: tuple) -> list[Cell]:
-    """The cells of the nonempty proper subsets of a vertex tuple, by size."""
-    if len(vs) == 1:
-        return []
-    return [("s", sub, 0) for r in range(1, len(vs))
-            for sub in itertools.combinations(vs, r)]
+@cache
+def _face_template(n: int) -> list[list[int]]:
+    """For the nonempty proper subsets of n positions, by size in
+    ``combinations`` order: the places in that list of each subset's own
+    nonempty proper subsets, in the same order."""
+    subsets = [s for r in range(1, n) for s in itertools.combinations(range(n), r)]
+    place = {s: t for t, s in enumerate(subsets)}
+    return [[place[sub] for r in range(1, len(s)) for sub in itertools.combinations(s, r)]
+            for s in subsets]
 
 
 @dataclass(frozen=True)
@@ -207,8 +274,12 @@ class ConstructibleFunction:
     weights: Mapping[Cell, int]
 
     def __post_init__(self) -> None:
-        for c, v in self.weights.items():
-            if c not in self.complex.dims:
+        weights = self.weights
+        if weights.keys() <= self.complex._ids.keys() and all(
+                map(isinstance, weights.values(), itertools.repeat(int))):
+            return
+        for c, v in weights.items():
+            if c not in self.complex._ids:
                 raise EulerError(f"weight on unknown cell {c}")
             if not isinstance(v, int):
                 raise EulerError("weights must be integers")
@@ -314,15 +385,18 @@ class SimpMap:
 
     @classmethod
     def product(cls, f: "SimpMap", g: "SimpMap") -> "SimpMap":
+        """The product map, numbered as :meth:`CellComplex.product` numbers
+        its cells.  A product of cellwise maps is cellwise, so it is not
+        checked again."""
         src = CellComplex.product(f.source, g.source)
         dst = CellComplex.product(f.target, g.target)
-        f_images = [f.target._cells[t] for t in f._image]
-        g_images = [g.target._cells[t] for t in g._image]
-        return cls(src, dst, {
-            ("x", ca, cb): ("x", fa, gb)
-            for ca, fa in zip(f.source._cells, f_images)
-            for cb, gb in zip(g.source._cells, g_images)
-        })
+        nt = len(g.target._cells)
+        image = [ft * nt + gt for ft in f._image for gt in g._image]
+        product = cls.__new__(cls)  # past the frozen fields and __post_init__
+        product.__dict__.update(
+            source=src, target=dst, _image=image,
+            assignment=dict(zip(src._cells, map(dst._cells.__getitem__, image))))
+        return product
 
     @classmethod
     def identity(cls, cx: CellComplex) -> "SimpMap":
@@ -339,28 +413,29 @@ def link(phi: ConstructibleFunction) -> ConstructibleFunction:
     a * (-1)^(dim tau - 1) to each of its faces, which sums to the
     formula of the module docstring at every cell."""
     cx = phi.complex
-    out = [0] * len(cx._cells)
+    ids, dims, face_ids = cx._ids, cx._dims, cx._face_ids
+    out = [0] * len(dims)
     for tau, a in phi.weights.items():
         if not a:
             continue
-        i = cx._ids[tau]
-        if cx._dims[i] % 2:
+        i = ids[tau]
+        if dims[i] % 2:
             out[i] += 2 * a
         else:
             a = -a
-        for j in cx._face_ids[i]:
+        for j in face_ids[i]:
             out[j] += a
     return ConstructibleFunction(
-        cx, {cx._cells[i]: v for i, v in enumerate(out) if v})
+        cx, {c: v for c, v in zip(cx._cells, out) if v})
 
 
 def chain_boundary(c: CellChain) -> CellChain:
     if c.k == 0:
         return CellChain(c.complex, 0, frozenset())
     lam = link(ConstructibleFunction.indicator(c.complex, c.members))
-    members = frozenset(
-        w for w in c.complex.cells(c.k - 1) if lam.value(w) % 2 == 1)
-    return CellChain(c.complex, c.k - 1, members)
+    k, dims = c.k - 1, c.complex.dims
+    return CellChain(c.complex, k, frozenset(
+        w for w, v in lam.weights.items() if v % 2 and dims[w] == k))
 
 
 def euler_integral(phi: ConstructibleFunction) -> int:
@@ -387,21 +462,26 @@ def pushforward_chain(f: SimpMap, c: CellChain) -> CellChain:
     for m in c.members:
         if f.target.dims[f.assignment[m]] != c.k:
             raise EulerError(f"map collapses chain member {m}")
+    # Every member lands on a k-cell, so the image lives on k-cells.
     img = pushforward_cf(f, ConstructibleFunction.indicator(f.source, c.members))
-    members = frozenset(
-        d for d in f.target.cells(c.k) if img.value(d) % 2 == 1)
-    return CellChain(f.target, c.k, members)
+    return CellChain(f.target, c.k, frozenset(d for d, v in img.weights.items() if v % 2))
 
 
 def restrict(c: CellChain, is_open: Callable[[Cell], bool]) -> CellChain:
     """Restriction of a chain to an open subset (complement of a closed one)."""
     cx = c.complex
-    for cell in cx.dims:
-        if is_open(cell):
-            for tau in cx.cofaces[cell]:
-                if not is_open(tau):
-                    raise EulerError(f"predicate is not open at {cell} < {tau}")
-    return CellChain(cx, c.k, frozenset(m for m in c.members if is_open(m)))
+    flags = list(map(is_open, cx._cells))
+    is_flagged = flags.__getitem__
+    if any(any(map(is_flagged, face_ids))
+           for ok, face_ids in zip(flags, cx._face_ids) if not ok):
+        # An open face of a closed cell: name the first, as a scan of
+        # the open cells' cofaces in cell order meets it.
+        for cell, ok in zip(cx._cells, flags):
+            if ok:
+                for tau in cx.cofaces[cell]:
+                    if not flags[cx._ids[tau]]:
+                        raise EulerError(f"predicate is not open at {cell} < {tau}")
+    return CellChain(cx, c.k, frozenset(m for m in c.members if flags[cx._ids[m]]))
 
 
 def closure(c: CellChain, ambient: CellComplex | None = None) -> CellChain:

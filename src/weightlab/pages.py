@@ -69,11 +69,11 @@ def _persistence_bars(fc: FilteredComplex) -> dict[tuple[int, int], Counter]:
                     gaps[(k, j)] = gaps[(k - 1, low)] = levels[j] - row_levels[low]
                     break
                 col ^= reduced[low]
-    bars: dict[tuple[int, int], Counter] = {}
+    spots: dict[tuple[int, int], list] = {}
     for k in cx.degrees():
         for i, p in enumerate(fc.levels[k]):
-            bars.setdefault((k, p), Counter())[gaps.get((k, i), UNPAIRED)] += 1
-    return bars
+            spots.setdefault((k, p), []).append(gaps.get((k, i), UNPAIRED))
+    return {spot: Counter(spot_gaps) for spot, spot_gaps in spots.items()}
 
 
 @dataclass(frozen=True)

@@ -287,6 +287,43 @@ def oracle_simplex_order(simplices) -> list:
     return list(order)
 
 
+def oracle_simplex_tables(simplices) -> tuple[dict, dict]:
+    """The dims and face sets of the closure of (vertex set, copy)
+    simplices, keyed in order of first appearance: every cell's faces
+    are the proper subsets of its vertices, copy 0."""
+    from itertools import combinations
+
+    dims = {c: len(c[1]) - 1 for c in oracle_simplex_order(simplices)}
+    faces = {c: frozenset(("s", sub, 0) for r in range(1, len(c[1]))
+                          for sub in combinations(c[1], r)) for c in dims}
+    return dims, faces
+
+
+def oracle_product_tables(a, b) -> tuple[dict, dict]:
+    """The dims and face sets of the product complex, keyed by nested
+    cell: the faces of (ca, cb) are the pairs from the closures of ca
+    and cb, but the cell itself."""
+    dims, faces = {}, {}
+    for ca, da in a.dims.items():
+        for cb, db in b.dims.items():
+            dims[("x", ca, cb)] = da + db
+            faces[("x", ca, cb)] = frozenset(
+                ("x", fa, fb) for fa in a.faces[ca] | {ca} for fb in b.faces[cb] | {cb}
+                if (fa, fb) != (ca, cb))
+    return dims, faces
+
+
+def oracle_restrict_fault(cx, is_open) -> str | None:
+    """The first fault of an openness predicate, scanning the cofaces of
+    each open cell in cell order, or None for an open predicate."""
+    for cell in cx.dims:
+        if is_open(cell):
+            for tau in cx.cofaces[cell]:
+                if not is_open(tau):
+                    return f"predicate is not open at {cell} < {tau}"
+    return None
+
+
 def oracle_sorted_cells(dims, k=None) -> list:
     """The cells of dimension k (every cell for None), by dimension and text."""
     return sorted((c for c in dims if k is None or dims[c] == k),

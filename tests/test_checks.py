@@ -1,3 +1,4 @@
+import hashlib
 import json
 import weakref
 from collections import Counter
@@ -88,3 +89,36 @@ def test_corpus_names_denote_one_fan():
             assert fan_to_doc(fan) == fan_to_doc(fans[name]), name
     shared = smooth_complete_corpus(fans)
     assert all(shared[name] is fans[name] for name in shared if name in fans)
+
+
+# SHA-256 of everything the seeded euler checks draw, computed before
+# complexes were numbered as they are built.
+EULER_DRAWS = "1b5f2e5b505db8c8d7218232f1022871092cdb1fd8e15f0b69ee0ee32d19cd45"
+
+
+def test_euler_suite_draws_the_same_data(monkeypatch):
+    """The cells in order, the dims and the face sets of every random
+    complex (seeds 20240817, 9 and 12) and the weights of every random
+    function: a change that renumbers cells changes what the checks test."""
+    digest = hashlib.sha256()
+    drawn = Counter()
+    make_complex, make_function = checks.random_simplicial_complex, checks.random_function
+
+    def recording_complex(rng, *args):
+        cx = make_complex(rng, *args)
+        drawn["complexes"] += 1
+        digest.update(repr([(c, cx.dims[c], sorted(map(repr, cx.faces[c])))
+                            for c in cx.dims]).encode())
+        return cx
+
+    def recording_function(rng, cx):
+        phi = make_function(rng, cx)
+        drawn["functions"] += 1
+        digest.update(repr(list(phi.weights.items())).encode())
+        return phi
+
+    monkeypatch.setattr(checks, "random_simplicial_complex", recording_complex)
+    monkeypatch.setattr(checks, "random_function", recording_function)
+    assert all(check().ok for check in checks.SUITES["euler"])
+    assert drawn == {"complexes": 1400, "functions": 1300}
+    assert digest.hexdigest() == EULER_DRAWS

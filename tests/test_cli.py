@@ -125,7 +125,15 @@ def test_check_none_suite(capsys):
 def test_check_euler_suite(capsys):
     code, out, _ = run(capsys, "check", "--suite", "euler")
     assert code == 0
-    assert "FAIL" not in out
+    assert out == """\
+PASS  link operator satisfies L(L) = 2L
+PASS  parity boundary matches the incidence oracle
+PASS  fold pushforward matches the torus formula
+PASS  pushforward preserves the Euler integral
+PASS  pushforward is functorial
+PASS  boundary commutes with open restriction
+6 passed, 0 failed
+"""
 
 
 def test_check_all_suites(capsys):
@@ -260,6 +268,18 @@ def test_cell_cap_refuses_a_large_codimension_before_counting(capsys, monkeypatc
     code, _, err = run(capsys, verb, "--standard", "P:3")
     assert code == 3
     assert "a cone of codimension 3, so more than the 7 cells" in err
+
+
+def test_euler_face_cap_is_read_at_call_time(capsys, monkeypatch):
+    # The shipped complex has 6 face incidences: two parallel edges and
+    # one more edge, two faces each.
+    argv = _euler_argv("integral", "complex", "function") + [EULER_DOCS["complex"]]
+    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 5)
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "the simplices have 6 face incidences, more than the 5 the build allows" in err
+    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 6)
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_euler_malformed_complex_exit_code(capsys, tmp_path):
@@ -430,6 +450,12 @@ def test_wide_level_span_reads_only_occupied_levels(capsys, tmp_path):
       "cones": [{"id": "m0", "rays": [0], "faces": []},
                 {"id": "m1", "rays": [0, 1], "faces": "m0"}]},
      "the faces of a cone must be a list, not 'm0'"),
+    # A simplex whose closure alone passes the face-incidence cap: refused
+    # before any face is enumerated.
+    ("euler --op integral --function {function} --complex",
+     {"simplices": [list(range(40))]},
+     f"simplex {tuple(range(40))} has more face incidences in its closure "
+     "than the 1048576 the build allows"),
 ])
 def test_malformed_documents_exit_3(capsys, tmp_path, verb, doc, message):
     path = tmp_path / "doc.json"

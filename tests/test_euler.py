@@ -1,11 +1,13 @@
 import gc
 import itertools
+import random
 import weakref
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from weightlab import checks, toric
 from weightlab.euler import (
     CellChain,
     CellComplex,
@@ -31,7 +33,10 @@ from oracles import (
     matrix_to_dense,
     oracle_link,
     oracle_map_fault,
+    oracle_product_tables,
+    oracle_restrict_fault,
     oracle_simplex_order,
+    oracle_simplex_tables,
     oracle_sorted_cells,
 )
 
@@ -437,3 +442,148 @@ def test_products_do_not_keep_their_operands_alive():
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# Numbered construction against the validating constructor
+
+
+def _assert_same_complex(cx, generic):
+    assert cx._cells == generic._cells
+    assert cx.dims == generic.dims
+    assert cx.faces == generic.faces
+    assert cx.cofaces == generic.cofaces
+    assert cx.cells() == generic.cells()
+    for k in range(-1, cx.top_dim() + 2):
+        assert cx.cells(k) == generic.cells(k)
+        assert matrix_to_dense(cx.boundary_matrix(k)) == \
+            matrix_to_dense(generic.boundary_matrix(k))
+
+
+def _outcome(op, *args):
+    """The members an operator returns, or the message it refuses with."""
+    try:
+        return op(*args).members
+    except EulerError as exc:
+        return str(exc)
+
+
+def _assert_same_chains(cx, generic, data):
+    """chain_boundary and restrict agree on the two complexes, and
+    restrict refuses a predicate that is not open as the coface scan does."""
+    cells = list(cx.dims)
+    opened = data.draw(st.sets(st.sampled_from(cells)))
+    if data.draw(st.booleans()):  # close the set upwards: an open predicate
+        opened |= {tau for c in opened for tau in cx.cofaces[c]}
+    for k in range(cx.top_dim() + 1):
+        members = frozenset(data.draw(st.sets(st.sampled_from(cx.cells(k)))))
+        chains = CellChain(cx, k, members), CellChain(generic, k, members)
+        assert _outcome(chain_boundary, chains[0]) == _outcome(chain_boundary, chains[1])
+        got = _outcome(restrict, chains[0], opened.__contains__)
+        assert got == _outcome(restrict, chains[1], opened.__contains__)
+        fault = oracle_restrict_fault(cx, opened.__contains__)
+        assert got == (fault or frozenset(members & opened))
+
+
+@given(simplex_lists(), st.data())
+def test_simplices_are_numbered_as_the_constructor_numbers_their_tables(simplices, data):
+    cx = CellComplex.from_simplices(simplices)
+    generic = CellComplex(*oracle_simplex_tables(simplices))
+    _assert_same_complex(cx, generic)
+    _assert_same_chains(cx, generic, data)
+    # pushforward_chain into a full simplex along a vertex map
+    m = data.draw(st.integers(1, 4))
+    targets = CellComplex.simplicial([range(m)]), CellComplex(*oracle_simplex_tables([(range(m), 0)]))
+    verts = sorted({v for c in cx.dims for v in c[1]})
+    assignment = _vertex_map_images(cx, {v: data.draw(st.integers(0, m - 1)) for v in verts})
+    k = data.draw(st.integers(0, cx.top_dim()))
+    members = frozenset(data.draw(st.sets(st.sampled_from(cx.cells(k)))))
+    got = [_outcome(pushforward_chain, SimpMap(src, dst, assignment), CellChain(src, k, members))
+           for src, dst in zip((cx, generic), targets)]
+    assert got[0] == got[1]
+
+
+@given(st.one_of(simplex_lists().map(CellComplex.from_simplices),
+                 st.integers(1, 2).map(_circle_power)),
+       st.one_of(simplex_lists(copies=False).map(CellComplex.from_simplices),
+                 st.integers(1, 2).map(_circle_power)),
+       st.data())
+def test_products_are_numbered_as_the_constructor_numbers_their_tables(a, b, data):
+    cx = CellComplex.product(a, b)
+    generic = CellComplex(*oracle_product_tables(a, b))
+    _assert_same_complex(cx, generic)
+    _assert_same_chains(cx, generic, data)
+
+
+def test_circle_powers_are_numbered_as_the_constructor_numbers_their_tables():
+    circle = circle_complex()
+    power = circle
+    for _ in range(2):
+        generic = CellComplex(*oracle_product_tables(power, circle))
+        power = CellComplex.product(power, circle)
+        _assert_same_complex(power, generic)
+
+
+@given(st.lists(st.sampled_from(["fold", "identity"]), min_size=2, max_size=3))
+def test_product_maps_are_the_maps_their_assignments_define(factors):
+    fold = fold_map()
+    maps = {"fold": fold, "identity": SimpMap.identity(fold.source)}
+    f = maps[factors[0]]
+    for name in factors[1:]:
+        f = SimpMap.product(f, maps[name])
+        checked = SimpMap(f.source, f.target, dict(f.assignment))
+        assert f._image == checked._image
+        assert list(f.assignment) == f.source._cells
+
+
+def test_chain_operators_do_not_sort_the_cells(monkeypatch):
+    cx = checks.random_simplicial_complex(random.Random(4))
+    assert cx.top_dim() >= 1
+    v = cx.cells(0)[0]
+    star = cx.cofaces[v] | {v}
+    chain = CellChain(cx, cx.top_dim(), frozenset(cx.cells(cx.top_dim())))
+    want = chain_boundary(chain), restrict(chain, star.__contains__)
+
+    def refuse(self):
+        raise AssertionError("a chain operator sorted the cells")
+
+    monkeypatch.setattr(CellComplex, "_sorted_ids", property(refuse))
+    assert chain_boundary(chain).members == want[0].members
+    assert restrict(chain, star.__contains__).members == want[1].members
+    assert pushforward_chain(SimpMap.identity(cx), chain).members == chain.members
+
+
+# ---------------------------------------------------------------------------
+# The face-incidence cap
+
+
+def test_a_simplex_whose_closure_passes_the_cap_is_refused(monkeypatch):
+    monkeypatch.setattr(toric, "MAX_CELLS", 50)
+    cx = CellComplex.simplicial([range(4)])  # 3^4 - 2^5 + 1 = 50 incidences
+    assert sum(map(len, cx.faces.values())) == 50
+    with pytest.raises(EulerError, match=r"^simplex \(0, 1, 2, 3, 4\) has more face incidences "
+                                         r"in its closure than the 50 the build allows$"):
+        CellComplex.simplicial([range(5)])
+
+
+def test_simplices_whose_closures_pass_the_cap_together_are_refused(monkeypatch):
+    monkeypatch.setattr(toric, "MAX_CELLS", 99)
+    with pytest.raises(EulerError, match=r"^the simplices have 100 face incidences, "
+                                         r"more than the 99 the build allows$"):
+        CellComplex.simplicial([range(4), range(4, 8)])
+    # copies of one simplex count their own faces again
+    monkeypatch.setattr(toric, "MAX_CELLS", 63)
+    with pytest.raises(EulerError, match="have 64 face incidences"):
+        CellComplex.from_simplices([(range(4), 0), (range(4), 1)])
+
+
+@given(simplex_lists())
+def test_the_cap_counts_every_face_incidence(simplices):
+    incidences = sum(map(len, CellComplex.from_simplices(simplices).faces.values()))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(toric, "MAX_CELLS", incidences)
+        CellComplex.from_simplices(simplices)
+        if incidences:
+            patch.setattr(toric, "MAX_CELLS", incidences - 1)
+            with pytest.raises(EulerError, match="face incidences"):
+                CellComplex.from_simplices(simplices)
