@@ -265,7 +265,7 @@ def check_orbit_map_paths(corpus: ToricCorpus | None = None) -> CheckResult:
                         if top in fan.covers(other):
                             m = _orbit_map(groups[other], groups[top]).mul(
                                 _orbit_map(groups[cid], groups[other]))
-                            composites.add(m.row_data)
+                            composites.add(m)
                     if len(composites) > 1:
                         bad.append(f"{name}: {cid} -> {top}")
     return _result("orbit maps are path independent", not bad, ", ".join(bad))

@@ -63,8 +63,8 @@ def complex_diagnostics(
     for k in sorted(dims):
         if k not in boundary or k + 1 not in boundary:
             continue
-        d_k = boundary[k].columns()
-        for c in boundary[k + 1].columns():
+        d_k = boundary[k].col_data
+        for c in boundary[k + 1].col_data:
             acc = 0
             while c:
                 low = c & -c
@@ -275,7 +275,7 @@ class FilteredComplex:
         unit basis these are the matrix's own columns."""
         d = self.complex.d(k)
         if self.basis is None:
-            return d.columns()
+            return list(d.col_data)
         return [self.coordinates(k - 1, d.mul_vec(v)) for v in self.basis[k]]
 
     def coordinates(self, k: int, x: int) -> int:
@@ -382,11 +382,19 @@ def complex_to_doc(cx: ChainComplex) -> dict:
 
 
 def complex_from_doc(doc: Mapping) -> ChainComplex:
+    """The complex of a document.  A total dimension above
+    ``toric.MAX_CELLS``, read at call time, is refused before anything
+    of that size is allocated."""
+    from . import toric  # toric imports this module
+
     try:
         dims = {int(k): json_int(n, "a dimension")
                 for k, n in doc.get("dims", {}).items()}
         if any(n < 0 for n in dims.values()):
             raise ValueError("negative dimension")
+        if (total := sum(dims.values())) > toric.MAX_CELLS:
+            raise ValueError(f"the complex has {total} cells, more than "
+                             f"the {toric.MAX_CELLS} the build allows")
         boundary = {}
         for k_str, entries in doc.get("boundary", {}).items():
             k = int(k_str)
@@ -422,7 +430,7 @@ def filtered_from_doc(doc: Mapping) -> FilteredComplex:
         levels = {
             int(p_str): {
                 int(k_str): BitSubspace.span(
-                    cx.dim(int(k_str)), [vec_from_string(s) for s in vecs])
+                    cx.dim(int(k_str)), [vec_from_string(s) for s in _level_list(vecs)])
                 for k_str, vecs in by_deg.items()
             }
             for p_str, by_deg in filt.items()
@@ -430,6 +438,14 @@ def filtered_from_doc(doc: Mapping) -> FilteredComplex:
     except (AttributeError, TypeError, ValueError) as exc:
         raise ComplexError(f"malformed filtration: {exc}") from exc
     return FilteredComplex.from_subspaces(cx, levels)
+
+
+def _level_list(vecs) -> list:
+    """A level's vectors in one degree: a JSON list, so a string is
+    refused rather than read as one vector per character."""
+    if not isinstance(vecs, list):
+        raise ValueError(f"the vectors of a filtration level must be a list, not {vecs!r}")
+    return vecs
 
 
 def load_filtered(path: str) -> FilteredComplex:

@@ -52,7 +52,7 @@ def _is_chain_map(maps: DegreeMaps, src: ChainComplex, dst: ChainComplex) -> boo
         f_k1 = _map_matrix(maps, src, dst, k - 1)
         if f_k.rows != dst.dim(k) or f_k.cols != src.dim(k):
             return False
-        if dst.d(k).mul(f_k).row_data != f_k1.mul(src.d(k)).row_data:
+        if dst.d(k).mul(f_k) != f_k1.mul(src.d(k)):
             return False
     return True
 
@@ -158,7 +158,7 @@ class CubicalDiagram:
                         self.objects[s ^ bits[b]].complex,
                         self.objects[u].complex)
                     for k in self.objects[s].complex.degrees():
-                        if path1[k].row_data != path2[k].row_data:
+                        if path1[k] != path2[k]:
                             out.append(
                                 f"square {s}->{u} does not commute in degree {k}")
                             break
@@ -197,15 +197,16 @@ def _totalize(
             dims[i + shift] = offsets[(b, i)] + fc.complex.dim(i)
     pieces = [((b, i), (b, i - 1), blocks[b][1].complex.d(i)) for b, i in offsets]
     pieces += [((b, i), (c, i), m) for (b, c), by_i in maps.items() for i, m in by_i.items()]
-    entries: dict[int, list[tuple[int, int]]] = {k: [] for k in dims}
+    columns = {k: [0] * n for k, n in dims.items()}
     for src, dst, m in pieces:
         if src in offsets and dst in offsets:
             col0, row0 = offsets[src], offsets[dst]
-            entries[src[1] + blocks[src[0]][0]].extend(
-                (row0 + r, col0 + c) for r, c in m.entries())
+            total_columns = columns[src[1] + blocks[src[0]][0]]
+            for j, c in enumerate(m.col_data, col0):
+                total_columns[j] ^= c << row0
     total = ChainComplex.make(dims, {
-        k: BitMatrix.from_entries(dims.get(k - 1, 0), dims[k], es)
-        for k, es in entries.items()})
+        k: BitMatrix(dims.get(k - 1, 0), dims[k], tuple(cols))
+        for k, cols in columns.items()})
     by_level: dict[int, list[tuple[int, int]]] = {}
     for (b, i), col0 in offsets.items():
         shift, fc = blocks[b]
@@ -291,7 +292,7 @@ class Hyperresolution:
                     for k in self.levels[i].degrees():
                         lhs = self.face(i - 1, j, k).mul(self.face(i, l, k))
                         rhs = self.face(i - 1, l - 1, k).mul(self.face(i, j, k))
-                        if lhs.row_data != rhs.row_data:
+                        if lhs != rhs:
                             out.append(
                                 f"simplicial identity fails: level {i}, "
                                 f"d_{j} d_{l} != d_{l - 1} d_{j}")

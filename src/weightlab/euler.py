@@ -84,13 +84,15 @@ class CellComplex:
         return cx
 
     def _face_fault(self, c: Cell) -> str:
-        """The message for the first faulty face of c, in face-set order."""
-        for f in self.faces[c]:
-            if f not in self.dims:
-                return f"cell {c} has unknown face {f}"
-            if self.dims[f] >= self.dims[c]:
-                return f"face {f} of {c} does not drop dimension"
-        raise AssertionError(f"cell {c} has no faulty face")
+        """The message for the first faulty face of c: an unknown face,
+        the least by text, else the first face in cell order that does
+        not drop dimension."""
+        unknown = [f for f in self.faces[c] if f not in self._ids]
+        if unknown:
+            return f"cell {c} has unknown face {min(unknown, key=str)}"
+        i = self._ids[c]
+        j = next(j for j in sorted(self._face_ids[i]) if self._dims[j] >= self._dims[i])
+        return f"face {self._cells[j]} of {c} does not drop dimension"
 
     @cached_property
     def dims(self) -> dict[Cell, int]:
@@ -355,11 +357,13 @@ class SimpMap:
         return image
 
     def _first_fault(self) -> str:
-        """The message for the first fault, in assignment order, of a map
-        that :meth:`_image_ids` refused."""
+        """The message for the first fault, in assignment order and then
+        in the cell order of the faces, of a map that :meth:`_image_ids`
+        refused."""
         for c in self.source.dims:
             if c not in self.assignment:
                 return f"map not defined on cell {c}"
+        src = self.source
         for c, d in self.assignment.items():
             if c not in self.source.dims:
                 return f"map assigns cell {c}, which is not in the source"
@@ -367,7 +371,8 @@ class SimpMap:
                 return f"image cell {d} not in target"
             if self.target.dims[d] > self.source.dims[c]:
                 return f"map raises dimension on {c}"
-            for f in self.source.faces[c]:
+            for j in sorted(src._face_ids[src._ids[c]]):
+                f = src._cells[j]
                 img = self.assignment[f]
                 if img != d and img not in self.target.faces[d]:
                     return f"map not face-compatible at {f} < {c}"
@@ -474,13 +479,11 @@ def restrict(c: CellChain, is_open: Callable[[Cell], bool]) -> CellChain:
     is_flagged = flags.__getitem__
     if any(any(map(is_flagged, face_ids))
            for ok, face_ids in zip(flags, cx._face_ids) if not ok):
-        # An open face of a closed cell: name the first, as a scan of
-        # the open cells' cofaces in cell order meets it.
-        for cell, ok in zip(cx._cells, flags):
-            if ok:
-                for tau in cx.cofaces[cell]:
-                    if not flags[cx._ids[tau]]:
-                        raise EulerError(f"predicate is not open at {cell} < {tau}")
+        # An open face of a closed cell: name the first open cell in cell
+        # order, and its first closed coface.
+        i, j = min((i, j) for j, (ok, face_ids) in enumerate(zip(flags, cx._face_ids))
+                   if not ok for i in face_ids if flags[i])
+        raise EulerError(f"predicate is not open at {cx._cells[i]} < {cx._cells[j]}")
     return CellChain(cx, c.k, frozenset(m for m in c.members if flags[cx._ids[m]]))
 
 

@@ -7,12 +7,11 @@ makes every derived object (kernels, images, sums, intersections,
 quotient bases) canonical: equal subspaces have identical
 representations.
 
-Matrix kernels walk set bits, so they cost time in proportion to
-nonzeros: a product XORs rows of the right factor, and ``mul_vec``
-XORs columns taken from a per-matrix column table.  The table is built
-on first use, or with the rows when a matrix is built from the row
-indices of its columns; it is a cache that never changes a result and
-takes no part in equality, hashing or ``repr``.
+A matrix is stored by columns and in no other layout: column j is a
+bit vector of its rows.  Matrix kernels walk set bits, so they cost time
+in proportion to nonzeros: ``mul_vec`` XORs the columns at the set bits
+of its argument, a product applies that to each column of the right
+factor, and ranks, kernels, images and preimages reduce the columns.
 
 Everything here is immutable after construction and safe to share
 between threads.
@@ -21,7 +20,6 @@ between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 
@@ -104,26 +102,27 @@ def reduce_mod(v: int, basis: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class BitMatrix:
-    """Matrix over GF(2); rows stored as bit-packed ints (bit j = column j).
+    """Matrix over GF(2), stored by columns: bit i of ``col_data[j]`` is
+    entry (i, j).
 
-    Acts on column vectors: ``y = m.mul_vec(x)`` has bit i equal to the
-    parity of ``rows[i] & x``.
+    Acts on column vectors: ``y = m.mul_vec(x)`` is the sum of the
+    columns at the set bits of x.
     """
 
     rows: int
     cols: int
-    row_data: tuple[int, ...]
+    col_data: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.row_data) != self.rows:
-            raise DimensionError("row count mismatch")
-        cols = self.cols
-        if any(r >> cols for r in self.row_data):
-            raise DimensionError("row entries out of column range")
+        if len(self.col_data) != self.cols:
+            raise DimensionError("column count mismatch")
+        rows = self.rows
+        if any(c >> rows for c in self.col_data):
+            raise DimensionError("column entries out of row range")
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, (0,) * rows)
+        return cls(rows, cols, (0,) * cols)
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -146,60 +145,36 @@ class BitMatrix:
         cls, rows: int, columns: Sequence[Sequence[int]]
     ) -> "BitMatrix":
         """Build from the row indices of the entries of each column;
-        repeated entries cancel mod 2.  Rows and columns are packed from
-        their indices, with no walk over set bits, and the columns become
-        the column table."""
-        by_row: list[list[int]] = [[] for _ in range(rows)]
+        repeated entries cancel mod 2."""
         for j, col in enumerate(columns):
-            for i in col:
-                if not 0 <= i < rows:
-                    raise DimensionError(f"entry ({i},{j}) out of bounds")
-                by_row[i].append(j)
-        m = cls(rows, len(columns), tuple(map(_pack, by_row)))
-        m.__dict__["_column_table"] = tuple(map(_pack, columns))
-        return m
+            if col and not 0 <= min(col) <= max(col) < rows:
+                i = min(col) if min(col) < 0 else max(col)
+                raise DimensionError(f"entry ({i},{j}) out of bounds")
+        return cls(rows, len(columns), tuple(map(_pack, columns)))
 
     @classmethod
     def from_dense(cls, dense: Sequence[Sequence[int]], cols: int | None = None) -> "BitMatrix":
+        """Build from a list of rows of 0/1 entries."""
         rows = len(dense)
         if cols is None:
             cols = len(dense[0]) if rows else 0
-        return cls(rows, cols, tuple(vec_from_bits(r) for r in dense))
+        return cls.from_entries(rows, cols, [
+            (i, j) for i, row in enumerate(dense) for j, b in enumerate(row) if b & 1])
 
     @classmethod
     def from_columns(cls, rows: int, columns: Sequence[int]) -> "BitMatrix":
-        data = [0] * rows
-        for j, col in enumerate(columns):
-            if col >> rows:
-                raise DimensionError("column entries out of row range")
-            for i in _set_bits(col):
-                data[i] |= 1 << j
-        return cls(rows, len(columns), tuple(data))
+        return cls(rows, len(columns), tuple(columns))
 
     def entry(self, r: int, c: int) -> int:
-        return (self.row_data[r] >> c) & 1
+        return (self.col_data[c] >> r) & 1
 
     def entries(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, row in enumerate(self.row_data) for j in _set_bits(row)]
-
-    @cached_property
-    def _column_table(self) -> tuple[int, ...]:
-        cols = [0] * self.cols
-        for i, row in enumerate(self.row_data):
-            for j in _set_bits(row):
-                cols[j] |= 1 << i
-        return tuple(cols)
-
-    def column(self, j: int) -> int:
-        return self._column_table[j]
-
-    def columns(self) -> list[int]:
-        return list(self._column_table)
+        return [(i, j) for j, col in enumerate(self.col_data) for i in _set_bits(col)]
 
     def mul_vec(self, x: int) -> int:
         if x >> self.cols:
             raise DimensionError("vector entries out of column range")
-        cols = self._column_table
+        cols = self.col_data
         y = 0
         for j in _set_bits(x):
             y ^= cols[j]
@@ -208,38 +183,32 @@ class BitMatrix:
     def mul(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
             raise DimensionError("inner dimensions do not match")
-        # Row i of the product is the sum of other's rows at row i's bits.
-        b = other.row_data
-        out = []
-        for row in self.row_data:
-            acc = 0
-            for k in _set_bits(row):
-                acc ^= b[k]
-            out.append(acc)
-        return BitMatrix(self.rows, other.cols, tuple(out))
+        # Column j of the product is this matrix applied to other's column j.
+        return BitMatrix(self.rows, other.cols, tuple(map(self.mul_vec, other.col_data)))
 
     def add(self, other: "BitMatrix") -> "BitMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch")
         return BitMatrix(
             self.rows, self.cols,
-            tuple(a ^ b for a, b in zip(self.row_data, other.row_data)),
+            tuple(a ^ b for a, b in zip(self.col_data, other.col_data)),
         )
 
     def is_zero(self) -> bool:
-        return all(r == 0 for r in self.row_data)
+        return not any(self.col_data)
 
     def rank(self) -> int:
-        return len(rref(self.row_data))
+        return len(rref(self.col_data))
 
     def inverse(self) -> "BitMatrix":
         if self.rows != self.cols:
             raise DimensionError("inverse of non-square matrix")
         n = self.rows
-        # Eliminate rows while mirroring the operations on an identity block.
+        # Eliminate columns while mirroring the operations on an identity
+        # block: a reduced column e_p = A·c makes c column p of the inverse.
         pairs: dict[int, tuple[int, int]] = {}
-        for i in range(n):
-            v, c = self.row_data[i], 1 << i
+        for j in range(n):
+            v, c = self.col_data[j], 1 << j
             for p, (bv, bc) in pairs.items():
                 if (v >> p) & 1:
                     v ^= bv
@@ -252,8 +221,7 @@ class BitMatrix:
                 if (bv >> p) & 1:
                     pairs[q] = (bv ^ v, bc ^ c)
             pairs[p] = (v, c)
-        inv_rows = [pairs[p][1] for p in range(n)]
-        return BitMatrix(n, n, tuple(inv_rows))
+        return BitMatrix(n, n, tuple(pairs[p][1] for p in range(n)))
 
 
 @dataclass(frozen=True)
@@ -338,9 +306,8 @@ def _kernel_of_columns(cols: Sequence[int]) -> list[int]:
 
 def rank_kernel_image(m: BitMatrix) -> tuple[int, BitSubspace, BitSubspace]:
     """Rank, kernel (in the domain) and image (in the codomain) of m."""
-    cols = m.columns()
-    kernel = BitSubspace.span(m.cols, _kernel_of_columns(cols))
-    image = BitSubspace.span(m.rows, cols)
+    kernel = BitSubspace.span(m.cols, _kernel_of_columns(m.col_data))
+    image = BitSubspace.span(m.rows, m.col_data)
     return image.dim, kernel, image
 
 
@@ -348,7 +315,7 @@ def preimage(m: BitMatrix, target: BitSubspace) -> BitSubspace:
     """The subspace {x : m·x in target} of the domain of m."""
     if m.rows != target.ambient_dim:
         raise DimensionError("target ambient does not match codomain")
-    residues = [target.reduce(m.mul_vec(1 << j)) for j in range(m.cols)]
+    residues = [target.reduce(c) for c in m.col_data]
     return BitSubspace.span(m.cols, _kernel_of_columns(residues))
 
 

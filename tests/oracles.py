@@ -52,7 +52,7 @@ def span_vectors(basis: list[list[int]], width: int | None = None) -> set[tuple[
 
 def matrix_to_dense(m) -> list[list[int]]:
     """BitMatrix -> dense list of rows (test-side convenience)."""
-    return [[(row >> j) & 1 for j in range(m.cols)] for row in m.row_data]
+    return [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
 
 
 def betti_numbers(dims: dict[int, int], boundary_dense: dict[int, list[list[int]]]) -> dict[int, int]:
@@ -253,7 +253,8 @@ def oracle_link(cx, weights) -> dict:
 
 def oracle_map_fault(source, target, assignment) -> str | None:
     """The first fault of a cellwise map, scanning the assignment face by
-    face, or None for a valid map."""
+    face, the faces of a cell in cell order, or None for a valid map."""
+    order = {c: i for i, c in enumerate(source.dims)}
     for c in source.dims:
         if c not in assignment:
             return f"map not defined on cell {c}"
@@ -264,7 +265,7 @@ def oracle_map_fault(source, target, assignment) -> str | None:
             return f"image cell {d} not in target"
         if target.dims[d] > source.dims[c]:
             return f"map raises dimension on {c}"
-        for f in source.faces[c]:
+        for f in sorted(source.faces[c], key=order.__getitem__):
             img = assignment[f]
             if img != d and img not in target.faces[d]:
                 return f"map not face-compatible at {f} < {c}"
@@ -315,10 +316,11 @@ def oracle_product_tables(a, b) -> tuple[dict, dict]:
 
 def oracle_restrict_fault(cx, is_open) -> str | None:
     """The first fault of an openness predicate, scanning the cofaces of
-    each open cell in cell order, or None for an open predicate."""
+    each open cell, both in cell order, or None for an open predicate."""
+    order = {c: i for i, c in enumerate(cx.dims)}
     for cell in cx.dims:
         if is_open(cell):
-            for tau in cx.cofaces[cell]:
+            for tau in sorted(cx.cofaces[cell], key=order.__getitem__):
                 if not is_open(tau):
                     return f"predicate is not open at {cell} < {tau}"
     return None
@@ -390,3 +392,28 @@ def oracle_page_doc(pages, reindexed, infinity, report, profile) -> str:
             for k, by_p in sorted(profile.items())
         },
     }, indent=2, sort_keys=True)
+
+
+def oracle_totalize(blocks, maps) -> tuple[dict, dict]:
+    """The total complex of ``cubical._totalize``'s blocks and maps,
+    assembled entry by entry: (dims, entries) with ``entries[k]`` the set
+    of (row, column) entries of the total boundary of degree k, repeated
+    entries cancelling.  Each piece is read through ``matrix_to_dense``."""
+    dims: dict = {}
+    offsets: dict = {}
+    for b, (shift, fc) in blocks.items():
+        for i in fc.complex.degrees():
+            offsets[(b, i)] = dims.get(i + shift, 0)
+            dims[i + shift] = offsets[(b, i)] + fc.complex.dim(i)
+    pieces = [((b, i), (b, i - 1), blocks[b][1].complex.d(i)) for b, i in offsets]
+    pieces += [((b, i), (c, i), m) for (b, c), by_i in maps.items() for i, m in by_i.items()]
+    entries: dict = {k: set() for k in dims}
+    for src, dst, m in pieces:
+        if src in offsets and dst in offsets:
+            col0, row0 = offsets[src], offsets[dst]
+            total = entries[src[1] + blocks[src[0]][0]]
+            for r, row in enumerate(matrix_to_dense(m)):
+                for c, x in enumerate(row):
+                    if x:
+                        total ^= {(row0 + r, col0 + c)}
+    return dims, entries

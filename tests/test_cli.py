@@ -282,6 +282,26 @@ def test_euler_face_cap_is_read_at_call_time(capsys, monkeypatch):
     assert run(capsys, *argv)[0] == 0
 
 
+def test_complex_document_cap_is_read_at_call_time(capsys, monkeypatch, tmp_path):
+    # P:3 has 40 cells; its emitted document loads at a cap of 40.
+    path = tmp_path / "p3.json"
+    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 40)
+    code, out, _ = run(capsys, "ss", "--standard", "P:3", "--emit-complex", str(path))
+    assert code == 0
+    assert run(capsys, "ss", "--complex", str(path)) == (0, out, "")
+    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 39)
+    code, _, err = run(capsys, "ss", "--complex", str(path))
+    assert code == 3
+    assert "the complex has 40 cells, more than the 39 the build allows" in err
+    # Hyperresolution levels and diagram objects are complex documents too.
+    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 1)
+    for verb, name in [("--hyperres", "hyperres_single.json"),
+                       ("--diagram", "klein_square.json")]:
+        code, _, err = run(capsys, "cubical-ss", verb, str(DATA / name))
+        assert code == 3
+        assert "more than the 1 the build allows" in err and "Traceback" not in err
+
+
 def test_euler_malformed_complex_exit_code(capsys, tmp_path):
     cx_path = tmp_path / "cx.json"
     cx_path.write_text(json.dumps({"simplices": [[]]}))
@@ -456,6 +476,12 @@ def test_wide_level_span_reads_only_occupied_levels(capsys, tmp_path):
      {"simplices": [list(range(40))]},
      f"simplex {tuple(range(40))} has more face incidences in its closure "
      "than the 1048576 the build allows"),
+    # A level's vectors given as a string rather than a list of strings.
+    ("ss --complex", {"dims": {"0": 2}, "filtration": {"-1": {"0": "11"}, "0": {}}},
+     "the vectors of a filtration level must be a list, not '11'"),
+    # Refused before a space of that dimension is allocated.
+    ("ss --complex", {"dims": {"0": 2000000000}},
+     "the complex has 2000000000 cells, more than the 1048576 the build allows"),
 ])
 def test_malformed_documents_exit_3(capsys, tmp_path, verb, doc, message):
     path = tmp_path / "doc.json"

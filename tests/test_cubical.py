@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weightlab.complexes import (
     ChainComplex,
@@ -8,6 +10,7 @@ from weightlab.complexes import (
     canonical_filtration,
     trivial_filtration,
 )
+import weightlab.cubical
 from weightlab.cubical import (
     CubicalDiagram,
     Hyperresolution,
@@ -21,9 +24,11 @@ from weightlab.cubical import (
     skeleton_filtration,
 )
 from weightlab.fixtures import all_hyperres, klein_square
-from weightlab.gf2 import BitMatrix
+from weightlab.gf2 import BitMatrix, rank_kernel_image
 from weightlab.pages import SpectralSequence, decalage_mismatches
 from weightlab.toric import standard_fan, toric_cell_complex
+
+from oracles import matrix_to_dense, oracle_totalize
 
 
 def circle():
@@ -179,3 +184,75 @@ def test_hyperres_doc_round_trip():
     assert len(back.levels) == len(h.levels)
     assert skeleton_filtration(back).complex.betti_numbers() == \
         skeleton_filtration(h).complex.betti_numbers()
+
+
+
+
+def _assert_totalize_matches_oracle(blocks, maps):
+    total = weightlab.cubical._totalize(blocks, maps).complex
+    dims, entries = oracle_totalize(blocks, maps)
+    assert total.dims == dims
+    for k in dims:
+        dense = matrix_to_dense(total.d(k))
+        assert {(r, c) for r, row in enumerate(dense) for c, x in enumerate(row) if x} \
+            == entries[k]
+
+
+def _combination(vectors, pick):
+    out = 0
+    for i, v in enumerate(vectors):
+        if pick >> i & 1:
+            out ^= v
+    return out
+
+
+def _random_matrix(draw, rows, cols, span=None):
+    """A rows x cols matrix whose columns are drawn from the span of
+    ``span``, by default the whole space."""
+    span = [1 << i for i in range(rows)] if span is None else span
+    picks = draw(st.lists(st.integers(0, 2 ** len(span) - 1), min_size=cols, max_size=cols))
+    return BitMatrix(rows, cols, tuple(_combination(span, p) for p in picks))
+
+
+@st.composite
+def square_diagrams(draw):
+    """A diagram of shape 0 or 1: a random complex X in degrees 0..2 at
+    every vertex, and on every edge one chain map g = ∂h + h∂, plus the
+    identity or not, so that every square commutes."""
+    n = [draw(st.integers(1, 3)) for _ in range(3)]
+    d1 = _random_matrix(draw, n[0], n[1])
+    d2 = _random_matrix(draw, n[1], n[2], rank_kernel_image(d1)[1].basis)
+    cx = ChainComplex.make(dict(enumerate(n)), {1: d1, 2: d2})
+    h = {k: _random_matrix(draw, n[k + 1], n[k]) for k in (0, 1)}
+    g, plus_identity = {}, draw(st.booleans())
+    for k in range(3):
+        m = BitMatrix.identity(n[k]) if plus_identity else BitMatrix.zero(n[k], n[k])
+        if k < 2:
+            m = m.add(cx.d(k + 1).mul(h[k]))
+        if k > 0:
+            m = m.add(h[k - 1].mul(cx.d(k)))
+        g[k] = m
+    shape = draw(st.integers(0, 1))
+    vertices = range(1 << (shape + 1))
+    edges = [(s, s ^ 1 << i) for s in vertices for i in range(shape + 1) if s >> i & 1]
+    fc = trivial_filtration(cx)
+    return CubicalDiagram(shape, dict.fromkeys(vertices, fc), dict.fromkeys(edges, g))
+
+
+@given(square_diagrams())
+def test_totalize_matches_the_entry_assembly_on_random_diagrams(d):
+    _assert_totalize_matches_oracle(
+        {s: (s.bit_count() - 1, d.objects[s]) for s in sorted(d.objects)}, d.maps)
+
+
+def test_totalize_matches_the_entry_assembly_on_hyperresolutions(monkeypatch):
+    calls = []
+    totalize = weightlab.cubical._totalize
+    monkeypatch.setattr(weightlab.cubical, "_totalize",
+                        lambda blocks, maps: calls.append((blocks, maps)) or totalize(blocks, maps))
+    for h in all_hyperres().values():
+        skeleton_filtration(h)
+    monkeypatch.undo()
+    assert len(calls) == len(all_hyperres())
+    for blocks, maps in calls:
+        _assert_totalize_matches_oracle(blocks, maps)

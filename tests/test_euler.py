@@ -1,12 +1,17 @@
 import gc
 import itertools
+import os
 import random
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import weightlab
 from weightlab import checks, toric
 from weightlab.euler import (
     CellChain,
@@ -587,3 +592,47 @@ def test_the_cap_counts_every_face_incidence(simplices):
             patch.setattr(toric, "MAX_CELLS", incidences - 1)
             with pytest.raises(EulerError, match="face incidences"):
                 CellComplex.from_simplices(simplices)
+
+
+_FAULTS_IN_A_CHILD = """
+from weightlab.euler import (
+    CellChain, CellComplex, EulerError, SimpMap, restrict, simplex_cell as s)
+
+triangle = CellComplex.from_simplices([((0, 1, 2), 0)])
+target = CellComplex.from_simplices([((0, 1), 0), ((2,), 0), ((3,), 0)])
+to_vertex = {0: s((2,)), 1: s((3,)), 2: s((2,))}
+assignment = {c: to_vertex[c[1][0]] if len(c[1]) == 1 else s((0, 1)) for c in triangle.dims}
+a, b, c, e = s((0,)), s((0, 1)), s((1,)), s((2,))
+builds = [
+    lambda: SimpMap(triangle, target, assignment),
+    lambda: restrict(CellChain(triangle, 0, frozenset()), {s((0,))}.__contains__),
+    lambda: CellComplex({a: 0, b: 1}, {b: frozenset({a, s((8,)), s((9,))})}),
+    lambda: CellComplex({a: 0, c: 0, e: 0}, {a: frozenset({c, e})}),
+]
+for build in builds:
+    try:
+        build()
+    except EulerError as exc:
+        print(exc)
+"""
+
+
+def test_euler_faults_do_not_depend_on_the_hash_seed():
+    # Cells hold strings, so frozensets of cells iterate in an order
+    # that changes with the process's hash seed; a fault is named by
+    # cell order instead.
+    src = str(Path(weightlab.__file__).resolve().parents[1])
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", _FAULTS_IN_A_CHILD], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)},
+        ).stdout
+        for seed in range(8)
+    }
+    assert len(outputs) == 1
+    assert outputs.pop().splitlines() == [
+        "map not face-compatible at ('s', (0,), 0) < ('s', (0, 1, 2), 0)",
+        "predicate is not open at ('s', (0,), 0) < ('s', (0, 1, 2), 0)",
+        "cell ('s', (0, 1), 0) has unknown face ('s', (8,), 0)",
+        "face ('s', (1,), 0) of ('s', (0,), 0) does not drop dimension",
+    ]

@@ -74,8 +74,8 @@ def test_reduce_mod():
 def bit_matrices(draw, max_dim=6):
     r = draw(st.integers(0, max_dim))
     c = draw(st.integers(0, max_dim))
-    rows = draw(st.lists(st.integers(0, 2**c - 1), min_size=r, max_size=r))
-    return BitMatrix(r, c, tuple(rows))
+    columns = draw(st.lists(st.integers(0, 2**r - 1), min_size=c, max_size=c))
+    return BitMatrix(r, c, tuple(columns))
 
 
 @given(bit_matrices())
@@ -103,15 +103,13 @@ def test_mul_matches_dense(a, b):
 def test_column_kernels_match_dense(m, data):
     dense = matrix_to_dense(m)
     cols = [sum(dense[i][j] << i for i in range(m.rows)) for j in range(m.cols)]
-    twin = BitMatrix(m.rows, m.cols, m.row_data)
-    assert m.columns() == cols  # only m builds its column table
-    assert m == twin and hash(m) == hash(twin) and repr(m) == repr(twin)
-    assert [m.column(j) for j in range(m.cols)] == cols
+    assert list(m.col_data) == cols
     assert BitMatrix.from_columns(m.rows, cols) == m
+    assert BitMatrix.from_dense(dense, m.cols) == m
     x = data.draw(st.integers(0, 2**m.cols - 1))
     want = [sum(dense[i][j] * ((x >> j) & 1) for j in range(m.cols)) % 2
             for i in range(m.rows)]
-    assert m.mul_vec(x) == twin.mul_vec(x) == vec_from_bits(want)
+    assert m.mul_vec(x) == vec_from_bits(want)
     for bad in (1 << m.cols, -1):
         with pytest.raises(DimensionError):
             m.mul_vec(bad)
@@ -121,8 +119,6 @@ def test_column_kernels_match_dense(m, data):
 
 @given(st.integers(0, 6), st.integers(0, 6), st.data())
 def test_entries_with_repeats_cancel(rows, cols, data):
-    # Built from indices, rows and columns are packed separately; the
-    # seeded column table must equal the one walked from the rows.
     entries = data.draw(st.lists(st.tuples(
         st.integers(0, max(rows - 1, 0)), st.integers(0, max(cols - 1, 0))),
         max_size=12)) if rows and cols else []
@@ -131,22 +127,38 @@ def test_entries_with_repeats_cancel(rows, cols, data):
         dense[r][c] ^= 1
     m = BitMatrix.from_entries(rows, cols, entries)
     by_col = [[r for r, c in entries if c == j] for j in range(cols)]
-    for built in (m, BitMatrix.from_column_indices(rows, by_col)):
-        assert matrix_to_dense(built) == dense
-        assert built.columns() == BitMatrix(rows, cols, built.row_data).columns()
+    assert BitMatrix.from_column_indices(rows, by_col) == m
+    assert matrix_to_dense(m) == dense
+    assert sorted(m.entries()) == [
+        (r, c) for r in range(rows) for c in range(cols) if dense[r][c]]
     if rows and cols:
-        with pytest.raises(DimensionError):
-            BitMatrix.from_column_indices(rows, by_col[:-1] + [[rows]])
+        for bad in (rows, -1):
+            with pytest.raises(DimensionError, match=rf"entry \({bad},{cols - 1}\)"):
+                BitMatrix.from_column_indices(rows, by_col[:-1] + [[0, bad]])
 
 
 def test_inverse():
     m = BitMatrix.from_dense([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     inv = m.inverse()
-    assert m.mul(inv).row_data == BitMatrix.identity(3).row_data
-    assert inv.mul(m).row_data == BitMatrix.identity(3).row_data
+    assert m.mul(inv) == BitMatrix.identity(3)
+    assert inv.mul(m) == BitMatrix.identity(3)
     singular = BitMatrix.from_dense([[1, 1], [1, 1]])
     with pytest.raises(ValueError):
         singular.inverse()
+
+
+@given(st.integers(0, 5), st.data())
+def test_inverse_matches_dense(n, data):
+    m = BitMatrix(n, n, tuple(data.draw(
+        st.lists(st.integers(0, 2**n - 1), min_size=n, max_size=n))))
+    dense = matrix_to_dense(m)
+    if dense_rank(dense) < n:
+        with pytest.raises(DimensionError):
+            m.inverse()
+        return
+    inv = matrix_to_dense(m.inverse())
+    assert [[sum(dense[i][k] * inv[k][j] for k in range(n)) % 2 for j in range(n)]
+            for i in range(n)] == [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 @given(bit_matrices())
@@ -157,7 +169,7 @@ def test_rank_kernel_image(m):
     for v in ker.basis:
         assert m.mul_vec(v) == 0
     for j in range(m.cols):
-        assert img.contains(m.column(j))
+        assert img.contains(m.col_data[j])
 
 
 @given(vectors6, vectors6)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weightlab.gf2
 import weightlab.lattice
 from weightlab.fixtures import corpus_fan, fan_corpus, product_pairs, smooth_complete_corpus
 from weightlab.pages import SpectralSequence, virtual_poincare
@@ -255,7 +256,7 @@ def test_orbit_map_path_independence():
         rays = [t for t in fan.cone(top).faces if fan.codim(t) == 1]
         assert len(rays) == 2
         composites = [
-            orbit_map(fan, ray, top).mul(orbit_map(fan, "0", ray)).row_data
+            orbit_map(fan, ray, top).mul(orbit_map(fan, "0", ray))
             for ray in rays
         ]
         assert composites[0] == composites[1]
@@ -433,7 +434,7 @@ def test_augmentation_boundary_conjugates_to_the_cell_boundary(name):
             continue
         d_aug, d_cell = aug.d(k), cells.d(k)
         for j in range(aug.dim(k)):
-            assert tcc.cell_vector(k - 1, d_aug.column(j)) == \
+            assert tcc.cell_vector(k - 1, d_aug.col_data[j]) == \
                 d_cell.mul_vec(tcc.cell_vector(k, 1 << j)), (k, j)
 
 
@@ -457,6 +458,23 @@ def test_cell_basis_complex_is_built_once():
     assert tcc.complex is tcc.complex
     assert tcc.cell_filtered is tcc.cell_filtered
     assert tcc.cell_filtered.complex is tcc.complex
+
+
+def test_boundary_columns_are_packed_once(monkeypatch):
+    # One bit vector per column and no second layout: each boundary
+    # column is packed once, and a matrix keeps its three fields after
+    # validation, the spectral sequence and the cell-basis build read it.
+    packed = []
+    pack = weightlab.gf2._pack
+    monkeypatch.setattr(weightlab.gf2, "_pack", lambda col: packed.append(col) or pack(col))
+    tcc = toric_cell_complex(standard_fan("P", 5))
+    augmentation = tcc.filtered.complex.boundary.values()
+    assert len(packed) == sum(m.cols for m in augmentation)
+    SpectralSequence(tcc.filtered).page(1)
+    cells = tcc.complex.boundary.values()
+    assert len(packed) == sum(m.cols for m in [*augmentation, *cells])
+    for m in [*augmentation, *cells]:
+        assert vars(m).keys() == {"rows", "cols", "col_data"}
 
 
 def _fan_problems(n, rays, cones):
