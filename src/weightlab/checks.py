@@ -54,6 +54,7 @@ from .pages import (
 from .toric import (
     Fan,
     ToricCellComplex,
+    _level_order,
     _orbit_map,
     orbit_sum_poly,
     standard_fan,
@@ -159,16 +160,21 @@ def coset_indicators(tcc: ToricCellComplex, cid: str, q: int) -> list[int]:
 
 
 def check_filtration_binomials(corpus: ToricCorpus | None = None) -> CheckResult:
-    """The toric filtration, written in the cell basis, is spanned by
-    coset indicators, and its per-cone quotient dimensions are binomial."""
+    """The toric filtration is spanned by coset indicators, both as the
+    levels of ``filtered`` written in the cell basis and as the levels of
+    ``cell_filtered``, and its per-cone quotient dimensions are binomial."""
     corpus = corpus or ToricCorpus()
     bad = []
     for name, fan in corpus.fans.items():
         tcc = corpus.complex(name)
-        cells = tcc.cell_filtered
-        for k in cells.complex.degrees():
-            n = cells.complex.dim(k)
+        fc, cells = tcc.filtered, tcc.cell_filtered
+        for k in fc.complex.degrees():
+            n = fc.complex.dim(k)
             cids = [cid for cid in fan.cone_ids() if fan.codim(cid) == k]
+            # The build's coordinates in the cells: a_S of the c-th cone,
+            # at block position b = c·2^k + S, is the sum of its cells t ⊆ S.
+            aug = [sum(1 << tcc.cell_index(cids[b >> k], t) for t in range(1 << k) if t & b == t)
+                   for b in _level_order(k, len(cids))]
             prev = dict.fromkeys(cids, 0)
             for q in range(k, -1, -1):
                 by_cone = {cid: coset_indicators(tcc, cid, q) for cid in cids}
@@ -178,8 +184,10 @@ def check_filtration_binomials(corpus: ToricCorpus | None = None) -> CheckResult
                         bad.append(f"{name}/{cid} q={q}: {dim - prev[cid]} != C({k},{q})")
                     prev[cid] = dim
                 span = BitSubspace.span(n, [v for vecs in by_cone.values() for v in vecs])
+                if span != BitSubspace.span(n, aug[:fc.level(-q, k).dim]):
+                    bad.append(f"{name} degree {k}: augmentation level {-q} is not the coset span")
                 if span != cells.level(-q, k):
-                    bad.append(f"{name} degree {k}: level {-q} is not the coset span")
+                    bad.append(f"{name} degree {k}: cell level {-q} is not the coset span")
     return _result("toric filtration quotients are binomial", not bad, "; ".join(bad))
 
 
@@ -453,9 +461,17 @@ def check_hyperres_convergence() -> CheckResult:
 # ---------------------------------------------------------------------------
 # euler suite
 
+# What the randomized checks draw: the most vertices of a random complex,
+# and each check's case count and seed.
+MAX_VERTICES = 6
+LINK_PAIRS, LINK_SEED = 1000, 20240817
+BOUNDARY_CHAINS, BOUNDARY_SEED = 200, 9
+FOLD_MAX_K = 4
+FUBINI_CASES, FUBINI_SEED = 200, 31
 
-def random_simplicial_complex(rng: random.Random, max_vertices: int = 6) -> CellComplex:
-    n = rng.randint(1, max_vertices)
+
+def random_simplicial_complex(rng: random.Random) -> CellComplex:
+    n = rng.randint(1, MAX_VERTICES)
     vertices = list(range(n))
     simplices = [(v,) for v in vertices]
     for _ in range(rng.randint(0, 8)):
@@ -469,9 +485,9 @@ def random_function(rng: random.Random, cx: CellComplex) -> ConstructibleFunctio
     return ConstructibleFunction(cx, weights)
 
 
-def check_link_idempotence(pairs: int = 1000, seed: int = 20240817) -> CheckResult:
-    rng = random.Random(seed)
-    for i in range(pairs):
+def check_link_idempotence() -> CheckResult:
+    rng = random.Random(LINK_SEED)
+    for i in range(LINK_PAIRS):
         cx = random_simplicial_complex(rng)
         phi = random_function(rng, cx)
         lam = link(phi)
@@ -482,9 +498,9 @@ def check_link_idempotence(pairs: int = 1000, seed: int = 20240817) -> CheckResu
     return _result("link operator satisfies L(L) = 2L", True)
 
 
-def check_boundary_oracle(chains: int = 200, seed: int = 9) -> CheckResult:
-    rng = random.Random(seed)
-    for i in range(chains):
+def check_boundary_oracle() -> CheckResult:
+    rng = random.Random(BOUNDARY_SEED)
+    for i in range(BOUNDARY_CHAINS):
         cx = random_simplicial_complex(rng)
         top = cx.top_dim()
         if top < 1:
@@ -511,14 +527,14 @@ def check_boundary_oracle(chains: int = 200, seed: int = 9) -> CheckResult:
     return _result("parity boundary matches the incidence oracle", True)
 
 
-def check_fold_pushforward(max_k: int = 4) -> CheckResult:
+def check_fold_pushforward() -> CheckResult:
     fold = fold_map()
     # On fold's own circle, so that all 2^k maps of each k share one
     # (memoized) product complex circle^k.
     ident = SimpMap.identity(fold.source)
     edge0 = simplex_cell((0, 1), 0)
     bad = []
-    for k in range(1, max_k + 1):
+    for k in range(1, FOLD_MAX_K + 1):
         for s_set in itertools.chain.from_iterable(
                 itertools.combinations(range(k), q) for q in range(k + 1)):
             s = set(s_set)
@@ -549,12 +565,12 @@ def _product_coords(cell, k: int) -> list:
     return list(reversed(coords))
 
 
-def check_euler_fubini(count: int = 200, seed: int = 31) -> CheckResult:
-    rng = random.Random(seed)
+def check_euler_fubini() -> CheckResult:
+    rng = random.Random(FUBINI_SEED)
     circle = circle_complex()
     maps = [fold_map(), SimpMap.identity(circle),
             SimpMap.product(fold_map(), fold_map())]
-    for i in range(count):
+    for i in range(FUBINI_CASES):
         f = maps[i % len(maps)]
         phi = random_function(rng, f.source)
         if euler_integral(pushforward_cf(f, phi)) != euler_integral(phi):

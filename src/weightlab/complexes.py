@@ -20,6 +20,12 @@ nested level subspaces, as in documents, goes through
 :meth:`FilteredComplex.from_subspaces`, which also checks that it is
 monotone and exhaustive.
 
+Block complexes have one totalization, :func:`totalize`: blocks placed
+at degree shifts and joined by maps between them, the boundary each
+block's own plus its maps out, the adapted bases side by side.  The
+simple complex of a cubical diagram, the skeleton filtration of a
+hyperresolution and the cell-basis toric complex are all built by it.
+
 Degrees may run over any finite integer range; filtration levels
 likewise.  Outside the stored ranges everything is zero.
 """
@@ -29,7 +35,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Hashable, Mapping
 
 from .gf2 import (
     BitMatrix,
@@ -315,6 +321,51 @@ def _unit_basis(n: int) -> tuple[int, ...]:
     return tuple(1 << i for i in range(n))
 
 
+def totalize(
+    blocks: Mapping[Hashable, tuple[int, FilteredComplex]],
+    maps: Mapping[tuple[Hashable, Hashable], Mapping[int, BitMatrix]],
+) -> FilteredComplex:
+    """The total filtered complex of blocks joined by maps.
+
+    ``blocks[b] = (shift, fc)`` places degree i of fc in total degree
+    i + shift, blocks in order; ``maps[(b, c)][i]`` maps degree i of block
+    b to degree i of block c, whose shift is one lower.  The boundary is
+    each block's own plus every map out of it, and the adapted bases of
+    the blocks, side by side and sorted by level, filter the total.
+    """
+    dims: dict[int, int] = {}
+    offsets: dict[tuple[Hashable, int], int] = {}  # (block, i) -> first index
+    for b, (shift, fc) in blocks.items():
+        for i in fc.complex.degrees():
+            offsets[(b, i)] = dims.get(i + shift, 0)
+            dims[i + shift] = offsets[(b, i)] + fc.complex.dim(i)
+    pieces = [((b, i), (b, i - 1), blocks[b][1].complex.d(i)) for b, i in offsets]
+    pieces += [((b, i), (c, i), m) for (b, c), by_i in maps.items() for i, m in by_i.items()]
+    columns = {k: [0] * n for k, n in dims.items()}
+    for src, dst, m in pieces:
+        if src in offsets and dst in offsets:
+            col0, row0 = offsets[src], offsets[dst]
+            total_columns = columns[src[1] + blocks[src[0]][0]]
+            for j, c in enumerate(m.col_data, col0):
+                total_columns[j] ^= c << row0
+    total = ChainComplex.make(dims, {
+        k: BitMatrix(dims.get(k - 1, 0), dims[k], tuple(cols))
+        for k, cols in columns.items()})
+    by_level: dict[int, list[tuple[int, int]]] = {}
+    for (b, i), col0 in offsets.items():
+        shift, fc = blocks[b]
+        by_level.setdefault(i + shift, []).extend(
+            (p, v << col0) for v, p in zip(fc.vectors(i), fc.levels[i]))
+    basis, levels = {}, {}
+    for k, pairs in by_level.items():
+        pairs.sort(key=lambda pv: pv[0])
+        levels[k] = tuple(p for p, _ in pairs)
+        basis[k] = tuple(v for _, v in pairs)
+    p_range = (min((fc.p_range[0] for _, fc in blocks.values()), default=0),
+               max((fc.p_range[1] for _, fc in blocks.values()), default=-1))
+    return FilteredComplex(total, p_range, basis, levels)
+
+
 def canonical_filtration(complex_: ChainComplex) -> FilteredComplex:
     """The filtration whose first page carries homology on q = -2p.
 
@@ -375,8 +426,8 @@ def complex_to_doc(cx: ChainComplex) -> dict:
         "degree_range": list(cx.degree_range),
         "dims": {str(k): cx.dim(k) for k in ks},
         "boundary": {
-            str(k): sorted(map(list, cx.d(k).entries()))
-            for k in ks if cx.d(k).entries()
+            str(k): sorted(map(list, entries))
+            for k in ks if (entries := cx.d(k).entries())
         },
     }
 

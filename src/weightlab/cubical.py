@@ -27,6 +27,7 @@ from .complexes import (
     complex_to_doc,
     filtered_from_doc,
     filtered_to_doc,
+    totalize,
     trivial_filtration,
 )
 from .gf2 import BitMatrix, json_int
@@ -173,53 +174,8 @@ def simple_filtered(d: CubicalDiagram) -> FilteredComplex:
     diagram map between blocks; the filtration is the blockwise direct
     sum of the object filtrations.
     """
-    return _totalize(
+    return totalize(
         {s: (s.bit_count() - 1, d.objects[s]) for s in sorted(d.objects)}, d.maps)
-
-
-def _totalize(
-    blocks: Mapping[int, tuple[int, FilteredComplex]],
-    maps: Mapping[tuple[int, int], DegreeMaps],
-) -> FilteredComplex:
-    """The total filtered complex of blocks joined by maps.
-
-    ``blocks[b] = (shift, fc)`` places degree i of fc in total degree
-    i + shift, blocks in order; ``maps[(b, c)][i]`` maps degree i of block
-    b to degree i of block c, whose shift is one lower.  The boundary is
-    each block's own plus every map out of it, and the adapted bases of
-    the blocks, side by side and sorted by level, filter the total.
-    """
-    dims: dict[int, int] = {}
-    offsets: dict[tuple[int, int], int] = {}  # (block, i) -> first index
-    for b, (shift, fc) in blocks.items():
-        for i in fc.complex.degrees():
-            offsets[(b, i)] = dims.get(i + shift, 0)
-            dims[i + shift] = offsets[(b, i)] + fc.complex.dim(i)
-    pieces = [((b, i), (b, i - 1), blocks[b][1].complex.d(i)) for b, i in offsets]
-    pieces += [((b, i), (c, i), m) for (b, c), by_i in maps.items() for i, m in by_i.items()]
-    columns = {k: [0] * n for k, n in dims.items()}
-    for src, dst, m in pieces:
-        if src in offsets and dst in offsets:
-            col0, row0 = offsets[src], offsets[dst]
-            total_columns = columns[src[1] + blocks[src[0]][0]]
-            for j, c in enumerate(m.col_data, col0):
-                total_columns[j] ^= c << row0
-    total = ChainComplex.make(dims, {
-        k: BitMatrix(dims.get(k - 1, 0), dims[k], tuple(cols))
-        for k, cols in columns.items()})
-    by_level: dict[int, list[tuple[int, int]]] = {}
-    for (b, i), col0 in offsets.items():
-        shift, fc = blocks[b]
-        by_level.setdefault(i + shift, []).extend(
-            (p, v << col0) for v, p in zip(fc.vectors(i), fc.levels[i]))
-    basis, levels = {}, {}
-    for k, pairs in by_level.items():
-        pairs.sort(key=lambda pv: pv[0])
-        levels[k] = tuple(p for p, _ in pairs)
-        basis[k] = tuple(v for _, v in pairs)
-    p_range = (min((fc.p_range[0] for _, fc in blocks.values()), default=0),
-               max((fc.p_range[1] for _, fc in blocks.values()), default=-1))
-    return FilteredComplex(total, p_range, basis, levels)
 
 
 def is_acyclic(ss: SpectralSequence) -> bool:
@@ -314,7 +270,7 @@ def skeleton_filtration(h: Hyperresolution) -> FilteredComplex:
         }
         for i, cx in enumerate(h.levels) if i
     }
-    return _totalize(
+    return totalize(
         {i: (i, trivial_filtration(cx, i)) for i, cx in enumerate(h.levels)}, face_sums)
 
 

@@ -235,10 +235,19 @@ def parse_fan(doc: Mapping) -> Fan:
 
     spans = Saturations(rays, n)
 
+    # A generated id never takes an id declared for other rays.
+    rays_of = {str(cid): idx for cid, idx, _ in raw_cones if cid is not None}
+
+    def generated_id(idx: frozenset[int]) -> str:
+        cid = _subset_id(idx)
+        while rays_of.get(cid, idx) != idx:
+            cid += "'"
+        return cid
+
     # (id, ray indices) of the zero cone, the declared cones and, in
     # simplicial mode, the faces generated for them.
     ids = [(ZERO_ID, frozenset())]
-    ids += [(_subset_id(idx) if cid is None else str(cid), idx) for cid, idx, _ in raw_cones]
+    ids += [(generated_id(idx) if cid is None else str(cid), idx) for cid, idx, _ in raw_cones]
     cones: dict[str, Cone] = {}
     if simplicial:
         by_rayset: dict[frozenset[int], str] = {frozenset(): ZERO_ID}
@@ -261,7 +270,8 @@ def parse_fan(doc: Mapping) -> Fan:
             facets[idx] = [idx - {i} for i in idx]
             todo.extend(facets[idx])
         for idx in facets:
-            by_rayset[idx] = declared.get(idx, _subset_id(idx)) if idx else ZERO_ID
+            if idx:
+                by_rayset[idx] = declared[idx] if idx in declared else generated_id(idx)
         ids += [(cid, idx) for idx, cid in by_rayset.items()]
         # A face set is the union over the facets of each facet and its
         # faces; by increasing size, the facets' sets are done first.

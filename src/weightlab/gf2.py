@@ -43,7 +43,10 @@ def vec_from_string(s: str) -> int:
 
 
 def vec_to_string(v: int, width: int) -> str:
-    return "".join("1" if (v >> i) & 1 else "0" for i in range(width))
+    """The little-endian 0/1 string of the first ``width`` coordinates of
+    v: the binary digits of v, padded to ``width``, last ``width`` read
+    backwards."""
+    return format(v, f"0{width}b")[:-width - 1:-1]
 
 
 def json_int(value, what: str, error: type[ValueError] = ValueError) -> int:

@@ -27,10 +27,13 @@ order, so the filtered complex's adapted basis is the unit basis: the
 persistence reduction and the filtration check read the boundary's
 columns as they are.
 
-The cell basis is built only on request (:class:`ToricCellComplex`):
-its boundary straight from the orbit maps, and the filtration by the
-block zeta transform a_S = Σ_{t ⊆ S} x^t, k shift-and-XOR steps per
-vector (O(k·2^k) per cone), which is its own inverse over F_2.
+The cell basis is built only on request (:class:`ToricCellComplex`),
+as the total complex (:func:`weightlab.complexes.totalize`) of one block
+per cone, the group algebra F_2[T_sigma] with its cells as coordinates
+in degree codim(sigma), joined by the orbit maps of the covers.  A
+block's adapted basis needs no elimination: b_S = Σ_{t ⊇ S} x^t =
+x^S·a_{S^c}, the indicator of the coset S + <e_i : i ∉ S>, has lowest
+cell S and level |S| - k.
 
 Fans themselves live in :mod:`weightlab.fan`; their names are
 re-exported here.
@@ -38,14 +41,13 @@ re-exported here.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from typing import Mapping
 
-from .complexes import ChainComplex, FilteredComplex
+from .complexes import ChainComplex, FilteredComplex, totalize
 from .fan import (  # re-exported: callers read fans from this module too
     ZERO_ID,
     Cone,
@@ -142,12 +144,10 @@ def _level_order(k: int, m: int) -> list[int]:
     return [c << k | s for w in range(k, -1, -1) for c in range(m) for s in by_size[w]]
 
 
-def _bit_masks(k: int, m: int, bit: int) -> list[int]:
-    """For each generator i < k, the block positions of m blocks of 2^k
-    whose subset has bit i equal to ``bit``."""
-    repeat = sum(1 << (c << k) for c in range(m))
-    return [sum(1 << t for t in range(1 << k) if (t >> i) & 1 == bit) * repeat
-            for i in range(k)]
+def _bit_masks(k: int) -> list[int]:
+    """For each generator i < k, the positions of one block of 2^k whose
+    subset does not hold i."""
+    return [sum(1 << t for t in range(1 << k) if not t >> i & 1) for i in range(k)]
 
 
 def _times_image(v: int, c: int, without: list[int]) -> int:
@@ -165,87 +165,71 @@ def _times_image(v: int, c: int, without: list[int]) -> int:
     return w ^ v
 
 
+def _cell_block(k: int) -> FilteredComplex:
+    """The group algebra F_2[T] of a cone of codimension k in the cell
+    basis, cell g at position g, in degree 0, with the adapted basis
+    b_S = Σ_{t ⊇ S} x^t = x^S·a_{S^c}: the indicator of the coset
+    S + <e_i : i ∉ S>, whose lowest cell is S and whose level is |S| - k.
+    """
+    a = [1]  # a[T] = Σ_{u ⊆ T} x^u, doubled once per generator of T
+    for t in range(1, 1 << k):
+        low = t & -t
+        a.append(a[t ^ low] | a[t ^ low] << low)
+    order = sorted(range(1 << k), key=int.bit_count)
+    full = (1 << k) - 1
+    return FilteredComplex(
+        ChainComplex.make({0: 1 << k}), (-k, 0),
+        {0: tuple(a[full ^ s] << s for s in order)},
+        {0: tuple(s.bit_count() - k for s in order)})
+
+
 @dataclass(frozen=True)
 class ToricCellComplex:
     """The toric cell complex of a fan with its filtration.
 
     ``filtered`` is the complex written in the augmentation basis (see the
     module docstring), its coordinates in level order, so that its adapted
-    basis is the unit basis.  ``complex`` is the same complex in the cell
-    basis, the cells of cone sigma at ``offsets[sigma]`` onwards in their
-    degree, and ``cell_filtered`` the filtration written in the cell
-    basis; both are built on first use.
+    basis is the unit basis.  ``cell_filtered`` is the same filtered
+    complex in the cell basis, built on first use as the total complex of
+    one group-algebra block per cone (:func:`_cell_block`) joined by the
+    orbit maps of the covers; ``complex`` is its chain complex, the cells
+    of cone sigma at ``offsets[sigma]`` onwards in their degree.
     """
 
     fan: Fan
     groups: Mapping[str, OrbitGroup]
     offsets: Mapping[str, int]
     filtered: FilteredComplex
-    _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def cell_index(self, cid: str, g: int) -> int:
         return self.offsets[cid] + g
 
-    @cached_property
+    @property
     def complex(self) -> ChainComplex:
-        """The cell-basis complex: a cell (sigma, g) goes to the cells
-        (tau, phi(g)) of the cones tau covering sigma, phi the quotient
-        map T_sigma -> T_tau."""
-        f, dims = self.fan, self.filtered.complex.dims
-        boundary: dict[int, BitMatrix] = {}
-        for k in dims:
-            if k - 1 not in dims:
-                continue
-            columns: list[list[int]] = [[] for _ in range(dims[k])]
-            for sigma in f.cone_ids():
-                if f.codim(sigma) != k:
-                    continue
-                for tau in f.covers(sigma):
-                    images = [0]  # phi(g) for g < 2^i, doubled once per generator i
-                    for gen in _cover_images(self.groups[sigma], self.groups[tau]):
-                        images += [h ^ gen for h in images]
-                    col0, row0 = self.offsets[sigma], self.offsets[tau]
-                    for g, h in enumerate(images):
-                        columns[col0 + g].append(row0 + h)
-            boundary[k] = BitMatrix.from_column_indices(dims[k - 1], columns)
-        return ChainComplex.make(dims, boundary)
-
-    def cell_vector(self, k: int, v: int) -> int:
-        """The degree-k vector v of ``filtered`` written in the cell basis.
-
-        Each coordinate goes to its block position, then the block zeta
-        transform expands a_S into the sum of the cells x^t, t ⊆ S: for
-        each generator i, the coordinates whose subset holds i add into
-        the ones without it.  That is k wide operations per vector.
-        """
-        layout = self._layouts.get(k)
-        if layout is None:
-            m = self.filtered.complex.dim(k) >> k
-            layout = self._layouts[k] = (_level_order(k, m), _bit_masks(k, m, 1))
-        order, holding = layout
-        x = 0
-        while v:
-            low = v & -v
-            x |= 1 << order[low.bit_length() - 1]
-            v ^= low
-        for i, mask in enumerate(holding):
-            x ^= (x & mask) >> (1 << i)
-        return x
+        return self.cell_filtered.complex
 
     @cached_property
     def cell_filtered(self) -> FilteredComplex:
-        """The toric filtration on the cell-basis complex: F_p is spanned
-        by the cell vectors of the monomials of level <= p."""
-        fc = self.filtered
-        p_min, p_max = fc.p_range
-        levels: dict[int, dict[int, BitSubspace]] = {}
-        for k in fc.complex.degrees():
-            n = fc.complex.dim(k)
-            vectors = [self.cell_vector(k, 1 << j) for j in range(n)]
-            for p in range(p_min, p_max + 1):
-                levels.setdefault(p, {})[k] = BitSubspace.span(
-                    n, vectors[:bisect_right(fc.levels[k], p)])
-        return FilteredComplex.from_subspaces(self.complex, levels)
+        """A cell (sigma, g) goes to the cells (tau, phi(g)) of the cones
+        tau covering sigma, phi the quotient map T_sigma -> T_tau; the
+        cones of one codimension share their block."""
+        f = self.fan
+        # totalize places the blocks of a degree in cone_ids() order, the
+        # order ``offsets`` numbers the cones of each codimension in.
+        cell_blocks: dict[int, FilteredComplex] = {}
+        blocks, maps = {}, {}
+        for sigma in f.cone_ids():
+            k = f.codim(sigma)
+            if k not in cell_blocks:
+                cell_blocks[k] = _cell_block(k)
+            blocks[sigma] = (k, cell_blocks[k])
+            for tau in f.covers(sigma):
+                images = [0]  # phi(g) for g < 2^i, doubled once per generator i
+                for gen in _cover_images(self.groups[sigma], self.groups[tau]):
+                    images += [h ^ gen for h in images]
+                maps[(sigma, tau)] = {0: BitMatrix.from_columns(
+                    1 << (k - 1), [1 << h for h in images])}
+        return totalize(blocks, maps)
 
 
 def cell_counts(f: Fan) -> dict[int, int]:
@@ -284,7 +268,7 @@ def toric_cell_complex(f: Fan) -> ToricCellComplex:
         if k - 1 not in by_codim:
             continue
         rows_at, cols_at = position[k - 1], position[k]
-        without = _bit_masks(k - 1, 1, 0)
+        without = _bit_masks(k - 1)
         columns: list[list[int]] = [[] for _ in range(dims[k])]
         for sigma in cids:
             col0 = offsets[sigma]

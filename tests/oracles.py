@@ -395,7 +395,7 @@ def oracle_page_doc(pages, reindexed, infinity, report, profile) -> str:
 
 
 def oracle_totalize(blocks, maps) -> tuple[dict, dict]:
-    """The total complex of ``cubical._totalize``'s blocks and maps,
+    """The total complex of ``complexes.totalize``'s blocks and maps,
     assembled entry by entry: (dims, entries) with ``entries[k]`` the set
     of (row, column) entries of the total boundary of degree k, repeated
     entries cancelling.  Each piece is read through ``matrix_to_dense``."""
@@ -417,3 +417,23 @@ def oracle_totalize(blocks, maps) -> tuple[dict, dict]:
                     if x:
                         total ^= {(row0 + r, col0 + c)}
     return dims, entries
+
+
+def augmentation_to_cells(order: Sequence[int], k: int, v: int) -> int:
+    """A degree-k vector of the toric augmentation basis written in the
+    cell basis.  Coordinate j is the monomial a_S of the cone block at
+    position ``order[j]`` = c·2^k + S, and a_S = Σ_{t ⊆ S} x^t is the sum
+    of the cells c·2^k + t."""
+    out = 0
+    for j, position in enumerate(order):
+        if v >> j & 1:
+            block, s = position >> k << k, position & ((1 << k) - 1)
+            for t in range(1 << k):
+                if t & s == t:
+                    out ^= 1 << (block + t)
+    return out
+
+
+def vec_to_string(v: int, width: int) -> str:
+    """``gf2.vec_to_string`` as first written: one shift per coordinate."""
+    return "".join("1" if (v >> i) & 1 else "0" for i in range(width))

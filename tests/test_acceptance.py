@@ -46,6 +46,7 @@ from weightlab.pages import (
     virtual_poincare,
 )
 from weightlab.toric import (
+    _level_order,
     orbit_group,
     orbit_sum_poly,
     parse_fan,
@@ -54,7 +55,7 @@ from weightlab.toric import (
     toric_cell_complex,
 )
 
-from oracles import betti_numbers, matrix_to_dense
+from oracles import augmentation_to_cells, betti_numbers, matrix_to_dense
 
 
 @contextmanager
@@ -76,6 +77,9 @@ def test_criterion_01_binomial_filtration_dims():
                 hi = fc.level(-q, k).dim
                 assert hi - lo == comb(k, q), (k, q)
                 cosets = BitSubspace.span(2**k, coset_indicators(tcc, "0", q))
+                assert BitSubspace.span(2**k, [
+                    augmentation_to_cells(_level_order(k, 1), k, v)
+                    for v in fc.level(-q, k).basis]) == cosets, (k, q)
                 assert tcc.cell_filtered.level(-q, k) == cosets, (k, q)
 
 
@@ -181,7 +185,7 @@ def test_criterion_09_euler_calculus():
             rows = cx.cells(k - 1)
             assert bd.members == {rows[i] for i in range(len(rows)) if (y >> i) & 1}
         # fold-map pushforwards on torus products, k <= 4, all subsets S
-        res = check_fold_pushforward(max_k=4)
+        res = check_fold_pushforward()
         assert res.ok, res.detail
 
 

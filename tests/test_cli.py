@@ -169,6 +169,26 @@ def test_validation_error_exit_code(capsys, tmp_path):
     assert "skips dimension" in err or "graded" in err
 
 
+def test_declared_ids_that_are_generated_face_ids_are_accepted(capsys, tmp_path):
+    # P^2 with its 2-cones named c0, c1, c2, the ids generated for its
+    # rays: the same answers as with names that collide with nothing.
+    outputs = []
+    for name in "cm":
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "lattice_rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "simplicial": True,
+            "cones": [{"id": f"{name}0", "rays": [1, 2]}, {"id": f"{name}1", "rays": [0, 2]},
+                      {"id": f"{name}2", "rays": [0, 1]}]}))
+        answers = []
+        for argv in (["vpoly"], ["ss", "--format", "doc"]):
+            code, out, err = run(capsys, *argv, "--fan", str(path))
+            assert code == 0, err
+            answers.append(out)
+        outputs.append(answers)
+    assert outputs[0] == outputs[1]
+    assert "beta = 1 + t + t^2" in outputs[0][0]
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "fan-info", "--fan", "/nonexistent.json")
     assert code == 2
@@ -600,6 +620,10 @@ EMITTED = Path(__file__).parent / "data" / "emit"
     (["--standard", "trivial:3"], "trivial_3"),
     (["--standard", "A:2"], "A_2"),
     (["--standard", "P:2", "--filtration", "canonical"], "P_2_canonical"),
+    (["--fan", str(Path(weightlab.__file__).parent / "data" / "fans" / "cone_over_square.json")],
+     "cone_over_square"),
+    (["--fan", str(Path(weightlab.__file__).parent / "data" / "fans" / "weighted_p112.json")],
+     "weighted_p112"),
 ])
 def test_emitted_complex_documents_are_unchanged(capsys, tmp_path, argv, name):
     # The stored documents are the cell-basis documents of the earlier

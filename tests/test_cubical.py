@@ -10,7 +10,9 @@ from weightlab.complexes import (
     canonical_filtration,
     trivial_filtration,
 )
+import weightlab.complexes
 import weightlab.cubical
+import weightlab.toric
 from weightlab.cubical import (
     CubicalDiagram,
     Hyperresolution,
@@ -23,7 +25,7 @@ from weightlab.cubical import (
     simple_filtered,
     skeleton_filtration,
 )
-from weightlab.fixtures import all_hyperres, klein_square
+from weightlab.fixtures import all_hyperres, corpus_fan, klein_square
 from weightlab.gf2 import BitMatrix, rank_kernel_image
 from weightlab.pages import SpectralSequence, decalage_mismatches
 from weightlab.toric import standard_fan, toric_cell_complex
@@ -189,7 +191,7 @@ def test_hyperres_doc_round_trip():
 
 
 def _assert_totalize_matches_oracle(blocks, maps):
-    total = weightlab.cubical._totalize(blocks, maps).complex
+    total = weightlab.complexes.totalize(blocks, maps).complex
     dims, entries = oracle_totalize(blocks, maps)
     assert total.dims == dims
     for k in dims:
@@ -245,14 +247,31 @@ def test_totalize_matches_the_entry_assembly_on_random_diagrams(d):
         {s: (s.bit_count() - 1, d.objects[s]) for s in sorted(d.objects)}, d.maps)
 
 
-def test_totalize_matches_the_entry_assembly_on_hyperresolutions(monkeypatch):
+def _totalize_calls(monkeypatch, module, run):
+    """The (blocks, maps) of every ``totalize`` call that ``run`` makes
+    through ``module``."""
     calls = []
-    totalize = weightlab.cubical._totalize
-    monkeypatch.setattr(weightlab.cubical, "_totalize",
+    totalize = weightlab.complexes.totalize
+    monkeypatch.setattr(module, "totalize",
                         lambda blocks, maps: calls.append((blocks, maps)) or totalize(blocks, maps))
-    for h in all_hyperres().values():
-        skeleton_filtration(h)
+    run()
     monkeypatch.undo()
+    return calls
+
+
+def test_totalize_matches_the_entry_assembly_on_hyperresolutions(monkeypatch):
+    calls = _totalize_calls(monkeypatch, weightlab.cubical, lambda: [
+        skeleton_filtration(h) for h in all_hyperres().values()])
     assert len(calls) == len(all_hyperres())
+    for blocks, maps in calls:
+        _assert_totalize_matches_oracle(blocks, maps)
+
+
+def test_totalize_matches_the_entry_assembly_on_toric_cells(monkeypatch):
+    fans = [corpus_fan("cone_over_square"), corpus_fan("weighted_p112"),
+            standard_fan("hirzebruch", 1)]
+    calls = _totalize_calls(monkeypatch, weightlab.toric, lambda: [
+        toric_cell_complex(f).cell_filtered for f in fans])
+    assert len(calls) == len(fans)
     for blocks, maps in calls:
         _assert_totalize_matches_oracle(blocks, maps)

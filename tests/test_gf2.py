@@ -19,6 +19,7 @@ from weightlab.gf2 import (
     vec_to_string,
 )
 
+import oracles
 from oracles import dense_rank, matrix_to_dense, span_vectors, subspace_from_bits
 
 
@@ -31,6 +32,12 @@ def test_vec_string_round_trip():
     assert vec_from_bits([1, 0, 1]) == 0b101
     for v in range(16):
         assert vec_from_string(vec_to_string(v, 4)) == v
+
+
+@given(st.integers(0, 300), st.integers(0, 2 ** 320 - 1))
+def test_vec_to_string_matches_one_shift_per_coordinate(width, v):
+    # Widths from 0, and vectors both narrower and wider than the width.
+    assert vec_to_string(v, width) == oracles.vec_to_string(v, width)
 
 
 @pytest.mark.parametrize("bad", ["x1", "1 0", 101, ["1"]])

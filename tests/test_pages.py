@@ -27,9 +27,9 @@ from weightlab.pages import (
     weight_profile,
 )
 from weightlab.poly import Poly
-from weightlab.toric import standard_fan, toric_cell_complex
+from weightlab.toric import _level_order, standard_fan, toric_cell_complex
 
-from oracles import oracle_collapse_page
+from oracles import augmentation_to_cells, oracle_collapse_page
 
 
 def toric_filtered(name, param):
@@ -387,16 +387,23 @@ def test_toric_levels_are_coset_spans(name):
     # The build's levels, written in the cell basis, against the paper's
     # definition: T_{-q} is spanned by the indicators of the cosets of the
     # subgroups generated by q standard generators of each orbit group.
+    # Both the augmentation-basis levels, carried to the cells by the
+    # subset-sum oracle, and the levels of the cell-basis build are checked.
     fan = _COSET_FANS[name]
     tcc = toric_cell_complex(fan)
     fc = tcc.filtered
     p_min, p_max = fc.p_range
     for k in fc.complex.degrees():
+        n = fc.complex.dim(k)
         cids = [cid for cid in fan.cone_ids() if fan.codim(cid) == k]
+        order = _level_order(k, len(cids))
         for p in range(p_min - 1, p_max + 2):
-            cosets = [v for cid in cids for v in coset_indicators(tcc, cid, max(-p, 0))]
-            assert tcc.cell_filtered.level(p, k) == BitSubspace.span(
-                fc.complex.dim(k), cosets), (p, k)
+            cosets = BitSubspace.span(
+                n, [v for cid in cids for v in coset_indicators(tcc, cid, max(-p, 0))])
+            assert BitSubspace.span(n, [
+                augmentation_to_cells(order, k, v) for v in fc.level(p, k).basis
+            ]) == cosets, (p, k)
+            assert tcc.cell_filtered.level(p, k) == cosets, (p, k)
     _assert_matches_oracle(fc)
 
 

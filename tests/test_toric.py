@@ -14,6 +14,7 @@ from weightlab.pages import SpectralSequence, virtual_poincare
 from weightlab.poly import Poly
 from weightlab.toric import (
     _bit_masks,
+    _level_order,
     _times_image,
     Cone,
     Fan,
@@ -31,6 +32,7 @@ from weightlab.toric import (
 )
 
 from oracles import (
+    augmentation_to_cells,
     betti_numbers,
     matrix_to_dense,
     oracle_orbit_group,
@@ -102,9 +104,9 @@ def test_parse_rejects_broken_face_lattice():
     ({"lattice_rank": 2, "rays": [[1, 0], [0, 1]], "simplicial": True,
       "cones": [{"id": "a", "rays": [0, 1]}, {"id": "b", "rays": [1, 0]}]},
      "cones 'a' and 'b' have the same rays [0, 1]"),
-    # a declared id that is also the generated id of another face
+    # two declared ids that clash, one of them the generated id of a face
     ({"lattice_rank": 2, "rays": [[1, 0], [0, 1]], "simplicial": True,
-      "cones": [{"id": "c1", "rays": [0, 1]}]},
+      "cones": [{"id": "c1", "rays": [0, 1]}, {"id": "c1", "rays": [1]}]},
      "cone id 'c1' names two cones, on rays [0, 1] and [1]"),
     ({"lattice_rank": 2, "rays": [[1, 0], [0, 1]], "simplicial": True,
       "cones": [{"id": "0", "rays": [0]}]},
@@ -121,6 +123,19 @@ def test_parse_rejects_broken_face_lattice():
 def test_parse_refuses_zero_rays_and_repeated_cones(doc, message):
     with pytest.raises(FanError, match=re.escape(message)):
         parse_fan(doc)
+
+
+def test_generated_face_ids_avoid_declared_ids():
+    # "c1" is declared for the quadrant and is the generated id of its
+    # face on ray 1, which takes the next free name instead.
+    fan = parse_fan({"lattice_rank": 2, "rays": [[1, 0], [0, 1]], "simplicial": True,
+                     "cones": [{"id": "c1", "rays": [0, 1]}, {"id": "c1'", "rays": [0]}]})
+    assert {cid: sorted(fan.cone(cid).ray_indices) for cid in fan.cone_ids()} == \
+        {"0": [], "c1": [0, 1], "c1'": [0], "c1''": [1]}
+    # The generated id of a declared cone without one avoids them too.
+    fan = parse_fan({"lattice_rank": 2, "rays": [[1, 0], [0, 1]], "simplicial": True,
+                     "cones": [{"id": "c0", "rays": [1]}, {"rays": [0]}]})
+    assert sorted(fan.cone("c0'").ray_indices) == [0]
 
 
 def test_a_cone_repeated_with_the_same_id_and_rays_is_one_cone():
@@ -429,28 +444,29 @@ def test_augmentation_boundary_conjugates_to_the_cell_boundary(name):
     tcc = toric_cell_complex(_conjugation_fans()[name])
     aug, cells = tcc.filtered.complex, tcc.complex
     assert dict(aug.dims) == dict(cells.dims)
+    order = {k: _level_order(k, aug.dim(k) >> k) for k in aug.degrees()}
     for k in aug.degrees():
         if not aug.dim(k - 1):
             continue
         d_aug, d_cell = aug.d(k), cells.d(k)
         for j in range(aug.dim(k)):
-            assert tcc.cell_vector(k - 1, d_aug.col_data[j]) == \
-                d_cell.mul_vec(tcc.cell_vector(k, 1 << j)), (k, j)
+            assert augmentation_to_cells(order[k - 1], k - 1, d_aug.col_data[j]) == \
+                d_cell.mul_vec(augmentation_to_cells(order[k], k, 1 << j)), (k, j)
 
 
-def test_cell_vector_is_the_zeta_transform():
-    # On one cone, a_S = ∏_{i∈S}(1 + x_i) is the sum of the cells x^t, t ⊆ S.
+def test_cell_block_basis_is_the_coset_indicators():
+    # On one cone, the adapted basis of the cell basis is
+    # b_S = Σ_{t ⊇ S} x^t, at level |S| - k, by ascending |S|.
     k = 4
-    tcc = toric_cell_complex(standard_fan("trivial", k))
-    levels = tcc.filtered.levels[k]
-    seen = set()
-    for j in range(1 << k):
-        v = tcc.cell_vector(k, 1 << j)
-        s = v.bit_length() - 1  # the largest t ⊆ S is S itself
-        assert v == sum(1 << t for t in range(1 << k) if t & ~s == 0)
-        assert levels[j] == -s.bit_count()
-        seen.add(s)
-    assert len(seen) == 1 << k
+    fc = toric_cell_complex(standard_fan("trivial", k)).cell_filtered
+    seen = []
+    for v, p in zip(fc.vectors(k), fc.levels[k]):
+        s = (v & -v).bit_length() - 1  # the smallest t ⊇ S is S itself
+        assert v == sum(1 << t for t in range(1 << k) if t & s == s)
+        assert p == s.bit_count() - k
+        seen.append(s)
+    assert sorted(seen) == list(range(1 << k))
+    assert [s.bit_count() for s in seen] == sorted(s.bit_count() for s in seen)
 
 
 def test_cell_basis_complex_is_built_once():
@@ -462,8 +478,10 @@ def test_cell_basis_complex_is_built_once():
 
 def test_boundary_columns_are_packed_once(monkeypatch):
     # One bit vector per column and no second layout: each boundary
-    # column is packed once, and a matrix keeps its three fields after
-    # validation, the spectral sequence and the cell-basis build read it.
+    # column of the augmentation basis is packed once, and a matrix keeps
+    # its three fields after validation, the spectral sequence and the
+    # cell-basis build read it.  The cell basis is totalized from
+    # orbit-map columns written as bit vectors, so it packs nothing.
     packed = []
     pack = weightlab.gf2._pack
     monkeypatch.setattr(weightlab.gf2, "_pack", lambda col: packed.append(col) or pack(col))
@@ -472,7 +490,7 @@ def test_boundary_columns_are_packed_once(monkeypatch):
     assert len(packed) == sum(m.cols for m in augmentation)
     SpectralSequence(tcc.filtered).page(1)
     cells = tcc.complex.boundary.values()
-    assert len(packed) == sum(m.cols for m in [*augmentation, *cells])
+    assert len(packed) == sum(m.cols for m in augmentation)
     for m in [*augmentation, *cells]:
         assert vars(m).keys() == {"rows", "cols", "col_data"}
 
@@ -642,7 +660,7 @@ def _x_to_z(xs):
 def test_times_image_multiplies_in_the_group_algebra(case):
     # Against multiplication of group elements: v · (1 + x^c).
     k, v, c = case
-    without = _bit_masks(k, 1, 0)
+    without = _bit_masks(k)
     want = set()
     for a in _z_to_x(v, k):
         want ^= {a}
