@@ -74,6 +74,9 @@ def _load_json(path: str) -> dict:
 
 
 def _fan_from_args(args) -> Fan:
+    """The fan of ``--standard`` or ``--fan``.  A fan document is also held
+    to the cell cap here, so that its refusal names the file, as every
+    other refusal of the document does."""
     if getattr(args, "standard", None):
         name, _, param = args.standard.partition(":")
         try:
@@ -87,9 +90,11 @@ def _fan_from_args(args) -> Fan:
             raise CliError(str(exc), EXIT_VALIDATION)
     doc = _load_json(args.fan)
     try:
-        return parse_fan(doc)
+        fan = parse_fan(doc)
+        cell_counts(fan)
     except FanError as exc:
         raise CliError(f"{args.fan}: {exc}", EXIT_VALIDATION)
+    return fan
 
 
 def _filtered_from_args(args) -> tuple[FilteredComplex, int]:

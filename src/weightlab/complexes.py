@@ -43,6 +43,7 @@ from .gf2 import (
     json_int,
     preimage,
     rank_kernel_image,
+    rref_prefixes,
     vec_from_string,
     vec_to_string,
 )
@@ -304,16 +305,22 @@ class FilteredComplex:
         return c
 
     def level(self, p: int, k: int) -> BitSubspace:
-        """F_p in degree k, computed once per distinct subspace."""
-        n = bisect_right(self.levels.get(k, ()), p)
+        """F_p in degree k.  The unit basis is already reduced; any other
+        basis is reduced once per degree, in order, and its RREF kept at
+        every level boundary."""
+        levels = self.levels.get(k, ())
+        n = bisect_right(levels, p)
         sub = self._spans.get((k, n))
         if sub is None:
             dim = self.complex.dim(k)
-            if self.basis is None:  # unit vectors are already reduced
-                sub = BitSubspace(dim, _unit_basis(n))
+            if self.basis is None:
+                self._spans[(k, n)] = BitSubspace(dim, _unit_basis(n))
             else:
-                sub = BitSubspace.span(dim, self.basis.get(k, ())[:n])
-            self._spans[(k, n)] = sub
+                ends = [i for i in range(len(levels) + 1)
+                        if i in (0, len(levels)) or levels[i - 1] != levels[i]]
+                for e, basis in zip(ends, rref_prefixes(self.basis.get(k, ()), ends)):
+                    self._spans[(k, e)] = BitSubspace(dim, basis)
+            sub = self._spans[(k, n)]
         return sub
 
 

@@ -2,15 +2,20 @@
 
 Validation is structural: grading of the face relation, the diamond
 property on length-two intervals, primitivity of rays, rank consistency.
-The face lattice's covers are computed once per fan, and gradedness and
-the diamond property are checked on them.  Transitive closure of the
-face lists is checked over each cone's facets alone (each facet's faces
-lie among the cone's), which by induction on dimension gives it for every
-face; the scan over all pairs of faces runs only to name the cones that
-fail.  Each cone's rank is the dimension of the mod-2 reduction of its
-saturated ray lattice (:func:`weightlab.lattice.saturate_mod2`); the fan
-keeps that subspace per cone, with its rays reduced mod 2 once, and the
-orbit groups read it.
+It runs in integer operations per cone.  The cones are numbered once,
+and each cone's face list is held as a bitmask over the numbers, with
+one mask per dimension.  The facets are the faces one dimension down;
+the lists drop dimension, are transitively closed and are graded
+exactly when each cone's facets with their own faces make up its whole
+list (by induction on dimension); and the diamond property is a
+bit-sliced count over the facets' face masks, which must find every
+face two dimensions down exactly twice.  Only a fan this refuses is
+scanned face by face, to name its faults.  Each cone's rank is the
+dimension of the mod-2 reduction of its saturated ray lattice
+(:class:`weightlab.lattice.Saturations`): the cones are visited by
+ascending number of rays, so most spans take one insertion into the
+span of a face.  The fan keeps that subspace per cone, and the orbit
+groups read it.
 Convex-geometric axioms — that cones actually intersect in common faces —
 are *not* checked; inputs are trusted on that point.
 """
@@ -20,9 +25,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Mapping
 
-from .gf2 import BitSubspace, json_int
+from .gf2 import BitSubspace, json_int, set_bits
 from .lattice import Saturations, is_primitive, make_primitive
 
 
@@ -47,9 +53,9 @@ class Fan:
     cones: Mapping[str, Cone]
 
     def __post_init__(self) -> None:
-        problems = self.diagnostics()
-        if problems:
-            raise FanError("; ".join(problems))
+        # The bitmask pass alone accepts a fan; the scans name what it refuses.
+        if not self._holds():
+            raise FanError("; ".join(self.diagnostics()))
 
     def cone_ids(self) -> list[str]:
         return sorted(self.cones)
@@ -81,37 +87,39 @@ class Fan:
         return Saturations(self.rays, self.n)
 
     @cached_property
-    def _facets(self) -> dict[str, tuple[str, ...]]:
-        """The maximal proper faces of each cone, for face lists that drop
-        dimension and are transitively closed.  A face below another face
-        lies below a maximal one, so a walk down by dimension that skips
-        the faces of the maximal faces found so far finds them all, at
-        the cost of the face lists of the maximal faces alone.  On lists
-        that only drop dimension, each face it skips still lies in the
-        list of a facet above it, which the closure check relies on."""
-        out = {}
-        for c in self.cones.values():
-            covered: set[str] = set()
-            facets = []
-            for fid in sorted(c.faces, key=lambda f: -self.cones[f].dim):
-                if fid not in covered:
-                    facets.append(fid)
-                    covered.update(self.cones[fid].faces)
-            out[c.id] = tuple(facets)
-        return out
+    def _lattice(self) -> "_FaceLattice":
+        return _FaceLattice(self.cones)
 
     @cached_property
     def _covers(self) -> dict[str, list[str]]:
+        lattice = self._lattice
         out: dict[str, list[str]] = {cid: [] for cid in self.cones}
-        for c in self.cones.values():
-            for fid in self._facets[c.id]:
-                if self.cones[fid].dim == c.dim - 1:
-                    out[fid].append(c.id)
+        for i, cid in enumerate(lattice.ids):
+            for j in set_bits(lattice.facets(i)):
+                out[lattice.ids[j]].append(cid)
         for ids in out.values():
             ids.sort()
         return out
 
+    def _holds(self) -> bool:
+        """Whether the rays are primitive and of the right length, every
+        cone's declared dimension is its rank, and the face lists form a
+        lattice (:meth:`_FaceLattice.holds`): integer operations per
+        cone, with no message."""
+        if any(len(ray) != self.n or not is_primitive(ray) for ray in self.rays):
+            return False
+        rays = set(range(len(self.rays)))
+        # By ascending size, each cone's face without its last ray is
+        # spanned first, and its own span takes one insertion.
+        for c in sorted(self.cones.values(), key=lambda c: len(c.ray_indices)):
+            if not c.ray_indices <= rays or self._spans[c.ray_indices].dim != c.dim:
+                return False
+        return self._lattice.holds()
+
     def diagnostics(self) -> list[str]:
+        """Violated axioms, one message per finding, from scans over every
+        ray, cone and face in cone order; empty exactly when
+        :meth:`_holds`, which is what construction runs."""
         out = []
         if ZERO_ID not in self.cones:
             out.append("zero cone missing")
@@ -122,58 +130,48 @@ class Fan:
                 out.append(f"ray {ray} is not primitive")
         # The rank check skips cones on a ray named above or on none.
         well_formed = {i for i, ray in enumerate(self.rays) if len(ray) == self.n}
-        by_cone = []
         for c in self.cones.values():
-            found = []
             if c.ray_indices <= well_formed:
                 want = self.ray_span(c.id).dim
                 if c.dim != want:
-                    found.append(f"cone {c.id!r} declares dim {c.dim}, rays have rank {want}")
+                    out.append(f"cone {c.id!r} declares dim {c.dim}, rays have rank {want}")
             elif bad := sorted(i for i in c.ray_indices if not 0 <= i < len(self.rays)):
-                found.append(f"cone {c.id!r} uses ray indices {bad}, the fan has "
-                             f"{len(self.rays)} rays")
+                out.append(f"cone {c.id!r} uses ray indices {bad}, the fan has "
+                           f"{len(self.rays)} rays")
             for fid in c.faces:
                 if fid not in self.cones:
-                    found.append(f"cone {c.id!r} lists unknown face {fid!r}")
+                    out.append(f"cone {c.id!r} lists unknown face {fid!r}")
                 elif self.cones[fid].dim >= c.dim:
-                    found.append(f"face {fid!r} of {c.id!r} does not drop dimension")
+                    out.append(f"face {fid!r} of {c.id!r} does not drop dimension")
             if c.id != ZERO_ID and ZERO_ID not in c.faces:
-                found.append(f"cone {c.id!r} does not list the zero cone as a face")
-            by_cone.append((c, found))
-        # Transitive closure.  Once every face exists and drops dimension,
-        # closure over each cone's facets implies it over all its faces,
-        # by induction on dimension.  The scans over every face, which fix
-        # the messages, run only when something above fails.
-        if out or any(found for _, found in by_cone) or not all(
-                self.cones[f].faces <= c.faces
-                for c in self.cones.values() for f in self._facets[c.id]):
-            for c, found in by_cone:
-                if any(fid in self.cones and not self.cones[fid].faces <= c.faces
-                       for fid in c.faces):
-                    found.append(f"faces of cone {c.id!r} are not transitively closed")
-                out.extend(found)
+                out.append(f"cone {c.id!r} does not list the zero cone as a face")
+            if any(fid in self.cones and not self.cones[fid].faces <= c.faces
+                   for fid in c.faces):
+                out.append(f"faces of cone {c.id!r} are not transitively closed")
         if out:
             return out
+        # The face lists exist, drop dimension and are closed, so a face's
+        # maximal faces are those in no other face's list.
+        lattice = self._lattice
+        facets = {cid: {lattice.ids[j] for j in set_bits(lattice.maximal(i))}
+                  for i, cid in enumerate(lattice.ids)}
         # Graded: every covering relation drops dimension by exactly one.
-        # The scans in face-list order, which fix the order of the
-        # messages, run only for a cone that fails.
         graded = {}
         for c in self.cones.values():
-            facets = self._facets[c.id]
-            graded[c.id] = all(self.cones[f].dim == c.dim - 1 for f in facets)
+            graded[c.id] = all(self.cones[f].dim == c.dim - 1 for f in facets[c.id])
             if not graded[c.id]:
                 out.extend(
                     f"face lattice not graded: {fid!r} < {c.id!r} skips dimension"
                     for fid in c.faces
-                    if fid in facets and self.cones[fid].dim != c.dim - 1)
+                    if fid in facets[c.id] and self.cones[fid].dim != c.dim - 1)
         # Diamond property on length-two intervals: every face two dims
         # down lies in exactly two faces one dim down.  Those are facets,
         # and in a graded cone the faces two dims down are their facets.
         for c in self.cones.values():
             between: dict[str, int] = {}
-            for mid in self._facets[c.id]:
+            for mid in facets[c.id]:
                 if self.cones[mid].dim == c.dim - 1:
-                    for fid in self._facets[mid]:
+                    for fid in facets[mid]:
                         if self.cones[fid].dim == c.dim - 2:
                             between[fid] = between.get(fid, 0) + 1
             if graded[c.id] and all(n == 2 for n in between.values()):
@@ -184,6 +182,63 @@ class Fan:
                 for fid in c.faces
                 if self.cones[fid].dim == c.dim - 2 and between.get(fid, 0) != 2)
         return out
+
+
+class _FaceLattice:
+    """The cones numbered in mapping order, with the face list of cone i
+    held as the bitmask ``masks[i]`` over the numbers (an unknown face
+    sets no bit) and ``of_dim[d]`` the mask of the cones of dimension d."""
+
+    def __init__(self, cones: Mapping[str, Cone]) -> None:
+        self.cones = list(cones.values())
+        self.ids = list(cones)
+        bit = {cid: 1 << i for i, cid in enumerate(self.ids)}
+        self.zero = bit.get(ZERO_ID, 0)
+        self.masks = [sum(map(bit.get, c.faces, repeat(0))) for c in self.cones]
+        self.of_dim: dict[int, int] = {}
+        for i, c in enumerate(self.cones):
+            self.of_dim[c.dim] = self.of_dim.get(c.dim, 0) | 1 << i
+
+    def facets(self, i: int) -> int:
+        """The faces of cone i one dimension down: in a lattice that
+        :meth:`holds`, its maximal proper faces."""
+        return self.masks[i] & self.of_dim.get(self.cones[i].dim - 1, 0)
+
+    def maximal(self, i: int) -> int:
+        """The faces of cone i in no other face's list."""
+        below = 0
+        for j in set_bits(self.masks[i]):
+            below |= self.masks[j]
+        return self.masks[i] & ~below
+
+    def holds(self) -> bool:
+        """Whether the face lists form a graded, closed lattice with the
+        diamond property.  Per cone of dimension d: every face is a cone,
+        the zero cone is a face (of all but itself), the facets (faces of
+        dimension d - 1) with their own faces make up every face, and
+        bit-sliced counts over the facets' face masks find each face of
+        dimension d - 2 in exactly two.  By induction on dimension from
+        the lowest, the facet condition is closure and gradedness of the
+        whole list, and it refuses a face that does not drop dimension:
+        no facet lists one."""
+        if not self.zero:
+            return False
+        for i, c in enumerate(self.cones):
+            mask = self.masks[i]
+            if mask.bit_count() != len(c.faces) or not mask & self.zero and c.id != ZERO_ID:
+                return False
+            two_down = self.of_dim.get(c.dim - 2, 0)
+            union, ones, twos, more = 0, 0, 0, 0
+            facets = self.facets(i)
+            for j in set_bits(facets):
+                union |= self.masks[j]
+                faces = self.masks[j] & two_down
+                more |= twos & faces
+                twos |= ones & faces
+                ones |= faces
+            if union | facets != mask or more or twos != mask & two_down:
+                return False
+        return True
 
 
 def parse_fan(doc: Mapping) -> Fan:

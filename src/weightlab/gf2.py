@@ -62,7 +62,7 @@ def _pivot(v: int) -> int:
     return (v & -v).bit_length() - 1
 
 
-def _set_bits(v: int) -> Iterator[int]:
+def set_bits(v: int) -> Iterator[int]:
     """Indices of the set bits of a nonnegative vector, lowest first."""
     while v:
         low = v & -v
@@ -78,9 +78,8 @@ def _pack(indices: Iterable[int]) -> int:
     return v
 
 
-def rref(vectors: Iterable[int]) -> tuple[int, ...]:
-    """Reduced row-echelon basis of the span, sorted by pivot index."""
-    by_pivot: dict[int, int] = {}
+def _eliminate(by_pivot: dict[int, int], vectors: Iterable[int]) -> None:
+    """Extend a fully reduced basis, keyed by pivot, by the vectors."""
     for v in vectors:
         for p, b in by_pivot.items():
             if (v >> p) & 1:
@@ -92,7 +91,39 @@ def rref(vectors: Iterable[int]) -> tuple[int, ...]:
                 if (by_pivot[q] >> p) & 1:
                     by_pivot[q] ^= v
             by_pivot[p] = v
+
+
+def rref(vectors: Iterable[int]) -> tuple[int, ...]:
+    """Reduced row-echelon basis of the span, sorted by pivot index."""
+    by_pivot: dict[int, int] = {}
+    _eliminate(by_pivot, vectors)
     return tuple(by_pivot[p] for p in sorted(by_pivot))
+
+
+def rref_prefixes(vectors: Sequence[int], ends: Iterable[int]) -> list[tuple[int, ...]]:
+    """``rref(vectors[:e])`` for each e of the ascending ``ends``, from one
+    elimination of the vectors in order."""
+    by_pivot: dict[int, int] = {}
+    out = []
+    start = 0
+    for e in ends:
+        _eliminate(by_pivot, vectors[start:e])
+        start = e
+        out.append(tuple(by_pivot[p] for p in sorted(by_pivot)))
+    return out
+
+
+def rref_insert(basis: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """``rref(basis + (v,))`` for an RREF basis: v reduced by the basis,
+    then, if it is not zero, cleared from the rows that have its pivot
+    and put in its place by pivot."""
+    v = reduce_mod(v, basis)
+    if not v:
+        return basis
+    low = v & -v
+    rows = [b ^ v if b & low else b for b in basis]
+    rows.insert(sum(1 for b in basis if b & -b < low), v)
+    return tuple(rows)
 
 
 def reduce_mod(v: int, basis: Sequence[int]) -> int:
@@ -172,14 +203,14 @@ class BitMatrix:
         return (self.col_data[c] >> r) & 1
 
     def entries(self) -> list[tuple[int, int]]:
-        return [(i, j) for j, col in enumerate(self.col_data) for i in _set_bits(col)]
+        return [(i, j) for j, col in enumerate(self.col_data) for i in set_bits(col)]
 
     def mul_vec(self, x: int) -> int:
         if x >> self.cols:
             raise DimensionError("vector entries out of column range")
         cols = self.col_data
         y = 0
-        for j in _set_bits(x):
+        for j in set_bits(x):
             y ^= cols[j]
         return y
 

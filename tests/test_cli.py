@@ -290,6 +290,22 @@ def test_cell_cap_refuses_a_large_codimension_before_counting(capsys, monkeypatc
     assert "a cone of codimension 3, so more than the 7 cells" in err
 
 
+@pytest.mark.parametrize("verb", ["fan-info", "ss", "vpoly"])
+def test_cell_cap_refusal_names_the_fan_document(capsys, monkeypatch, tmp_path, verb):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"lattice_rank": 40, "rays": [], "cones": []}))
+    assert run(capsys, verb, "--fan", str(path)) == (
+        3, "", f"error: {path}: the fan has a cone of codimension 40, so more "
+               "than the 1048576 cells the build allows\n")
+    path.write_text(json.dumps({
+        "lattice_rank": 1, "rays": [[1], [-1]], "simplicial": True,
+        "cones": [{"rays": [0]}, {"rays": [1]}]}))
+    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 3)
+    assert run(capsys, verb, "--fan", str(path)) == (
+        3, "", f"error: {path}: the fan has 4 cells, more than the 3 the "
+               "build allows\n")
+
+
 def test_euler_face_cap_is_read_at_call_time(capsys, monkeypatch):
     # The shipped complex has 6 face incidences: two parallel edges and
     # one more edge, two faces each.

@@ -14,6 +14,8 @@ from weightlab.gf2 import (
     rank_kernel_image,
     reduce_mod,
     rref,
+    rref_insert,
+    rref_prefixes,
     vec_from_bits,
     vec_from_string,
     vec_to_string,
@@ -66,6 +68,17 @@ def test_rref_canonical_under_shuffle(vs):
     shuffled = list(vs)
     random.Random(0).shuffle(shuffled)
     assert rref(vs) == rref(shuffled)
+
+
+@given(vectors6, st.integers(0, 63))
+def test_rref_insert_is_the_rref_with_one_more_vector(vs, v):
+    assert rref_insert(rref(vs), v) == rref([*vs, v])
+
+
+@given(vectors6, st.data())
+def test_rref_prefixes_are_the_rrefs_of_the_prefixes(vs, data):
+    ends = sorted(data.draw(st.sets(st.integers(0, len(vs)))))
+    assert rref_prefixes(vs, ends) == [rref(vs[:e]) for e in ends]
 
 
 def test_reduce_mod():

@@ -1,7 +1,9 @@
+import functools
 import itertools
 import re
 from dataclasses import replace
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -248,6 +250,23 @@ _SMOOTH = {
     "P2xP2": ("P", 2, "P", 2),
     "P1x(P1xP2)": ("P", 1, "P", 1, "P", 2),
 }
+
+
+def test_fan_parse_spans_each_cone_by_one_insertion(monkeypatch):
+    calls = {"rref": 0, "smith": 0}
+    rref, snf = weightlab.gf2.rref, weightlab.lattice.smith_normal_form
+    monkeypatch.setattr(weightlab.gf2, "rref",
+                        lambda vs: calls.__setitem__("rref", calls["rref"] + 1) or rref(vs))
+    monkeypatch.setattr(weightlab.lattice, "smith_normal_form",
+                        lambda m: calls.__setitem__("smith", calls["smith"] + 1) or snf(m))
+    # The parser ranks the 7 declared cones before their faces exist; the
+    # fan eliminates for the zero cone and inserts its other 126 cones.
+    standard_fan("P", 6)
+    assert calls["rref"] <= 8 and calls["smith"] == 0
+    # The 4-ray cone is the one dependent set, in the parser and in the fan.
+    calls["smith"] = 0
+    corpus_fan("cone_over_square")
+    assert calls["smith"] == 2
 
 
 @pytest.mark.parametrize("name", sorted(_SMOOTH))
@@ -575,48 +594,117 @@ def test_fan_diagnostics_match_the_pairwise_scan(name):
     assert _fan_problems(n, rays, by_id) == want
 
 
+def _unchecked_fan(n, rays, cones):
+    """A Fan built without the check construction runs, so that its
+    verdict and its scans can be read apart."""
+    with mock.patch.object(Fan, "__post_init__", lambda self: None):
+        return Fan(n, rays, cones)
+
+
+@functools.cache
+def _verdict_fans():
+    corpus = fan_corpus()
+    p1, p2 = corpus["P1"], corpus["P2"]
+    return {**corpus, "P4": standard_fan("P", 4), "A3": standard_fan("A", 3),
+            "A4": standard_fan("A", 4), "P1xP2": product_fan(p1, p2),
+            "quadric x P1": product_fan(corpus["quadric_cone"], p1),
+            "(P1xP1) x A1": product_fan(corpus["P1xP1"], standard_fan("A", 1))}
+
+
 @st.composite
 def mutated_face_lattices(draw):
-    """A shipped or named fan with up to three cones edited.  Dropping a
-    maximal face, or adding to a cone that is no other cone's face a
-    lower cone whose faces it has, keeps the face lists closed, so the
-    gradedness and diamond checks see the result; dropping or adding any
-    face, or moving a declared dimension by one, exercises the rest."""
-    fans = {**fan_corpus(), "P3": standard_fan("P", 3), "h2": standard_fan("hirzebruch", 2)}
-    fan = fans[draw(st.sampled_from(sorted(fans)))]
+    """A corpus, ladder or product fan with up to three cones edited.
+    Dropping a maximal face, or adding to a cone that is no other cone's
+    face a lower cone whose faces it has, keeps the face lists closed, so
+    the gradedness and diamond checks see the result; dropping any face,
+    adding an unknown face or any cone, moving a declared dimension by
+    one, deleting a cone or adding a ray index (possibly past the last
+    ray) exercises the rest.  Fans are drawn by lattice rank first and
+    cones by dimension first, so that deep faces and top cones come up
+    as often as rays."""
+    by_rank = {}
+    for _, fan in sorted(_verdict_fans().items()):
+        by_rank.setdefault(fan.n, []).append(fan)
+    fan = draw(st.sampled_from(by_rank[draw(st.sampled_from(sorted(by_rank)))]))
     cones = dict(fan.cones)
-    ids = sorted(cones)
+
+    def pick(ids):
+        by_dim = {}
+        for e in sorted(ids):
+            by_dim.setdefault(cones[e].dim, []).append(e)
+        return draw(st.sampled_from(by_dim[draw(st.sampled_from(sorted(by_dim)))]))
+
     for _ in range(draw(st.integers(1, 3))):
-        c = cones[draw(st.sampled_from(ids))]
-        kind = draw(st.sampled_from(["drop_facet", "add_below", "drop", "add", "dim"]))
+        if not cones:
+            break
+        c = cones[pick(cones)]
+        kind = draw(st.sampled_from(["drop_facet", "add_below", "drop", "unknown",
+                                     "add", "dim", "delete", "ray"]))
+        faces = {f for f in c.faces if f in cones}
         if kind == "drop_facet":
-            facets = sorted(f for f in c.faces
-                            if not any(f in cones[g].faces for g in c.faces))
+            facets = {f for f in faces if not any(f in cones[g].faces for g in faces)}
             if facets:
-                c = replace(c, faces=c.faces - {draw(st.sampled_from(facets))})
+                c = replace(c, faces=c.faces - {pick(facets)})
         elif kind == "add_below":
-            tops = [e for e in ids if not any(e in cones[g].faces for g in ids)]
-            c = cones[draw(st.sampled_from(tops))] if tops else c
-            below = [e for e in ids if e != c.id and e not in c.faces
-                     and cones[e].dim < c.dim and cones[e].faces <= c.faces]
+            tops = {e for e in cones if not any(e in g.faces for g in cones.values())}
+            c = cones[pick(tops)] if tops else c
+            below = {e for e in cones if e != c.id and e not in c.faces
+                     and cones[e].dim < c.dim and cones[e].faces <= c.faces}
             if tops and below:
-                c = replace(c, faces=c.faces | {draw(st.sampled_from(below))})
-        elif kind == "drop" and c.faces:
-            c = replace(c, faces=c.faces - {draw(st.sampled_from(sorted(c.faces)))})
+                c = replace(c, faces=c.faces | {pick(below)})
+        elif kind == "drop" and faces:
+            c = replace(c, faces=c.faces - {pick(faces)})
+        elif kind == "unknown":
+            c = replace(c, faces=c.faces | {"nowhere"})
         elif kind == "add":
-            c = replace(c, faces=c.faces | {draw(st.sampled_from(ids))})
+            c = replace(c, faces=c.faces | {pick(cones)})
         elif kind == "dim":
             c = replace(c, dim=c.dim + draw(st.sampled_from([-1, 1])))
+        elif kind == "delete":
+            del cones[c.id]
+            continue
+        elif kind == "ray":
+            i = draw(st.integers(0, len(fan.rays)))
+            c = replace(c, ray_indices=c.ray_indices | {i})
         cones[c.id] = c
     return fan.n, fan.rays, cones
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(mutated_face_lattices())
 def test_fan_diagnostics_match_the_pairwise_scan_on_mutated_fans(case):
     n, rays, cones = case
     assert _fan_problems(n, rays, cones) == "; ".join(
         pairwise_fan_diagnostics(n, rays, cones))
+    # Construction accepts by the bitmask verdict alone, the scans name.
+    fan = _unchecked_fan(n, rays, cones)
+    assert fan._holds() == (fan.diagnostics() == [])
+
+
+def _one_edit_away(fan):
+    """The cone mappings one edit away from the fan's: one face dropped
+    or added (an unknown one or any cone), one declared dimension moved
+    by one, one ray index added (possibly past the last ray) or one cone
+    deleted."""
+    cones = fan.cones
+    for c in cones.values():
+        for f in sorted(c.faces):
+            yield {**cones, c.id: replace(c, faces=c.faces - {f})}
+        for g in ["nowhere", *sorted(set(cones) - c.faces)]:
+            yield {**cones, c.id: replace(c, faces=c.faces | {g})}
+        for shift in (-1, 1):
+            yield {**cones, c.id: replace(c, dim=c.dim + shift)}
+        for i in sorted(set(range(len(fan.rays) + 1)) - c.ray_indices):
+            yield {**cones, c.id: replace(c, ray_indices=c.ray_indices | {i})}
+        yield {cid: other for cid, other in cones.items() if cid != c.id}
+
+
+@pytest.mark.parametrize("name", sorted(_verdict_fans()))
+def test_bitmask_verdict_is_the_scans_finding_nothing_one_edit_away(name):
+    fan = _verdict_fans()[name]
+    for cones in _one_edit_away(fan):
+        edited = _unchecked_fan(fan.n, fan.rays, cones)
+        assert edited._holds() == (edited.diagnostics() == []), cones
 
 
 def test_covers_are_the_cofaces_one_dimension_up():
