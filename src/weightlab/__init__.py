@@ -25,7 +25,7 @@ from .pages import (
 )
 from .poly import Poly
 from .fan import Fan, FanError, parse_fan, product_fan, standard_fan
-from .toric import orbit_group, orbit_map, toric_cell_complex, toric_filtration
+from .toric import orbit_group, toric_cell_complex
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,6 @@ __all__ = [
     "canonical_filtration",
     "deligne_shift",
     "orbit_group",
-    "orbit_map",
     "parse_fan",
     "preimage",
     "product_fan",
@@ -53,7 +52,6 @@ __all__ = [
     "smith_normal_form",
     "standard_fan",
     "toric_cell_complex",
-    "toric_filtration",
     "trivial_filtration",
     "virtual_poincare",
     "weight_profile",

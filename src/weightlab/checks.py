@@ -1,8 +1,14 @@
 """Property suites over the fixture corpus.
 
-These back the ``check`` CLI command and are reused by the test suite.
-Each check returns a :class:`CheckResult`; a suite is a list of named
-thunks, run in order.
+These back the ``check`` CLI command, and pytest reads the same
+registry, :data:`SUITES`.  A suite is a list of entries, each called
+with one :class:`ToricCorpus` and giving one :class:`CheckResult`, run
+in order.  The toric and fcomplex entries are :class:`Property` objects:
+a title, the fan set they run over and a function of one fan,
+``(name, fan, tcc, ss) -> list of fault strings``, so that a property is
+written once and can be run on any fan.  The cubical and euler checks
+make their own inputs and return their result whole; they are called
+with the corpus too, which only the additivity checks read.
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from inspect import signature
 from math import comb
 from typing import Callable
 
@@ -80,8 +85,8 @@ class ToricCorpus:
 
     Each is built on first use and shared by the checks that read it.
     :func:`run_suite` makes one corpus per call, so a request builds each
-    object once and nothing outlives the call; a check called on its own
-    makes its own.  A name denotes one fan in both fixture corpora.
+    object once and nothing outlives the call.  A name denotes one fan in
+    both fixture corpora.
     """
 
     def __init__(self) -> None:
@@ -97,14 +102,12 @@ class ToricCorpus:
     def smooth_complete(self) -> dict[str, Fan]:
         return smooth_complete_corpus(self.fans)
 
-    def small(self) -> list[str]:
-        """The names of the fans of rank at most 2."""
-        return [name for name, fan in self.fans.items() if fan.n <= 2]
+    def fan(self, name: str) -> Fan:
+        return self.fans[name] if name in self.fans else self.smooth_complete[name]
 
     def complex(self, name: str) -> ToricCellComplex:
         if name not in self._complexes:
-            fan = self.fans[name] if name in self.fans else self.smooth_complete[name]
-            self._complexes[name] = toric_cell_complex(fan)
+            self._complexes[name] = toric_cell_complex(self.fan(name))
         return self._complexes[name]
 
     def standard(self, name: str, param: int) -> ToricCellComplex:
@@ -122,19 +125,66 @@ class ToricCorpus:
         return self._sequences[name]
 
 
+@dataclass(frozen=True)
+class FanSet:
+    """The corpus fans a property runs over: those of the fan corpus, or
+    of the smooth complete corpus, of lattice rank at most ``max_rank``."""
+
+    smooth_complete: bool = False
+    max_rank: int | None = None
+
+    def names(self, corpus: ToricCorpus) -> list[str]:
+        fans = corpus.smooth_complete if self.smooth_complete else corpus.fans
+        return [name for name, fan in fans.items()
+                if self.max_rank is None or fan.n <= self.max_rank]
+
+
+ALL_FANS = FanSet()
+SMOOTH_COMPLETE = FanSet(smooth_complete=True)
+RANK_2 = FanSet(max_rank=2)
+RANK_3 = FanSet(max_rank=3)
+
+
+@dataclass(frozen=True)
+class Property:
+    """A check that holds fan by fan.  ``on_fan(name, fan, tcc, ss)``
+    lists the faults on one fan, given its toric cell complex and the
+    spectral sequence of its toric filtration.  Called with a corpus, the
+    property runs over the fans of its set and fails with their faults,
+    joined by "; "."""
+
+    title: str
+    fans: FanSet
+    # An annotation, never evaluated: a typing alias made at import would
+    # stay in typing's cache and keep these modules alive after a reimport.
+    on_fan: Callable[[str, Fan, ToricCellComplex, SpectralSequence], list[str]]
+
+    def faults(self, corpus: ToricCorpus, name: str) -> list[str]:
+        """The faults on one corpus fan."""
+        return self.on_fan(name, corpus.fan(name), corpus.complex(name),
+                           corpus.sequence(name))
+
+    def __call__(self, corpus: ToricCorpus) -> CheckResult:
+        faults = [fault for name in self.fans.names(corpus)
+                  for fault in self.faults(corpus, name)]
+        return _result(self.title, not faults, "; ".join(faults))
+
+
+def per_fan(title: str, fans: FanSet) -> Callable[[Callable], Property]:
+    """Make the decorated function of one fan the property ``title``
+    over ``fans``."""
+    return lambda on_fan: Property(title, fans, on_fan)
+
+
 # ---------------------------------------------------------------------------
 # toric suite
 
 
-def check_boundary_squares_zero(corpus: ToricCorpus | None = None) -> CheckResult:
-    corpus = corpus or ToricCorpus()
-    bad = []
-    for name in corpus.fans:
-        cx = corpus.complex(name).complex
-        for k in cx.degrees():
-            if not cx.d(k).mul(cx.d(k + 1)).is_zero():
-                bad.append(f"{name} degree {k + 1}")
-    return _result("toric boundary squares to zero", not bad, ", ".join(bad))
+@per_fan("toric boundary squares to zero", ALL_FANS)
+def check_boundary_squares_zero(name, fan, tcc, ss) -> list[str]:
+    cx = tcc.complex
+    return [f"{name} degree {k + 1}" for k in cx.degrees()
+            if not cx.d(k).mul(cx.d(k + 1)).is_zero()]
 
 
 def coset_indicators(tcc: ToricCellComplex, cid: str, q: int) -> list[int]:
@@ -159,206 +209,146 @@ def coset_indicators(tcc: ToricCellComplex, cid: str, q: int) -> list[int]:
     return vecs
 
 
-def check_filtration_binomials(corpus: ToricCorpus | None = None) -> CheckResult:
+@per_fan("toric filtration quotients are binomial", ALL_FANS)
+def check_filtration_binomials(name, fan, tcc, ss) -> list[str]:
     """The toric filtration is spanned by coset indicators, both as the
     levels of ``filtered`` written in the cell basis and as the levels of
     ``cell_filtered``, and its per-cone quotient dimensions are binomial."""
-    corpus = corpus or ToricCorpus()
     bad = []
-    for name, fan in corpus.fans.items():
-        tcc = corpus.complex(name)
-        fc, cells = tcc.filtered, tcc.cell_filtered
-        for k in fc.complex.degrees():
-            n = fc.complex.dim(k)
-            cids = [cid for cid in fan.cone_ids() if fan.codim(cid) == k]
-            # The build's coordinates in the cells: a_S of the c-th cone,
-            # at block position b = c·2^k + S, is the sum of its cells t ⊆ S.
-            aug = [sum(1 << tcc.cell_index(cids[b >> k], t) for t in range(1 << k) if t & b == t)
-                   for b in _level_order(k, len(cids))]
-            prev = dict.fromkeys(cids, 0)
-            for q in range(k, -1, -1):
-                by_cone = {cid: coset_indicators(tcc, cid, q) for cid in cids}
-                for cid, vecs in by_cone.items():
-                    dim = BitSubspace.span(n, vecs).dim
-                    if dim - prev[cid] != comb(k, q):
-                        bad.append(f"{name}/{cid} q={q}: {dim - prev[cid]} != C({k},{q})")
-                    prev[cid] = dim
-                span = BitSubspace.span(n, [v for vecs in by_cone.values() for v in vecs])
-                if span != BitSubspace.span(n, aug[:fc.level(-q, k).dim]):
-                    bad.append(f"{name} degree {k}: augmentation level {-q} is not the coset span")
-                if span != cells.level(-q, k):
-                    bad.append(f"{name} degree {k}: cell level {-q} is not the coset span")
-    return _result("toric filtration quotients are binomial", not bad, "; ".join(bad))
+    fc, cells = tcc.filtered, tcc.cell_filtered
+    for k in fc.complex.degrees():
+        n = fc.complex.dim(k)
+        cids = [cid for cid in fan.cone_ids() if fan.codim(cid) == k]
+        # The build's coordinates in the cells: a_S of the c-th cone,
+        # at block position b = c·2^k + S, is the sum of its cells t ⊆ S.
+        aug = [sum(1 << tcc.cell_index(cids[b >> k], t) for t in range(1 << k) if t & b == t)
+               for b in _level_order(k, len(cids))]
+        prev = dict.fromkeys(cids, 0)
+        for q in range(k, -1, -1):
+            by_cone = {cid: coset_indicators(tcc, cid, q) for cid in cids}
+            for cid, vecs in by_cone.items():
+                dim = BitSubspace.span(n, vecs).dim
+                if dim - prev[cid] != comb(k, q):
+                    bad.append(f"{name}/{cid} q={q}: {dim - prev[cid]} != C({k},{q})")
+                prev[cid] = dim
+            span = BitSubspace.span(n, [v for vecs in by_cone.values() for v in vecs])
+            if span != BitSubspace.span(n, aug[:fc.level(-q, k).dim]):
+                bad.append(f"{name} degree {k}: augmentation level {-q} is not the coset span")
+            if span != cells.level(-q, k):
+                bad.append(f"{name} degree {k}: cell level {-q} is not the coset span")
+    return bad
 
 
-def check_cell_counts(corpus: ToricCorpus | None = None) -> CheckResult:
-    corpus = corpus or ToricCorpus()
+@per_fan("cell counts are sums of 2^codim", ALL_FANS)
+def check_cell_counts(name, fan, tcc, ss) -> list[str]:
+    cx = tcc.filtered.complex
+    return [f"{name} degree {k}" for k in cx.degrees()
+            if cx.dim(k) != sum(1 << k for cid in fan.cone_ids() if fan.codim(cid) == k)]
+
+
+@per_fan("virtual polynomial equals the orbit sum", ALL_FANS)
+def check_orbit_additivity(name, fan, tcc, ss) -> list[str]:
+    got, want = virtual_poincare(ss), orbit_sum_poly(fan)
+    return [f"{name}: {got} != {want}"] if got != want else []
+
+
+@per_fan("smooth complete fixtures are pure", SMOOTH_COMPLETE)
+def check_purity_smooth_complete(name, fan, tcc, ss) -> list[str]:
+    return [] if purity_collapse_report(ss, fan.n).is_pure else [name]
+
+
+@per_fan("second page equals the limit in rank <= 3", RANK_3)
+def check_collapse_low_dim(name, fan, tcc, ss) -> list[str]:
+    return [] if reindexed_page(ss, 2) == reindexed_page(ss, ss.r_inf + 1) else [name]
+
+
+@per_fan("pages lie in the support triangle", ALL_FANS)
+def check_support_triangle(name, fan, tcc, ss) -> list[str]:
+    return [] if purity_collapse_report(ss, fan.n).support_ok else [name]
+
+
+@per_fan("limit page sums to homology", ALL_FANS)
+def check_convergence(name, fan, tcc, ss) -> list[str]:
+    cx = tcc.filtered.complex
+    inf = ss.infinity_page()
+    return [f"{name} degree {k}" for k in cx.degrees()
+            if sum(d for (p, q), d in inf.items() if p + q == k) != cx.betti(k)]
+
+
+@per_fan("orbit maps are path independent", ALL_FANS)
+def check_orbit_map_paths(name, fan, tcc, ss) -> list[str]:
     bad = []
-    for name, fan in corpus.fans.items():
-        cx = corpus.complex(name).filtered.complex
-        for k in cx.degrees():
-            want = sum(1 << fan.codim(cid) for cid in fan.cone_ids()
-                       if fan.codim(cid) == k)
-            if cx.dim(k) != want:
-                bad.append(f"{name} degree {k}")
-    return _result("cell counts are sums of 2^codim", not bad, ", ".join(bad))
+    groups = tcc.groups
+    for cid in fan.cone_ids():
+        for mid in fan.covers(cid):
+            for top in fan.covers(mid):
+                composites = set()
+                for other in fan.covers(cid):
+                    if top in fan.covers(other):
+                        m = _orbit_map(groups[other], groups[top]).mul(
+                            _orbit_map(groups[cid], groups[other]))
+                        composites.add(m)
+                if len(composites) > 1:
+                    bad.append(f"{name}: {cid} -> {top}")
+    return bad
 
 
-def check_orbit_additivity(corpus: ToricCorpus | None = None) -> CheckResult:
-    corpus = corpus or ToricCorpus()
-    bad = []
-    for name, fan in corpus.fans.items():
-        got = virtual_poincare(corpus.sequence(name))
-        want = orbit_sum_poly(fan)
-        if got != want:
-            bad.append(f"{name}: {got} != {want}")
-    return _result("virtual polynomial equals the orbit sum", not bad, "; ".join(bad))
-
-
-def check_purity_smooth_complete(corpus: ToricCorpus | None = None) -> CheckResult:
-    corpus = corpus or ToricCorpus()
-    bad = []
-    for name, fan in corpus.smooth_complete.items():
-        report = purity_collapse_report(corpus.sequence(name), fan.n)
-        if not report.is_pure:
-            bad.append(name)
-    return _result("smooth complete fixtures are pure", not bad, ", ".join(bad))
-
-
-def check_collapse_low_dim(corpus: ToricCorpus | None = None) -> CheckResult:
-    corpus = corpus or ToricCorpus()
-    bad = []
-    for name, fan in corpus.fans.items():
-        if fan.n > 3:
-            continue
-        ss = corpus.sequence(name)
-        if reindexed_page(ss, 2) != reindexed_page(ss, ss.r_inf + 1):
-            bad.append(name)
-    return _result("second page equals the limit in rank <= 3", not bad, ", ".join(bad))
-
-
-def check_support_triangle(corpus: ToricCorpus | None = None) -> CheckResult:
-    corpus = corpus or ToricCorpus()
-    bad = []
-    for name, fan in corpus.fans.items():
-        report = purity_collapse_report(corpus.sequence(name), fan.n)
-        if not report.support_ok:
-            bad.append(name)
-    return _result("pages lie in the support triangle", not bad, ", ".join(bad))
-
-
-def check_convergence(corpus: ToricCorpus | None = None) -> CheckResult:
-    corpus = corpus or ToricCorpus()
-    bad = []
-    for name in corpus.fans:
-        fc = corpus.complex(name).filtered
-        inf = corpus.sequence(name).infinity_page()
-        for k in fc.complex.degrees():
-            total = sum(d for (p, q), d in inf.items() if p + q == k)
-            if total != fc.complex.betti(k):
-                bad.append(f"{name} degree {k}")
-    return _result("limit page sums to homology", not bad, ", ".join(bad))
-
-
-def check_orbit_map_paths(corpus: ToricCorpus | None = None) -> CheckResult:
-    corpus = corpus or ToricCorpus()
-    bad = []
-    for name, fan in corpus.fans.items():
-        groups = corpus.complex(name).groups
-        for cid in fan.cone_ids():
-            for mid in fan.covers(cid):
-                for top in fan.covers(mid):
-                    composites = set()
-                    for other in fan.covers(cid):
-                        if top in fan.covers(other):
-                            m = _orbit_map(groups[other], groups[top]).mul(
-                                _orbit_map(groups[cid], groups[other]))
-                            composites.add(m)
-                    if len(composites) > 1:
-                        bad.append(f"{name}: {cid} -> {top}")
-    return _result("orbit maps are path independent", not bad, ", ".join(bad))
-
-
-def check_positive_part(corpus: ToricCorpus | None = None) -> CheckResult:
+@per_fan("top graded piece counts cones", ALL_FANS)
+def check_positive_part(name, fan, tcc, ss) -> list[str]:
     """The p = 0 graded piece has one dimension per cone."""
-    corpus = corpus or ToricCorpus()
-    bad = []
-    for name, fan in corpus.fans.items():
-        fc = corpus.complex(name).filtered
-        for k in fc.complex.degrees():
-            top = fc.level(0, k).dim
-            below = fc.level(-1, k).dim
-            count = sum(1 for cid in fan.cone_ids() if fan.codim(cid) == k)
-            if top - below != count:
-                bad.append(f"{name} degree {k}")
-    return _result("top graded piece counts cones", not bad, ", ".join(bad))
+    fc = tcc.filtered
+    return [f"{name} degree {k}" for k in fc.complex.degrees()
+            if fc.level(0, k).dim - fc.level(-1, k).dim
+            != sum(1 for cid in fan.cone_ids() if fan.codim(cid) == k)]
 
 
 # ---------------------------------------------------------------------------
 # fcomplex suite
 
 
-def check_canonical_antidiagonal(corpus: ToricCorpus | None = None) -> CheckResult:
-    corpus = corpus or ToricCorpus()
-    bad = []
-    for name in corpus.fans:
-        cx = corpus.complex(name).filtered.complex
-        ss = SpectralSequence(canonical_filtration(cx))
-        page = ss.page(1)
-        for (p, q), d in page.items():
-            if q != -2 * p or d != cx.betti(-p):
-                bad.append(f"{name} at ({p},{q})")
-        for k in cx.degrees():
-            if cx.betti(k) and (-k, 2 * k) not in page:
-                bad.append(f"{name} missing degree {k}")
-    return _result("canonical filtration pages sit on q = -2p", not bad, ", ".join(bad))
+@per_fan("canonical filtration pages sit on q = -2p", ALL_FANS)
+def check_canonical_antidiagonal(name, fan, tcc, ss) -> list[str]:
+    cx = tcc.filtered.complex
+    page = SpectralSequence(canonical_filtration(cx)).page(1)
+    bad = [f"{name} at ({p},{q})" for (p, q), d in page.items()
+           if q != -2 * p or d != cx.betti(-p)]
+    bad += [f"{name} missing degree {k}" for k in cx.degrees()
+            if cx.betti(k) and (-k, 2 * k) not in page]
+    return bad
 
 
-def check_deligne_comparison_toric(corpus: ToricCorpus | None = None) -> CheckResult:
-    corpus = corpus or ToricCorpus()
-    bad = []
-    for name in corpus.small():
-        pages = sorted({m[0] for m in decalage_mismatches(corpus.sequence(name))})
-        bad.extend(f"{name} page {r}" for r in pages)
-    return _result("shifted filtration matches reindexed pages", not bad, ", ".join(bad))
+@per_fan("shifted filtration matches reindexed pages", RANK_2)
+def check_deligne_comparison_toric(name, fan, tcc, ss) -> list[str]:
+    return [f"{name} page {r}" for r in sorted({m[0] for m in decalage_mismatches(ss)})]
 
 
-def check_page_homology(corpus: ToricCorpus | None = None) -> CheckResult:
+@per_fan("differentials compute the next page", RANK_2)
+def check_page_homology(name, fan, tcc, ss) -> list[str]:
     """d^r squares to zero and computes the next page, as matrices.
 
     The entries and differentials come from a spectral sequence of the
-    check's own, dropped after each fan: no other check reads them, and
-    in the corpus the caches of every small fan would be held at once."""
-    corpus = corpus or ToricCorpus()
+    property's own, dropped after the fan: no other property reads them,
+    and in the shared sequences the caches of every small fan would be
+    held at once."""
     bad = []
-    for name in corpus.small():
-        ss = SpectralSequence(corpus.complex(name).filtered)
-        for r in range(0, ss.r_inf + 1):
-            page = ss.page(r)
-            for (p, q) in page:
-                d_out = ss.differential(r, p, q)
-                d_in = ss.differential(r, p + r, q - r + 1)
-                if not d_out.mul(d_in).is_zero():
-                    bad.append(f"{name} d^{r} at ({p},{q}) does not square to zero")
-                    continue
-                rank_out = d_out.rank()
-                rank_in = d_in.rank()
-                next_dim = ss.dim(r + 1, p, q)
-                if next_dim != ss.dim(r, p, q) - rank_out - rank_in:
-                    bad.append(f"{name} page {r + 1} at ({p},{q}) is not homology")
-    return _result("differentials compute the next page", not bad, "; ".join(bad))
+    ss = SpectralSequence(tcc.filtered)
+    for r in range(0, ss.r_inf + 1):
+        for (p, q) in ss.page(r):
+            d_out = ss.differential(r, p, q)
+            d_in = ss.differential(r, p + r, q - r + 1)
+            if not d_out.mul(d_in).is_zero():
+                bad.append(f"{name} d^{r} at ({p},{q}) does not square to zero")
+                continue
+            if ss.dim(r + 1, p, q) != ss.dim(r, p, q) - d_out.rank() - d_in.rank():
+                bad.append(f"{name} page {r + 1} at ({p},{q}) is not homology")
+    return bad
 
 
-def check_reindex_first_quadrant(corpus: ToricCorpus | None = None) -> CheckResult:
-    corpus = corpus or ToricCorpus()
-    bad = []
-    for name in corpus.small():
-        ss = corpus.sequence(name)
-        for r in range(2, ss.r_inf + 2):
-            for (pp, qq), d in reindexed_page(ss, r).items():
-                if pp < 0 or qq < 0:
-                    bad.append(f"{name} page {r} at ({pp},{qq})")
-    return _result("reindexed pages are first quadrant", not bad, ", ".join(bad))
+@per_fan("reindexed pages are first quadrant", RANK_2)
+def check_reindex_first_quadrant(name, fan, tcc, ss) -> list[str]:
+    return [f"{name} page {r} at ({pp},{qq})"
+            for r in range(2, ss.r_inf + 2)
+            for (pp, qq) in reindexed_page(ss, r) if pp < 0 or qq < 0]
 
 
 # ---------------------------------------------------------------------------
@@ -379,18 +369,17 @@ def _circle_chain_complex() -> ChainComplex:
     )
 
 
-def check_klein_square_acyclic() -> CheckResult:
+def check_klein_square_acyclic(corpus: ToricCorpus) -> CheckResult:
     ok = is_acyclic(SpectralSequence(simple_filtered(klein_square())))
     return _result("blowup square total complex is acyclic", ok)
 
 
-def check_identity_cone_acyclic() -> CheckResult:
+def check_identity_cone_acyclic(corpus: ToricCorpus) -> CheckResult:
     ok = is_acyclic(SpectralSequence(simple_filtered(_identity_square())))
     return _result("cone of the identity is acyclic", ok)
 
 
-def check_additivity_trivial(corpus: ToricCorpus | None = None) -> CheckResult:
-    corpus = corpus or ToricCorpus()
+def check_additivity_trivial(corpus: ToricCorpus) -> CheckResult:
     x = corpus.standard("P", 1).filtered
     empty = trivial_filtration(ChainComplex.make({}, {}))
     diagram = CubicalDiagram(0, {0: x, 1: empty}, {(1, 0): {}})
@@ -399,9 +388,8 @@ def check_additivity_trivial(corpus: ToricCorpus | None = None) -> CheckResult:
                    str(report.mismatches))
 
 
-def check_additivity_toric(corpus: ToricCorpus | None = None) -> CheckResult:
+def check_additivity_toric(corpus: ToricCorpus) -> CheckResult:
     """Two fixed points inside the projective line leave a split torus."""
-    corpus = corpus or ToricCorpus()
     x = corpus.standard("P", 1).filtered
     y = trivial_filtration(ChainComplex.make({0: 2}, {}))
     # The two degree-0 cells of the line's toric complex are the two
@@ -414,8 +402,7 @@ def check_additivity_toric(corpus: ToricCorpus | None = None) -> CheckResult:
                    str(report.mismatches))
 
 
-def check_additivity_full(corpus: ToricCorpus | None = None) -> CheckResult:
-    corpus = corpus or ToricCorpus()
+def check_additivity_full(corpus: ToricCorpus) -> CheckResult:
     x = corpus.standard("P", 1).filtered
     ident = {k: BitMatrix.identity(x.complex.dim(k)) for k in x.complex.degrees()}
     diagram = CubicalDiagram(0, {0: x, 1: x}, {(1, 0): ident})
@@ -423,7 +410,7 @@ def check_additivity_full(corpus: ToricCorpus | None = None) -> CheckResult:
     return _result("removing everything leaves an acyclic complement", ok)
 
 
-def check_hyperres_homology() -> CheckResult:
+def check_hyperres_homology(corpus: ToricCorpus) -> CheckResult:
     want = {"single": {0: 1, 1: 1}, "wedge1": {0: 1, 1: 2}, "wedge2": {0: 1, 1: 3}}
     bad = []
     for name, h in all_hyperres().items():
@@ -435,7 +422,7 @@ def check_hyperres_homology() -> CheckResult:
                    not bad, ", ".join(bad))
 
 
-def check_hyperres_compare() -> CheckResult:
+def check_hyperres_compare(corpus: ToricCorpus) -> CheckResult:
     bad = []
     for name, h in all_hyperres().items():
         mismatches = decalage_mismatches(SpectralSequence(skeleton_filtration(h)))
@@ -445,7 +432,7 @@ def check_hyperres_compare() -> CheckResult:
                    not bad, "; ".join(bad))
 
 
-def check_hyperres_convergence() -> CheckResult:
+def check_hyperres_convergence(corpus: ToricCorpus) -> CheckResult:
     bad = []
     for name, h in all_hyperres().items():
         fc = skeleton_filtration(h)
@@ -485,20 +472,19 @@ def random_function(rng: random.Random, cx: CellComplex) -> ConstructibleFunctio
     return ConstructibleFunction(cx, weights)
 
 
-def check_link_idempotence() -> CheckResult:
+def check_link_idempotence(corpus: ToricCorpus) -> CheckResult:
     rng = random.Random(LINK_SEED)
     for i in range(LINK_PAIRS):
         cx = random_simplicial_complex(rng)
         phi = random_function(rng, cx)
         lam = link(phi)
         twice = link(lam)
-        want = {c: 2 * v for c, v in lam.weights.items()}
-        if {c: v for c, v in twice.weights.items() if v} != {c: v for c, v in want.items() if v}:
+        if twice.weights != {c: 2 * v for c, v in lam.weights.items() if v}:
             return _result("link operator satisfies L(L) = 2L", False, f"pair {i}")
     return _result("link operator satisfies L(L) = 2L", True)
 
 
-def check_boundary_oracle() -> CheckResult:
+def check_boundary_oracle(corpus: ToricCorpus) -> CheckResult:
     rng = random.Random(BOUNDARY_SEED)
     for i in range(BOUNDARY_CHAINS):
         cx = random_simplicial_complex(rng)
@@ -527,7 +513,7 @@ def check_boundary_oracle() -> CheckResult:
     return _result("parity boundary matches the incidence oracle", True)
 
 
-def check_fold_pushforward() -> CheckResult:
+def check_fold_pushforward(corpus: ToricCorpus) -> CheckResult:
     fold = fold_map()
     # On fold's own circle, so that all 2^k maps of each k share one
     # (memoized) product complex circle^k.
@@ -565,7 +551,7 @@ def _product_coords(cell, k: int) -> list:
     return list(reversed(coords))
 
 
-def check_euler_fubini() -> CheckResult:
+def check_euler_fubini(corpus: ToricCorpus) -> CheckResult:
     rng = random.Random(FUBINI_SEED)
     circle = circle_complex()
     maps = [fold_map(), SimpMap.identity(circle),
@@ -578,7 +564,7 @@ def check_euler_fubini() -> CheckResult:
     return _result("pushforward preserves the Euler integral", True)
 
 
-def check_pushforward_functorial() -> CheckResult:
+def check_pushforward_functorial(corpus: ToricCorpus) -> CheckResult:
     fold = fold_map()
     tower = fold.compose(fold)
     rng = random.Random(5)
@@ -592,7 +578,7 @@ def check_pushforward_functorial() -> CheckResult:
     return _result("pushforward is functorial", True)
 
 
-def check_restriction_boundary() -> CheckResult:
+def check_restriction_boundary(corpus: ToricCorpus) -> CheckResult:
     rng = random.Random(12)
     for i in range(200):
         cx = random_simplicial_complex(rng)
@@ -619,7 +605,7 @@ def check_restriction_boundary() -> CheckResult:
 # suite registry
 
 
-SUITES: dict[str, list[Callable[[], CheckResult]]] = {
+SUITES: dict[str, list[Callable[[ToricCorpus], CheckResult]]] = {
     "toric": [
         check_boundary_squares_zero,
         check_filtration_binomials,
@@ -660,8 +646,8 @@ SUITES: dict[str, list[Callable[[], CheckResult]]] = {
 
 
 def run_suite(name: str) -> list[CheckResult]:
-    """Run one suite, every suite for "all", none for "none".  The checks
-    that take a ``corpus`` share one :class:`ToricCorpus`, made here."""
+    """Run one suite, every suite for "all", none for "none", each entry
+    on one :class:`ToricCorpus`, made here."""
     if name == "none":
         return []
     if name == "all":
@@ -671,5 +657,4 @@ def run_suite(name: str) -> list[CheckResult]:
     else:
         raise ValueError(f"unknown suite {name!r}")
     corpus = ToricCorpus()
-    return [check(corpus) if "corpus" in signature(check).parameters else check()
-            for suite in names for check in SUITES[suite]]
+    return [check(corpus) for suite in names for check in SUITES[suite]]

@@ -77,7 +77,7 @@ def _fan_from_args(args) -> Fan:
     """The fan of ``--standard`` or ``--fan``.  A fan document is also held
     to the cell cap here, so that its refusal names the file, as every
     other refusal of the document does."""
-    if getattr(args, "standard", None):
+    if args.standard is not None:
         name, _, param = args.standard.partition(":")
         try:
             size = int(param) if param else 0
@@ -103,33 +103,35 @@ def _filtered_from_args(args) -> tuple[FilteredComplex, int]:
     A fan's complex is written in the augmentation basis, unless it is
     to be emitted as a document, which is written in the cell basis; the
     pages are the same in both."""
-    selector = getattr(args, "filtration", None) or "toric"
-    if getattr(args, "fan", None) or getattr(args, "standard", None):
+    selector = args.filtration
+    if args.fan is not None or args.standard is not None:
         fan = _fan_from_args(args)
         tcc = toric_cell_complex(fan)
-        cells = bool(getattr(args, "emit_complex", None))
+        cells = args.emit_complex is not None
         if selector == "canonical":
             return canonical_filtration(
                 tcc.complex if cells else tcc.filtered.complex), fan.n
-        if selector in ("toric", "file"):
+        if selector in (None, "toric", "file"):
             return tcc.cell_filtered if cells else tcc.filtered, fan.n
         raise CliError(f"filtration {selector!r} does not apply to fans", EXIT_PARSE)
-    if getattr(args, "hyperres", None):
+    if args.hyperres is not None:
         doc = _load_json(args.hyperres)
         try:
             fc = skeleton_filtration(hyperres_from_doc(doc))
         except ComplexError as exc:
             raise CliError(str(exc), EXIT_VALIDATION)
+        if selector == "canonical":
+            fc = canonical_filtration(fc.complex)
+        elif selector not in (None, "skeleton"):
+            raise CliError(f"filtration {selector!r} does not apply to hyperresolutions",
+                           EXIT_PARSE)
         return fc, max(fc.complex.degrees() or [0])
-    if not getattr(args, "complex", None):
-        raise CliError("one of --fan/--standard/--complex/--hyperres is required",
-                       EXIT_PARSE)
     doc = _load_json(args.complex)
     try:
         fc = filtered_from_doc(doc)
         if selector == "canonical":
             fc = canonical_filtration(fc.complex)
-        elif selector not in ("file", "toric"):
+        elif selector not in (None, "file", "toric"):
             raise CliError(f"filtration {selector!r} does not apply to complex files",
                            EXIT_PARSE)
     except ComplexError as exc:
@@ -255,9 +257,13 @@ def cmd_fan_info(args) -> int:
 
 def cmd_ss(args) -> int:
     fc, dim = _filtered_from_args(args)
-    if args.emit_complex:
-        with open(args.emit_complex, "w") as fh:
-            json.dump(filtered_to_doc(fc), fh, indent=2, sort_keys=True)
+    if args.emit_complex is not None:
+        doc = filtered_to_doc(fc)
+        try:
+            with open(args.emit_complex, "w") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.emit_complex}: {exc}", EXIT_PARSE)
     _emit_pages(SpectralSequence(fc), dim, args.format)
     return EXIT_OK
 
@@ -305,14 +311,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_cubical_ss(args) -> int:
-    if args.diagram:
+    if args.diagram is not None:
         doc = _load_json(args.diagram)
         try:
             ss = SpectralSequence(simple_filtered(diagram_from_doc(doc)))
         except ComplexError as exc:
             raise CliError(str(exc), EXIT_VALIDATION)
         print(f"total complex acyclic: {'yes' if is_acyclic(ss) else 'no'}")
-    elif args.hyperres:
+    else:
         doc = _load_json(args.hyperres)
         try:
             h = hyperres_from_doc(doc)
@@ -321,8 +327,6 @@ def cmd_cubical_ss(args) -> int:
         ss = SpectralSequence(skeleton_filtration(h))
         mismatches = decalage_mismatches(ss)
         print(f"shifted-filtration comparison: {mismatches or 'ok'}")
-    else:
-        raise CliError("--diagram or --hyperres is required", EXIT_PARSE)
     _emit_pages(ss, max(ss.cx.degrees() or [0]), args.format)
     return EXIT_OK
 
@@ -379,8 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_fan_inputs(p):
-        p.add_argument("--fan", help="fan document (JSON)")
-        p.add_argument("--standard", help="named fan, e.g. P:2, trivial:3, hirzebruch:1")
+        """The input options, of which a request names exactly one."""
+        inputs = p.add_mutually_exclusive_group(required=True)
+        inputs.add_argument("--fan", help="fan document (JSON)")
+        inputs.add_argument("--standard", help="named fan, e.g. P:2, trivial:3, hirzebruch:1")
+        return inputs
 
     def add_format(p):
         p.add_argument("--format", choices=("text", "doc", "csv"), default="text")
@@ -390,9 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fan_info)
 
     p = sub.add_parser("ss", help="compute spectral-sequence pages")
-    add_fan_inputs(p)
-    p.add_argument("--complex", help="filtered complex document (JSON)")
-    p.add_argument("--hyperres", help="hyperresolution document (JSON)")
+    inputs = add_fan_inputs(p)
+    inputs.add_argument("--complex", help="filtered complex document (JSON)")
+    inputs.add_argument("--hyperres", help="hyperresolution document (JSON)")
     p.add_argument("--filtration",
                    choices=("toric", "canonical", "skeleton", "file"),
                    help="filtration to use (default: toric for fans, "
@@ -413,8 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("cubical-ss", help="pages of a diagram or hyperresolution")
-    p.add_argument("--diagram", help="cubical diagram document (JSON)")
-    p.add_argument("--hyperres", help="hyperresolution document (JSON)")
+    inputs = p.add_mutually_exclusive_group(required=True)
+    inputs.add_argument("--diagram", help="cubical diagram document (JSON)")
+    inputs.add_argument("--hyperres", help="hyperresolution document (JSON)")
     add_format(p)
     p.set_defaults(func=cmd_cubical_ss)
 

@@ -32,7 +32,6 @@ likewise.  Outside the stored ranges everything is zero.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Hashable, Mapping
@@ -128,9 +127,6 @@ class ChainComplex:
             m = BitMatrix.zero(self.dim(k - 1), self.dim(k))
         return m
 
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
     def cycles(self, k: int) -> BitSubspace:
         return rank_kernel_image(self.d(k))[1]
 
@@ -142,13 +138,6 @@ class ChainComplex:
 
     def betti_numbers(self) -> dict[int, int]:
         return {k: b for k in self.degrees() if (b := self.betti(k))}
-
-    def shift(self, s: int) -> "ChainComplex":
-        """Degree shift: degree k of the result is degree k - s of self."""
-        return ChainComplex.make(
-            {k + s: n for k, n in self.dims.items()},
-            {k + s: m for k, m in self.boundary.items()},
-        )
 
 
 @dataclass(frozen=True)
@@ -504,8 +493,3 @@ def _level_list(vecs) -> list:
     if not isinstance(vecs, list):
         raise ValueError(f"the vectors of a filtration level must be a list, not {vecs!r}")
     return vecs
-
-
-def load_filtered(path: str) -> FilteredComplex:
-    with open(path) as fh:
-        return filtered_from_doc(json.load(fh))

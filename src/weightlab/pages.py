@@ -178,14 +178,6 @@ class SpectralSequence:
             cols.append(dst.quotient.coords(d.mul_vec(rep)))
         return BitMatrix.from_columns(dst.dim, cols)
 
-    def differentials(self, r: int) -> dict[tuple[int, int], BitMatrix]:
-        out = {}
-        for (p, q), _ in self.page(r).items():
-            m = self.differential(r, p, q)
-            if not m.is_zero():
-                out[(p, q)] = m
-        return out
-
     def infinity_page(self) -> dict[tuple[int, int], int]:
         return self.page(self.r_inf)
 
@@ -206,18 +198,6 @@ def reindexed_page(ss: SpectralSequence, r: int) -> dict[tuple[int, int], int]:
     for (p, q), d in ss.page(r - 1).items():
         out[(2 * p + q, -p)] = d
     return out
-
-
-def reindexed_differential(
-    ss: SpectralSequence, r: int, pp: int, qq: int
-) -> BitMatrix:
-    """d^r on the reindexed page at (p', q'); lands at (p'-r, q'+r-1)."""
-    p, q = -qq, pp + 2 * qq
-    return ss.differential(r - 1, p, q)
-
-
-def reindexed_infinity(ss: SpectralSequence) -> dict[tuple[int, int], int]:
-    return reindexed_page(ss, ss.r_inf + 1)
 
 
 def weight_profile(ss: SpectralSequence) -> dict[int, dict[int, int]]:

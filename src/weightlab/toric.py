@@ -58,7 +58,7 @@ from .fan import (  # re-exported: callers read fans from this module too
     product_fan,
     standard_fan,
 )
-from .gf2 import BitMatrix, BitSubspace
+from .gf2 import BitMatrix
 from .poly import Poly
 
 
@@ -81,19 +81,9 @@ class OrbitGroup:
     ``units[i]`` is the element represented by e_i.
     """
 
-    cone_id: str
     dim: int
     free: tuple[int, ...]
-    ray_span: BitSubspace
     units: tuple[int, ...]
-
-    def coords(self, v: int) -> int:
-        """The element of the orbit group represented by v in (Z/2)^n."""
-        g = 0
-        for i, u in enumerate(self.units):
-            if v >> i & 1:
-                g ^= u
-        return g
 
 
 def orbit_group(f: Fan, cid: str) -> OrbitGroup:
@@ -105,15 +95,7 @@ def orbit_group(f: Fan, cid: str) -> OrbitGroup:
         units[i] = 1 << j
     for b in span.basis:  # zero in the group: e_p is b's free part, p its pivot
         units[(b & -b).bit_length() - 1] = sum(units[i] for i in free if b >> i & 1)
-    return OrbitGroup(cid, len(free), free, span, tuple(units))
-
-
-def orbit_map(f: Fan, sigma: str, tau: str) -> BitMatrix:
-    """The surjection T_sigma -> T_tau for a covering pair sigma < tau."""
-    c_sigma, c_tau = f.cone(sigma), f.cone(tau)
-    if sigma not in c_tau.faces or c_tau.dim != c_sigma.dim + 1:
-        raise FanError(f"{tau!r} does not cover {sigma!r}")
-    return _orbit_map(orbit_group(f, sigma), orbit_group(f, tau))
+    return OrbitGroup(len(free), free, tuple(units))
 
 
 def _orbit_map(g_sigma: OrbitGroup, g_tau: OrbitGroup) -> BitMatrix:
@@ -304,10 +286,6 @@ def toric_cell_complex(f: Fan) -> ToricCellComplex:
     }
     fc = FilteredComplex(ChainComplex.make(dims, boundary), (-f.max_codim(), 0), None, levels)
     return ToricCellComplex(f, groups, offsets, fc)
-
-
-def toric_filtration(f: Fan) -> FilteredComplex:
-    return toric_cell_complex(f).filtered
 
 
 def orbit_sum_poly(f: Fan) -> Poly:

@@ -4,12 +4,16 @@ import weakref
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weightlab.fan
 import weightlab.fixtures
 from weightlab import checks
-from weightlab.fan import fan_to_doc, standard_fan
+from weightlab.fan import fan_to_doc, product_fan, standard_fan
 from weightlab.fixtures import fan_corpus, smooth_complete_corpus
+from weightlab.pages import SpectralSequence
+from weightlab.toric import toric_cell_complex
 
 
 def _key(doc) -> str:
@@ -74,12 +78,70 @@ def test_run_suite_builds_each_corpus_fan_once(monkeypatch):
     assert counters.refs and all(ref() is None for ref in counters.refs)
 
 
+def _name(check) -> str:
+    return getattr(check, "on_fan", check).__name__
+
+
 @pytest.mark.parametrize("check", [
-    pytest.param(check, id=f"{suite}-{check.__name__}")
+    pytest.param(check, id=f"{suite}-{_name(check)}")
     for suite, suite_checks in checks.SUITES.items() for check in suite_checks])
 def test_checks_run_on_their_own(check):
-    result = check()
+    result = check(checks.ToricCorpus())
     assert result.ok, result.detail
+
+
+PROPERTIES = [check for suite in ("toric", "fcomplex") for check in checks.SUITES[suite]]
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return checks.ToricCorpus()
+
+
+def _property_fans():
+    listing = checks.ToricCorpus()  # parses the fans and builds nothing
+    return [pytest.param(prop, name, id=f"{_name(prop)}-{name}")
+            for prop in PROPERTIES for name in prop.fans.names(listing)]
+
+
+@pytest.mark.parametrize("prop, name", _property_fans())
+def test_property_holds_on_the_corpus_fan(corpus, prop, name):
+    assert prop.faults(corpus, name) == []
+
+
+# Factors of the drawn products: the corpus fans of rank at most 2 and the
+# smallest fans of the standard families, with those that are smooth and
+# complete, whose products are smooth and complete too.
+_FACTORS = {
+    **{name: fan for name, fan in fan_corpus().items() if fan.n <= 2},
+    **{f"{family}:{n}": standard_fan(family, n)
+       for family in ("P", "A", "trivial") for n in range(3)},
+}
+_SMOOTH_COMPLETE = {*smooth_complete_corpus(), "P:1", "P:2",
+                    *(name for name, fan in _FACTORS.items() if fan.n == 0)}
+
+# Every property backed by a theorem.  That the second page is the limit
+# in rank <= 3 is only observed on the corpus.
+_THEOREMS = [prop for prop in PROPERTIES if prop is not checks.check_collapse_low_dim]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(sorted(_FACTORS)), min_size=2, max_size=3)
+       .filter(lambda names: sum(_FACTORS[f].n for f in names) <= 4))
+def test_theorems_hold_on_products(names):
+    fan = _FACTORS[names[0]]
+    for factor in names[1:]:
+        fan = product_fan(fan, _FACTORS[factor])
+    smooth_complete = set(names) <= _SMOOTH_COMPLETE
+    tcc = toric_cell_complex(fan)
+    ss = SpectralSequence(tcc.filtered)
+    name = " x ".join(names)
+    for prop in _THEOREMS:
+        if prop.fans.smooth_complete and not smooth_complete:
+            continue
+        if prop.fans.max_rank is not None and fan.n > prop.fans.max_rank:
+            continue
+        assert prop.on_fan(name, fan, tcc, ss) == [], prop.title
 
 
 def test_corpus_names_denote_one_fan():
@@ -119,6 +181,6 @@ def test_euler_suite_draws_the_same_data(monkeypatch):
 
     monkeypatch.setattr(checks, "random_simplicial_complex", recording_complex)
     monkeypatch.setattr(checks, "random_function", recording_function)
-    assert all(check().ok for check in checks.SUITES["euler"])
+    assert all(result.ok for result in checks.run_suite("euler"))
     assert drawn == {"complexes": 1400, "functions": 1300}
     assert digest.hexdigest() == EULER_DRAWS

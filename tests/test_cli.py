@@ -122,29 +122,138 @@ def test_check_none_suite(capsys):
     assert "0 passed, 0 failed" in out
 
 
+# The whole text of ``check --suite all``, suite by suite, in order.
+CHECK_LINES = {
+    "toric": [
+        "PASS  toric boundary squares to zero",
+        "PASS  toric filtration quotients are binomial",
+        "PASS  cell counts are sums of 2^codim",
+        "PASS  virtual polynomial equals the orbit sum",
+        "PASS  smooth complete fixtures are pure",
+        "PASS  second page equals the limit in rank <= 3",
+        "PASS  pages lie in the support triangle",
+        "PASS  limit page sums to homology",
+        "PASS  orbit maps are path independent",
+        "PASS  top graded piece counts cones",
+    ],
+    "fcomplex": [
+        "PASS  canonical filtration pages sit on q = -2p",
+        "PASS  shifted filtration matches reindexed pages",
+        "PASS  differentials compute the next page",
+        "PASS  reindexed pages are first quadrant",
+    ],
+    "cubical": [
+        "PASS  blowup square total complex is acyclic",
+        "PASS  cone of the identity is acyclic",
+        "PASS  additivity with an empty center",
+        "PASS  additivity for fixed points in the line",
+        "PASS  removing everything leaves an acyclic complement",
+        "PASS  hyperresolution totals have the expected homology",
+        "PASS  hyperresolution pages match the shifted filtration",
+        "PASS  hyperresolution pages converge to homology",
+    ],
+    "euler": [
+        "PASS  link operator satisfies L(L) = 2L",
+        "PASS  parity boundary matches the incidence oracle",
+        "PASS  fold pushforward matches the torus formula",
+        "PASS  pushforward preserves the Euler integral",
+        "PASS  pushforward is functorial",
+        "PASS  boundary commutes with open restriction",
+    ],
+}
+
+
 def test_check_euler_suite(capsys):
     code, out, _ = run(capsys, "check", "--suite", "euler")
     assert code == 0
-    assert out == """\
-PASS  link operator satisfies L(L) = 2L
-PASS  parity boundary matches the incidence oracle
-PASS  fold pushforward matches the torus formula
-PASS  pushforward preserves the Euler integral
-PASS  pushforward is functorial
-PASS  boundary commutes with open restriction
-6 passed, 0 failed
-"""
+    assert out.splitlines() == [*CHECK_LINES["euler"], "6 passed, 0 failed"]
 
 
 def test_check_all_suites(capsys):
-    from weightlab.checks import SUITES
     code, out, _ = run(capsys, "check", "--suite", "all")
-    lines = out.splitlines()
-    total = sum(len(checks) for checks in SUITES.values())
     assert code == 0
-    assert len(lines) == total + 1
-    assert all(line.startswith("PASS  ") for line in lines[:-1])
-    assert lines[-1] == f"{total} passed, 0 failed"
+    lines = [line for suite in CHECK_LINES.values() for line in suite]
+    assert out == "\n".join([*lines, "28 passed, 0 failed", ""])
+
+
+def test_a_failing_check_exits_4(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from weightlab import checks
+    from weightlab.fixtures import fan_corpus
+
+    toric = list(checks.SUITES["toric"])
+    i = toric.index(checks.check_cell_counts)
+    toric[i] = replace(toric[i], on_fan=lambda name, fan, tcc, ss: [f"{name} off"])
+    monkeypatch.setitem(checks.SUITES, "toric", toric)
+    code, out, _ = run(capsys, "check", "--suite", "toric")
+    assert code == 4
+    lines = out.splitlines()
+    detail = "; ".join(f"{name} off" for name in fan_corpus())
+    assert lines[i] == f"FAIL  cell counts are sums of 2^codim  [{detail}]"
+    assert lines[:i] + lines[i + 1:-1] == CHECK_LINES["toric"][:i] + CHECK_LINES["toric"][i + 1:]
+    assert lines[-1] == "9 passed, 1 failed"
+
+
+@pytest.mark.parametrize("fmt, disagrees", [
+    ("text", "orbit-sum prediction: 1 + t (DISAGREES)"),
+    ("doc", '"agree": false'),
+    ("csv", "q,beta_q\n0,1\n1,1\n2,1\n"),
+])
+def test_vpoly_disagreement_exits_4(capsys, monkeypatch, fmt, disagrees):
+    from weightlab.poly import Poly
+
+    monkeypatch.setattr(weightlab.cli, "orbit_sum_poly", lambda fan: Poly.make([1, 1]))
+    code, out, _ = run(capsys, "vpoly", "--standard", "P:2", "--format", fmt)
+    assert code == 4
+    assert disagrees in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["fan-info"],
+    ["vpoly"],
+    ["ss"],
+    ["cubical-ss"],
+    ["fan-info", "--fan", "missing.json", "--standard", "P:1"],
+    ["vpoly", "--standard", "P:1", "--fan", "missing.json"],
+    ["ss", "--fan", "missing.json", "--standard", "P:1"],
+    ["ss", "--complex", "c.json", "--hyperres", "h.json"],
+    ["ss", "--standard", "P:1", "--complex", "c.json"],
+    ["cubical-ss", "--diagram", "d.json", "--hyperres", "h.json"],
+])
+def test_each_request_names_exactly_one_input(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "is required" in err or "not allowed with argument" in err
+
+
+def test_hyperresolution_filtrations(capsys):
+    path = str(DATA / "hyperres_wedge1.json")
+
+    def pages(*argv):
+        return run(capsys, "ss", "--hyperres", path, "--format", "csv", *argv)
+
+    skeleton = pages()
+    assert skeleton[0] == 0 and pages("--filtration", "skeleton") == skeleton
+    code, out, _ = pages("--filtration", "canonical")
+    assert code == 0 and out != skeleton[1]
+    first = [row.split(",") for row in out.splitlines() if row.startswith("page,1,")]
+    assert first and all(int(q) == -2 * int(p) for _, _, p, q, _ in first)
+    for selector in ("toric", "file"):
+        code, out, err = pages("--filtration", selector)
+        assert (code, out) == (2, "")
+        assert f"filtration {selector!r} does not apply to hyperresolutions" in err
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", ".", ""])
+def test_emit_complex_to_an_unwritable_path_exits_2(capsys, tmp_path, target):
+    path = str(tmp_path / target) if target else ""
+    code, out, err = run(capsys, "ss", "--standard", "P:1", "--emit-complex", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

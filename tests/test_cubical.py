@@ -61,7 +61,7 @@ def test_simple_total_dims():
     fc = simple_filtered(d)
     # blocks: (0-object at its own degree) + (1-object shifted up by 0)
     # degree k gathers dim_k(X) + dim_{k}(Y) placed at k - 1 + 1
-    assert fc.complex.total_dim() == 2 * circle().total_dim()
+    assert sum(fc.complex.dims.values()) == 2 * sum(circle().dims.values())
     # sanity on is_acyclic
     assert not is_acyclic(SpectralSequence(trivial_filtration(circle())))
 

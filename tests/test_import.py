@@ -10,7 +10,7 @@ import weightlab
 # dropped from sys.modules.
 REIMPORT = textwrap.dedent("""
     import gc, sys, weakref
-    import weightlab.cli
+    import weightlab.checks, weightlab.cli
     first = weakref.ref(sys.modules["weightlab.gf2"].BitMatrix)
     for name in [m for m in sys.modules if m.partition(".")[0] == "weightlab"]:
         del sys.modules[name]
