@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -241,9 +242,14 @@ def check_filtration_binomials(name, fan, tcc, ss) -> list[str]:
 
 @per_fan("cell counts are sums of 2^codim", ALL_FANS)
 def check_cell_counts(name, fan, tcc, ss) -> list[str]:
-    cx = tcc.filtered.complex
-    return [f"{name} degree {k}" for k in cx.degrees()
-            if cx.dim(k) != sum(1 << k for cid in fan.cone_ids() if fan.codim(cid) == k)]
+    """Both builds have 2^{dim T_σ} cells in degree codim σ for each cone
+    σ, with the orbit group T_σ read from ``tcc.groups``."""
+    want = Counter()
+    for cid, group in tcc.groups.items():
+        want[fan.codim(cid)] += 1 << group.dim
+    builds = (tcc.filtered.complex, tcc.complex)
+    return [f"{name} degree {k}" for k in sorted(set(want).union(*(cx.dims for cx in builds)))
+            if any(cx.dim(k) != want[k] for cx in builds)]
 
 
 @per_fan("virtual polynomial equals the orbit sum", ALL_FANS)
@@ -295,10 +301,10 @@ def check_orbit_map_paths(name, fan, tcc, ss) -> list[str]:
 
 @per_fan("top graded piece counts cones", ALL_FANS)
 def check_positive_part(name, fan, tcc, ss) -> list[str]:
-    """The p = 0 graded piece has one dimension per cone."""
-    fc = tcc.filtered
-    return [f"{name} degree {k}" for k in fc.complex.degrees()
-            if fc.level(0, k).dim - fc.level(-1, k).dim
+    """The p = 0 graded piece of the cell basis has one dimension per cone."""
+    cells = tcc.cell_filtered
+    return [f"{name} degree {k}" for k in cells.complex.degrees()
+            if cells.level(0, k).dim - cells.level(-1, k).dim
             != sum(1 for cid in fan.cone_ids() if fan.codim(cid) == k)]
 
 

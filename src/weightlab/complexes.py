@@ -429,9 +429,9 @@ def complex_to_doc(cx: ChainComplex) -> dict:
 
 
 def complex_from_doc(doc: Mapping) -> ChainComplex:
-    """The complex of a document.  A total dimension above
-    ``toric.MAX_CELLS``, read at call time, is refused before anything
-    of that size is allocated."""
+    """The complex of a document.  A total dimension, or a span of the
+    degrees holding cells, above ``toric.MAX_CELLS``, read at call time,
+    is refused before anything of that size is allocated."""
     from . import toric  # toric imports this module
 
     try:
@@ -442,6 +442,7 @@ def complex_from_doc(doc: Mapping) -> ChainComplex:
         if (total := sum(dims.values())) > toric.MAX_CELLS:
             raise ValueError(f"the complex has {total} cells, more than "
                              f"the {toric.MAX_CELLS} the build allows")
+        _check_span("degrees holding cells", [k for k, n in dims.items() if n])
         boundary = {}
         for k_str, entries in doc.get("boundary", {}).items():
             k = int(k_str)
@@ -468,19 +469,33 @@ def filtered_to_doc(fc: FilteredComplex) -> dict:
     return doc
 
 
+def _check_span(what: str, values: list[int]) -> None:
+    """Refuse values spread wider than ``toric.MAX_CELLS``: pages list every
+    level between the ends, so output grows with the span, not the cells."""
+    from . import toric  # toric imports this module
+
+    if values and (span := max(values) - min(values)) > toric.MAX_CELLS:
+        raise ValueError(f"the {what} span {span}, more than the "
+                         f"{toric.MAX_CELLS} the build allows")
+
+
 def filtered_from_doc(doc: Mapping) -> FilteredComplex:
+    """The filtered complex of a document.  Filtration levels spanning
+    more than ``toric.MAX_CELLS`` are refused before any is read."""
     cx = complex_from_doc(doc)
     filt = doc.get("filtration")
     if not filt:
         return trivial_filtration(cx)
     try:
+        by_level = {int(p_str): by_deg for p_str, by_deg in filt.items()}
+        _check_span("filtration levels", list(by_level))
         levels = {
-            int(p_str): {
+            p: {
                 int(k_str): BitSubspace.span(
                     cx.dim(int(k_str)), [vec_from_string(s) for s in _level_list(vecs)])
                 for k_str, vecs in by_deg.items()
             }
-            for p_str, by_deg in filt.items()
+            for p, by_deg in by_level.items()
         }
     except (AttributeError, TypeError, ValueError) as exc:
         raise ComplexError(f"malformed filtration: {exc}") from exc

@@ -258,10 +258,10 @@ def parse_fan(doc: Mapping) -> Fan:
         # (id, ray indices, declared faces); ids are optional only in
         # simplicial mode, face lists only outside it.
         raw_cones = [
-            (cd.get("id") if simplicial else str(cd["id"]),
+            (None if simplicial and cd.get("id") is None else _cone_id(cd["id"], "a cone id"),
              frozenset(json_int(i, "a ray index")
                        for i in (cd["rays"] if simplicial else cd.get("rays", []))),
-             {str(fid) for fid in _face_list(cd.get("faces", []))})
+             {_cone_id(fid, "a face") for fid in _face_list(cd.get("faces", []))})
             for cd in doc.get("cones", [])
         ]
     except KeyError as exc:
@@ -291,7 +291,7 @@ def parse_fan(doc: Mapping) -> Fan:
     spans = Saturations(rays, n)
 
     # A generated id never takes an id declared for other rays.
-    rays_of = {str(cid): idx for cid, idx, _ in raw_cones if cid is not None}
+    rays_of = {cid: idx for cid, idx, _ in raw_cones if cid is not None}
 
     def generated_id(idx: frozenset[int]) -> str:
         cid = _subset_id(idx)
@@ -302,7 +302,7 @@ def parse_fan(doc: Mapping) -> Fan:
     # (id, ray indices) of the zero cone, the declared cones and, in
     # simplicial mode, the faces generated for them.
     ids = [(ZERO_ID, frozenset())]
-    ids += [(generated_id(idx) if cid is None else str(cid), idx) for cid, idx, _ in raw_cones]
+    ids += [(generated_id(idx) if cid is None else cid, idx) for cid, idx, _ in raw_cones]
     cones: dict[str, Cone] = {}
     if simplicial:
         by_rayset: dict[frozenset[int], str] = {frozenset(): ZERO_ID}
@@ -365,6 +365,14 @@ def parse_fan(doc: Mapping) -> Fan:
                 cones[cid] = Cone(c.id, c.ray_indices, c.dim, close(cid))
     _check_ids(ids)
     return Fan(n, tuple(rays), cones)
+
+
+def _cone_id(value, what: str) -> str:
+    """A cone id or a face naming one: a JSON string or integer, as a string;
+    ``null``, ``true`` or an object is refused, not named by its Python form."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return str(value)
+    raise ValueError(f"{what} must be a string or an integer, not {value!r}")
 
 
 def _face_list(faces) -> list:

@@ -187,15 +187,6 @@ class BitMatrix:
         return cls(rows, len(columns), tuple(map(_pack, columns)))
 
     @classmethod
-    def from_dense(cls, dense: Sequence[Sequence[int]], cols: int | None = None) -> "BitMatrix":
-        """Build from a list of rows of 0/1 entries."""
-        rows = len(dense)
-        if cols is None:
-            cols = len(dense[0]) if rows else 0
-        return cls.from_entries(rows, cols, [
-            (i, j) for i, row in enumerate(dense) for j, b in enumerate(row) if b & 1])
-
-    @classmethod
     def from_columns(cls, rows: int, columns: Sequence[int]) -> "BitMatrix":
         return cls(rows, len(columns), tuple(columns))
 
@@ -238,24 +229,12 @@ class BitMatrix:
         if self.rows != self.cols:
             raise DimensionError("inverse of non-square matrix")
         n = self.rows
-        # Eliminate columns while mirroring the operations on an identity
-        # block: a reduced column e_p = A·c makes c column p of the inverse.
-        pairs: dict[int, tuple[int, int]] = {}
-        for j in range(n):
-            v, c = self.col_data[j], 1 << j
-            for p, (bv, bc) in pairs.items():
-                if (v >> p) & 1:
-                    v ^= bv
-                    c ^= bc
-            if v == 0:
+        echelon = _Echelon()
+        for j, col in enumerate(self.col_data):
+            if not echelon.add(col, 1 << j)[0]:
                 raise DimensionError("matrix is singular")
-            p = _pivot(v)
-            for q in list(pairs):
-                bv, bc = pairs[q]
-                if (bv >> p) & 1:
-                    pairs[q] = (bv ^ v, bc ^ c)
-            pairs[p] = (v, c)
-        return BitMatrix(n, n, tuple(pairs[p][1] for p in range(n)))
+        # Column i of the inverse is the combination of columns summing to e_i.
+        return BitMatrix(n, n, tuple(echelon.solve(1 << i) for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -308,33 +287,51 @@ class BitSubspace:
             raise DimensionError("ambient dimensions differ")
         # Kernel of (c, d) -> c·A + d·B over the stacked bases; the A-part
         # of each kernel vector lies in both spans.
-        cols = list(self.basis) + list(other.basis)
-        kernel = _kernel_of_columns(cols)
-        na = len(self.basis)
-        vecs = []
-        for coeff in kernel:
-            v = 0
-            for i in range(na):
-                if (coeff >> i) & 1:
-                    v ^= self.basis[i]
-            vecs.append(v)
-        return BitSubspace.span(self.ambient_dim, vecs)
+        a = BitMatrix.from_columns(self.ambient_dim, self.basis)
+        mask = (1 << a.cols) - 1
+        return BitSubspace.span(self.ambient_dim, [
+            a.mul_vec(c & mask) for c in _kernel_of_columns(self.basis + other.basis)])
+
+
+class _Echelon:
+    """Vectors in echelon form, keyed by pivot, each with its combination
+    (a coefficient bit vector): the solver of inverses, kernels, quotients."""
+
+    def __init__(self) -> None:
+        self._rows: dict[int, tuple[int, int]] = {}
+
+    def reduce(self, v: int, c: int = 0) -> tuple[int, int]:
+        """v reduced by the rows, and c plus their combinations; each row
+        is clear at the pivots of earlier rows, so one pass suffices."""
+        for p, (bv, bc) in self._rows.items():
+            if (v >> p) & 1:
+                v ^= bv
+                c ^= bc
+        return v, c
+
+    def add(self, v: int, c: int) -> tuple[int, int]:
+        """Reduce v with its combination c, and keep it unless it is zero."""
+        v, c = self.reduce(v, c)
+        if v:
+            self._rows[_pivot(v)] = (v, c)
+        return v, c
+
+    def solve(self, v: int) -> int:
+        """The combination that sums to v."""
+        v, c = self.reduce(v)
+        if v:
+            raise DimensionError("vector is not in the span")
+        return c
 
 
 def _kernel_of_columns(cols: Sequence[int]) -> list[int]:
     """Kernel of the linear map e_j -> cols[j], as coefficient bit vectors."""
-    pairs: dict[int, tuple[int, int]] = {}
+    echelon = _Echelon()
     kernel = []
     for j, v in enumerate(cols):
-        c = 1 << j
-        for p, (bv, bc) in pairs.items():
-            if (v >> p) & 1:
-                v ^= bv
-                c ^= bc
-        if v == 0:
+        v, c = echelon.add(v, 1 << j)
+        if not v:
             kernel.append(c)
-        else:
-            pairs[_pivot(v)] = (v, c)
     return kernel
 
 
@@ -376,24 +373,14 @@ class Quotient:
         self.numerator = numerator
         self.denominator = denominator
         self.reps: list[int] = []
-        # Solver rows: (vector, coefficient) echelonized together. D's
-        # basis carries coefficient 0 so its contribution is quotiented out.
-        self._pairs: dict[int, tuple[int, int]] = {}
+        # D's basis carries coefficient 0, so its contribution is
+        # quotiented out; representative i carries bit i.
+        self._echelon = _Echelon()
         for b in denominator.basis:
-            self._insert(b, 0)
+            self._echelon.add(b, 0)
         for v in numerator.basis:
-            if self._insert(v, 1 << len(self.reps)):
+            if self._echelon.add(v, 1 << len(self.reps))[0]:
                 self.reps.append(v)
-
-    def _insert(self, v: int, c: int) -> bool:
-        for p, (bv, bc) in self._pairs.items():
-            if (v >> p) & 1:
-                v ^= bv
-                c ^= bc
-        if v == 0:
-            return False
-        self._pairs[_pivot(v)] = (v, c)
-        return True
 
     @property
     def dim(self) -> int:
@@ -401,11 +388,4 @@ class Quotient:
 
     def coords(self, x: int) -> int:
         """Coordinates of x + D in the canonical quotient basis."""
-        c = 0
-        for p, (bv, bc) in self._pairs.items():
-            if (x >> p) & 1:
-                x ^= bv
-                c ^= bc
-        if x != 0:
-            raise DimensionError("vector is not in the numerator subspace")
-        return c & ((1 << len(self.reps)) - 1)
+        return self._echelon.solve(x)

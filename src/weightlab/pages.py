@@ -1,17 +1,18 @@
 """Spectral sequence of a filtered GF(2) chain complex.
 
-Page dimensions come from one persistence reduction.  The filtered
-complex stores an adapted basis of each degree, in which F_p is spanned
-by the basis vectors of level <= p; the boundary, written in these
-bases, is reduced once, column by column in order of level.  The reduction pairs a vector x at level a
-with a vector y at level b >= a, one degree up, where ∂y = x in a
-filtration-compatible change of basis.  Such a pair lives on E^r, at
-both of its ends, exactly while r <= b - a (its gap), and d^{b-a} kills
-it; an unpaired vector survives to E^∞.  So dim E^r_{p,q} counts the
-degree p+q vectors at level p that are unpaired or paired across a gap
-of at least r, and the weight filtration of homology counts the unpaired
-vectors at level <= p (Edelsbrunner–Harer, *Computational Topology*,
-ch. VII).
+Page dimensions are read off one barcode.  The filtered complex stores
+an adapted basis of each degree, in which F_p is spanned by the basis
+vectors of level <= p; the boundary, written in these bases, is reduced
+once, column by column in order of level.  The reduction pairs a vector
+of degree k at level ``birth`` with a vector of degree k+1 at level
+``death >= birth``, where ∂y = x in a filtration-compatible change of
+basis: the bar (k, birth, death).  A vector left unpaired is the bar
+(k, birth, None).  A bar lives on E^r, at both of its ends, exactly
+while r <= death - birth, and d^{death-birth} kills it; an unpaired
+vector survives to E^∞.  So E^r_{p,q} counts the bars with an end of
+degree p+q at level p that are unpaired or at least r long, and the
+weight filtration of homology counts the unpaired vectors at level <= p
+(Edelsbrunner–Harer, *Computational Topology*, ch. VII).
 
 Entries and differentials come from the defining subspaces
 
@@ -32,7 +33,6 @@ virtual Betti numbers) read off the second reindexed page.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -40,61 +40,13 @@ from .complexes import FilteredComplex, deligne_shift
 from .gf2 import BitMatrix, BitSubspace, Quotient, image_of_subspace, preimage
 from .poly import Poly
 
-# The gap recorded for a vector the reduction leaves unpaired.
-UNPAIRED = math.inf
-
-
-def _persistence_bars(fc: FilteredComplex) -> dict[tuple[int, int], Counter]:
-    """{(degree, level): Counter(gap -> number of basis vectors)}.
-
-    The gap of a paired vector is the level difference of its pair, the
-    gap of an unpaired vector is ``UNPAIRED``.  Degrees are reduced from
-    the top down, and a column whose vector is already the lower end of
-    a pair is skipped: its reduced column would be zero.
-    """
-    cx = fc.complex
-    gaps: dict[tuple[int, int], int] = {}
-    for k in sorted(cx.degrees(), reverse=True):
-        if not cx.dim(k - 1):
-            continue
-        levels, row_levels = fc.levels[k], fc.levels[k - 1]
-        reduced: dict[int, int] = {}  # lowest row index -> reduced column
-        for j, col in enumerate(fc.boundary_columns(k)):
-            if (k, j) in gaps:
-                continue
-            while col:
-                low = col.bit_length() - 1
-                if low not in reduced:
-                    reduced[low] = col
-                    gaps[(k, j)] = gaps[(k - 1, low)] = levels[j] - row_levels[low]
-                    break
-                col ^= reduced[low]
-    spots: dict[tuple[int, int], list] = {}
-    for k in cx.degrees():
-        for i, p in enumerate(fc.levels[k]):
-            spots.setdefault((k, p), []).append(gaps.get((k, i), UNPAIRED))
-    return {spot: Counter(spot_gaps) for spot, spot_gaps in spots.items()}
-
-
-@dataclass(frozen=True)
-class PageEntry:
-    """One spot E^r_{p,q}, with its canonical quotient presentation."""
-
-    p: int
-    q: int
-    quotient: Quotient
-
-    @property
-    def dim(self) -> int:
-        return self.quotient.dim
-
 
 class SpectralSequence:
     """Lazy page-by-page computation for a filtered complex.
 
-    Dimensions read one persistence reduction, made on first use, and
-    each page is read off it once; entries and differentials are
-    computed from the defining subspaces.
+    Dimensions read one barcode, made on first use, and each page is
+    read off it once; entries and differentials are computed from the
+    defining subspaces.
     """
 
     def __init__(self, fc: FilteredComplex):
@@ -107,14 +59,43 @@ class SpectralSequence:
         self.r_inf = (p_max - p_min) + 1
         self._preimage_cache: dict[tuple[int, int], BitSubspace] = {}
         self._z_cache: dict[tuple[int, int, int], BitSubspace] = {}
-        self._entry_cache: dict[tuple[int, int, int], PageEntry] = {}
+        self._entry_cache: dict[tuple[int, int, int], Quotient] = {}
         self._page_cache: dict[int, dict[tuple[int, int], int]] = {}
-        self._bars: dict[tuple[int, int], Counter] | None = None
+        self._bars: Counter | None = None
 
-    def bars(self) -> dict[tuple[int, int], Counter]:
-        """The persistence reduction, see :func:`_persistence_bars`."""
+    def bars(self) -> Counter:
+        """The barcode: {(degree, birth, death): multiplicity}, death None
+        for an unpaired vector.
+
+        Degrees are reduced from the top down, and a column whose vector
+        is already the lower end of a pair is skipped: its reduced column
+        would be zero.
+        """
         if self._bars is None:
-            self._bars = _persistence_bars(self.fc)
+            fc, cx = self.fc, self.cx
+            bars: Counter = Counter()
+            paired: set[tuple[int, int]] = set()
+            for k in sorted(cx.degrees(), reverse=True):
+                if not cx.dim(k - 1):
+                    continue
+                levels, row_levels = fc.levels[k], fc.levels[k - 1]
+                reduced: dict[int, int] = {}  # lowest row index -> reduced column
+                for j, col in enumerate(fc.boundary_columns(k)):
+                    if (k, j) in paired:
+                        continue
+                    while col:
+                        low = col.bit_length() - 1
+                        if low not in reduced:
+                            reduced[low] = col
+                            paired.update(((k, j), (k - 1, low)))
+                            bars[(k - 1, row_levels[low], levels[j])] += 1
+                            break
+                        col ^= reduced[low]
+            for k in cx.degrees():
+                for i, p in enumerate(fc.levels[k]):
+                    if (k, i) not in paired:
+                        bars[(k, p, None)] += 1
+            self._bars = bars
         return self._bars
 
     # -- core subspaces ----------------------------------------------------
@@ -137,46 +118,49 @@ class SpectralSequence:
                 self._preimage(k, p - r))
         return self._z_cache[key]
 
-    def entry(self, r: int, p: int, q: int) -> PageEntry:
+    def entry(self, r: int, p: int, q: int) -> Quotient:
+        """E^r_{p,q} with its canonical quotient presentation."""
         key = (r, p, q)
         if key not in self._entry_cache:
             num = self.z(r, p, q)
             below = self.z(r - 1, p - 1, q + 1)
             incoming = image_of_subspace(
                 self.cx.d(p + q + 1), self.z(r - 1, p + r - 1, q - r + 2))
-            den = below.sum(incoming)
-            self._entry_cache[key] = PageEntry(p, q, Quotient(num, den))
+            self._entry_cache[key] = Quotient(num, below.sum(incoming))
         return self._entry_cache[key]
 
     def dim(self, r: int, p: int, q: int) -> int:
-        """dim E^r_{p,q}: vectors of degree p+q at level p whose pair
-        spans a gap of at least r."""
-        bars = self.bars().get((p + q, p), {})
-        return sum(n for gap, n in bars.items() if gap >= r)
+        """dim E^r_{p,q}."""
+        return self._page(r).get((p, q), 0)
 
     # -- page-level views ----------------------------------------------------
 
-    def page(self, r: int) -> dict[tuple[int, int], int]:
-        """Nonzero dimensions on page r, keyed by (p, q).  Only the
-        occupied (degree, level) spots of the bars are read, once per
-        page; each call returns a copy the caller may change."""
+    def _page(self, r: int) -> dict[tuple[int, int], int]:
+        """Nonzero dimensions on page r: an unpaired bar counts at its
+        birth, a bar at least r long at both ends.  Made once per page."""
         if r not in self._page_cache:
-            self._page_cache[r] = {
-                (p, k - p): d
-                for k, p in self.bars()
-                if (d := self.dim(r, p, k - p))
-            }
-        return dict(self._page_cache[r])
+            page: Counter = Counter()
+            for (k, birth, death), n in self.bars().items():
+                if death is None:
+                    page[(birth, k - birth)] += n
+                elif death - birth >= r:
+                    page[(birth, k - birth)] += n
+                    page[(death, k + 1 - death)] += n
+            self._page_cache[r] = dict(page)
+        return self._page_cache[r]
+
+    def page(self, r: int) -> dict[tuple[int, int], int]:
+        """Nonzero dimensions on page r, keyed by (p, q); each call
+        returns a copy the caller may change."""
+        return dict(self._page(r))
 
     def differential(self, r: int, p: int, q: int) -> BitMatrix:
         """d^r: E^r_{p,q} -> E^r_{p-r, q+r-1} in the canonical bases."""
         src = self.entry(r, p, q)
         dst = self.entry(r, p - r, q + r - 1)
         d = self.cx.d(p + q)
-        cols = []
-        for rep in src.quotient.reps:
-            cols.append(dst.quotient.coords(d.mul_vec(rep)))
-        return BitMatrix.from_columns(dst.dim, cols)
+        return BitMatrix.from_columns(
+            dst.dim, [dst.coords(d.mul_vec(rep)) for rep in src.reps])
 
     def infinity_page(self) -> dict[tuple[int, int], int]:
         return self.page(self.r_inf)
@@ -206,14 +190,15 @@ def weight_profile(ss: SpectralSequence) -> dict[int, dict[int, int]]:
     Returns {degree: {p: dim of the image of F_p-cycles in H_degree}};
     only levels where the dimension jumps relative to p-1 need appear,
     but all levels in range are reported for regularity.  The image of
-    the F_p-cycles is spanned by the unpaired vectors of level <= p.
+    the F_p-cycles is spanned by the unpaired vectors of level <= p,
+    which the limit page counts at (p, degree - p).
     """
-    bars = ss.bars()
+    limit = ss.infinity_page()
     out: dict[int, dict[int, int]] = {}
     for k in ss.cx.degrees():
         by_p, total = {}, 0
         for p in range(ss.p_min - 1, ss.p_max + 1):
-            total += bars.get((k, p), {}).get(UNPAIRED, 0)
+            total += limit.get((p, k - p), 0)
             by_p[p] = total
         out[k] = by_p
     return out
@@ -250,14 +235,14 @@ def purity_collapse_report(ss: SpectralSequence, ambient_dim: int) -> PurityRepo
     and the support-triangle check.
 
     The collapse page is the least r >= 2 whose reindexed page already
-    equals the limit page.  A pair of gap g lives on the reindexed pages
-    up to g + 1, so this is the widest finite gap plus 2, or 2 if there
-    is none.  The support check verifies p <= 0 and
+    equals the limit page.  A bar of length g lives on the reindexed
+    pages up to g + 1, so this is the longest finite bar plus 2, or 2 if
+    there is none.  The support check verifies p <= 0 and
     -2p <= q <= ambient_dim - p in the native coordinates, equivalently
     p' >= 0, q' >= 0, p' + q' <= ambient_dim after reindexing.
     """
-    collapse = max((gap + 2 for gaps in ss.bars().values() for gap in gaps
-                    if gap != UNPAIRED), default=2)
+    collapse = max((death - birth + 2 for _, birth, death in ss.bars()
+                    if death is not None), default=2)
     page2 = reindexed_page(ss, 2)
     is_pure = all(pp == 0 for (pp, qq) in page2)
     support_ok = all(

@@ -1,14 +1,19 @@
 """Independent reference implementations used to cross-check results.
 
 Everything here works on plain lists of 0/1 ints (no bit packing, no
-code shared with the package under test) so agreement is meaningful.
+code shared with the package under test) so agreement is meaningful;
+``from_dense`` and ``matrix_to_dense`` convert between such lists and the
+package's ``BitMatrix``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
+
+from weightlab.gf2 import BitMatrix
 
 
 def dense_rank(rows: list[list[int]]) -> int:
@@ -50,9 +55,18 @@ def span_vectors(basis: list[list[int]], width: int | None = None) -> set[tuple[
     return out
 
 
+def from_dense(dense: Sequence[Sequence[int]], cols: int | None = None) -> BitMatrix:
+    """Dense list of rows of 0/1 entries -> BitMatrix (test-side convenience)."""
+    if cols is None:
+        cols = len(dense[0]) if dense else 0
+    return BitMatrix.from_entries(len(dense), cols, [
+        (i, j) for i, row in enumerate(dense) for j, b in enumerate(row) if b & 1])
+
+
 def matrix_to_dense(m) -> list[list[int]]:
-    """BitMatrix -> dense list of rows (test-side convenience)."""
-    return [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
+    """BitMatrix -> dense list of rows (test-side convenience); reads the
+    column words directly, as a call per entry dominates the product tests."""
+    return [[(col >> i) & 1 for col in m.col_data] for i in range(m.rows)]
 
 
 def betti_numbers(dims: dict[int, int], boundary_dense: dict[int, list[list[int]]]) -> dict[int, int]:
@@ -437,3 +451,24 @@ def augmentation_to_cells(order: Sequence[int], k: int, v: int) -> int:
 def vec_to_string(v: int, width: int) -> str:
     """``gf2.vec_to_string`` as first written: one shift per coordinate."""
     return "".join("1" if (v >> i) & 1 else "0" for i in range(width))
+
+
+def kunneth_bars(b1: Counter, b2: Counter) -> Counter:
+    """The barcode of a tensor product of filtered complexes, from the
+    barcodes of its factors: bars (degree, birth, death), death None for an
+    unpaired vector, levels adding.  The interval rules of Gakhar–Perea,
+    "Künneth formulae in persistent homology" (2019)."""
+    out: Counter = Counter()
+    for (k, a, b), m in b1.items():
+        for (l, c, d), n in b2.items():
+            if b is None and d is None:
+                out[(k + l, a + c, None)] += m * n
+            elif d is None:
+                out[(k + l, a + c, b + c)] += m * n
+            elif b is None:
+                out[(k + l, a + c, a + d)] += m * n
+            else:
+                g, G = sorted((b - a, d - c))
+                out[(k + l, a + c, a + c + g)] += m * n
+                out[(k + l + 1, a + c + G, a + c + G + g)] += m * n
+    return out

@@ -53,7 +53,7 @@ from weightlab.toric import (
     toric_cell_complex,
 )
 
-from oracles import augmentation_to_cells, betti_numbers, matrix_to_dense
+from oracles import augmentation_to_cells, betti_numbers, from_dense, matrix_to_dense
 
 
 @contextmanager
@@ -212,7 +212,7 @@ def test_criterion_10_acyclic_square():
         for k in range(3):
             a1, a2 = f31[k], f32[k]
             b1, b2 = f10[k], f20[k]
-            alpha = BitMatrix.from_dense(
+            alpha = from_dense(
                 [row for m in (a1, a2) for row in
                  [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]],
                 cols=a1.cols,
@@ -224,7 +224,7 @@ def test_criterion_10_acyclic_square():
                 + [b2.entry(i, j) for j in range(b2.cols)]
                 for i in range(b1.rows)
             ]
-            beta = BitMatrix.from_dense(beta_dense, cols=b1.cols + b2.cols)
+            beta = from_dense(beta_dense, cols=b1.cols + b2.cols)
             h_circle = a1.cols
             h_base = b1.rows
             # exactness rank-by-rank

@@ -447,6 +447,51 @@ def test_complex_document_cap_is_read_at_call_time(capsys, monkeypatch, tmp_path
         assert "more than the 1 the build allows" in err and "Traceback" not in err
 
 
+# One cell in degree 0 and one in degree 11; one cell over levels 0 and 11.
+WIDE_DEGREES = {"dims": {"0": 1, "11": 1}}
+WIDE_LEVELS = {"dims": {"0": 1}, "filtration": {"0": {"0": []}, "11": {"0": ["1"]}}}
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["ss", "--complex"], WIDE_DEGREES,
+     "malformed complex document: the degrees holding cells span 11"),
+    (["ss", "--filtration", "canonical", "--complex"], WIDE_DEGREES,
+     "malformed complex document: the degrees holding cells span 11"),
+    (["ss", "--complex"], WIDE_LEVELS, "malformed filtration: the filtration levels span 11"),
+    (["cubical-ss", "--hyperres"], {"levels": [WIDE_DEGREES]},
+     "malformed complex document: the degrees holding cells span 11"),
+    (["cubical-ss", "--diagram"], {"n": 0, "objects": {"0": WIDE_LEVELS}},
+     "malformed filtration: the filtration levels span 11"),
+])
+def test_a_span_above_the_cell_cap_exits_3(capsys, monkeypatch, tmp_path, argv, doc, message):
+    # Pages list every level between the ends of a span, so a span wider
+    # than the cap is refused before any spectral sequence is made.
+    def no_pages(*args):
+        raise AssertionError("a spectral sequence was made for a refused document")
+
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 10)
+    monkeypatch.setattr(SpectralSequence, "__init__", no_pages)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (3, "")
+    assert f"{message}, more than the 10 the build allows" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"dims": {"0": 1, "10": 1}},
+    {"dims": {"0": 1, "50": 0, "-50": 0}},
+    {"dims": {"0": 1}, "filtration": {"0": {"0": []}, "10": {"0": ["1"]}}},
+])
+def test_a_span_at_the_cell_cap_is_read(capsys, monkeypatch, tmp_path, doc):
+    # Degrees without cells do not count towards the span.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 10)
+    code, _, err = run(capsys, "ss", "--complex", str(path))
+    assert code == 0, err
+
+
 def test_euler_malformed_complex_exit_code(capsys, tmp_path):
     cx_path = tmp_path / "cx.json"
     cx_path.write_text(json.dumps({"simplices": [[]]}))
@@ -627,6 +672,21 @@ def test_wide_level_span_reads_only_occupied_levels(capsys, tmp_path):
     # Refused before a space of that dimension is allocated.
     ("ss --complex", {"dims": {"0": 2000000000}},
      "the complex has 2000000000 cells, more than the 1048576 the build allows"),
+    # Cone ids and the faces naming them are JSON strings or integers, not
+    # whatever Python prints for another value.
+    *(("fan-info --fan",
+       {"lattice_rank": 1, "rays": [[1]],
+        "cones": [{"id": "r", "rays": [0], "faces": []}, {"id": bad, "rays": [], "faces": []}]},
+       f"malformed fan document: a cone id must be a string or an integer, not {bad!r}")
+      for bad in (None, True, {"a": 1}, 1.0)),
+    ("fan-info --fan",
+     {"lattice_rank": 1, "rays": [[1]],
+      "cones": [{"id": "r", "rays": [0], "faces": [None, True]}]},
+     "malformed fan document: a face must be a string or an integer, not None"),
+    ("fan-info --fan",
+     {"lattice_rank": 1, "rays": [[1]], "simplicial": True,
+      "cones": [{"id": False, "rays": [0]}]},
+     "malformed fan document: a cone id must be a string or an integer, not False"),
 ])
 def test_malformed_documents_exit_3(capsys, tmp_path, verb, doc, message):
     path = tmp_path / "doc.json"
@@ -901,14 +961,22 @@ def test_doc_output_skips_the_python_json_encoder(capsys, monkeypatch, tmp_path,
 
 @pytest.mark.parametrize("fmt", ["doc", "text", "csv"])
 def test_ss_computes_each_page_entry_once(capsys, monkeypatch, fmt):
-    calls = Counter()
-    dim = SpectralSequence.dim
+    reductions, pages = Counter(), Counter()
+    bars, page = SpectralSequence.bars, SpectralSequence._page
 
-    def counted(self, r, p, q):
-        calls[(r, p, q)] += 1
-        return dim(self, r, p, q)
+    def counted_bars(self):
+        if self._bars is None:
+            reductions[id(self)] += 1
+        return bars(self)
 
-    monkeypatch.setattr(SpectralSequence, "dim", counted)
+    def counted_page(self, r):
+        if r not in self._page_cache:
+            pages[(id(self), r)] += 1
+        return page(self, r)
+
+    monkeypatch.setattr(SpectralSequence, "bars", counted_bars)
+    monkeypatch.setattr(SpectralSequence, "_page", counted_page)
     code, _, err = run(capsys, "ss", "--standard", "P:3", "--format", fmt)
     assert code == 0, err
-    assert calls and max(calls.values()) == 1, calls.most_common(3)
+    assert list(reductions.values()) == [1], reductions
+    assert pages and max(pages.values()) == 1, pages.most_common(3)

@@ -20,7 +20,7 @@ from weightlab.complexes import (
 from weightlab.gf2 import BitMatrix, BitSubspace, rank_kernel_image
 from weightlab.toric import standard_fan, toric_cell_complex
 
-from oracles import betti_numbers, matrix_to_dense, oracle_complex_diagnostics
+from oracles import betti_numbers, from_dense, matrix_to_dense, oracle_complex_diagnostics
 
 
 def circle():
@@ -30,7 +30,7 @@ def circle():
 
 def interval():
     return ChainComplex.make(
-        {0: 2, 1: 1}, {1: BitMatrix.from_dense([[1], [1]])}
+        {0: 2, 1: 1}, {1: from_dense([[1], [1]])}
     )
 
 
@@ -46,8 +46,8 @@ def test_betti_matches_oracle():
 
 
 def test_diagnostics_nonsquaring_boundary():
-    d2 = BitMatrix.from_dense([[1], [0]])
-    d1 = BitMatrix.from_dense([[1, 1]])
+    d2 = from_dense([[1], [0]])
+    d1 = from_dense([[1, 1]])
     msgs = complex_diagnostics({0: 1, 1: 2, 2: 1}, {1: d1, 2: d2})
     assert any("square" in m for m in msgs)
     with pytest.raises(ComplexError):
@@ -62,12 +62,12 @@ def test_diagnostics_shape_mismatch():
 # ∂∂ nonzero only in the last column of d_2; d_1 missing below a
 # nonzero d_2; d_1 one row too tall.
 _LAST_COLUMN = ({0: 1, 1: 2, 2: 3},
-                {1: BitMatrix.from_dense([[1, 1]]),
+                {1: from_dense([[1, 1]]),
                  2: BitMatrix.from_columns(2, [0b11, 0b00, 0b01])})
 _MISSING = ({0: 2, 1: 2, 2: 1},
-            {2: BitMatrix.from_dense([[1], [1]])})
+            {2: from_dense([[1], [1]])})
 _SHAPE = ({0: 1, 1: 2, 2: 1},
-          {1: BitMatrix.zero(2, 2), 2: BitMatrix.from_dense([[1], [1]])})
+          {1: BitMatrix.zero(2, 2), 2: from_dense([[1], [1]])})
 
 
 @pytest.mark.parametrize("case, messages", [
@@ -246,6 +246,6 @@ def test_deligne_shift_is_valid_filtration():
 
 def test_shift():
     """The interval, two degrees up."""
-    cx = ChainComplex.make({2: 2, 3: 1}, {3: BitMatrix.from_dense([[1], [1]])})
+    cx = ChainComplex.make({2: 2, 3: 1}, {3: from_dense([[1], [1]])})
     assert cx.degrees() == [2, 3]
     assert cx.betti_numbers() == {2: 1}

@@ -30,7 +30,7 @@ from weightlab.gf2 import BitMatrix, rank_kernel_image
 from weightlab.pages import SpectralSequence, decalage_mismatches
 from weightlab.toric import standard_fan, toric_cell_complex
 
-from oracles import matrix_to_dense, oracle_totalize
+from oracles import from_dense, matrix_to_dense, oracle_totalize
 
 
 def circle():
@@ -86,10 +86,10 @@ def test_diagram_requires_all_vertices():
 
 
 def test_diagram_rejects_non_chain_map():
-    cx = ChainComplex.make({0: 2, 1: 1}, {1: BitMatrix.from_dense([[1], [1]])})
+    cx = ChainComplex.make({0: 2, 1: 1}, {1: from_dense([[1], [1]])})
     fc = canonical_filtration(cx)
-    bad = {(1, 0): {0: BitMatrix.from_dense([[1, 0], [0, 0]]),
-                    1: BitMatrix.from_dense([[0]])}}
+    bad = {(1, 0): {0: from_dense([[1, 0], [0, 0]]),
+                    1: from_dense([[0]])}}
     with pytest.raises(ComplexError, match="chain map"):
         CubicalDiagram(0, {0: fc, 1: fc}, bad)
 
@@ -150,11 +150,11 @@ def test_hyperres_rejects_broken_simplicial_identity():
     three = ChainComplex.make({0: 3})
     # d0, d1 from level 1 agree; level 2 face maps violate d_0 d_1 = d_0 d_0
     faces = {
-        (1, 0): {0: BitMatrix.from_dense([[1, 0]])},
-        (1, 1): {0: BitMatrix.from_dense([[0, 1]])},
-        (2, 0): {0: BitMatrix.from_dense([[1, 0, 0], [0, 1, 0]])},
-        (2, 1): {0: BitMatrix.from_dense([[0, 0, 1], [0, 1, 0]])},
-        (2, 2): {0: BitMatrix.from_dense([[0, 1, 0], [1, 0, 0]])},
+        (1, 0): {0: from_dense([[1, 0]])},
+        (1, 1): {0: from_dense([[0, 1]])},
+        (2, 0): {0: from_dense([[1, 0, 0], [0, 1, 0]])},
+        (2, 1): {0: from_dense([[0, 0, 1], [0, 1, 0]])},
+        (2, 2): {0: from_dense([[0, 1, 0], [1, 0, 0]])},
     }
     try:
         Hyperresolution((pt, two, three), faces)

@@ -22,7 +22,7 @@ from weightlab.gf2 import (
 )
 
 import oracles
-from oracles import dense_rank, matrix_to_dense, span_vectors, subspace_from_bits
+from oracles import dense_rank, from_dense, matrix_to_dense, span_vectors, subspace_from_bits
 
 
 vectors6 = st.lists(st.integers(0, 63), max_size=8)
@@ -125,7 +125,7 @@ def test_column_kernels_match_dense(m, data):
     cols = [sum(dense[i][j] << i for i in range(m.rows)) for j in range(m.cols)]
     assert list(m.col_data) == cols
     assert BitMatrix.from_columns(m.rows, cols) == m
-    assert BitMatrix.from_dense(dense, m.cols) == m
+    assert from_dense(dense, m.cols) == m
     x = data.draw(st.integers(0, 2**m.cols - 1))
     want = [sum(dense[i][j] * ((x >> j) & 1) for j in range(m.cols)) % 2
             for i in range(m.rows)]
@@ -158,11 +158,11 @@ def test_entries_with_repeats_cancel(rows, cols, data):
 
 
 def test_inverse():
-    m = BitMatrix.from_dense([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    m = from_dense([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     inv = m.inverse()
     assert m.mul(inv) == BitMatrix.identity(3)
     assert inv.mul(m) == BitMatrix.identity(3)
-    singular = BitMatrix.from_dense([[1, 1], [1, 1]])
+    singular = from_dense([[1, 1], [1, 1]])
     with pytest.raises(ValueError):
         singular.inverse()
 
@@ -222,7 +222,7 @@ def test_preimage(m, target_vecs):
 
 
 def test_image_of_subspace():
-    m = BitMatrix.from_dense([[1, 0, 1], [0, 1, 1]])
+    m = from_dense([[1, 0, 1], [0, 1, 1]])
     sub = BitSubspace.span(3, [0b011, 0b100])
     img = image_of_subspace(m, sub)
     assert img.dim == 1  # both generators map to (1, 1)

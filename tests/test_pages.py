@@ -1,7 +1,9 @@
 import random
+from collections import Counter
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weightlab.checks import coset_indicators
@@ -13,7 +15,8 @@ from weightlab.complexes import (
     trivial_filtration,
 )
 from weightlab.cubical import skeleton_filtration
-from weightlab.fixtures import all_hyperres, fan_corpus
+from weightlab.fan import product_fan
+from weightlab.fixtures import all_hyperres, fan_corpus, product_pairs
 from weightlab.gf2 import BitMatrix, BitSubspace, image_of_subspace
 from weightlab.pages import (
     SpectralSequence,
@@ -27,7 +30,7 @@ from weightlab.pages import (
 from weightlab.poly import Poly
 from weightlab.toric import _level_order, standard_fan, toric_cell_complex
 
-from oracles import augmentation_to_cells, oracle_collapse_page
+from oracles import augmentation_to_cells, kunneth_bars, oracle_collapse_page
 
 
 def toric_filtered(name, param):
@@ -294,6 +297,7 @@ def test_staircase_pages_and_differentials(seed):
          "u": (1, 1), "v": (1, 2), "w": (1, 1), "s": (2, 3)},
         {"u": "a", "v": "b", "s": "w"})
     ss = _assert_matches_oracle(_as_built_or_conjugated(fc, seed))
+    assert ss.bars() == Counter({(0, 0, 1): 1, (0, 1, 2): 1, (1, 1, 3): 1, (0, 0, None): 1})
     assert ss.page(1) == {(0, 0): 2, (1, -1): 1, (1, 0): 2, (2, -1): 1, (3, -1): 1}
     assert ss.page(2) == {(0, 0): 1, (1, 0): 1, (3, -1): 1}
     assert ss.page(3) == ss.page(4) == ss.infinity_page() == {(0, 0): 1}
@@ -405,3 +409,45 @@ def test_a_changed_page_leaves_the_memo_as_it_was():
     assert ss.page(1) == want
     ss.page(1).clear()
     assert ss.page(1) == want
+
+
+# ---------------------------------------------------------------------------
+# Künneth: the bars of a product fan from the bars of its factors
+
+
+def _bars(fan):
+    return SpectralSequence(toric_cell_complex(fan).filtered).bars()
+
+
+_KUNNETH_FACTORS = {
+    **fan_corpus(),
+    **{f"{family}:{n}": standard_fan(family, n)
+       for family in ("P", "A", "trivial", "hirzebruch") for n in range(4)},
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(sorted(_KUNNETH_FACTORS)), min_size=2, max_size=3)
+       .filter(lambda names: sum(_KUNNETH_FACTORS[f].n for f in names) <= 4))
+@example(["cone_over_square", "P:1"])
+@example(["weighted_p112", "A:2"])
+@example(["P1xP1", "A:1"])
+@example(["P:1", "P:1", "A:1"])
+@example(["P:2", "P:2"])
+@example(["hirzebruch:3", "P:3"])  # rank 5, past the drawn products
+def test_product_bars_follow_from_the_factors(names):
+    fans = [_KUNNETH_FACTORS[name] for name in names]
+    assert _bars(reduce(product_fan, fans)) == reduce(kunneth_bars, map(_bars, fans))
+
+
+@pytest.mark.parametrize("left, right", [
+    pytest.param(f1, f2, id=label) for label, f1, f2 in product_pairs()])
+def test_product_pair_bars_follow_from_the_factors(left, right):
+    assert _bars(product_fan(left, right)) == kunneth_bars(_bars(left), _bars(right))
+
+
+def test_affine_space_is_a_power_of_the_line():
+    line = _bars(standard_fan("A", 1))
+    assert line == Counter({(0, 0, 0): 1, (1, -1, None): 1})
+    for k in range(1, 9):
+        assert _bars(standard_fan("A", k)) == reduce(kunneth_bars, [line] * k), k

@@ -414,6 +414,24 @@ def test_orbit_sum_poly_matches_the_product_oracle():
         assert orbit_sum_poly(fan) == oracle_orbit_sum_poly(fan), name
 
 
+def test_cone_ids_are_json_strings_or_integers():
+    # Integer ids and faces are read as strings; in simplicial mode an
+    # absent or null id is generated.
+    def quadrant(a, b, c):
+        return parse_fan({"lattice_rank": 2, "rays": [[1, 0], [0, 1]], "cones": [
+            {"id": a, "rays": [0], "faces": []},
+            {"id": b, "rays": [1], "faces": []},
+            {"id": c, "rays": [0, 1], "faces": [a, b]}]})
+
+    assert fan_to_doc(quadrant(1, 2, 3)) == fan_to_doc(quadrant("1", "2", "3"))
+    assert quadrant(1, 2, 3).cone("3").faces == quadrant("1", "2", "3").cone("3").faces
+    generated = parse_fan({"lattice_rank": 1, "rays": [[1], [-1]], "simplicial": True,
+                           "cones": [{"id": None, "rays": [0]}, {"rays": [1]}]})
+    assert set(generated.cone_ids()) == {"0", "c0", "c1"}
+    for name in ("blowup_p2", "cone_over_square", "quadric_cone", "weighted_p112"):
+        assert len(corpus_fan(name).cone_ids()) > 1, name
+
+
 def test_fan_doc_round_trip():
     fan = corpus_fan("blowup_p2")
     back = parse_fan(fan_to_doc(fan))
