@@ -1,21 +1,23 @@
 """Rational fans with an explicit face lattice.
 
 Validation is structural: grading of the face relation, the diamond
-property on length-two intervals, primitivity of rays, rank consistency.
-It runs in integer operations per cone.  The cones are numbered once,
-and each cone's face list is held as a bitmask over the numbers, with
-one mask per dimension.  The facets are the faces one dimension down;
-the lists drop dimension, are transitively closed and are graded
-exactly when each cone's facets with their own faces make up its whole
-list (by induction on dimension); and the diamond property is a
-bit-sliced count over the facets' face masks, which must find every
-face two dimensions down exactly twice.  Only a fan this refuses is
-scanned face by face, to name its faults.  Each cone's rank is the
-dimension of the mod-2 reduction of its saturated ray lattice
-(:class:`weightlab.lattice.Saturations`): the cones are visited by
-ascending number of rays, so most spans take one insertion into the
-span of a face.  The fan keeps that subspace per cone, and the orbit
-groups read it.
+property on length-two intervals, faces on rays of their cones, distinct
+primitive rays, rank consistency, in integer operations per cone.  Each
+cone's face list and rays are bitmasks, over the cones numbered once and
+over the ray indices.  The lists drop dimension, are transitively closed,
+graded and on their cones' rays exactly when each cone's facets (faces
+one dimension down) lie on its rays and with their own faces make up its
+whole list (by induction on dimension); the diamond property is a
+bit-sliced count over the facets' face masks, which must find every face
+two dimensions down exactly twice.  Only a fan this refuses is scanned
+face by face, to name its faults.  A cone's rank is the
+dimension of the mod-2 reduction of its saturated ray lattice, from one
+table per fan (:class:`weightlab.lattice.Saturations`) that
+:func:`parse_fan` starts.  Validation visits the cones by descending
+number of rays, and a subset of independent rays is independent, so only
+cones inside no cone with independent rays are spanned.  The first
+:meth:`Fan.ray_span` fills in the rest by ascending number of rays, most
+by one insertion into the span of a face; the orbit groups read them.
 Convex-geometric axioms — that cones actually intersect in common faces —
 are *not* checked; inputs are trusted on that point.
 """
@@ -23,7 +25,7 @@ are *not* checked; inputs are trusted on that point.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Mapping
@@ -51,6 +53,8 @@ class Fan:
     n: int
     rays: tuple[tuple[int, ...], ...]
     cones: Mapping[str, Cone]
+    # The table of spans that parse_fan filled while ranking the cones.
+    _saturations: Saturations | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # The bitmask pass alone accepts a fan; the scans name what it refuses.
@@ -79,12 +83,23 @@ class Fan:
     def ray_span(self, cid: str) -> BitSubspace:
         """The mod-2 reduction of the saturated lattice spanned by the rays
         of cid; its dimension is the cone's rational rank."""
-        return self._spans[self.cone(cid).ray_indices]
+        return self._all_spans[self.cone(cid).ray_indices]
 
     @cached_property
     def _spans(self) -> Saturations:
-        """The mod-2 saturations of the cones' ray sets, filled on first use."""
-        return Saturations(self.rays, self.n)
+        """The mod-2 saturations of ray sets, computed on first lookup: the
+        parser's table, unless this fan is a copy with other rays."""
+        spans = self._saturations
+        return spans if spans is not None and spans.vectors == self.rays else \
+            Saturations(self.rays, self.n)
+
+    @cached_property
+    def _all_spans(self) -> Saturations:
+        """:attr:`_spans` filled by ascending number of rays, so that most
+        cones take one insertion into the span of a face."""
+        for c in sorted(self.cones.values(), key=lambda c: len(c.ray_indices)):
+            self._spans[c.ray_indices]
+        return self._spans
 
     @cached_property
     def _lattice(self) -> "_FaceLattice":
@@ -102,19 +117,27 @@ class Fan:
         return out
 
     def _holds(self) -> bool:
-        """Whether the rays are primitive and of the right length, every
-        cone's declared dimension is its rank, and the face lists form a
-        lattice (:meth:`_FaceLattice.holds`): integer operations per
-        cone, with no message."""
+        """Whether the rays are primitive and of the right length, the rays
+        that cones use are distinct, the face lists form a lattice
+        (:meth:`_FaceLattice.holds`) and every cone's declared dimension
+        is its rank: integer operations per cone, with no message."""
         if any(len(ray) != self.n or not is_primitive(ray) for ray in self.rays):
             return False
-        rays = set(range(len(self.rays)))
-        # By ascending size, each cone's face without its last ray is
-        # spanned first, and its own span takes one insertion.
-        for c in sorted(self.cones.values(), key=lambda c: len(c.ray_indices)):
-            if not c.ray_indices <= rays or self._spans[c.ray_indices].dim != c.dim:
+        used = frozenset().union(*(c.ray_indices for c in self.cones.values()))
+        if not used <= set(range(len(self.rays))) or \
+                len({self.rays[i] for i in used}) < len(used) or not self._lattice.holds():
+            return False
+        # Faces lie on their cones' rays, so by descending size each cone
+        # inside one with independent rays is marked before its visit.
+        cones, inside = self._lattice.cones, 0
+        for i in sorted(range(len(cones)), key=lambda i: -len(cones[i].ray_indices)):
+            rays = len(cones[i].ray_indices)
+            rank = rays if inside >> i & 1 else self._spans[cones[i].ray_indices].dim
+            if rank != cones[i].dim:
                 return False
-        return self._lattice.holds()
+            if rank == rays:
+                inside |= self._lattice.masks[i]
+        return True
 
     def diagnostics(self) -> list[str]:
         """Violated axioms, one message per finding, from scans over every
@@ -128,11 +151,16 @@ class Fan:
                 out.append(f"ray {ray} has wrong length")
             elif not is_primitive(ray):
                 out.append(f"ray {ray} is not primitive")
+        first: dict[tuple[int, ...], int] = {}
+        for i in sorted(frozenset().union(*(c.ray_indices for c in self.cones.values()))):
+            if 0 <= i < len(self.rays) and first.setdefault(self.rays[i], i) != i:
+                out.append(f"rays {first[self.rays[i]]} and {i} are the same vector "
+                           f"{list(self.rays[i])}")
         # The rank check skips cones on a ray named above or on none.
         well_formed = {i for i, ray in enumerate(self.rays) if len(ray) == self.n}
         for c in self.cones.values():
             if c.ray_indices <= well_formed:
-                want = self.ray_span(c.id).dim
+                want = self._spans[c.ray_indices].dim
                 if c.dim != want:
                     out.append(f"cone {c.id!r} declares dim {c.dim}, rays have rank {want}")
             elif bad := sorted(i for i in c.ray_indices if not 0 <= i < len(self.rays)):
@@ -143,6 +171,9 @@ class Fan:
                     out.append(f"cone {c.id!r} lists unknown face {fid!r}")
                 elif self.cones[fid].dim >= c.dim:
                     out.append(f"face {fid!r} of {c.id!r} does not drop dimension")
+                elif stray := sorted(self.cones[fid].ray_indices - c.ray_indices):
+                    out.append(f"face {fid!r} of {c.id!r} uses rays {stray}, "
+                               f"which {c.id!r} does not")
             if c.id != ZERO_ID and ZERO_ID not in c.faces:
                 out.append(f"cone {c.id!r} does not list the zero cone as a face")
             if any(fid in self.cones and not self.cones[fid].faces <= c.faces
@@ -187,7 +218,8 @@ class Fan:
 class _FaceLattice:
     """The cones numbered in mapping order, with the face list of cone i
     held as the bitmask ``masks[i]`` over the numbers (an unknown face
-    sets no bit) and ``of_dim[d]`` the mask of the cones of dimension d."""
+    sets no bit), its rays as the bitmask ``rays[i]`` over the ray
+    indices, and ``of_dim[d]`` the mask of the cones of dimension d."""
 
     def __init__(self, cones: Mapping[str, Cone]) -> None:
         self.cones = list(cones.values())
@@ -195,6 +227,7 @@ class _FaceLattice:
         bit = {cid: 1 << i for i, cid in enumerate(self.ids)}
         self.zero = bit.get(ZERO_ID, 0)
         self.masks = [sum(map(bit.get, c.faces, repeat(0))) for c in self.cones]
+        self.rays = [sum(1 << r for r in c.ray_indices) for c in self.cones]
         self.of_dim: dict[int, int] = {}
         for i, c in enumerate(self.cones):
             self.of_dim[c.dim] = self.of_dim.get(c.dim, 0) | 1 << i
@@ -213,13 +246,13 @@ class _FaceLattice:
 
     def holds(self) -> bool:
         """Whether the face lists form a graded, closed lattice with the
-        diamond property.  Per cone of dimension d: every face is a cone,
-        the zero cone is a face (of all but itself), the facets (faces of
-        dimension d - 1) with their own faces make up every face, and
-        bit-sliced counts over the facets' face masks find each face of
-        dimension d - 2 in exactly two.  By induction on dimension from
-        the lowest, the facet condition is closure and gradedness of the
-        whole list, and it refuses a face that does not drop dimension:
+        diamond property, each face on rays of its cone.  Per cone of
+        dimension d: every face is a cone, the zero cone is a face (of all
+        but itself), the facets (faces of dimension d - 1) lie on its rays
+        and with their own faces make up every face, and bit-sliced counts
+        over the facets' face masks find each face of dimension d - 2 in
+        exactly two.  By induction on dimension, the facet conditions hold
+        for the whole list, and refuse a face that does not drop dimension:
         no facet lists one."""
         if not self.zero:
             return False
@@ -228,15 +261,17 @@ class _FaceLattice:
             if mask.bit_count() != len(c.faces) or not mask & self.zero and c.id != ZERO_ID:
                 return False
             two_down = self.of_dim.get(c.dim - 2, 0)
-            union, ones, twos, more = 0, 0, 0, 0
+            union, rays, ones, twos, more = 0, 0, 0, 0, 0
             facets = self.facets(i)
             for j in set_bits(facets):
                 union |= self.masks[j]
+                rays |= self.rays[j]
                 faces = self.masks[j] & two_down
                 more |= twos & faces
                 twos |= ones & faces
                 ones |= faces
-            if union | facets != mask or more or twos != mask & two_down:
+            if (union | facets != mask or rays & ~self.rays[i] or more
+                    or twos != mask & two_down):
                 return False
         return True
 
@@ -288,7 +323,8 @@ def parse_fan(doc: Mapping) -> Fan:
             r = fixed
         rays.append(tuple(r))
 
-    spans = Saturations(rays, n)
+    rays = tuple(rays)
+    spans = Saturations(rays, n)  # the fan's, too
 
     # A generated id never takes an id declared for other rays.
     rays_of = {cid: idx for cid, idx, _ in raw_cones if cid is not None}
@@ -299,52 +335,41 @@ def parse_fan(doc: Mapping) -> Fan:
             cid += "'"
         return cid
 
-    # (id, ray indices) of the zero cone, the declared cones and, in
-    # simplicial mode, the faces generated for them.
+    # (id, ray indices) of the zero cone and the declared cones.
     ids = [(ZERO_ID, frozenset())]
     ids += [(generated_id(idx) if cid is None else cid, idx) for cid, idx, _ in raw_cones]
     cones: dict[str, Cone] = {}
     if simplicial:
-        by_rayset: dict[frozenset[int], str] = {frozenset(): ZERO_ID}
-        declared: dict[frozenset[int], str] = {}
+        declared: dict[int, str] = {}  # by ray set, as a bitmask
         for cid, idx in ids[1:]:
             dim = spans[idx].dim
             if len(idx) != dim:
                 raise FanError(
                     f"cone {cid!r} marked simplicial has {len(idx)} rays "
                     f"of rank {dim}")
-            declared[idx] = cid
-        # Every subset of a declared ray set is a cone: walk down from the
-        # declared sets one ray at a time, recording each set's facets.
-        facets: dict[frozenset[int], list[frozenset[int]]] = {}
-        todo = [frozenset(), *declared]
-        while todo:
-            idx = todo.pop()
-            if idx in facets:
-                continue
-            facets[idx] = [idx - {i} for i in idx]
-            todo.extend(facets[idx])
-        for idx in facets:
-            if idx:
-                by_rayset[idx] = declared[idx] if idx in declared else generated_id(idx)
-        ids += [(cid, idx) for idx, cid in by_rayset.items()]
-        # A face set is the union over the facets of each facet and its
-        # faces; by increasing size, the facets' sets are done first.
-        faces: dict[frozenset[int], frozenset[str]] = {}
-        for idx in sorted(facets, key=len):
-            faces[idx] = frozenset().union(
-                *(faces[f] | {by_rayset[f]} for f in facets[idx]))
+            declared[sum(1 << i for i in idx)] = cid
+        # Every subset of a declared ray set is a cone, and the proper
+        # subsets of a cone's rays, the empty one included, are its faces.
+        id_of = {0: ZERO_ID}
+        for top in declared:
+            sub = top
+            while sub:
+                if sub not in id_of:
+                    id_of[sub] = declared[sub] if sub in declared else \
+                        generated_id(frozenset(set_bits(sub)))
+                sub = (sub - 1) & top
+        for mask, cid in id_of.items():
+            faces, sub = [], mask
+            while sub:
+                sub = (sub - 1) & mask
+                faces.append(id_of[sub])
             # Rays of a simplicial cone are independent, and so are
             # those of each of its faces.
-            cid = by_rayset[idx]
-            cones[cid] = Cone(cid, idx, len(idx), faces[idx])
+            idx = frozenset(set_bits(mask))
+            cones[cid] = Cone(cid, idx, len(idx), frozenset(faces))
     else:
-        cones[ZERO_ID] = Cone(ZERO_ID, frozenset(), 0, frozenset())
-        declared_faces: dict[str, set[str]] = {}
-        for cid, idx, faces in raw_cones:
-            declared_faces[cid] = faces | {ZERO_ID}
-            cones[cid] = Cone(cid, idx, spans[idx].dim, frozenset())
         # Transitive closure of the declared face lists.
+        declared_faces = {cid: faces | {ZERO_ID} for cid, _, faces in raw_cones}
         closed: dict[str, frozenset[str]] = {ZERO_ID: frozenset()}
         def close(cid: str, seen: tuple = ()) -> frozenset[str]:
             if cid in closed:
@@ -352,19 +377,18 @@ def parse_fan(doc: Mapping) -> Fan:
             if cid in seen:
                 raise FanError(f"cyclic face declaration at cone {cid!r}")
             acc = set()
-            for fid in declared_faces.get(cid, set()):
-                if fid not in cones:
+            for fid in declared_faces[cid]:
+                if fid not in declared_faces and fid != ZERO_ID:
                     raise FanError(f"cone {cid!r} lists unknown face {fid!r}")
                 acc.add(fid)
                 acc.update(close(fid, seen + (cid,)))
             closed[cid] = frozenset(acc)
             return closed[cid]
-        for cid in list(cones):
-            if cid != ZERO_ID:
-                c = cones[cid]
-                cones[cid] = Cone(c.id, c.ray_indices, c.dim, close(cid))
+        cones[ZERO_ID] = Cone(ZERO_ID, frozenset(), 0, frozenset())
+        for cid, idx, _ in raw_cones:
+            cones[cid] = Cone(cid, idx, spans[idx].dim, close(cid))
     _check_ids(ids)
-    return Fan(n, tuple(rays), cones)
+    return Fan(n, rays, cones, spans)
 
 
 def _cone_id(value, what: str) -> str:
@@ -444,13 +468,9 @@ def product_fan(f1: Fan, f2: Fan) -> Fan:
     for c1 in f1.cones.values():
         for c2 in f2.cones.values():
             idx = frozenset(c1.ray_indices) | frozenset(i + shift for i in c2.ray_indices)
-            faces = set()
-            for a in c1.faces | {c1.id}:
-                for b in c2.faces | {c2.id}:
-                    if (a, b) != (c1.id, c2.id):
-                        faces.add(pid(a, b))
             cid = pid(c1.id, c2.id)
-            cones[cid] = Cone(cid, idx, c1.dim + c2.dim, frozenset(faces))
+            faces = frozenset(pid(a, b) for a in c1.faces | {c1.id} for b in c2.faces | {c2.id})
+            cones[cid] = Cone(cid, idx, c1.dim + c2.dim, faces - {cid})
     return Fan(n, tuple(rays), cones)
 
 

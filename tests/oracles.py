@@ -188,7 +188,8 @@ def pairwise_fan_diagnostics(n: int, rays, cones) -> list[str]:
     gradedness and diamond checks look for intermediate faces among all
     faces of each cone, in O(Σ |faces|²).  The ray checks reuse the
     package's primitivity helper and take ranks by Bareiss elimination;
-    the face-lattice checks share no code with it."""
+    repeated rays are found by comparing each used ray with every earlier
+    one.  The face-lattice checks share no code with it."""
     from weightlab.lattice import is_primitive
 
     out = []
@@ -199,6 +200,11 @@ def pairwise_fan_diagnostics(n: int, rays, cones) -> list[str]:
             out.append(f"ray {ray} has wrong length")
         elif not is_primitive(ray):
             out.append(f"ray {ray} is not primitive")
+    used = sorted({i for c in cones.values() for i in c.ray_indices if 0 <= i < len(rays)})
+    for pos, i in enumerate(used):
+        same = [j for j in used[:pos] if rays[j] == rays[i]]
+        if same:
+            out.append(f"rays {same[0]} and {i} are the same vector {list(rays[i])}")
     for c in cones.values():
         bad = sorted(i for i in c.ray_indices if not 0 <= i < len(rays))
         if bad:
@@ -213,6 +219,10 @@ def pairwise_fan_diagnostics(n: int, rays, cones) -> list[str]:
                 out.append(f"cone {c.id!r} lists unknown face {fid!r}")
             elif cones[fid].dim >= c.dim:
                 out.append(f"face {fid!r} of {c.id!r} does not drop dimension")
+            elif any(i not in c.ray_indices for i in cones[fid].ray_indices):
+                stray = sorted(i for i in cones[fid].ray_indices if i not in c.ray_indices)
+                out.append(f"face {fid!r} of {c.id!r} uses rays {stray}, "
+                           f"which {c.id!r} does not")
         if c.id != "0" and "0" not in c.faces:
             out.append(f"cone {c.id!r} does not list the zero cone as a face")
         for fid in c.faces:
@@ -242,6 +252,41 @@ def pairwise_fan_diagnostics(n: int, rays, cones) -> list[str]:
                     f"diamond property fails between {fid!r} and {c.id!r} "
                     f"({len(between)} intermediate cones)")
     return out
+
+
+def oracle_simplicial_cones(doc) -> dict[str, tuple[list[int], int, list[str]]]:
+    """The cones ``parse_fan`` makes from a valid simplicial document with
+    string or null ids, as {id: (sorted rays, dim, sorted faces)}, by a
+    walk-down and a union: every subset of a declared ray set is reached
+    by dropping one ray at a time, and a cone's faces are the union over
+    its facets of each facet and its faces.  A cone
+    without a declared id is "c" and its sorted ray indices, primed past
+    any id declared for other rays."""
+    raw = [(cd.get("id"), frozenset(cd["rays"])) for cd in doc["cones"]]
+    rays_of = {cid: idx for cid, idx in raw if cid is not None}
+
+    def name(idx):
+        if not idx:
+            return "0"
+        cid = "c" + ",".join(map(str, sorted(idx)))
+        while rays_of.get(cid, idx) != idx:
+            cid += "'"
+        return cid
+
+    declared = {idx: name(idx) if cid is None else cid for cid, idx in raw}
+    facets = {}
+    todo = [frozenset(), *declared]
+    while todo:
+        idx = todo.pop()
+        if idx not in facets:
+            facets[idx] = [idx - {i} for i in idx]
+            todo.extend(facets[idx])
+    ids = {idx: declared[idx] if idx in declared else name(idx) for idx in facets}
+    ids[frozenset()] = "0"
+    faces = {}
+    for idx in sorted(facets, key=len):
+        faces[idx] = frozenset().union(*(faces[f] | {ids[f]} for f in facets[idx]))
+    return {ids[idx]: (sorted(idx), len(idx), sorted(faces[idx])) for idx in facets}
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,23 @@ def test_fan_info_builds_no_complex(capsys, monkeypatch):
     assert out.endswith("cell counts by degree: 0:4, 1:12, 2:16, 3:8\n")
 
 
+def test_fan_info_spans_only_the_declared_cones(capsys, monkeypatch):
+    spanned = []
+    missing = weightlab.lattice.Saturations.__missing__
+    monkeypatch.setattr(weightlab.lattice.Saturations, "__missing__",
+                        lambda self, idx: spanned.append(idx) or missing(self, idx))
+    code, _, err = run(capsys, "fan-info", "--standard", "P:6")
+    assert code == 0, err
+    # The parser ranks the seven maximal cones; their faces take their
+    # ray counts as ranks.
+    assert sorted(map(sorted, spanned)) == sorted(sorted(set(range(7)) - {i}) for i in range(7))
+    # vpoly reads every cone's span, and spans each cone once.
+    spanned.clear()
+    code, _, err = run(capsys, "vpoly", "--standard", "P:4")
+    assert code == 0, err
+    assert len(spanned) == len(set(spanned)) == 2 ** 5 - 1
+
+
 def test_ss_text(capsys):
     code, out, _ = run(capsys, "ss", "--standard", "P:2")
     assert code == 0
@@ -687,6 +704,19 @@ def test_wide_level_span_reads_only_occupied_levels(capsys, tmp_path):
      {"lattice_rank": 1, "rays": [[1]], "simplicial": True,
       "cones": [{"id": False, "rays": [0]}]},
      "malformed fan document: a cone id must be a string or an integer, not False"),
+    # Two ray indices of one primitive vector would count the ray twice.
+    ("vpoly --fan",
+     {"lattice_rank": 1, "rays": [[2], [1]], "simplicial": True,
+      "cones": [{"rays": [0]}, {"rays": [1]}]},
+     "rays 0 and 1 are the same vector [1]"),
+    # A face on a ray that its cone does not have, though the face lists
+    # form a lattice.
+    ("fan-info --fan",
+     {"lattice_rank": 2, "rays": [[1, 0], [0, 1], [1, 1]],
+      "cones": [{"id": "r0", "rays": [0], "faces": []}, {"id": "r1", "rays": [1], "faces": []},
+                {"id": "r2", "rays": [2], "faces": []},
+                {"id": "c", "rays": [0, 1], "faces": ["r0", "r2"]}]},
+     "face 'r2' of 'c' uses rays [2], which 'c' does not"),
 ])
 def test_malformed_documents_exit_3(capsys, tmp_path, verb, doc, message):
     path = tmp_path / "doc.json"

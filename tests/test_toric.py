@@ -2,7 +2,7 @@ import functools
 import itertools
 import re
 from dataclasses import replace
-from math import comb
+from math import comb, gcd
 from operator import xor
 from unittest import mock
 
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import weightlab.gf2
 import weightlab.lattice
 from weightlab.fixtures import corpus_fan, fan_corpus, product_pairs, smooth_complete_corpus
+from weightlab.lattice import saturate_mod2
 from weightlab.pages import SpectralSequence, virtual_poincare
 from weightlab.poly import Poly
 from weightlab.toric import (
@@ -39,7 +40,9 @@ from oracles import (
     matrix_to_dense,
     oracle_orbit_group,
     oracle_orbit_sum_poly,
+    oracle_simplicial_cones,
     pairwise_fan_diagnostics,
+    rational_rank,
 )
 
 
@@ -211,13 +214,9 @@ def _disguised(fan, m):
     return parse_fan(doc)
 
 
-@st.composite
-def disguised_fans(draw):
-    """A corpus fan in random lattice coordinates: a signed permutation
-    followed by a few elementary column operations."""
-    fans = fan_corpus()
-    fan = fans[draw(st.sampled_from(sorted(fans)))]
-    n = fan.n
+def _unimodular(draw, n):
+    """A random n×n unimodular matrix: a signed permutation followed by a
+    few elementary column operations."""
     perm = draw(st.permutations(range(n)))
     m = [[draw(st.sampled_from([-1, 1])) if perm[i] == j else 0 for j in range(n)]
          for i in range(n)]
@@ -227,7 +226,15 @@ def disguised_fans(draw):
             s = draw(st.integers(-2, 2))
             for row in m:
                 row[j] += s * row[i]
-    return _disguised(fan, m)
+    return m
+
+
+@st.composite
+def disguised_fans(draw):
+    """A corpus fan in random lattice coordinates."""
+    fans = fan_corpus()
+    fan = fans[draw(st.sampled_from(sorted(fans)))]
+    return _disguised(fan, _unimodular(draw, fan.n))
 
 
 @settings(max_examples=100, deadline=None)
@@ -242,6 +249,43 @@ def test_a_copy_with_other_rays_saturates_its_own_rays():
     copy = replace(fan, rays=_disguised(fan, [[1, 1], [0, 1]]).rays)
     assert copy.ray_span("c0") != fan.ray_span("c0")
     _assert_orbit_groups_match_the_oracle(copy)
+
+
+@st.composite
+def simplicial_documents(draw):
+    """A simplicial fan document of lattice rank at most 4: distinct
+    primitive rays in random lattice coordinates, and cones on independent
+    subsets of them, each with no id or a distinct declared one, some of
+    which are the ids the parser generates for other ray sets."""
+    n = draw(st.integers(1, 4))
+    primitive = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(
+        lambda v: gcd(*v) == 1)
+    rays = draw(st.lists(primitive.map(tuple), min_size=1, max_size=6, unique=True))
+    m = _unimodular(draw, n)
+    rays = [[sum(r[k] * m[k][j] for k in range(n)) for j in range(n)] for r in rays]
+    subsets = draw(st.lists(st.frozensets(st.integers(0, len(rays) - 1), max_size=n),
+                            max_size=5, unique=True))
+    cones, taken = [], set()
+    for idx in subsets:
+        if rational_rank([rays[i] for i in sorted(idx)]) < len(idx):
+            continue
+        cid = draw(st.sampled_from([None, None, "m", "c0", "c1", "c0,1", "c1'"])) if idx else None
+        if cid in taken:
+            cid = None
+        taken.add(cid)
+        cones.append({"id": cid, "rays": draw(st.permutations(sorted(idx)))})
+    return {"lattice_rank": n, "rays": rays, "simplicial": True, "cones": cones}
+
+
+@settings(max_examples=200, deadline=None)
+@given(simplicial_documents())
+def test_simplicial_parse_is_the_walk_down_and_union(doc):
+    fan = parse_fan(doc)
+    assert {cid: (sorted(c.ray_indices), c.dim, sorted(c.faces))
+            for cid, c in fan.cones.items()} == oracle_simplicial_cones(doc)
+    for cid, c in fan.cones.items():
+        rays = [fan.rays[i] for i in sorted(c.ray_indices)]
+        assert fan.ray_span(cid) == saturate_mod2(rays, fan.n), cid
 
 
 _SMOOTH = {
@@ -264,10 +308,11 @@ def test_fan_parse_spans_each_cone_by_one_insertion(monkeypatch):
     # fan eliminates for the zero cone and inserts its other 126 cones.
     standard_fan("P", 6)
     assert calls["rref"] <= 8 and calls["smith"] == 0
-    # The 4-ray cone is the one dependent set, in the parser and in the fan.
+    # The 4-ray cone is the one dependent set; the parser's span of it is
+    # the fan's.
     calls["smith"] = 0
     corpus_fan("cone_over_square")
-    assert calls["smith"] == 2
+    assert calls["smith"] == 1
 
 
 @pytest.mark.parametrize("name", sorted(_SMOOTH))
@@ -592,6 +637,14 @@ _BROKEN_LATTICES = {
          _cone("c2", (2,), 1, ("0",)), _cone("c02", (0, 2), 2, ("0", "c0", "c2")),
          _cone("c12", (1, 2), 2, ("0", "c1", "c2")),
          _cone("c012", (0, 1, 2), 3, ("0", "c0", "c1", "c2", "c01", "c02", "c12"))]),
+    "a face on a ray its cone lacks": (2, ((1, 0), (0, 1), (1, 1)), [
+        _cone("0", (), 0, ()), _cone("r0", (0,), 1, ("0",)),
+        _cone("r1", (1,), 1, ("0",)), _cone("r2", (2,), 1, ("0",)),
+        _cone("s", (0, 1), 2, ("0", "r0", "r2"))]),
+    "a repeated ray": (2, ((1, 0), (0, 1), (1, 0)), [
+        _cone("0", (), 0, ()), _cone("r0", (0,), 1, ("0",)),
+        _cone("r1", (1,), 1, ("0",)), _cone("r2", (2,), 1, ("0",)),
+        _cone("s", (0, 1), 2, ("0", "r0", "r1"))]),
     "a zero ray": (2, ((1, 0), (0, 0)), [
         _cone("0", (), 0, ()), _cone("r0", (0,), 1, ("0",)),
         _cone("r1", (1,), 1, ("0",)), _cone("s", (0, 1), 2, ("0", "r0", "r1"))]),
