@@ -15,9 +15,9 @@ dimension of the mod-2 reduction of its saturated ray lattice, from one
 table per fan (:class:`weightlab.lattice.Saturations`) that
 :func:`parse_fan` starts.  Validation visits the cones by descending
 number of rays, and a subset of independent rays is independent, so only
-cones inside no cone with independent rays are spanned.  The first
-:meth:`Fan.ray_span` fills in the rest by ascending number of rays, most
-by one insertion into the span of a face; the orbit groups read them.
+cones inside no cone with independent rays are spanned.  Any other cone
+is spanned on its first :meth:`Fan.ray_span`; the orbit groups of
+:mod:`weightlab.toric` are quotients of their faces' and ask for few.
 Convex-geometric axioms — that cones actually intersect in common faces —
 are *not* checked; inputs are trusted on that point.
 """
@@ -83,7 +83,7 @@ class Fan:
     def ray_span(self, cid: str) -> BitSubspace:
         """The mod-2 reduction of the saturated lattice spanned by the rays
         of cid; its dimension is the cone's rational rank."""
-        return self._all_spans[self.cone(cid).ray_indices]
+        return self._spans[self.cone(cid).ray_indices]
 
     @cached_property
     def _spans(self) -> Saturations:
@@ -92,14 +92,6 @@ class Fan:
         spans = self._saturations
         return spans if spans is not None and spans.vectors == self.rays else \
             Saturations(self.rays, self.n)
-
-    @cached_property
-    def _all_spans(self) -> Saturations:
-        """:attr:`_spans` filled by ascending number of rays, so that most
-        cones take one insertion into the span of a face."""
-        for c in sorted(self.cones.values(), key=lambda c: len(c.ray_indices)):
-            self._spans[c.ray_indices]
-        return self._spans
 
     @cached_property
     def _lattice(self) -> "_FaceLattice":
@@ -368,25 +360,34 @@ def parse_fan(doc: Mapping) -> Fan:
             idx = frozenset(set_bits(mask))
             cones[cid] = Cone(cid, idx, len(idx), frozenset(faces))
     else:
-        # Transitive closure of the declared face lists.
+        # Transitive closure of the declared face lists, depth first from a
+        # stack of the chain being closed, each list walked in sorted order.
+        # A fan of lattice rank n has chains of at most n nonzero cones.
         declared_faces = {cid: faces | {ZERO_ID} for cid, _, faces in raw_cones}
         closed: dict[str, frozenset[str]] = {ZERO_ID: frozenset()}
-        def close(cid: str, seen: tuple = ()) -> frozenset[str]:
-            if cid in closed:
-                return closed[cid]
-            if cid in seen:
-                raise FanError(f"cyclic face declaration at cone {cid!r}")
-            acc = set()
-            for fid in declared_faces[cid]:
-                if fid not in declared_faces and fid != ZERO_ID:
+        for top, _, _ in raw_cones:
+            stack = {} if top in closed else {top: iter(sorted(declared_faces[top]))}
+            while stack:
+                cid, below = next(reversed(stack.items()))
+                fid = next(below, None)
+                if fid is None:
+                    stack.popitem()
+                    faces = declared_faces[cid]
+                    closed[cid] = frozenset(faces).union(*map(closed.__getitem__, faces))
+                elif fid in closed:
+                    continue
+                elif fid not in declared_faces:
                     raise FanError(f"cone {cid!r} lists unknown face {fid!r}")
-                acc.add(fid)
-                acc.update(close(fid, seen + (cid,)))
-            closed[cid] = frozenset(acc)
-            return closed[cid]
+                elif fid in stack:
+                    raise FanError(f"cyclic face declaration at cone {fid!r}")
+                elif len(stack) >= n:
+                    raise FanError(f"the faces of cone {top!r} chain more than {n + 1} "
+                                   f"cones deep, more than lattice rank {n} allows")
+                else:
+                    stack[fid] = iter(sorted(declared_faces[fid]))
         cones[ZERO_ID] = Cone(ZERO_ID, frozenset(), 0, frozenset())
         for cid, idx, _ in raw_cones:
-            cones[cid] = Cone(cid, idx, spans[idx].dim, close(cid))
+            cones[cid] = Cone(cid, idx, spans[idx].dim, closed[cid])
     _check_ids(ids)
     return Fan(n, rays, cones, spans)
 

@@ -172,7 +172,7 @@ class Saturations(dict):
     the rest, S + Zv has rank one more, and the saturation of S + Zv, a
     direct summand of that rank, reduces to a subspace of that dimension
     which contains S mod 2 and v mod 2.  So looking subsets up by
-    ascending size, as the fan does, spans each cone from its face.  Any
+    ascending size spans each from the one without its largest index.  Any
     other subset is spanned from its reductions, and the Smith normal
     form runs only when those are dependent."""
 

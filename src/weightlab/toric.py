@@ -3,13 +3,18 @@
 The cell complex has one k-cell (sigma, g) for every cone sigma of
 codimension k and every element g of the orbit group T_sigma, the
 quotient of (Z/2)^n by the mod-2 reduction of the saturated sublattice
-spanned by sigma's rays.  That subspace is the fan's (``Fan.ray_span``),
-computed once per cone: the span of the rays mod 2 when they are
-independent there, the Smith normal form route otherwise (see
-:mod:`weightlab.lattice`).  The boundary sends a cell to the sum of its
-images under the quotient homomorphisms to the covering cones, read off
-the orbit groups the build computes once per cone: each group holds the
-class of every unit vector e_i, so an image is a table lookup.
+spanned by sigma's rays.  The build computes these groups in one walk
+over the cones by ascending number of rays: a cone's group is its face
+without its largest ray, divided by the class u of that ray's reduction
+(:func:`_quotient`).  With S the face's saturated lattice and v the ray,
+S + Zv has rank one more when u is not zero, and its saturation reduces
+to the span of S mod 2 and v mod 2, so the quotient is the row-echelon
+insertion of v and gives the canonical group.  Only a cone whose class
+u is zero, or whose face without its largest ray is not a cone, takes
+the fan's span of its rays (:func:`orbit_group`, ``Fan.ray_span``, the
+Smith normal form route when the reductions are dependent; see
+:mod:`weightlab.lattice`).  Each group holds the class of every unit
+vector e_i, so the image of a generator under a cover is a table lookup.
 
 The filtration T_{-q} is, cone by cone, the q-th power of the
 augmentation ideal of the group algebra F_2[T_sigma] (in the paper's
@@ -20,12 +25,15 @@ adapted basis: a_S has level -|S| (the Jennings basis).  The build writes
 the complex in this basis directly.  A cover map phi sends z_i to
 1 + x^{phi(x_i)} = Σ_{∅ ≠ W ⊆ phi(x_i)} z'^W, and a_S to the product of
 the images of its z_i, where z^A·z^B = z^{A ∪ B} if A ∩ B = ∅ and 0
-otherwise.  For smooth fans most x_i map to one generator or to the
-identity, so z_i maps to one z'_j or to 0, and most columns have one
-entry or none.  The coordinates of each degree are laid out in level
-order, so the filtered complex's adapted basis is the unit basis: the
-persistence reduction and the filtration check read the boundary's
-columns as they are.
+otherwise.  These images depend only on the images of the generators,
+so the covers of one degree that share them share one template of
+images (:func:`_image_template`), and each image is XORed into its
+column's bit vector as it is read.  For smooth fans most x_i map to one
+generator or to the identity, so z_i maps to one z'_j or to 0, and most
+columns have one entry or none.  The coordinates of each degree are laid
+out in level order, so the filtered complex's adapted basis is the unit
+basis: the persistence reduction and the filtration check read the
+boundary's columns as they are.
 
 The cell basis is built only on request (:class:`ToricCellComplex`),
 as the total complex (:func:`weightlab.complexes.totalize`) of one block
@@ -58,7 +66,7 @@ from .fan import (  # re-exported: callers read fans from this module too
     product_fan,
     standard_fan,
 )
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, set_bits
 from .poly import Poly
 
 
@@ -98,14 +106,58 @@ def orbit_group(f: Fan, cid: str) -> OrbitGroup:
     return OrbitGroup(len(free), free, tuple(units))
 
 
+def _quotient(g: OrbitGroup, v: int) -> OrbitGroup | None:
+    """g divided by the class u of the vector v, or None when u is zero.
+
+    With j the lowest bit of u, the generator free[j] is dropped and each
+    unit x becomes x, or x ^ u when it holds bit j, with bit j removed:
+    the row-echelon insertion of v into the subspace g quotients by, so
+    ``free`` and ``units`` are the canonical ones of the larger subspace.
+    """
+    u = 0
+    for i in set_bits(v):
+        u ^= g.units[i]
+    if not u:
+        return None
+    low = u & -u
+    below = low - 1
+    units = []
+    for x in g.units:
+        if x & low:
+            x ^= u
+        units.append(x & below | x >> 1 & ~below)
+    j = low.bit_length() - 1
+    return OrbitGroup(g.dim - 1, g.free[:j] + g.free[j + 1:], tuple(units))
+
+
+def _orbit_groups(f: Fan) -> dict[str, OrbitGroup]:
+    """The orbit group of every cone, in cone_ids() order, from one walk
+    by ascending number of rays: a cone's group is the :func:`_quotient`
+    of its face without its largest ray by that ray's reduction, and
+    :func:`orbit_group` where that face is not a cone or the quotient is
+    None."""
+    lattice, reduced = f._lattice, f._spans.reduced
+    by_rays = {0: OrbitGroup(f.n, tuple(range(f.n)), tuple(1 << i for i in range(f.n)))}
+    groups = {}
+    for i in sorted(range(len(lattice.ids)), key=lambda i: lattice.rays[i].bit_count()):
+        cid, mask = lattice.ids[i], lattice.rays[i]
+        if mask:
+            top = mask.bit_length() - 1
+            face = by_rays.get(mask ^ 1 << top)
+            g = None if face is None else _quotient(face, reduced[top])
+            by_rays[mask] = orbit_group(f, cid) if g is None else g
+        groups[cid] = by_rays[mask]
+    return {cid: groups[cid] for cid in f.cone_ids()}
+
+
 def _orbit_map(g_sigma: OrbitGroup, g_tau: OrbitGroup) -> BitMatrix:
     """The map T_sigma -> T_tau of the given orbit groups of a cover."""
     return BitMatrix.from_columns(g_tau.dim, _cover_images(g_sigma, g_tau))
 
 
-def _cover_images(g_sigma: OrbitGroup, g_tau: OrbitGroup) -> list[int]:
+def _cover_images(g_sigma: OrbitGroup, g_tau: OrbitGroup) -> tuple[int, ...]:
     """The images in T_tau of the generators of T_sigma, as masks."""
-    return [g_tau.units[i] for i in g_sigma.free]
+    return tuple([g_tau.units[i] for i in g_sigma.free])
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +182,34 @@ def _bit_masks(k: int) -> list[int]:
     """For each generator i < k, the positions of one block of 2^k whose
     subset does not hold i."""
     return [sum(1 << t for t in range(1 << k) if not t >> i & 1) for i in range(k)]
+
+
+def _image_template(gens: tuple[int, ...],
+                    without: list[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """The images of the monomials a_S of the source of a cover whose
+    generators map to the masks ``gens``, as (S, the T of the monomials
+    z^T in the image) for each S with a nonzero image.
+
+    a_S maps to the product of the images of its z_i; S holding a
+    generator that maps to 1 maps to zero, so only the subsets of
+    ``live`` are visited, in increasing order.
+    """
+    live = sum(1 << i for i, c in enumerate(gens) if c)
+    images = {0: 1}
+    out = [(0, (0,))]
+    s = -live & live
+    while s:
+        low = s & -s
+        img, c = images[s ^ low], gens[low.bit_length() - 1]
+        if c & (c - 1):
+            img = _times_image(img, c, without)
+        else:  # z_i maps to the single generator z_c
+            img = (img & without[c.bit_length() - 1]) << c
+        images[s] = img
+        if img:
+            out.append((s, tuple(set_bits(img))))
+        s = (s - live) & live
+    return out
 
 
 def _times_image(v: int, c: int, without: list[int]) -> int:
@@ -233,7 +313,7 @@ def cell_counts(f: Fan) -> dict[int, int]:
 
 def toric_cell_complex(f: Fan) -> ToricCellComplex:
     dims = cell_counts(f)
-    groups = {cid: orbit_group(f, cid) for cid in f.cone_ids()}
+    groups = _orbit_groups(f)
     by_codim: dict[int, list[str]] = {}
     for cid in f.cone_ids():
         by_codim.setdefault(f.codim(cid), []).append(cid)
@@ -251,34 +331,21 @@ def toric_cell_complex(f: Fan) -> ToricCellComplex:
             continue
         rows_at, cols_at = position[k - 1], position[k]
         without = _bit_masks(k - 1)
-        columns: list[list[int]] = [[] for _ in range(dims[k])]
+        templates: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+        columns = [0] * dims[k]
         for sigma in cids:
-            col0 = offsets[sigma]
+            col0, g = offsets[sigma], groups[sigma]
             for tau in f.covers(sigma):
                 row0 = offsets[tau]
-                gens = _cover_images(groups[sigma], groups[tau])
-                # a_S maps to the product of the images of its z_i; S
-                # holding a generator that maps to 1 maps to zero, so only
-                # the subsets of ``live`` are visited, in increasing order.
-                live = sum(1 << i for i, c in enumerate(gens) if c)
-                images = {0: 1}
-                columns[cols_at[col0]].append(rows_at[row0])
-                s = -live & live
-                while s:
-                    low = s & -s
-                    img, c = images[s ^ low], gens[low.bit_length() - 1]
-                    if c & (c - 1):
-                        img = _times_image(img, c, without)
-                    else:  # z_i maps to the single generator z_c
-                        img = (img & without[c.bit_length() - 1]) << c
-                    images[s] = img
-                    column = columns[cols_at[col0 + s]]
-                    while img:
-                        t = img & -img
-                        column.append(rows_at[row0 + t.bit_length() - 1])
-                        img ^= t
-                    s = (s - live) & live
-        boundary[k] = BitMatrix.from_column_indices(dims[k - 1], columns)
+                gens = _cover_images(g, groups[tau])
+                template = templates.get(gens)
+                if template is None:
+                    template = templates[gens] = _image_template(gens, without)
+                for s, ts in template:
+                    col = cols_at[col0 + s]
+                    for t in ts:
+                        columns[col] ^= 1 << rows_at[row0 + t]
+        boundary[k] = BitMatrix.from_columns(dims[k - 1], columns)
 
     levels = {
         k: tuple(-w for w in range(k, -1, -1) for _ in range(len(cids) * comb(k, w)))

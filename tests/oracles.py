@@ -420,6 +420,62 @@ def oracle_complex_diagnostics(dims, boundary) -> list[str]:
     return out
 
 
+def oracle_toric_boundary(fan, groups) -> tuple[dict, dict]:
+    """The boundary and levels of ``toric_cell_complex(fan).filtered``
+    from the given orbit groups, as the build first wrote them: every
+    cover walks the subsets of its live generators itself, and each
+    column is a list of row indices packed at the end."""
+    from math import comb
+    from weightlab.toric import _bit_masks, _cover_images, _level_order, _times_image
+
+    by_codim: dict[int, list[str]] = {}
+    for cid in fan.cone_ids():
+        by_codim.setdefault(fan.codim(cid), []).append(cid)
+    dims = {k: len(cids) << k for k, cids in by_codim.items()}
+    offsets = {cid: i << k for k, cids in by_codim.items() for i, cid in enumerate(cids)}
+    position: dict[int, list[int]] = {}
+    for k, cids in by_codim.items():
+        position[k] = pos = [0] * dims[k]
+        for j, b in enumerate(_level_order(k, len(cids))):
+            pos[b] = j
+    boundary = {}
+    for k, cids in by_codim.items():
+        if k - 1 not in by_codim:
+            continue
+        rows_at, cols_at = position[k - 1], position[k]
+        without = _bit_masks(k - 1)
+        columns: list[list[int]] = [[] for _ in range(dims[k])]
+        for sigma in cids:
+            col0 = offsets[sigma]
+            for tau in fan.covers(sigma):
+                row0 = offsets[tau]
+                gens = _cover_images(groups[sigma], groups[tau])
+                live = sum(1 << i for i, c in enumerate(gens) if c)
+                images = {0: 1}
+                columns[cols_at[col0]].append(rows_at[row0])
+                s = -live & live
+                while s:
+                    low = s & -s
+                    img, c = images[s ^ low], gens[low.bit_length() - 1]
+                    if c & (c - 1):
+                        img = _times_image(img, c, without)
+                    else:
+                        img = (img & without[c.bit_length() - 1]) << c
+                    images[s] = img
+                    column = columns[cols_at[col0 + s]]
+                    while img:
+                        t = img & -img
+                        column.append(rows_at[row0 + t.bit_length() - 1])
+                        img ^= t
+                    s = (s - live) & live
+        boundary[k] = BitMatrix.from_column_indices(dims[k - 1], columns)
+    levels = {
+        k: tuple(-w for w in range(k, -1, -1) for _ in range(len(cids) * comb(k, w)))
+        for k, cids in by_codim.items()
+    }
+    return boundary, levels
+
+
 def oracle_orbit_sum_poly(fan):
     """Σ_σ (t − 1)^codim σ, one polynomial product per factor."""
     from weightlab.poly import Poly

@@ -71,11 +71,12 @@ def test_fan_info_spans_only_the_declared_cones(capsys, monkeypatch):
     # The parser ranks the seven maximal cones; their faces take their
     # ray counts as ranks.
     assert sorted(map(sorted, spanned)) == sorted(sorted(set(range(7)) - {i}) for i in range(7))
-    # vpoly reads every cone's span, and spans each cone once.
+    # vpoly's orbit groups are quotients of their faces' groups, so the
+    # build spans nothing: only the parser's five declared cones are.
     spanned.clear()
     code, _, err = run(capsys, "vpoly", "--standard", "P:4")
     assert code == 0, err
-    assert len(spanned) == len(set(spanned)) == 2 ** 5 - 1
+    assert sorted(map(sorted, spanned)) == sorted(sorted(set(range(5)) - {i}) for i in range(5))
 
 
 def test_ss_text(capsys):
@@ -717,6 +718,13 @@ def test_wide_level_span_reads_only_occupied_levels(capsys, tmp_path):
                 {"id": "r2", "rays": [2], "faces": []},
                 {"id": "c", "rays": [0, 1], "faces": ["r0", "r2"]}]},
      "face 'r2' of 'c' uses rays [2], which 'c' does not"),
+    # A chain of declared faces deeper than the interpreter's recursion
+    # limit, and than any fan of its lattice rank, listed deepest first.
+    ("fan-info --fan",
+     {"lattice_rank": 1, "rays": [[1]],
+      "cones": [{"id": f"c{i}", "rays": [0], "faces": [f"c{i - 1}"] if i else []}
+                for i in reversed(range(1500))]},
+     "the faces of cone 'c1499' chain more than 2 cones deep"),
 ])
 def test_malformed_documents_exit_3(capsys, tmp_path, verb, doc, message):
     path = tmp_path / "doc.json"
@@ -725,6 +733,22 @@ def test_malformed_documents_exit_3(capsys, tmp_path, verb, doc, message):
     code, out, err = run(capsys, *argv, str(path))
     assert code == 3
     assert message in err
+
+
+def test_unknown_face_refusal_does_not_depend_on_the_hash_seed(tmp_path):
+    # A face list is a set of strings, whose order follows the process's
+    # hash seed; the refusal names the first unknown face in sorted order.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"lattice_rank": 1, "rays": [[1]], "cones": [
+        {"id": "r", "rays": [0], "faces": ["z", "y", "x"]}]}))
+    src = str(Path(weightlab.__file__).resolve().parents[1])
+    for seed in range(4):
+        proc = subprocess.run(
+            [sys.executable, "-m", "weightlab.cli", "fan-info", "--fan", str(path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)})
+        assert proc.returncode == 3
+        assert "cone 'r' lists unknown face 'x'" in proc.stderr, seed
 
 
 DATA = Path(weightlab.__file__).parent / "data"

@@ -161,8 +161,8 @@ def test_saturate_mod2_takes_the_smith_form_only_for_dependent_reductions(monkey
     st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=5),
     st.just(n))))
 def test_saturations_by_insertion_equal_the_smith_form_route(case):
-    # Every subset looked up by ascending size, as the fan does, so each
-    # one whose set without its largest index is known may be inserted.
+    # Every subset looked up by ascending size, so each one whose set
+    # without its largest index is known may be inserted.
     vectors, n = case
     spans = Saturations(vectors, n)
     for size in range(len(vectors) + 1):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import re
+from collections import Counter
 from dataclasses import replace
 from math import comb, gcd
 from operator import xor
@@ -18,6 +19,7 @@ from weightlab.pages import SpectralSequence, virtual_poincare
 from weightlab.poly import Poly
 from weightlab.toric import (
     _bit_masks,
+    _cover_images,
     _level_order,
     _times_image,
     Cone,
@@ -41,6 +43,7 @@ from oracles import (
     oracle_orbit_group,
     oracle_orbit_sum_poly,
     oracle_simplicial_cones,
+    oracle_toric_boundary,
     pairwise_fan_diagnostics,
     rational_rank,
 )
@@ -251,6 +254,69 @@ def test_a_copy_with_other_rays_saturates_its_own_rays():
     _assert_orbit_groups_match_the_oracle(copy)
 
 
+# Fans for the build's walk over the cones: the corpus, whose
+# weighted_p112, quadric_cone and cone_over_square each have one cone
+# the walk spans, the standard fans of rank 4 and the products of
+# product_pairs.
+_WALKED = {
+    **fan_corpus(),
+    "P4": standard_fan("P", 4),
+    "A4": standard_fan("A", 4),
+    **{name: product_fan(a, b) for name, a, b in product_pairs()},
+}
+
+
+@st.composite
+def walked_fans(draw):
+    """A fan of _WALKED, in its own lattice coordinates or in random ones."""
+    fan = _WALKED[draw(st.sampled_from(sorted(_WALKED)))]
+    return _disguised(fan, _unimodular(draw, fan.n)) if draw(st.booleans()) else fan
+
+
+@settings(max_examples=150, deadline=None)
+@given(walked_fans())
+def test_the_walk_matches_the_span_route_and_the_oracle_boundary(fan):
+    tcc = toric_cell_complex(fan)
+    groups = {cid: orbit_group(fan, cid) for cid in fan.cone_ids()}
+    assert tcc.groups == groups
+    boundary, levels = oracle_toric_boundary(fan, groups)
+    assert tcc.filtered.complex.boundary == boundary
+    assert tcc.filtered.levels == levels
+
+
+def _products_per_pattern(gens):
+    """The _times_image calls of one cover whose generators map to gens:
+    one per subset of the live generators whose lowest one maps to more
+    than one generator."""
+    live = [i for i, c in enumerate(gens) if c]
+    return sum(1 << len(live) - n - 1 for n, i in enumerate(live) if gens[i] & gens[i] - 1)
+
+
+@pytest.mark.parametrize("fan", [standard_fan("P", 4), standard_fan("P", 5),
+                                 corpus_fan("cone_over_square")], ids=["P4", "P5", "square"])
+def test_each_cover_pattern_takes_its_images_once(monkeypatch, fan):
+    # Covers of one degree whose generators have the same images share
+    # their images, so _times_image runs for one cover of each pattern.
+    calls = []
+    times_image = weightlab.toric._times_image
+    monkeypatch.setattr(weightlab.toric, "_times_image",
+                        lambda v, c, without: calls.append(len(without) + 1)
+                        or times_image(v, c, without))
+    tcc = toric_cell_complex(fan)
+    built = Counter(calls)
+    calls.clear()
+    oracle_toric_boundary(fan, tcc.groups)
+    per_cover = Counter(calls)
+    patterns: dict[int, Counter] = {}
+    for sigma in fan.cone_ids():
+        for tau in fan.covers(sigma):
+            gens = _cover_images(tcc.groups[sigma], tcc.groups[tau])
+            patterns.setdefault(fan.codim(sigma), Counter())[gens] += 1
+    assert built == Counter({k: sum(map(_products_per_pattern, p)) for k, p in patterns.items()})
+    assert per_cover == Counter({k: sum(_products_per_pattern(gens) * m for gens, m in p.items())
+                                 for k, p in patterns.items()})
+
+
 @st.composite
 def simplicial_documents(draw):
     """A simplicial fan document of lattice rank at most 4: distinct
@@ -304,8 +370,8 @@ def test_fan_parse_spans_each_cone_by_one_insertion(monkeypatch):
                         lambda vs: calls.__setitem__("rref", calls["rref"] + 1) or rref(vs))
     monkeypatch.setattr(weightlab.lattice, "smith_normal_form",
                         lambda m: calls.__setitem__("smith", calls["smith"] + 1) or snf(m))
-    # The parser ranks the 7 declared cones before their faces exist; the
-    # fan eliminates for the zero cone and inserts its other 126 cones.
+    # The parser ranks the 7 declared cones before their faces exist, and
+    # their faces take their ray counts as ranks.
     standard_fan("P", 6)
     assert calls["rref"] <= 8 and calls["smith"] == 0
     # The 4-ray cone is the one dependent set; the parser's span of it is
@@ -555,19 +621,19 @@ def test_cell_basis_complex_is_built_once():
 
 def test_boundary_columns_are_packed_once(monkeypatch):
     # One bit vector per column and no second layout: each boundary
-    # column of the augmentation basis is packed once, and a matrix keeps
-    # its three fields after validation, the spectral sequence and the
-    # cell-basis build read it.  The cell basis is totalized from
-    # orbit-map columns written as bit vectors, so it packs nothing.
+    # column of the augmentation basis is written as a bit vector as its
+    # images are read, with no list of row indices to pack, and a matrix
+    # keeps its three fields after validation, the spectral sequence and
+    # the cell-basis build read it.  The cell basis is totalized from
+    # orbit-map columns written as bit vectors, so it packs nothing either.
     packed = []
     pack = weightlab.gf2._pack
     monkeypatch.setattr(weightlab.gf2, "_pack", lambda col: packed.append(col) or pack(col))
     tcc = toric_cell_complex(standard_fan("P", 5))
     augmentation = tcc.filtered.complex.boundary.values()
-    assert len(packed) == sum(m.cols for m in augmentation)
     SpectralSequence(tcc.filtered).page(1)
     cells = tcc.complex.boundary.values()
-    assert len(packed) == sum(m.cols for m in augmentation)
+    assert packed == []
     for m in [*augmentation, *cells]:
         assert vars(m).keys() == {"rows", "cols", "col_data"}
 
