@@ -10,14 +10,12 @@ one dimension down) lie on its rays and with their own faces make up its
 whole list (by induction on dimension); the diamond property is a
 bit-sliced count over the facets' face masks, which must find every face
 two dimensions down exactly twice.  Only a fan this refuses is scanned
-face by face, to name its faults.  A cone's rank is the
-dimension of the mod-2 reduction of its saturated ray lattice, from one
-table per fan (:class:`weightlab.lattice.Saturations`) that
-:func:`parse_fan` starts.  Validation visits the cones by descending
-number of rays, and a subset of independent rays is independent, so only
-cones inside no cone with independent rays are spanned.  Any other cone
-is spanned on its first :meth:`Fan.ray_span`; the orbit groups of
-:mod:`weightlab.toric` are quotients of their faces' and ask for few.
+face by face, to name its faults.  A cone's rank is the dimension of the
+mod-2 reduction of its saturated ray lattice, from one table per fan
+(:class:`weightlab.lattice.Saturations`).  :func:`parse_fan` sets the
+ranks and validation checks them in one pass by descending number of
+rays: a subset of independent rays is independent, so in either document
+form only the cones inside no cone with independent rays are spanned.
 Convex-geometric axioms — that cones actually intersect in common faces —
 are *not* checked; inputs are trusted on that point.
 """
@@ -113,28 +111,17 @@ class Fan:
         that cones use are distinct, the face lists form a lattice
         (:meth:`_FaceLattice.holds`) and every cone's declared dimension
         is its rank: integer operations per cone, with no message."""
-        if any(len(ray) != self.n or not is_primitive(ray) for ray in self.rays):
-            return False
         used = frozenset().union(*(c.ray_indices for c in self.cones.values()))
-        if not used <= set(range(len(self.rays))) or \
-                len({self.rays[i] for i in used}) < len(used) or not self._lattice.holds():
-            return False
-        # Faces lie on their cones' rays, so by descending size each cone
-        # inside one with independent rays is marked before its visit.
-        cones, inside = self._lattice.cones, 0
-        for i in sorted(range(len(cones)), key=lambda i: -len(cones[i].ray_indices)):
-            rays = len(cones[i].ray_indices)
-            rank = rays if inside >> i & 1 else self._spans[cones[i].ray_indices].dim
-            if rank != cones[i].dim:
-                return False
-            if rank == rays:
-                inside |= self._lattice.masks[i]
-        return True
+        lattice = self._lattice
+        return (all(len(ray) == self.n and is_primitive(ray) for ray in self.rays)
+                and used <= set(range(len(self.rays))) and len({self.rays[i] for i in used})
+                == len(used) and lattice.holds() and [c.dim for c in lattice.cones]
+                == _ranks([c.ray_indices for c in lattice.cones], lattice.masks, self._spans))
 
     def diagnostics(self) -> list[str]:
         """Violated axioms, one message per finding, from scans over every
-        ray, cone and face in cone order; empty exactly when
-        :meth:`_holds`, which is what construction runs."""
+        ray, cone and face in cone order, each cone's faces sorted; empty
+        exactly when :meth:`_holds`, which is what construction runs."""
         out = []
         if ZERO_ID not in self.cones:
             out.append("zero cone missing")
@@ -158,7 +145,7 @@ class Fan:
             elif bad := sorted(i for i in c.ray_indices if not 0 <= i < len(self.rays)):
                 out.append(f"cone {c.id!r} uses ray indices {bad}, the fan has "
                            f"{len(self.rays)} rays")
-            for fid in c.faces:
+            for fid in sorted(c.faces):
                 if fid not in self.cones:
                     out.append(f"cone {c.id!r} lists unknown face {fid!r}")
                 elif self.cones[fid].dim >= c.dim:
@@ -185,7 +172,7 @@ class Fan:
             if not graded[c.id]:
                 out.extend(
                     f"face lattice not graded: {fid!r} < {c.id!r} skips dimension"
-                    for fid in c.faces
+                    for fid in sorted(c.faces)
                     if fid in facets[c.id] and self.cones[fid].dim != c.dim - 1)
         # Diamond property on length-two intervals: every face two dims
         # down lies in exactly two faces one dim down.  Those are facets,
@@ -202,7 +189,7 @@ class Fan:
             out.extend(
                 f"diamond property fails between {fid!r} and {c.id!r} "
                 f"({between.get(fid, 0)} intermediate cones)"
-                for fid in c.faces
+                for fid in sorted(c.faces)
                 if self.cones[fid].dim == c.dim - 2 and between.get(fid, 0) != 2)
         return out
 
@@ -318,62 +305,65 @@ def parse_fan(doc: Mapping) -> Fan:
     rays = tuple(rays)
     spans = Saturations(rays, n)  # the fan's, too
 
-    # A generated id never takes an id declared for other rays.
-    rays_of = {cid: idx for cid, idx, _ in raw_cones if cid is not None}
+    # The rays of each id, the last given; generated ids avoid declared ones.
+    rays_of = {ZERO_ID: frozenset(), **{c: idx for c, idx, _ in raw_cones if c is not None}}
 
     def generated_id(idx: frozenset[int]) -> str:
-        cid = _subset_id(idx)
+        cid = "c" + ",".join(map(str, sorted(idx))) if idx else ZERO_ID
         while rays_of.get(cid, idx) != idx:
             cid += "'"
         return cid
 
-    # (id, ray indices) of the zero cone and the declared cones.
+    # (id, ray indices) of the zero cone and the declared cones.  Each form
+    # numbers its cones once, with their faces' ids and masks of face numbers.
     ids = [(ZERO_ID, frozenset())]
     ids += [(generated_id(idx) if cid is None else cid, idx) for cid, idx, _ in raw_cones]
-    cones: dict[str, Cone] = {}
     if simplicial:
         declared: dict[int, str] = {}  # by ray set, as a bitmask
         for cid, idx in ids[1:]:
-            dim = spans[idx].dim
-            if len(idx) != dim:
-                raise FanError(
-                    f"cone {cid!r} marked simplicial has {len(idx)} rays "
-                    f"of rank {dim}")
+            if (dim := spans[idx].dim) != len(idx):
+                raise FanError(f"cone {cid!r} marked simplicial has {len(idx)} rays of rank {dim}")
             declared[sum(1 << i for i in idx)] = cid
-        # Every subset of a declared ray set is a cone, and the proper
-        # subsets of a cone's rays, the empty one included, are its faces.
-        id_of = {0: ZERO_ID}
+        # Every subset of a declared ray set is a cone, numbered as the walk
+        # meets it; the proper subsets of its rays, the empty one too, are faces.
+        id_of, numbered = {0: ZERO_ID}, [(ZERO_ID, frozenset())]
         for top in declared:
             sub = top
             while sub:
                 if sub not in id_of:
-                    id_of[sub] = declared[sub] if sub in declared else \
-                        generated_id(frozenset(set_bits(sub)))
+                    idx = frozenset(set_bits(sub))
+                    id_of[sub] = declared[sub] if sub in declared else generated_id(idx)
+                    numbered.append((id_of[sub], idx))
                 sub = (sub - 1) & top
-        for mask, cid in id_of.items():
+        bit = {cid: 1 << i for i, (cid, _) in enumerate(numbered)}
+        face_ids, masks = [], []
+        for mask in id_of:
             faces, sub = [], mask
             while sub:
                 sub = (sub - 1) & mask
                 faces.append(id_of[sub])
-            # Rays of a simplicial cone are independent, and so are
-            # those of each of its faces.
-            idx = frozenset(set_bits(mask))
-            cones[cid] = Cone(cid, idx, len(idx), frozenset(faces))
+            face_ids.append(faces)
+            # Every cone lies in a declared one, whose face mask suffices.
+            masks.append(sum(map(bit.get, faces)) if mask in declared else 0)
     else:
         # Transitive closure of the declared face lists, depth first from a
         # stack of the chain being closed, each list walked in sorted order.
         # A fan of lattice rank n has chains of at most n nonzero cones.
-        declared_faces = {cid: faces | {ZERO_ID} for cid, _, faces in raw_cones}
-        closed: dict[str, frozenset[str]] = {ZERO_ID: frozenset()}
-        for top, _, _ in raw_cones:
-            stack = {} if top in closed else {top: iter(sorted(declared_faces[top]))}
+        numbered = list(rays_of.items())
+        bit = {cid: 1 << i for i, (cid, _) in enumerate(numbered)}
+        declared_faces = {cid: sorted(faces | {ZERO_ID}) for cid, _, faces in raw_cones}
+        closed, stray = {ZERO_ID: 0}, False
+        for top in declared_faces:
+            stack = {} if top in closed else {top: iter(declared_faces[top])}
             while stack:
                 cid, below = next(reversed(stack.items()))
                 fid = next(below, None)
                 if fid is None:
                     stack.popitem()
-                    faces = declared_faces[cid]
-                    closed[cid] = frozenset(faces).union(*map(closed.__getitem__, faces))
+                    closed[cid] = 0
+                    for fid in declared_faces[cid]:
+                        closed[cid] |= bit[fid] | closed[fid]
+                        stray |= not rays_of[fid] <= rays_of[cid]
                 elif fid in closed:
                     continue
                 elif fid not in declared_faces:
@@ -384,12 +374,26 @@ def parse_fan(doc: Mapping) -> Fan:
                     raise FanError(f"the faces of cone {top!r} chain more than {n + 1} "
                                    f"cones deep, more than lattice rank {n} allows")
                 else:
-                    stack[fid] = iter(sorted(declared_faces[fid]))
-        cones[ZERO_ID] = Cone(ZERO_ID, frozenset(), 0, frozenset())
-        for cid, idx, _ in raw_cones:
-            cones[cid] = Cone(cid, idx, spans[idx].dim, closed[cid])
+                    stack[fid] = iter(declared_faces[fid])
+        face_ids = [[numbered[j][0] for j in set_bits(closed[cid])] for cid in rays_of]
+        # A face on rays its cone lacks keeps its rank for validation to name.
+        masks = [0 if stray else closed[cid] for cid in rays_of]
     _check_ids(ids)
+    ranks = _ranks([idx for _, idx in numbered], masks, spans)
+    cones = {cid: Cone(cid, idx, rank, frozenset(faces))
+             for (cid, idx), rank, faces in zip(numbered, ranks, face_ids)}
     return Fan(n, rays, cones, spans)
+
+
+def _ranks(rays: list[frozenset[int]], faces: list[int], spans: Saturations) -> list[int]:
+    """The cones' ranks.  By descending number of rays, a cone in the face mask ``faces[i]``
+    of a cone i with independent rays is not spanned; a face's rays and mask lie in its cone's."""
+    ranks, inside = [len(idx) for idx in rays], 0
+    for i in sorted(range(len(rays)), key=ranks.__getitem__, reverse=True):
+        if not inside >> i & 1:
+            ranks[i] = spans[rays[i]].dim
+            inside |= faces[i] if ranks[i] == len(rays[i]) else 0
+    return ranks
 
 
 def _cone_id(value, what: str) -> str:
@@ -421,10 +425,6 @@ def _check_ids(cones: Iterable[tuple[str, frozenset[int]]]) -> None:
         if id_of.setdefault(idx, cid) != cid:
             raise FanError(f"cones {id_of[idx]!r} and {cid!r} have the same "
                            f"rays {sorted(idx)}")
-
-
-def _subset_id(idx: frozenset[int]) -> str:
-    return "c" + ",".join(map(str, sorted(idx))) if idx else ZERO_ID
 
 
 def fan_to_doc(f: Fan) -> dict:

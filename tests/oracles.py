@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Sequence
 
 from weightlab.gf2 import BitMatrix
@@ -214,7 +214,7 @@ def pairwise_fan_diagnostics(n: int, rays, cones) -> list[str]:
             want = rational_rank([rays[i] for i in sorted(c.ray_indices)])
             if c.dim != want:
                 out.append(f"cone {c.id!r} declares dim {c.dim}, rays have rank {want}")
-        for fid in c.faces:
+        for fid in sorted(c.faces):
             if fid not in cones:
                 out.append(f"cone {c.id!r} lists unknown face {fid!r}")
             elif cones[fid].dim >= c.dim:
@@ -233,14 +233,14 @@ def pairwise_fan_diagnostics(n: int, rays, cones) -> list[str]:
     if out:
         return out
     for c in cones.values():
-        for fid in c.faces:
+        for fid in sorted(c.faces):
             intermediate = any(
                 fid in cones[mid].faces for mid in c.faces if mid != fid)
             if not intermediate and cones[fid].dim != c.dim - 1:
                 out.append(
                     f"face lattice not graded: {fid!r} < {c.id!r} skips dimension")
     for c in cones.values():
-        for fid in c.faces:
+        for fid in sorted(c.faces):
             if cones[fid].dim != c.dim - 2:
                 continue
             between = [
@@ -252,6 +252,24 @@ def pairwise_fan_diagnostics(n: int, rays, cones) -> list[str]:
                     f"diamond property fails between {fid!r} and {c.id!r} "
                     f"({len(between)} intermediate cones)")
     return out
+
+
+def bergman_fan_doc(lines) -> dict:
+    """The fine Bergman fan of a simple matroid of rank 3, given by its
+    lines of three or more points, as a simplicial fan document.  Two
+    points on no given line make a line of their own.  Each proper nonempty
+    flat F gives the ray e_F of Z^E/Z(1, ..., 1), written in the
+    coordinates of E without its last point (e_F minus (1, ..., 1) when F
+    holds that point), and each point on a line gives a cone."""
+    points = sorted(set().union(*map(set, lines)))
+    lines = [frozenset(line) for line in lines]
+    lines += [frozenset(pair) for pair in combinations(points, 2)
+              if not any(set(pair) <= line for line in lines)]
+    flats = [frozenset([p]) for p in points] + lines
+    rays = [[(p in f) - (points[-1] in f) for p in points[:-1]] for f in flats]
+    return {"lattice_rank": len(points) - 1, "rays": rays, "simplicial": True,
+            "cones": [{"rays": [flats.index(frozenset([p])), flats.index(line)]}
+                      for line in lines for p in sorted(line)]}
 
 
 def oracle_simplicial_cones(doc) -> dict[str, tuple[list[int], int, list[str]]]:

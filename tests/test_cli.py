@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import weightlab
 from weightlab.cli import main, page_doc_text
 from weightlab.complexes import filtered_from_doc
+from weightlab.fan import fan_to_doc, standard_fan
 from weightlab.pages import PurityReport, SpectralSequence
 
 from oracles import oracle_page_doc
@@ -61,16 +62,22 @@ def test_fan_info_builds_no_complex(capsys, monkeypatch):
     assert out.endswith("cell counts by degree: 0:4, 1:12, 2:16, 3:8\n")
 
 
-def test_fan_info_spans_only_the_declared_cones(capsys, monkeypatch):
+def test_fan_info_spans_only_the_declared_cones(capsys, monkeypatch, tmp_path):
     spanned = []
     missing = weightlab.lattice.Saturations.__missing__
     monkeypatch.setattr(weightlab.lattice.Saturations, "__missing__",
                         lambda self, idx: spanned.append(idx) or missing(self, idx))
-    code, _, err = run(capsys, "fan-info", "--standard", "P:6")
-    assert code == 0, err
     # The parser ranks the seven maximal cones; their faces take their
-    # ray counts as ranks.
-    assert sorted(map(sorted, spanned)) == sorted(sorted(set(range(7)) - {i}) for i in range(7))
+    # ray counts as ranks.  The face-list document of the same fan lists
+    # every cone, and spans the same seven.
+    path = tmp_path / "p6.json"
+    path.write_text(json.dumps(fan_to_doc(standard_fan("P", 6))))
+    for argv in (["--standard", "P:6"], ["--fan", str(path)]):
+        spanned.clear()
+        code, _, err = run(capsys, "fan-info", *argv)
+        assert code == 0, err
+        assert sorted(map(sorted, spanned)) == sorted(sorted(set(range(7)) - {i})
+                                                      for i in range(7)), argv
     # vpoly's orbit groups are quotients of their faces' groups, so the
     # build spans nothing: only the parser's five declared cones are.
     spanned.clear()
@@ -725,6 +732,15 @@ def test_wide_level_span_reads_only_occupied_levels(capsys, tmp_path):
       "cones": [{"id": f"c{i}", "rays": [0], "faces": [f"c{i - 1}"] if i else []}
                 for i in reversed(range(1500))]},
      "the faces of cone 'c1499' chain more than 2 cones deep"),
+    # A dependent face 's' on a ray its independent cone 'c' lacks keeps
+    # its own rank, 1, not the two of its rays.
+    ("fan-info --fan",
+     {"lattice_rank": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0]],
+      "cones": [{"id": f"r{i}", "rays": [i], "faces": []} for i in range(4)]
+      + [{"id": "s", "rays": [0, 3], "faces": ["r0", "r3"]},
+         {"id": "c", "rays": [0, 1, 2], "faces": ["r0", "r1", "r2", "s"]}]},
+     "face 'r0' of 's' does not drop dimension; face 'r3' of 's' does not drop dimension; "
+     "face 'r3' of 'c' uses rays [3], which 'c' does not"),
 ])
 def test_malformed_documents_exit_3(capsys, tmp_path, verb, doc, message):
     path = tmp_path / "doc.json"
@@ -749,6 +765,27 @@ def test_unknown_face_refusal_does_not_depend_on_the_hash_seed(tmp_path):
             env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)})
         assert proc.returncode == 3
         assert "cone 'r' lists unknown face 'x'" in proc.stderr, seed
+
+
+def test_fan_diagnostics_do_not_depend_on_the_hash_seed(tmp_path):
+    # A face list is a set of strings; a refusal with several faults names
+    # each cone's faces in sorted order.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"lattice_rank": 2, "rays": [[1, 0], [0, 1], [-1, 0]], "cones": [
+        {"id": "r0", "rays": [0], "faces": []}, {"id": "r1", "rays": [1], "faces": []},
+        {"id": "r2", "rays": [2], "faces": []}, {"id": "s", "rays": [0, 2], "faces": ["r0", "r2"]},
+        {"id": "c", "rays": [0, 1], "faces": ["r0", "r1", "s"]}]}))
+    src = str(Path(weightlab.__file__).resolve().parents[1])
+    for seed in range(4):
+        proc = subprocess.run(
+            [sys.executable, "-m", "weightlab.cli", "fan-info", "--fan", str(path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)})
+        assert proc.returncode == 3
+        assert ("face 'r0' of 's' does not drop dimension; "
+                "face 'r2' of 's' does not drop dimension; "
+                "face 'r2' of 'c' uses rays [2], which 'c' does not; "
+                "face 's' of 'c' uses rays [2], which 'c' does not") in proc.stderr, seed
 
 
 DATA = Path(weightlab.__file__).parent / "data"

@@ -257,8 +257,9 @@ def _profile_oracle(fc):
 
 def _assert_matches_oracle(fc):
     """Dimensions against entries on every spot of the level range, the
-    weight profile against cycles and boundaries, and the collapse page
-    against the walk over the reindexed pages."""
+    weight profile against cycles and boundaries, the collapse page
+    against the walk over the reindexed pages, and the Euler
+    characteristic of each row of Ẽ² against its column of E⁰."""
     ss = SpectralSequence(fc)
     for r in range(0, ss.r_inf + 2):
         for k in ss.cx.degrees():
@@ -267,6 +268,15 @@ def _assert_matches_oracle(fc):
     assert weight_profile(ss) == _profile_oracle(fc)
     assert purity_collapse_report(ss, 0).collapse_page == oracle_collapse_page(
         lambda r: reindexed_page(ss, r), ss.r_inf)
+    # Row q' of Ẽ² is column p = -q' of E¹, and d⁰ keeps the column, so
+    # Σ_p' (-1)^p' dim Ẽ²_{p',q'} = Σ_k (-1)^(k+q') #{degree-k vectors at level -q'}.
+    rows, columns = Counter(), Counter()
+    for (pp, qq), d in reindexed_page(ss, 2).items():
+        rows[qq] += -d if pp % 2 else d
+    for k, levels in fc.levels.items():
+        for p in levels:
+            columns[-p] += -1 if (k - p) % 2 else 1
+    assert rows == columns
     return ss
 
 

@@ -127,6 +127,10 @@ def test_parse_rejects_broken_face_lattice():
       "cones": [{"id": "r", "rays": [0], "faces": []},
                 {"id": "r", "rays": [1], "faces": []}]},
      "cone id 'r' names two cones, on rays [0] and [1]"),
+    # a declared simplicial cone on no rays does not replace the zero cone
+    ({"lattice_rank": 1, "rays": [[1]], "simplicial": True,
+      "cones": [{"id": "m", "rays": []}]},
+     "cones '0' and 'm' have the same rays []"),
 ])
 def test_parse_refuses_zero_rays_and_repeated_cones(doc, message):
     with pytest.raises(FanError, match=re.escape(message)):
@@ -352,6 +356,34 @@ def test_simplicial_parse_is_the_walk_down_and_union(doc):
     for cid, c in fan.cones.items():
         rays = [fan.rays[i] for i in sorted(c.ray_indices)]
         assert fan.ray_span(cid) == saturate_mod2(rays, fan.n), cid
+
+
+def _assert_face_list_document_is_the_fan(fan):
+    """The face-list document of a fan parses back to the fan, every cone
+    with the same span."""
+    again = parse_fan(fan_to_doc(fan))
+    assert again == fan
+    for cid in fan.cones:
+        assert again.ray_span(cid) == fan.ray_span(cid), cid
+
+
+@settings(max_examples=200, deadline=None)
+@given(simplicial_documents())
+def test_face_list_document_of_a_simplicial_fan_parses_to_it(doc):
+    _assert_face_list_document_is_the_fan(parse_fan(doc))
+
+
+@functools.cache
+def _round_trip_fans():
+    fans = {**fan_corpus(), **{name: product_fan(f1, f2) for name, f1, f2 in product_pairs()}}
+    for family in ("P", "A", "trivial"):
+        fans.update({f"{family}:{k}": standard_fan(family, k) for k in range(6)})
+    return fans
+
+
+@pytest.mark.parametrize("name", sorted(_round_trip_fans()))
+def test_face_list_documents_parse_to_their_fans(name):
+    _assert_face_list_document_is_the_fan(_round_trip_fans()[name])
 
 
 _SMOOTH = {
