@@ -16,6 +16,8 @@ mod-2 reduction of its saturated ray lattice, from one table per fan
 ranks and validation checks them in one pass by descending number of
 rays: a subset of independent rays is independent, so in either document
 form only the cones inside no cone with independent rays are spanned.
+The parser hands its face masks to the fan's lattice, so validation reads
+the masks it made rather than rebuilding them from the face ids.
 Convex-geometric axioms — that cones actually intersect in common faces —
 are *not* checked; inputs are trusted on that point.
 """
@@ -23,9 +25,11 @@ are *not* checked; inputs are trusted on that point.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
+from math import comb
 from typing import Iterable, Mapping
 
 from .gf2 import BitSubspace, json_int, set_bits
@@ -200,13 +204,19 @@ class _FaceLattice:
     sets no bit), its rays as the bitmask ``rays[i]`` over the ray
     indices, and ``of_dim[d]`` the mask of the cones of dimension d."""
 
-    def __init__(self, cones: Mapping[str, Cone]) -> None:
+    def __init__(self, cones: Mapping[str, Cone], masks: list[int] | None = None,
+                 rays: list[int] | None = None) -> None:
+        """``masks`` and ``rays``, when given, are those that the caller
+        has already made of ``cones``."""
         self.cones = list(cones.values())
         self.ids = list(cones)
-        bit = {cid: 1 << i for i, cid in enumerate(self.ids)}
-        self.zero = bit.get(ZERO_ID, 0)
-        self.masks = [sum(map(bit.get, c.faces, repeat(0))) for c in self.cones]
-        self.rays = [sum(1 << r for r in c.ray_indices) for c in self.cones]
+        self.zero = 1 << self.ids.index(ZERO_ID) if ZERO_ID in cones else 0
+        if masks is None:
+            bit = {cid: 1 << i for i, cid in enumerate(self.ids)}
+            masks = [sum(map(bit.get, c.faces, repeat(0))) for c in self.cones]
+        if rays is None:
+            rays = [sum(1 << r for r in c.ray_indices) for c in self.cones]
+        self.masks, self.rays = masks, rays
         self.of_dim: dict[int, int] = {}
         for i, c in enumerate(self.cones):
             self.of_dim[c.dim] = self.of_dim.get(c.dim, 0) | 1 << i
@@ -259,8 +269,10 @@ def parse_fan(doc: Mapping) -> Fan:
     """Build and validate a fan from its document form.
 
     With ``simplicial: true`` every subset of each cone's rays becomes a
-    cone and face lists may be omitted.  Non-primitive rays are divided
-    by their gcd with a warning.  The zero cone is implicit.
+    cone and face lists may be omitted; such a document whose cells pass
+    ``toric.MAX_CELLS`` is refused before any of its cones is made.
+    Non-primitive rays are divided by their gcd with a warning.  The zero
+    cone is implicit.
     """
     try:
         n = json_int(doc["lattice_rank"], "the lattice rank")
@@ -319,32 +331,49 @@ def parse_fan(doc: Mapping) -> Fan:
     ids = [(ZERO_ID, frozenset())]
     ids += [(generated_id(idx) if cid is None else cid, idx) for cid, idx, _ in raw_cones]
     if simplicial:
+        from . import toric  # toric imports this module
+
+        toric.capped_counts({n: 1})  # the zero cone, before any subset is walked
         declared: dict[int, str] = {}  # by ray set, as a bitmask
         for cid, idx in ids[1:]:
             if (dim := spans[idx].dim) != len(idx):
                 raise FanError(f"cone {cid!r} marked simplicial has {len(idx)} rays of rank {dim}")
             declared[sum(1 << i for i in idx)] = cid
         # Every subset of a declared ray set is a cone, numbered as the walk
-        # meets it; the proper subsets of its rays, the empty one too, are faces.
-        id_of, numbered = {0: ZERO_ID}, [(ZERO_ID, frozenset())]
+        # meets it: its cells are held to the cap before any is walked.
+        toric.capped_counts({n - s: m for s, m in _face_sizes(list(declared)).items()})
+        walked = {0: None}
         for top in declared:
             sub = top
             while sub:
-                if sub not in id_of:
-                    idx = frozenset(set_bits(sub))
-                    id_of[sub] = declared[sub] if sub in declared else generated_id(idx)
-                    numbered.append((id_of[sub], idx))
+                walked[sub] = None
                 sub = (sub - 1) & top
-        bit = {cid: 1 << i for i, (cid, _) in enumerate(numbered)}
-        face_ids, masks = [], []
-        for mask in id_of:
+        id_of, numbered = {}, []
+        for sub in walked:
+            idx = frozenset(set_bits(sub))
+            id_of[sub] = (ZERO_ID if not sub else declared[sub] if sub in declared
+                          else generated_id(idx))
+            numbered.append((id_of[sub], idx))
+        # The proper subsets of a cone's rays, the empty one too, are its
+        # faces: their ids by walking them, their mask as the union over
+        # its facets, taken by ascending size.
+        bit = {sub: 1 << i for i, sub in enumerate(walked)}
+        closed = {}
+        for mask in sorted(walked, key=int.bit_count):
+            faces, rest = 0, mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                faces |= bit[mask ^ low] | closed[mask ^ low]
+            closed[mask] = faces
+        ray_masks, masks = list(walked), [closed[mask] for mask in walked]
+        face_ids, stray = [], False
+        for mask in walked:
             faces, sub = [], mask
             while sub:
                 sub = (sub - 1) & mask
                 faces.append(id_of[sub])
             face_ids.append(faces)
-            # Every cone lies in a declared one, whose face mask suffices.
-            masks.append(sum(map(bit.get, faces)) if mask in declared else 0)
     else:
         # Transitive closure of the declared face lists, depth first from a
         # stack of the chain being closed, each list walked in sorted order.
@@ -376,13 +405,18 @@ def parse_fan(doc: Mapping) -> Fan:
                 else:
                     stack[fid] = iter(declared_faces[fid])
         face_ids = [[numbered[j][0] for j in set_bits(closed[cid])] for cid in rays_of]
-        # A face on rays its cone lacks keeps its rank for validation to name.
-        masks = [0 if stray else closed[cid] for cid in rays_of]
+        ray_masks, masks = None, [closed[cid] for cid in rays_of]
     _check_ids(ids)
-    ranks = _ranks([idx for _, idx in numbered], masks, spans)
+    # A face on rays its cone lacks keeps its rank for validation to name.
+    ranks = _ranks([idx for _, idx in numbered], [0] * len(masks) if stray else masks, spans)
     cones = {cid: Cone(cid, idx, rank, frozenset(faces))
              for (cid, idx), rank, faces in zip(numbered, ranks, face_ids)}
-    return Fan(n, rays, cones, spans)
+    # The masks are the face lattice that construction would rebuild from
+    # the face ids: its cache is primed with them, and validation reads them.
+    fan = Fan.__new__(Fan)
+    fan.__dict__["_lattice"] = _FaceLattice(cones, masks, ray_masks)
+    fan.__init__(n, rays, cones, spans)
+    return fan
 
 
 def _ranks(rays: list[frozenset[int]], faces: list[int], spans: Saturations) -> list[int]:
@@ -394,6 +428,33 @@ def _ranks(rays: list[frozenset[int]], faces: list[int], spans: Saturations) -> 
             ranks[i] = spans[rays[i]].dim
             inside |= faces[i] if ranks[i] == len(rays[i]) else 0
     return ranks
+
+
+def _face_sizes(tops: list[int]) -> Counter:
+    """{size: number} of the distinct subsets of the ray masks ``tops``,
+    counted without listing them: each top counts its subsets in no
+    earlier top, those that meet each ray set it has and an earlier one
+    lacks (:func:`_count_meeting`).  With no top, the empty set alone."""
+    sizes = Counter() if tops else Counter({0: 1})
+    for i, top in enumerate(tops):
+        _count_meeting(sizes, 0, top, [top & ~earlier for earlier in tops[:i]])
+    return sizes
+
+
+def _count_meeting(sizes: Counter, chosen: int, free: int, masks: list[int]) -> None:
+    """Add to ``sizes`` the sets chosen ∪ G, G ⊆ free, that meet every mask:
+    C(f, j) of size k + j when chosen (k rays) meets them all and f rays
+    are free, else, for each ray r of the smallest mask it misses, those
+    with r chosen and the rays before r left out."""
+    masks = [m & free for m in masks if not m & chosen]
+    if not masks:
+        k, f = chosen.bit_count(), free.bit_count()
+        for j in range(f + 1):
+            sizes[k + j] += comb(f, j)
+        return
+    for r in set_bits(min(masks, key=int.bit_count)):
+        free ^= 1 << r
+        _count_meeting(sizes, chosen | 1 << r, free, masks)
 
 
 def _cone_id(value, what: str) -> str:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from .complexes import FilteredComplex, deligne_shift
 from .gf2 import BitMatrix, BitSubspace, Quotient, image_of_subspace, preimage
@@ -221,6 +222,23 @@ def virtual_poincare(ss: SpectralSequence) -> Poly:
     if min(coeffs) < 0:
         raise ValueError("reindexed page supported in negative degrees")
     return Poly.make([coeffs.get(i, 0) for i in range(top + 1)])
+
+
+def euler_poincare(levels: Mapping[int, Sequence[int]]) -> Poly:
+    """The polynomial of :func:`virtual_poincare`, read off E⁰: the level
+    of each basis vector of each degree, as ``FilteredComplex.levels``.
+
+    Row q' of Ẽ² is column p = -q' of E¹, and d⁰ keeps the column, so the
+    row's alternating sum is the column's Euler characteristic on E⁰: the
+    t^{-p} coefficient is Σ_k (-1)^(k-p) #{degree-k vectors at level p}.
+    """
+    coeffs: Counter = Counter()
+    for k, at in levels.items():
+        for p, n in Counter(at).items():
+            coeffs[-p] += -n if (k - p) % 2 else n
+    if any(c for q, c in coeffs.items() if q < 0):
+        raise ValueError("level counts supported in negative degrees")
+    return Poly.make([coeffs[q] for q in range(max(coeffs, default=-1) + 1)])
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,9 @@ generator or to the identity, so z_i maps to one z'_j or to 0, and most
 columns have one entry or none.  The coordinates of each degree are laid
 out in level order, so the filtered complex's adapted basis is the unit
 basis: the persistence reduction and the filtration check read the
-boundary's columns as they are.
+boundary's columns as they are.  The levels of that layout
+(:func:`levels`) depend on the cones' codimensions alone, and so does
+the Euler characteristic of E⁰ that ``vpoly`` reads off them.
 
 The cell basis is built only on request (:class:`ToricCellComplex`),
 as the total complex (:func:`weightlab.complexes.totalize`) of one block
@@ -52,6 +54,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from math import comb
 from typing import Mapping
 
@@ -296,10 +299,16 @@ class ToricCellComplex:
 
 def cell_counts(f: Fan) -> dict[int, int]:
     """The number of cells of each degree k, Σ_{codim σ = k} 2^k, from the
-    cones alone.  Raises :class:`FanError` when the total exceeds
-    ``MAX_CELLS``; a cone of codimension k alone brings 2^k cells, so past
-    the cap's bit length the total is refused before it is formed."""
-    cones = Counter(f.codim(cid) for cid in f.cone_ids())
+    cones alone (:func:`capped_counts`)."""
+    return capped_counts(Counter(f.codim(cid) for cid in f.cone_ids()))
+
+
+def capped_counts(cones: Mapping[int, int]) -> dict[int, int]:
+    """The cells of each degree, m·2^k for m cones of codimension k, from
+    ``cones``, {k: m}.  Raises :class:`FanError` when the total exceeds
+    ``MAX_CELLS``, read at call time; a cone of codimension k alone brings
+    2^k cells, so past the cap's bit length the total is refused before
+    it is formed."""
     if (k := max(cones)) >= MAX_CELLS.bit_length():
         raise FanError(f"the fan has a cone of codimension {k}, so more than "
                        f"the {MAX_CELLS} cells the build allows")
@@ -311,8 +320,19 @@ def cell_counts(f: Fan) -> dict[int, int]:
     return counts
 
 
+def levels(f: Fan) -> dict[int, tuple[int, ...]]:
+    """The level of each coordinate of each degree of the toric complex,
+    in level order: degree k holds m cones of codimension k, and level -w
+    C(k, w) monomials a_S of each.  Held to the cap by :func:`cell_counts`
+    before any is listed."""
+    return {k: tuple(chain.from_iterable(repeat(-w, (cells >> k) * comb(k, w))
+                                         for w in range(k, -1, -1)))
+            for k, cells in cell_counts(f).items()}
+
+
 def toric_cell_complex(f: Fan) -> ToricCellComplex:
-    dims = cell_counts(f)
+    layout = levels(f)
+    dims = {k: len(at) for k, at in layout.items()}
     groups = _orbit_groups(f)
     by_codim: dict[int, list[str]] = {}
     for cid in f.cone_ids():
@@ -347,11 +367,7 @@ def toric_cell_complex(f: Fan) -> ToricCellComplex:
                         columns[col] ^= 1 << rows_at[row0 + t]
         boundary[k] = BitMatrix.from_columns(dims[k - 1], columns)
 
-    levels = {
-        k: tuple(-w for w in range(k, -1, -1) for _ in range(len(cids) * comb(k, w)))
-        for k, cids in by_codim.items()
-    }
-    fc = FilteredComplex(ChainComplex.make(dims, boundary), (-f.max_codim(), 0), None, levels)
+    fc = FilteredComplex(ChainComplex.make(dims, boundary), (-f.max_codim(), 0), None, layout)
     return ToricCellComplex(f, groups, offsets, fc)
 
 

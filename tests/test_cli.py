@@ -18,8 +18,10 @@ import weightlab
 from weightlab.cli import main, page_doc_text
 from weightlab.complexes import filtered_from_doc
 from weightlab.fan import fan_to_doc, standard_fan
-from weightlab.pages import PurityReport, SpectralSequence
+from weightlab.pages import PurityReport, SpectralSequence, virtual_poincare
+from weightlab.toric import toric_cell_complex
 
+from fansets import layout_fans
 from oracles import oracle_page_doc
 
 
@@ -62,6 +64,22 @@ def test_fan_info_builds_no_complex(capsys, monkeypatch):
     assert out.endswith("cell counts by degree: 0:4, 1:12, 2:16, 3:8\n")
 
 
+def test_vpoly_builds_no_complex(capsys, monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("vpoly built part of the toric complex or its pages")
+
+    for module, name in (("toric", "orbit_group"), ("toric", "toric_cell_complex"),
+                         ("cli", "toric_cell_complex"), ("complexes", "complex_diagnostics")):
+        monkeypatch.setattr(getattr(weightlab, module), name, refuse)
+    monkeypatch.setattr(SpectralSequence, "__init__", refuse)
+    path = tmp_path / "p3.json"
+    path.write_text(json.dumps(fan_to_doc(standard_fan("P", 3))))
+    for argv in (["--standard", "P:3"], ["--fan", str(path)]):
+        assert run(capsys, "vpoly", *argv) == (
+            0, "beta = 1 + t + t^2 + t^3\ncoefficients: [1, 1, 1, 1]\n"
+               "orbit-sum prediction: 1 + t + t^2 + t^3 (agrees)\n", ""), argv
+
+
 def test_fan_info_spans_only_the_declared_cones(capsys, monkeypatch, tmp_path):
     spanned = []
     missing = weightlab.lattice.Saturations.__missing__
@@ -78,8 +96,7 @@ def test_fan_info_spans_only_the_declared_cones(capsys, monkeypatch, tmp_path):
         assert code == 0, err
         assert sorted(map(sorted, spanned)) == sorted(sorted(set(range(7)) - {i})
                                                       for i in range(7)), argv
-    # vpoly's orbit groups are quotients of their faces' groups, so the
-    # build spans nothing: only the parser's five declared cones are.
+    # vpoly builds nothing: only the parser's five declared cones are spanned.
     spanned.clear()
     code, _, err = run(capsys, "vpoly", "--standard", "P:4")
     assert code == 0, err
@@ -232,6 +249,26 @@ def test_vpoly_disagreement_exits_4(capsys, monkeypatch, fmt, disagrees):
     code, out, _ = run(capsys, "vpoly", "--standard", "P:2", "--format", fmt)
     assert code == 4
     assert disagrees in out
+
+
+@pytest.mark.parametrize("name", sorted(layout_fans()))
+def test_vpoly_prints_what_the_page_read_prints(capsys, monkeypatch, tmp_path, name):
+    # The page-read path: β from Ẽ² of the built complex's spectral sequence.
+    if ":" in name:
+        argv = ["--standard", name]
+    else:
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(fan_to_doc(layout_fans()[name])))
+        argv = ["--fan", str(path)]
+    def outputs():
+        return [run(capsys, "vpoly", *argv, "--format", fmt) for fmt in ("text", "doc", "csv")]
+
+    from_levels = outputs()
+    assert all(code == 0 and not err for code, _, err in from_levels)
+    monkeypatch.setattr(weightlab.cli, "levels", lambda fan: fan)
+    monkeypatch.setattr(weightlab.cli, "euler_poincare", lambda fan: virtual_poincare(
+        SpectralSequence(toric_cell_complex(fan).filtered)))
+    assert outputs() == from_levels
 
 
 @pytest.mark.parametrize("argv", [
@@ -438,6 +475,36 @@ def test_cell_cap_refusal_names_the_fan_document(capsys, monkeypatch, tmp_path, 
     assert run(capsys, verb, "--fan", str(path)) == (
         3, "", f"error: {path}: the fan has 4 cells, more than the 3 the "
                "build allows\n")
+
+
+# Simplicial fans whose subsets bring more cells than the cap: A:n has
+# 3^n cells, P:n (3^(n+1) - 1)/2, and one cone on 17 independent rays 3^17.
+_RANK_17_CONE = {"lattice_rank": 17, "simplicial": True,
+                 "rays": [[int(i == j) for j in range(17)] for i in range(17)],
+                 "cones": [{"rays": list(range(17))}]}
+
+
+@pytest.mark.parametrize("verb", ["fan-info", "ss", "vpoly"])
+@pytest.mark.parametrize("fan, cells", [
+    ("A:20", 3 ** 20), ("P:20", (3 ** 21 - 1) // 2), ("P:13", 2391484), (None, 3 ** 17),
+])
+def test_an_over_cap_simplicial_fan_is_refused_before_its_cones(
+        capsys, monkeypatch, tmp_path, verb, fan, cells):
+    def no_cones(*args):
+        raise AssertionError("a cone was made for a fan above the cap")
+
+    if fan is None:
+        path = tmp_path / "cone17.json"
+        path.write_text(json.dumps(_RANK_17_CONE))
+        argv, source = ["--fan", str(path)], f"{path}: "
+    else:
+        argv, source = ["--standard", fan], ""
+    monkeypatch.setattr(weightlab.fan, "Cone", no_cones)
+    start = time.perf_counter()
+    assert run(capsys, verb, *argv) == (
+        3, "", f"error: {source}the fan has {cells} cells, more than the 1048576 the build "
+               "allows\n")
+    assert time.perf_counter() - start < 15
 
 
 def test_euler_face_cap_is_read_at_call_time(capsys, monkeypatch):

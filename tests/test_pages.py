@@ -21,6 +21,7 @@ from weightlab.gf2 import BitMatrix, BitSubspace, image_of_subspace
 from weightlab.pages import (
     SpectralSequence,
     decalage_mismatches,
+    euler_poincare,
     purity_collapse_report,
     reindexed_page,
     transported_page,
@@ -28,8 +29,9 @@ from weightlab.pages import (
     weight_profile,
 )
 from weightlab.poly import Poly
-from weightlab.toric import _level_order, standard_fan, toric_cell_complex
+from weightlab.toric import _level_order, levels, standard_fan, toric_cell_complex
 
+from fansets import layout_fans
 from oracles import augmentation_to_cells, kunneth_bars, oracle_collapse_page
 
 
@@ -175,6 +177,25 @@ def test_virtual_poincare_values():
     assert beta("A", 3) == Poly.make([0, 0, 0, 1])
 
 
+@pytest.mark.parametrize("name", sorted(layout_fans()))
+def test_euler_poincare_of_the_layout_is_the_page_read(name):
+    fan = layout_fans()[name]
+    assert euler_poincare(levels(fan)) == virtual_poincare(
+        SpectralSequence(toric_cell_complex(fan).filtered))
+
+
+def test_euler_poincare_refuses_negative_degrees():
+    # A survivor at level 1 gives t^-1, as on Ẽ²; a pair within level 1
+    # cancels on E⁰ and is gone from E¹.
+    survivor = _prescribed({"x": (0, 1)}, {})
+    for read in (lambda: euler_poincare(survivor.levels),
+                 lambda: virtual_poincare(SpectralSequence(survivor))):
+        with pytest.raises(ValueError, match="negative degrees"):
+            read()
+    pair = _prescribed({"x": (0, 1), "y": (1, 1)}, {"y": "x"})
+    assert euler_poincare(pair.levels) == virtual_poincare(SpectralSequence(pair)) == Poly.zero()
+
+
 def test_purity_report():
     ss = SpectralSequence(toric_filtered("P", 2))
     rep = purity_collapse_report(ss, 2)
@@ -268,15 +289,15 @@ def _assert_matches_oracle(fc):
     assert weight_profile(ss) == _profile_oracle(fc)
     assert purity_collapse_report(ss, 0).collapse_page == oracle_collapse_page(
         lambda r: reindexed_page(ss, r), ss.r_inf)
-    # Row q' of Ẽ² is column p = -q' of E¹, and d⁰ keeps the column, so
-    # Σ_p' (-1)^p' dim Ẽ²_{p',q'} = Σ_k (-1)^(k+q') #{degree-k vectors at level -q'}.
-    rows, columns = Counter(), Counter()
+    # Row q' of Ẽ² against euler_poincare.  Levels are lowered by s, the
+    # highest, so that no row falls in a negative degree: row q' moves to
+    # degree q' + s, its sign flipped when s is odd.
+    s = max([0, *(p for at in fc.levels.values() for p in at)])
+    rows = Counter()
     for (pp, qq), d in reindexed_page(ss, 2).items():
-        rows[qq] += -d if pp % 2 else d
-    for k, levels in fc.levels.items():
-        for p in levels:
-            columns[-p] += -1 if (k - p) % 2 else 1
-    assert rows == columns
+        rows[qq + s] += -d if (pp + s) % 2 else d
+    lowered = {k: tuple(p - s for p in at) for k, at in fc.levels.items()}
+    assert euler_poincare(lowered) == Poly.make([rows[q] for q in range(max(rows, default=-1) + 1)])
     return ss
 
 

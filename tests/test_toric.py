@@ -11,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weightlab.fan
 import weightlab.gf2
 import weightlab.lattice
+import weightlab.toric
+from weightlab.fan import _face_sizes
 from weightlab.fixtures import corpus_fan, fan_corpus, product_pairs, smooth_complete_corpus
 from weightlab.lattice import saturate_mod2
 from weightlab.pages import SpectralSequence, virtual_poincare
@@ -36,6 +39,7 @@ from weightlab.toric import (
     toric_cell_complex,
 )
 
+from fansets import layout_fans
 from oracles import (
     augmentation_to_cells,
     betti_numbers,
@@ -384,6 +388,45 @@ def _round_trip_fans():
 @pytest.mark.parametrize("name", sorted(_round_trip_fans()))
 def test_face_list_documents_parse_to_their_fans(name):
     _assert_face_list_document_is_the_fan(_round_trip_fans()[name])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 511), max_size=8))
+def test_face_sizes_count_the_distinct_subsets(tops):
+    subsets = {0}.union(*(_subsets(top) for top in tops))
+    assert _face_sizes(tops) == Counter(map(int.bit_count, subsets))
+
+
+def _simplicial_doc(fan):
+    """The simplicial document that declares the maximal cones of a fan."""
+    below = frozenset().union(*(c.faces for c in fan.cones.values()))
+    return {"lattice_rank": fan.n, "rays": [list(r) for r in fan.rays], "simplicial": True,
+            "cones": [{"id": cid, "rays": sorted(fan.cones[cid].ray_indices)}
+                      for cid in fan.cone_ids() if cid not in below]}
+
+
+@pytest.mark.parametrize("name", sorted(layout_fans()))
+def test_fan_documents_at_the_cap_are_read_and_above_it_refused(name):
+    # A simplicial document is refused by the parse, before any cone is
+    # made, with the count that cell_counts gives the fan.
+    fan = layout_fans()[name]
+    cells = sum(cell_counts(fan).values())
+    want = (f"a cone of codimension {fan.n}" if cells == 1 << fan.n
+            else f"the fan has {cells} cells")
+    docs = {"face-list": fan_to_doc(fan)}
+    if all(c.dim == len(c.ray_indices) for c in fan.cones.values()):
+        docs["simplicial"] = _simplicial_doc(fan)
+    for form, doc in docs.items():
+        with mock.patch.object(weightlab.toric, "MAX_CELLS", cells):
+            assert cell_counts(parse_fan(doc)) == cell_counts(fan), form
+        no_cones = mock.patch.object(weightlab.fan, "Cone", side_effect=AssertionError(form))
+        with mock.patch.object(weightlab.toric, "MAX_CELLS", cells - 1), \
+                pytest.raises(FanError, match=re.escape(want)):
+            if form == "simplicial":
+                with no_cones:
+                    parse_fan(doc)
+            else:
+                cell_counts(parse_fan(doc))
 
 
 _SMOOTH = {
