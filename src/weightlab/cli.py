@@ -75,9 +75,8 @@ def _load_json(path: str) -> dict:
 
 
 def _fan_from_args(args) -> Fan:
-    """The fan of ``--standard`` or ``--fan``.  A fan document is also held
-    to the cell cap here, so that its refusal names the file, as every
-    other refusal of the document does."""
+    """The fan of ``--standard`` or ``--fan``; a refusal of a fan document
+    names the file."""
     if args.standard is not None:
         name, _, param = args.standard.partition(":")
         try:
@@ -85,59 +84,46 @@ def _fan_from_args(args) -> Fan:
         except ValueError:
             raise CliError(f"--standard {args.standard}: {param!r} is not an integer",
                            EXIT_PARSE)
-        try:
-            return standard_fan(name, size)
-        except FanError as exc:
-            raise CliError(str(exc), EXIT_VALIDATION)
+        return standard_fan(name, size)
     doc = _load_json(args.fan)
     try:
-        fan = parse_fan(doc)
-        cell_counts(fan)
+        return parse_fan(doc)
     except FanError as exc:
         raise CliError(f"{args.fan}: {exc}", EXIT_VALIDATION)
-    return fan
+
+
+# The --filtration names that each kind of input reads as its own
+# filtration, None for no option; "canonical" applies to every kind.
+_NATIVE_FILTRATIONS = {
+    "fans": (None, "toric", "file"),
+    "hyperresolutions": (None, "skeleton"),
+    "complex files": (None, "file", "toric"),
+}
 
 
 def _filtered_from_args(args) -> tuple[FilteredComplex, int]:
     """Returns the filtered complex and the ambient dimension for reports.
 
-    A fan's complex is written in the augmentation basis, unless it is
-    to be emitted as a document, which is written in the cell basis; the
-    pages are the same in both."""
-    selector = args.filtration
+    The input is read and refused before the filtration is.  A fan's
+    complex is written in the augmentation basis, unless it is to be
+    emitted as a document, which is written in the cell basis; the pages
+    are the same in both."""
     if args.fan is not None or args.standard is not None:
-        fan = _fan_from_args(args)
+        kind, fan = "fans", _fan_from_args(args)
+    elif args.hyperres is not None:
+        kind = "hyperresolutions"
+        fc = skeleton_filtration(hyperres_from_doc(_load_json(args.hyperres)))
+    else:
+        kind, fc = "complex files", filtered_from_doc(_load_json(args.complex))
+    selector = args.filtration
+    if selector != "canonical" and selector not in _NATIVE_FILTRATIONS[kind]:
+        raise CliError(f"filtration {selector!r} does not apply to {kind}", EXIT_PARSE)
+    if kind == "fans":
         tcc = toric_cell_complex(fan)
-        cells = args.emit_complex is not None
-        if selector == "canonical":
-            return canonical_filtration(
-                tcc.complex if cells else tcc.filtered.complex), fan.n
-        if selector in (None, "toric", "file"):
-            return tcc.cell_filtered if cells else tcc.filtered, fan.n
-        raise CliError(f"filtration {selector!r} does not apply to fans", EXIT_PARSE)
-    if args.hyperres is not None:
-        doc = _load_json(args.hyperres)
-        try:
-            fc = skeleton_filtration(hyperres_from_doc(doc))
-        except ComplexError as exc:
-            raise CliError(str(exc), EXIT_VALIDATION)
-        if selector == "canonical":
-            fc = canonical_filtration(fc.complex)
-        elif selector not in (None, "skeleton"):
-            raise CliError(f"filtration {selector!r} does not apply to hyperresolutions",
-                           EXIT_PARSE)
-        return fc, max(fc.complex.degrees() or [0])
-    doc = _load_json(args.complex)
-    try:
-        fc = filtered_from_doc(doc)
-        if selector == "canonical":
-            fc = canonical_filtration(fc.complex)
-        elif selector not in (None, "file", "toric"):
-            raise CliError(f"filtration {selector!r} does not apply to complex files",
-                           EXIT_PARSE)
-    except ComplexError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION)
-    return fc, max(fc.complex.degrees() or [0])
+        fc = tcc.cell_filtered if args.emit_complex is not None else tcc.filtered
+    if selector == "canonical":
+        fc = canonical_filtration(fc.complex)
+    return fc, fan.n if kind == "fans" else max(fc.complex.degrees() or [0])
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +283,7 @@ def cmd_vpoly(args) -> int:
 
 def cmd_check(args) -> int:
     from .checks import run_suite
-    try:
-        results = run_suite(args.suite)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_PARSE)
+    results = run_suite(args.suite)
     failures = 0
     for res in results:
         status = "PASS" if res.ok else "FAIL"
@@ -315,18 +298,10 @@ def cmd_check(args) -> int:
 
 def cmd_cubical_ss(args) -> int:
     if args.diagram is not None:
-        doc = _load_json(args.diagram)
-        try:
-            ss = SpectralSequence(simple_filtered(diagram_from_doc(doc)))
-        except ComplexError as exc:
-            raise CliError(str(exc), EXIT_VALIDATION)
+        ss = SpectralSequence(simple_filtered(diagram_from_doc(_load_json(args.diagram))))
         print(f"total complex acyclic: {'yes' if is_acyclic(ss) else 'no'}")
     else:
-        doc = _load_json(args.hyperres)
-        try:
-            h = hyperres_from_doc(doc)
-        except ComplexError as exc:
-            raise CliError(str(exc), EXIT_VALIDATION)
+        h = hyperres_from_doc(_load_json(args.hyperres))
         ss = SpectralSequence(skeleton_filtration(h))
         mismatches = decalage_mismatches(ss)
         print(f"shifted-filtration comparison: {mismatches or 'ok'}")
@@ -361,14 +336,12 @@ def cmd_euler(args) -> int:
         elif args.op == "integral":
             phi = euler.function_from_doc(doc("function"), cx)
             print(euler.euler_integral(phi))
-        elif args.op == "pushforward":
+        else:  # pushforward
             target = euler.complex_from_doc(doc("target"))
             f = euler.map_from_doc(doc("map"), cx, target)
             phi = euler.function_from_doc(doc("function"), cx)
             out = euler.pushforward_cf(f, phi)
             print(json.dumps(euler.function_to_doc(out), sort_keys=True))
-        else:
-            raise CliError(f"unknown euler op {args.op!r}", EXIT_PARSE)
     except euler.EulerError as exc:
         raise CliError(str(exc), EXIT_VALIDATION)
     return EXIT_OK
@@ -453,6 +426,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except (FanError, ComplexError) as exc:
+        # A refused fan or document, with its message as raised.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except BrokenPipeError:

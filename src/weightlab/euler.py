@@ -235,9 +235,6 @@ class CellComplex:
             cells, dims, {c: i for i, c in enumerate(cells)}, face_ids)
         return product
 
-    def dim(self, c: Cell) -> int:
-        return self.dims[c]
-
     def cells(self, k: int | None = None) -> list[Cell]:
         """The cells of dimension k (all cells if k is None), ordered by
         dimension and then by their text."""
@@ -312,12 +309,6 @@ class CellChain:
         for c in self.members:
             if self.complex.dims.get(c) != self.k:
                 raise EulerError(f"chain member {c} is not a {self.k}-cell")
-
-    def __add__(self, other: "CellChain") -> "CellChain":
-        if other.complex is not self.complex or other.k != self.k:
-            raise EulerError("chains not compatible")
-        return CellChain(self.complex, self.k,
-                         self.members.symmetric_difference(other.members))
 
 
 @dataclass(frozen=True)

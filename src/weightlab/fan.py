@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from math import comb
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .gf2 import BitSubspace, json_int, set_bits
 from .lattice import Saturations, is_primitive, make_primitive
@@ -41,6 +41,11 @@ class FanError(ValueError):
 
 
 ZERO_ID = "0"
+
+# The mask tests between two looks at a simplicial document's partial cell
+# count (:func:`_face_sizes`): some hundredths of a second of counting.
+_COUNT_STEPS = 1 << 16
+
 
 @dataclass(frozen=True)
 class Cone:
@@ -60,8 +65,12 @@ class Fan:
 
     def __post_init__(self) -> None:
         # The bitmask pass alone accepts a fan; the scans name what it refuses.
+        # A valid fan is then held to the cell cap, so no fan above it exists.
         if not self._holds():
             raise FanError("; ".join(self.diagnostics()))
+        from . import toric  # toric imports this module
+
+        toric.capped_counts(Counter(self.n - c.dim for c in self.cones.values()))
 
     def cone_ids(self) -> list[str]:
         return sorted(self.cones)
@@ -340,8 +349,14 @@ def parse_fan(doc: Mapping) -> Fan:
                 raise FanError(f"cone {cid!r} marked simplicial has {len(idx)} rays of rank {dim}")
             declared[sum(1 << i for i in idx)] = cid
         # Every subset of a declared ray set is a cone, numbered as the walk
-        # meets it: its cells are held to the cap before any is walked.
-        toric.capped_counts({n - s: m for s, m in _face_sizes(list(declared)).items()})
+        # meets it: its cells are held to the cap before any is walked, and
+        # a count too long to finish stops once it has passed the cap.
+        def past(sizes: Counter) -> None:
+            if (cells := sum(m << n - s for s, m in sizes.items())) > toric.MAX_CELLS:
+                raise FanError(f"the fan has at least {cells} cells, more than the "
+                               f"{toric.MAX_CELLS} the build allows")
+
+        toric.capped_counts({n - s: m for s, m in _face_sizes(list(declared), past).items()})
         walked = {0: None}
         for top in declared:
             sub = top
@@ -430,31 +445,38 @@ def _ranks(rays: list[frozenset[int]], faces: list[int], spans: Saturations) -> 
     return ranks
 
 
-def _face_sizes(tops: list[int]) -> Counter:
+def _face_sizes(tops: list[int], past: Callable[[Counter], None] | None = None) -> Counter:
     """{size: number} of the distinct subsets of the ray masks ``tops``,
     counted without listing them: each top counts its subsets in no
     earlier top, those that meet each ray set it has and an earlier one
-    lacks (:func:`_count_meeting`).  With no top, the empty set alone."""
+    lacks.  With no top, the empty set alone.  The count is exponential
+    in the worst case, so every ``_COUNT_STEPS`` mask tests the sizes
+    counted so far, which only grow, are handed to ``past``, which may
+    raise to stop it."""
     sizes = Counter() if tops else Counter({0: 1})
+    steps = 0
     for i, top in enumerate(tops):
-        _count_meeting(sizes, 0, top, [top & ~earlier for earlier in tops[:i]])
+        # The sets chosen ∪ G, G ⊆ free, that meet every mask: C(f, j) of
+        # size k + j when chosen (k rays) meets them all and f rays are
+        # free, else, for each ray r of the smallest mask it misses, those
+        # with r chosen and the rays before r left out.
+        todo = [(0, top, [top & ~earlier for earlier in tops[:i]])]
+        while todo:
+            chosen, free, masks = todo.pop()
+            steps += len(masks) + 1
+            if steps > _COUNT_STEPS and past is not None:
+                past(sizes)
+                steps = 0
+            masks = [m & free for m in masks if not m & chosen]
+            if not masks:
+                k, f = chosen.bit_count(), free.bit_count()
+                for j in range(f + 1):
+                    sizes[k + j] += comb(f, j)
+                continue
+            for r in set_bits(min(masks, key=int.bit_count)):
+                free ^= 1 << r
+                todo.append((chosen | 1 << r, free, masks))
     return sizes
-
-
-def _count_meeting(sizes: Counter, chosen: int, free: int, masks: list[int]) -> None:
-    """Add to ``sizes`` the sets chosen ∪ G, G ⊆ free, that meet every mask:
-    C(f, j) of size k + j when chosen (k rays) meets them all and f rays
-    are free, else, for each ray r of the smallest mask it misses, those
-    with r chosen and the rays before r left out."""
-    masks = [m & free for m in masks if not m & chosen]
-    if not masks:
-        k, f = chosen.bit_count(), free.bit_count()
-        for j in range(f + 1):
-            sizes[k + j] += comb(f, j)
-        return
-    for r in set_bits(min(masks, key=int.bit_count)):
-        free ^= 1 << r
-        _count_meeting(sizes, chosen | 1 << r, free, masks)
 
 
 def _cone_id(value, what: str) -> str:

@@ -27,10 +27,6 @@ class Poly:
     def one(cls) -> "Poly":
         return cls.make([1])
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
@@ -47,12 +43,6 @@ class Poly:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return Poly.make(out)
-
-    def __call__(self, t: int) -> int:
-        val = 0
-        for c in reversed(self.coeffs):
-            val = val * t + c
-        return val
 
     def __str__(self) -> str:
         if not self.coeffs:

@@ -299,8 +299,8 @@ class ToricCellComplex:
 
 def cell_counts(f: Fan) -> dict[int, int]:
     """The number of cells of each degree k, Σ_{codim σ = k} 2^k, from the
-    cones alone (:func:`capped_counts`)."""
-    return capped_counts(Counter(f.codim(cid) for cid in f.cone_ids()))
+    cones alone; at most ``MAX_CELLS`` in all, as ``Fan`` refuses more."""
+    return {k: m << k for k, m in Counter(f.codim(cid) for cid in f.cone_ids()).items()}
 
 
 def capped_counts(cones: Mapping[int, int]) -> dict[int, int]:
@@ -308,7 +308,7 @@ def capped_counts(cones: Mapping[int, int]) -> dict[int, int]:
     ``cones``, {k: m}.  Raises :class:`FanError` when the total exceeds
     ``MAX_CELLS``, read at call time; a cone of codimension k alone brings
     2^k cells, so past the cap's bit length the total is refused before
-    it is formed."""
+    it is formed.  Every ``Fan`` is held to it when made."""
     if (k := max(cones)) >= MAX_CELLS.bit_length():
         raise FanError(f"the fan has a cone of codimension {k}, so more than "
                        f"the {MAX_CELLS} cells the build allows")
@@ -323,8 +323,7 @@ def capped_counts(cones: Mapping[int, int]) -> dict[int, int]:
 def levels(f: Fan) -> dict[int, tuple[int, ...]]:
     """The level of each coordinate of each degree of the toric complex,
     in level order: degree k holds m cones of codimension k, and level -w
-    C(k, w) monomials a_S of each.  Held to the cap by :func:`cell_counts`
-    before any is listed."""
+    C(k, w) monomials a_S of each."""
     return {k: tuple(chain.from_iterable(repeat(-w, (cells >> k) * comb(k, w))
                                          for w in range(k, -1, -1)))
             for k, cells in cell_counts(f).items()}

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -816,6 +817,69 @@ def test_malformed_documents_exit_3(capsys, tmp_path, verb, doc, message):
     code, out, err = run(capsys, *argv, str(path))
     assert code == 3
     assert message in err
+
+
+# Refusals that only a document reaches, each exiting 3 through main with
+# its exact message; a fan document's is prefixed with its path.
+@pytest.mark.parametrize("verb, doc, message", [
+    ("fan-info --fan", {"lattice_rank": -1, "rays": [], "cones": []},
+     "{path}: lattice rank -1 is negative"),
+    ("fan-info --fan",
+     {"lattice_rank": 2, "rays": [[1, 0], [0, 1]],
+      "cones": [{"id": "a", "rays": [0], "faces": ["b"]},
+                {"id": "b", "rays": [1], "faces": ["a"]}]},
+     "{path}: cyclic face declaration at cone 'a'"),
+    ("ss --complex", {"dims": {"0": -1}}, "malformed complex document: negative dimension"),
+    # The face map sends level 1's edge to level 0's, whose vertex is its
+    # boundary, while level 1's edge has none.
+    ("cubical-ss --hyperres",
+     {"levels": [{"dims": {"0": 1, "1": 1}, "boundary": {"1": [[0, 0]]}},
+                 {"dims": {"0": 1, "1": 1}}],
+      "faces": [{"level": 1, "face_index": 0, "matrix": {"1": [[0, 0]]}}]},
+     "face map d_0 at level 1 is not a chain map"),
+    # Vertex 3 reaches 0 through 1 by the identity and through 2 by zero.
+    ("cubical-ss --diagram",
+     {"n": 1, "objects": {str(s): {"dims": {"0": 1}} for s in range(4)},
+      "maps": [{"from_mask": 3, "to_mask": 1, "matrices": {"0": [[0, 0]]}},
+               {"from_mask": 3, "to_mask": 2, "matrices": {"0": [[0, 0]]}},
+               {"from_mask": 1, "to_mask": 0, "matrices": {"0": [[0, 0]]}}]},
+     "square 3->0 does not commute in degree 0"),
+])
+def test_document_refusals_exit_3_with_their_message(capsys, tmp_path, verb, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, *verb.split(), str(path)) == (
+        3, "", f"error: {message.format(path=path)}\n")
+
+
+def _one_sign_per_coordinate(n: int, count: int) -> dict:
+    """A simplicial document on the rays ±e_i of lattice rank n, declaring
+    ``count`` distinct cones that each take one sign per coordinate."""
+    rng, signs = random.Random(0), {}
+    while len(signs) < count:
+        signs[tuple(rng.randrange(2) for _ in range(n))] = None
+    return {"lattice_rank": n, "simplicial": True,
+            "rays": [[s * int(i == j) for j in range(n)] for s in (1, -1) for i in range(n)],
+            "cones": [{"rays": [i + n * s for i, s in enumerate(pick)]} for pick in signs]}
+
+
+def test_a_cap_count_too_long_to_finish_stops_once_past_the_cap(capsys, monkeypatch, tmp_path):
+    # Counting the distinct faces of these cones is exponential; each cone
+    # alone brings 3^20 cells, so the count stops and refuses with the
+    # cells it has seen, before any cone is made.
+    def no_cones(*args):
+        raise AssertionError("a cone was made for a fan above the cap")
+
+    path = tmp_path / "signs.json"
+    path.write_text(json.dumps(_one_sign_per_coordinate(20, 1000)))
+    monkeypatch.setattr(weightlab.fan, "Cone", no_cones)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "vpoly", "--fan", str(path))
+    assert time.perf_counter() - start < 2
+    prefix = f"error: {path}: the fan has at least "
+    assert (code, out) == (3, "") and err.startswith(prefix)
+    assert err.endswith(" cells, more than the 1048576 the build allows\n")
+    assert int(err.removeprefix(prefix).split()[0]) >= 3 ** 20
 
 
 def test_unknown_face_refusal_does_not_depend_on_the_hash_seed(tmp_path):

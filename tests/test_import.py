@@ -27,3 +27,17 @@ def test_reimport_releases_the_previous_modules():
         env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr or "the first BitMatrix class is still alive"
+
+
+def test_the_cli_imports_no_check_euler_or_fixture_module():
+    # The check suites, the Euler calculus and the fixture corpus are
+    # imported by the verbs that use them, so no other request pays for them.
+    src = str(Path(weightlab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, weightlab.cli; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "weightlab.cli" in loaded
+    assert not loaded & {"weightlab.euler", "weightlab.checks", "weightlab.fixtures"}

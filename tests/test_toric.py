@@ -429,6 +429,25 @@ def test_fan_documents_at_the_cap_are_read_and_above_it_refused(name):
                 cell_counts(parse_fan(doc))
 
 
+def test_fans_are_held_to_the_cap_when_made(monkeypatch):
+    # P:2 has 4 + 3*2 + 3 = 13 cells and P:1 x P:1 4 + 4*2 + 4 = 16: a fan
+    # made directly or as a product is refused above the cap, read when it
+    # is made, and an invalid fan above it still gets its validation message.
+    p1, p2 = standard_fan("P", 1), standard_fan("P", 2)
+    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 13)
+    assert Fan(p2.n, p2.rays, p2.cones) == p2
+    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 12)
+    with pytest.raises(FanError, match="^the fan has 13 cells, more than the 12 the build"):
+        Fan(p2.n, p2.rays, p2.cones)
+    with pytest.raises(FanError, match="^the fan has 16 cells, more than the 12 the build"):
+        product_fan(p1, p1)
+    ray = next(cid for cid in p2.cone_ids() if p2.codim(cid) == 1)
+    cones = {cid: c for cid, c in p2.cones.items() if cid != ray}
+    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 1)
+    with pytest.raises(FanError, match=f"^cone '[^']+' lists unknown face '{ray}'"):
+        Fan(p2.n, p2.rays, cones)
+
+
 _SMOOTH = {
     **{f"P{n}": ("P", n) for n in range(1, 8)},
     **{f"A{n}": ("A", n) for n in range(1, 8)},
