@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .gf2 import (
     BitMatrix,
@@ -134,7 +134,7 @@ class ChainComplex:
         return rank_kernel_image(self.d(k + 1))[2]
 
     def betti(self, k: int) -> int:
-        return self.cycles(k).dim - self.boundaries(k).dim
+        return self.dim(k) - self.d(k).rank() - self.d(k + 1).rank()
 
     def betti_numbers(self) -> dict[int, int]:
         return {k: b for k in self.degrees() if (b := self.betti(k))}
@@ -247,16 +247,11 @@ class FilteredComplex:
         if out:
             return out
         for k in cx.degrees():
-            if not cx.dim(k - 1):
-                continue
-            below = self.levels[k - 1]
-            raised = sorted({
-                p for c, p in zip(self.boundary_columns(k), self.levels[k])
-                if c and below[c.bit_length() - 1] > p
-            })
-            out.extend(
-                f"boundary does not preserve filtration at p={p}, degree {k}"
-                for p in raised)
+            if cx.dim(k - 1):
+                out.extend(
+                    f"boundary does not preserve filtration at p={p}, degree {k}"
+                    for p in raised_levels(
+                        self.levels[k], self.boundary_columns(k), self.levels[k - 1]))
         return out
 
     def vectors(self, k: int) -> tuple[int, ...]:
@@ -311,6 +306,16 @@ class FilteredComplex:
                     self._spans[(k, e)] = BitSubspace(dim, basis)
             sub = self._spans[(k, n)]
         return sub
+
+
+def raised_levels(
+    levels: Iterable[int], columns: Iterable[int], target_levels: Sequence[int]
+) -> list[int]:
+    """The levels of the source vectors whose column, in the adapted basis
+    of a target with ascending ``target_levels``, has a coordinate of a
+    higher level: the boundary's test and each diagram map's."""
+    return sorted({p for c, p in zip(columns, levels)
+                   if c and target_levels[c.bit_length() - 1] > p})
 
 
 def _unit_basis(n: int) -> tuple[int, ...]:
@@ -428,6 +433,19 @@ def complex_to_doc(cx: ChainComplex) -> dict:
     }
 
 
+def int_keys(table: Mapping, what: str) -> dict:
+    """The table with each key read by ``int``.  Two keys naming one
+    integer, such as ``"0"`` and ``"00"``, are refused rather than the
+    last one kept."""
+    out, first = {}, {}
+    for key, value in table.items():
+        k = int(key)
+        if k in first:
+            raise ValueError(f"{what} {first[k]!r} and {key!r} both name {k}")
+        first[k], out[k] = key, value
+    return out
+
+
 def complex_from_doc(doc: Mapping) -> ChainComplex:
     """The complex of a document.  A total dimension, or a span of the
     degrees holding cells, above ``toric.MAX_CELLS``, read at call time,
@@ -435,8 +453,8 @@ def complex_from_doc(doc: Mapping) -> ChainComplex:
     from . import toric  # toric imports this module
 
     try:
-        dims = {int(k): json_int(n, "a dimension")
-                for k, n in doc.get("dims", {}).items()}
+        dims = {k: json_int(n, "a dimension")
+                for k, n in int_keys(doc.get("dims", {}), "dims keys").items()}
         if any(n < 0 for n in dims.values()):
             raise ValueError("negative dimension")
         if (total := sum(dims.values())) > toric.MAX_CELLS:
@@ -444,8 +462,7 @@ def complex_from_doc(doc: Mapping) -> ChainComplex:
                              f"the {toric.MAX_CELLS} the build allows")
         _check_span("degrees holding cells", [k for k, n in dims.items() if n])
         boundary = {}
-        for k_str, entries in doc.get("boundary", {}).items():
-            k = int(k_str)
+        for k, entries in int_keys(doc.get("boundary", {}), "boundary keys").items():
             boundary[k] = BitMatrix.from_entries(
                 dims.get(k - 1, 0), dims.get(k, 0),
                 [(json_int(r, "a row index"), json_int(c, "a column index"))
@@ -487,13 +504,13 @@ def filtered_from_doc(doc: Mapping) -> FilteredComplex:
     if not filt:
         return trivial_filtration(cx)
     try:
-        by_level = {int(p_str): by_deg for p_str, by_deg in filt.items()}
+        by_level = int_keys(filt, "filtration levels")
         _check_span("filtration levels", list(by_level))
         levels = {
             p: {
-                int(k_str): BitSubspace.span(
-                    cx.dim(int(k_str)), [vec_from_string(s) for s in _level_list(vecs)])
-                for k_str, vecs in by_deg.items()
+                k: BitSubspace.span(
+                    cx.dim(k), [vec_from_string(s) for s in _level_list(vecs)])
+                for k, vecs in int_keys(by_deg, f"filtration level {p} degrees").items()
             }
             for p, by_deg in by_level.items()
         }

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations
 from typing import Mapping, TypeAlias
 
 from .complexes import (
@@ -27,6 +28,8 @@ from .complexes import (
     complex_to_doc,
     filtered_from_doc,
     filtered_to_doc,
+    int_keys,
+    raised_levels,
     totalize,
     trivial_filtration,
 )
@@ -48,23 +51,12 @@ def _map_matrix(maps: DegreeMaps, src: ChainComplex, dst: ChainComplex, k: int) 
 
 
 def _is_chain_map(maps: DegreeMaps, src: ChainComplex, dst: ChainComplex) -> bool:
-    for k in set(src.degrees()) | set(dst.degrees()):
-        f_k = _map_matrix(maps, src, dst, k)
-        f_k1 = _map_matrix(maps, src, dst, k - 1)
-        if f_k.rows != dst.dim(k) or f_k.cols != src.dim(k):
-            return False
-        if dst.d(k).mul(f_k) != f_k1.mul(src.d(k)):
-            return False
-    return True
-
-
-def _compose(f: DegreeMaps, g: DegreeMaps, src: ChainComplex, mid: ChainComplex,
-             dst: ChainComplex) -> dict[int, BitMatrix]:
-    """Composite dst <- mid <- src, degreewise."""
-    out = {}
-    for k in src.degrees():
-        out[k] = _map_matrix(f, mid, dst, k).mul(_map_matrix(g, src, mid, k))
-    return out
+    """Each degree's matrix has the shape dst <- src and commutes with
+    the boundaries."""
+    return all(
+        (f := _map_matrix(maps, src, dst, k)).rows == dst.dim(k) and f.cols == src.dim(k)
+        and dst.d(k).mul(f) == _map_matrix(maps, src, dst, k - 1).mul(src.d(k))
+        for k in set(src.degrees()) | set(dst.degrees()))
 
 
 @dataclass(frozen=True)
@@ -105,14 +97,17 @@ class CubicalDiagram:
             self.objects[s].complex, self.objects[t].complex, k)
 
     def diagnostics(self) -> list[str]:
-        if self.n < 0:
-            return [f"diagram shape n={self.n} is negative"]
-        size = 1 << (self.n + 1)
+        n = self.n
+        if n < 0:
+            return [f"diagram shape n={n} is negative"]
+        # 2^(n+1) is formed only where it is printed, so that a large n
+        # is refused before a number of its size exists.
         out = [f"diagram vertex for mask {s} is outside the shape"
-               for s in self.objects if not 0 <= s < size]
-        if len(self.objects) - len(out) < size:
-            out.append(f"a diagram of shape n={self.n} needs {size} vertices, "
-                       f"got {len(self.objects) - len(out)}")
+               for s in self.objects if s < 0 or s >> (n + 1)]
+        got = len(self.objects) - len(out)
+        if not got >> (n + 1):
+            size = 1 << (n + 1) if n < 64 else f"2^{n + 1}"
+            out.append(f"a diagram of shape n={n} needs {size} vertices, got {got}")
         if out:
             return out
         edges = self.edges()
@@ -120,49 +115,27 @@ class CubicalDiagram:
                for s, t in sorted(set(self.maps) - set(edges))]
         for s, t in edges:
             src, dst = self.objects[s], self.objects[t]
-            maps = self.maps.get((s, t), {})
-            if not _is_chain_map(maps, src.complex, dst.complex):
+            if not _is_chain_map(self.maps.get((s, t), {}), src.complex, dst.complex):
                 out.append(f"map {s}->{t} is not a chain map")
                 continue
-            # Filtered: no basis vector's image has a coordinate of a
-            # higher level than the vector.
             for k in src.complex.degrees():
-                if not dst.complex.dim(k):
-                    continue
-                f, dst_levels = self.map_between(s, t, k), dst.levels[k]
-                raised = sorted({
-                    p for v, p in zip(src.vectors(k), src.levels[k])
-                    if (c := dst.coordinates(k, f.mul_vec(v)))
-                    and dst_levels[c.bit_length() - 1] > p
-                })
-                out.extend(
-                    f"map {s}->{t} does not preserve level p={p} in degree {k}"
-                    for p in raised)
-        # Square commutativity for each codimension-two face pair.
+                if dst.complex.dim(k):
+                    f = self.map_between(s, t, k)
+                    out.extend(
+                        f"map {s}->{t} does not preserve level p={p} in degree {k}"
+                        for p in raised_levels(
+                            src.levels[k],
+                            (dst.coordinates(k, f.mul_vec(v)) for v in src.vectors(k)),
+                            dst.levels[k]))
         for s in self.vertex_masks():
-            if s.bit_count() < 2:
-                continue
-            bits = [1 << i for i in range(self.n + 1) if s & (1 << i)]
-            for a in range(len(bits)):
-                for b in range(a + 1, len(bits)):
-                    u = s ^ bits[a] ^ bits[b]
-                    path1 = _compose(
-                        self.maps.get((s ^ bits[a], u), {}),
-                        self.maps.get((s, s ^ bits[a]), {}),
-                        self.objects[s].complex,
-                        self.objects[s ^ bits[a]].complex,
-                        self.objects[u].complex)
-                    path2 = _compose(
-                        self.maps.get((s ^ bits[b], u), {}),
-                        self.maps.get((s, s ^ bits[b]), {}),
-                        self.objects[s].complex,
-                        self.objects[s ^ bits[b]].complex,
-                        self.objects[u].complex)
-                    for k in self.objects[s].complex.degrees():
-                        if path1[k] != path2[k]:
-                            out.append(
-                                f"square {s}->{u} does not commute in degree {k}")
-                            break
+            bits = [1 << i for i in range(n + 1) if s >> i & 1]
+            for a, b in combinations(bits, 2):
+                u = s ^ a ^ b
+                for k in self.objects[s].complex.degrees():
+                    if (self.map_between(s ^ a, u, k).mul(self.map_between(s, s ^ a, k))
+                            != self.map_between(s ^ b, u, k).mul(self.map_between(s, s ^ b, k))):
+                        out.append(f"square {s}->{u} does not commute in degree {k}")
+                        break
         return out
 
 
@@ -285,8 +258,7 @@ def _maps_to_doc(maps: DegreeMaps) -> dict:
 
 def _maps_from_doc(doc: Mapping, src: ChainComplex, dst: ChainComplex) -> dict[int, BitMatrix]:
     out = {}
-    for k_str, entries in doc.items():
-        k = int(k_str)
+    for k, entries in int_keys(doc, "map degrees").items():
         out[k] = BitMatrix.from_entries(
             dst.dim(k), src.dim(k),
             [(json_int(r, "a row index"), json_int(c, "a column index"))
@@ -313,13 +285,16 @@ def diagram_to_doc(d: CubicalDiagram) -> dict:
 def diagram_from_doc(doc: Mapping) -> CubicalDiagram:
     try:
         n = json_int(doc["n"], "n")
-        objects = {int(s): filtered_from_doc(od) for s, od in doc["objects"].items()}
+        objects = {s: filtered_from_doc(od)
+                   for s, od in int_keys(doc["objects"], "diagram objects").items()}
         maps = {}
         for entry in doc.get("maps", []):
             s = json_int(entry["from_mask"], "a map's from_mask")
             t = json_int(entry["to_mask"], "a map's to_mask")
             if s not in objects or t not in objects:
                 raise ValueError(f"map {s}->{t} names a missing vertex")
+            if (s, t) in maps:
+                raise ValueError(f"map {s}->{t} is given twice")
             maps[(s, t)] = _maps_from_doc(
                 entry.get("matrices", {}), objects[s].complex, objects[t].complex)
     except (KeyError, AttributeError, TypeError, ValueError) as exc:
@@ -348,6 +323,8 @@ def hyperres_from_doc(doc: Mapping) -> Hyperresolution:
             j = json_int(entry["face_index"], "a face map's face_index")
             if not (1 <= i < len(levels) and 0 <= j <= i):
                 raise ValueError(f"face map d_{j} at level {i} does not exist")
+            if (i, j) in faces:
+                raise ValueError(f"face map d_{j} at level {i} is given twice")
             faces[(i, j)] = _maps_from_doc(
                 entry.get("matrix", {}), levels[i], levels[i - 1])
     except (KeyError, AttributeError, TypeError, ValueError) as exc:

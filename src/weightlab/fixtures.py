@@ -11,8 +11,8 @@ import json
 from importlib import resources
 from typing import Mapping
 
-from .complexes import canonical_filtration, complex_from_doc
-from .cubical import CubicalDiagram, Hyperresolution, hyperres_from_doc
+from .complexes import canonical_filtration
+from .cubical import CubicalDiagram, Hyperresolution, diagram_from_doc, hyperres_from_doc
 from .toric import Fan, parse_fan, product_fan, standard_fan
 
 
@@ -24,18 +24,9 @@ def _load(name: str) -> dict:
 def klein_square() -> CubicalDiagram:
     """Blowup square: Klein bottle over the projective plane with a
     circle over a point, all with canonical filtrations."""
-    doc = _load("klein_square.json")
-    objects = {
-        int(mask): canonical_filtration(complex_from_doc(od))
-        for mask, od in doc["objects"].items()
-    }
-    maps = {}
-    from .cubical import _maps_from_doc
-    for entry in doc["maps"]:
-        s, t = int(entry["from_mask"]), int(entry["to_mask"])
-        maps[(s, t)] = _maps_from_doc(
-            entry["matrices"], objects[s].complex, objects[t].complex)
-    return CubicalDiagram(int(doc["n"]), objects, maps)
+    d = diagram_from_doc(_load("klein_square.json"))
+    objects = {s: canonical_filtration(fc.complex) for s, fc in d.objects.items()}
+    return CubicalDiagram(d.n, objects, d.maps)
 
 
 def hyperres(name: str) -> Hyperresolution:

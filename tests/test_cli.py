@@ -809,6 +809,38 @@ def test_wide_level_span_reads_only_occupied_levels(capsys, tmp_path):
          {"id": "c", "rays": [0, 1, 2], "faces": ["r0", "r1", "r2", "s"]}]},
      "face 'r0' of 's' does not drop dimension; face 'r3' of 's' does not drop dimension; "
      "face 'r3' of 'c' uses rays [3], which 'c' does not"),
+    # A shape whose vertex count has more digits than int-to-str converts,
+    # refused without forming it.
+    ("cubical-ss --diagram", {"n": 100000, "objects": {}},
+     "a diagram of shape n=100000 needs 2^100001 vertices, got 0"),
+    # Two keys that int() reads as one integer are refused, not the last kept.
+    ("ss --complex", {"dims": {"0": 1, "00": 2}},
+     "malformed complex document: dims keys '0' and '00' both name 0"),
+    ("ss --complex", {"dims": {"0": 1, "1": 1}, "boundary": {"1": [[0, 0]], "01": []}},
+     "malformed complex document: boundary keys '1' and '01' both name 1"),
+    ("ss --complex", {"dims": {"0": 1}, "filtration": {"-0": {"0": []}, "0": {"0": ["1"]}}},
+     "malformed filtration: filtration levels '-0' and '0' both name 0"),
+    ("ss --complex", {"dims": {"0": 1}, "filtration": {"0": {"0": ["1"], "00": ["1"]}}},
+     "malformed filtration: filtration level 0 degrees '0' and '00' both name 0"),
+    ("cubical-ss --diagram",
+     {"n": 0, "objects": {"0": {"dims": {"0": 1}}, "1": {"dims": {"0": 1}}},
+      "maps": [{"from_mask": 1, "to_mask": 0, "matrices": {"0": [[0, 0]], "00": []}}]},
+     "malformed diagram document: map degrees '0' and '00' both name 0"),
+    ("cubical-ss --diagram",
+     {"n": 0, "objects": {"0": {"dims": {"0": 1}}, "1": {"dims": {"0": 1}},
+                          "01": {"dims": {"0": 2}}}},
+     "malformed diagram document: diagram objects '1' and '01' both name 1"),
+    # A map or a face given twice is refused, not replaced by the second.
+    ("cubical-ss --diagram",
+     {"n": 0, "objects": {"0": {"dims": {"0": 1}}, "1": {"dims": {"0": 1}}},
+      "maps": [{"from_mask": 1, "to_mask": 0, "matrices": {"0": [[0, 0]]}},
+               {"from_mask": 1, "to_mask": 0, "matrices": {}}]},
+     "malformed diagram document: map 1->0 is given twice"),
+    ("cubical-ss --hyperres",
+     {"levels": [{"dims": {"0": 1}}, {"dims": {"0": 1}}],
+      "faces": [{"level": 1, "face_index": 0, "matrix": {"0": [[0, 0]]}},
+                {"level": 1, "face_index": 0, "matrix": {}}]},
+     "malformed hyperresolution document: face map d_0 at level 1 is given twice"),
 ])
 def test_malformed_documents_exit_3(capsys, tmp_path, verb, doc, message):
     path = tmp_path / "doc.json"

@@ -107,6 +107,24 @@ def test_diagram_maps_may_not_raise_levels(src_level, dst_level):
             CubicalDiagram(*diagram)
 
 
+def test_diagram_reports_each_failed_axiom_in_edge_then_square_order():
+    # Over the interval 3, map 3->1 folds both ends onto a point and map
+    # 3->2 keeps one end, so it is no chain map; map 1->0 lifts level 0
+    # to level 1; and the square 3->0 is [1 1] through 1 but 0 through 2.
+    pt, interval = point(), ChainComplex.make({0: 2, 1: 1}, {1: from_dense([[1], [1]])})
+    objects = {0: trivial_filtration(pt, 1), 1: trivial_filtration(pt, 0),
+               2: trivial_filtration(pt, 0), 3: trivial_filtration(interval, 0)}
+    maps = {(1, 0): {0: BitMatrix.identity(1)},
+            (3, 1): {0: from_dense([[1, 1]])},
+            (3, 2): {0: from_dense([[1, 0]])}}
+    with pytest.raises(ComplexError) as exc:
+        CubicalDiagram(1, objects, maps)
+    assert str(exc.value) == (
+        "map 1->0 does not preserve level p=0 in degree 0; "
+        "map 3->2 is not a chain map; "
+        "square 3->0 does not commute in degree 0")
+
+
 def test_additivity_two_points_in_line():
     # X = P^1 (a circle), Y = the two torus-fixed points; the complement
     # is the 1-torus, whose filtered complex is the trivial-fan one.
