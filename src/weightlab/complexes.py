@@ -11,7 +11,12 @@ coordinates of any vector a walk that clears its lowest set bit
 (:meth:`FilteredComplex.coordinates`).  A producer whose coordinates are
 already adapted (the toric build, trivial filtrations) stores no vectors:
 its adapted basis is the unit basis, and its boundary columns are the
-coordinates of the boundaries.
+coordinates of the boundaries.  In the adapted bases F_p is a prefix of
+the basis, so F_p ∩ ∂⁻¹F_t, the subspace the spectral sequence and the
+shifted filtration are made of, is one kernel of a block of boundary
+columns (:meth:`FilteredComplex.relative_cycles`); ``level`` and
+``relative_cycles`` depend on p and t only through the prefix lengths
+``level_dim`` counts.
 
 Both classes validate their defining identities on construction: ``∂∘∂
 = 0``, and that no boundary column has a coordinate above its source's
@@ -40,7 +45,7 @@ from .gf2 import (
     BitMatrix,
     BitSubspace,
     json_int,
-    preimage,
+    kernel_of_columns,
     rank_kernel_image,
     rref_prefixes,
     vec_from_string,
@@ -128,7 +133,7 @@ class ChainComplex:
         return m
 
     def cycles(self, k: int) -> BitSubspace:
-        return rank_kernel_image(self.d(k))[1]
+        return BitSubspace.span(self.dim(k), kernel_of_columns(self.d(k).col_data))
 
     def boundaries(self, k: int) -> BitSubspace:
         return rank_kernel_image(self.d(k + 1))[2]
@@ -158,6 +163,7 @@ class FilteredComplex:
     levels: Mapping[int, tuple[int, ...]]
     _by_pivot: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _spans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         problems = self.diagnostics()
@@ -263,11 +269,17 @@ class FilteredComplex:
     def boundary_columns(self, k: int) -> list[int]:
         """The boundary of degree k written in the adapted bases: item j
         is the coordinates of the boundary of basis vector j.  With the
-        unit basis these are the matrix's own columns."""
+        unit basis these are the matrix's own columns; any other basis
+        writes them once per degree and returns the kept list, which
+        callers read and do not change."""
         d = self.complex.d(k)
         if self.basis is None:
             return list(d.col_data)
-        return [self.coordinates(k - 1, d.mul_vec(v)) for v in self.basis[k]]
+        columns = self._columns.get(k)
+        if columns is None:
+            columns = self._columns[k] = [
+                self.coordinates(k - 1, d.mul_vec(v)) for v in self.basis[k]]
+        return columns
 
     def coordinates(self, k: int, x: int) -> int:
         """Coordinates of x in the adapted basis of degree k, as a bit
@@ -288,24 +300,48 @@ class FilteredComplex:
             c |= 1 << i
         return c
 
+    def level_dim(self, p: int, k: int) -> int:
+        """dim F_p in degree k: the number of basis vectors of level <= p."""
+        return bisect_right(self.levels.get(k, ()), p)
+
     def level(self, p: int, k: int) -> BitSubspace:
         """F_p in degree k.  The unit basis is already reduced; any other
         basis is reduced once per degree, in order, and its RREF kept at
         every level boundary."""
-        levels = self.levels.get(k, ())
-        n = bisect_right(levels, p)
+        n = self.level_dim(p, k)
         sub = self._spans.get((k, n))
         if sub is None:
             dim = self.complex.dim(k)
             if self.basis is None:
                 self._spans[(k, n)] = BitSubspace(dim, _unit_basis(n))
             else:
+                levels = self.levels.get(k, ())
                 ends = [i for i in range(len(levels) + 1)
                         if i in (0, len(levels)) or levels[i - 1] != levels[i]]
                 for e, basis in zip(ends, rref_prefixes(self.basis.get(k, ()), ends)):
                     self._spans[(k, e)] = BitSubspace(dim, basis)
             sub = self._spans[(k, n)]
         return sub
+
+    def relative_cycles(self, p: int, t: int, k: int) -> BitSubspace:
+        """F_p K_k ∩ ∂⁻¹(F_t K_{k-1}): the chains of level <= p whose
+        boundary has level <= t.
+
+        In the adapted bases a combination of the first n vectors of
+        degree k (those of level <= p) qualifies exactly when its boundary
+        has no coordinate at index m or above, m the number of degree-(k-1)
+        vectors of level <= t.  So the answer is one kernel: of the first n
+        boundary columns shifted right by m, mapped back through the basis
+        and reduced.  When t >= p (F_p is a subcomplex), when F_t is the
+        whole of degree k-1 or when F_p is zero, the answer is F_p itself."""
+        n, m = self.level_dim(p, k), self.level_dim(t, k - 1)
+        if t >= p or m == self.complex.dim(k - 1) or not n:
+            return self.level(p, k)
+        kernel = kernel_of_columns([c >> m for c in self.boundary_columns(k)[:n]])
+        if self.basis is not None:
+            vectors = BitMatrix.from_columns(self.complex.dim(k), self.basis[k][:n])
+            kernel = [vectors.mul_vec(c) for c in kernel]
+        return BitSubspace.span(self.complex.dim(k), kernel)
 
 
 def raised_levels(
@@ -399,7 +435,8 @@ def deligne_shift(fc: FilteredComplex) -> FilteredComplex:
     """The shifted (décalée) filtration on the same complex.
 
     The new level p in degree k is the part of the old level p + k whose
-    boundary lies in the old level p + k - 1.
+    boundary lies in the old level p + k - 1: one
+    :meth:`FilteredComplex.relative_cycles` per level and degree.
     """
     cx = fc.complex
     ks = cx.degrees()
@@ -407,13 +444,8 @@ def deligne_shift(fc: FilteredComplex) -> FilteredComplex:
         return fc
     k_min, k_max = ks[0], ks[-1]
     p_min, p_max = fc.p_range
-    levels: dict[int, dict[int, BitSubspace]] = {}
-    for p in range(p_min - k_max, p_max - k_min + 1):
-        levels[p] = {
-            k: fc.level(p + k, k).intersect(
-                preimage(cx.d(k), fc.level(p + k - 1, k - 1)))
-            for k in ks
-        }
+    levels = {p: {k: fc.relative_cycles(p + k, p + k - 1, k) for k in ks}
+              for p in range(p_min - k_max, p_max - k_min + 1)}
     return FilteredComplex.from_subspaces(cx, levels)
 
 
@@ -436,13 +468,18 @@ def complex_to_doc(cx: ChainComplex) -> dict:
 def int_keys(table: Mapping, what: str) -> dict:
     """The table with each key read by ``int``.  Two keys naming one
     integer, such as ``"0"`` and ``"00"``, are refused rather than the
-    last one kept."""
+    last one kept; then a key that is not its integer written plainly,
+    such as ``" 1"``, ``"+1"`` or ``"1_0"`` (which ``int`` reads as 10),
+    is refused rather than read."""
     out, first = {}, {}
     for key, value in table.items():
         k = int(key)
         if k in first:
             raise ValueError(f"{what} {first[k]!r} and {key!r} both name {k}")
         first[k], out[k] = key, value
+    for k, key in first.items():
+        if key != str(k):
+            raise ValueError(f"{what} {key!r} is not written as {str(k)!r}")
     return out
 
 

@@ -290,7 +290,7 @@ class BitSubspace:
         a = BitMatrix.from_columns(self.ambient_dim, self.basis)
         mask = (1 << a.cols) - 1
         return BitSubspace.span(self.ambient_dim, [
-            a.mul_vec(c & mask) for c in _kernel_of_columns(self.basis + other.basis)])
+            a.mul_vec(c & mask) for c in kernel_of_columns(self.basis + other.basis)])
 
 
 class _Echelon:
@@ -324,7 +324,7 @@ class _Echelon:
         return c
 
 
-def _kernel_of_columns(cols: Sequence[int]) -> list[int]:
+def kernel_of_columns(cols: Sequence[int]) -> list[int]:
     """Kernel of the linear map e_j -> cols[j], as coefficient bit vectors."""
     echelon = _Echelon()
     kernel = []
@@ -337,7 +337,7 @@ def _kernel_of_columns(cols: Sequence[int]) -> list[int]:
 
 def rank_kernel_image(m: BitMatrix) -> tuple[int, BitSubspace, BitSubspace]:
     """Rank, kernel (in the domain) and image (in the codomain) of m."""
-    kernel = BitSubspace.span(m.cols, _kernel_of_columns(m.col_data))
+    kernel = BitSubspace.span(m.cols, kernel_of_columns(m.col_data))
     image = BitSubspace.span(m.rows, m.col_data)
     return image.dim, kernel, image
 
@@ -347,7 +347,7 @@ def preimage(m: BitMatrix, target: BitSubspace) -> BitSubspace:
     if m.rows != target.ambient_dim:
         raise DimensionError("target ambient does not match codomain")
     residues = [target.reduce(c) for c in m.col_data]
-    return BitSubspace.span(m.cols, _kernel_of_columns(residues))
+    return BitSubspace.span(m.cols, kernel_of_columns(residues))
 
 
 def image_of_subspace(m: BitMatrix, sub: BitSubspace) -> BitSubspace:

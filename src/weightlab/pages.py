@@ -20,10 +20,17 @@ Entries and differentials come from the defining subspaces
     E^r_{p,q} = Z^r_{p,q} / (Z^{r-1}_{p-1,q+1} + ∂ Z^{r-1}_{p+r-1,q-r+2})
 
 with F_p zero below the level range and everything above it, so the same
-formulas are valid on every page including r = 0.  Differentials are
-returned as explicit matrices in the canonical quotient bases, which is
-what makes page-by-page regression tests and homology cross-checks
-meaningful; ``entry(r, p, q).dim`` is the oracle for ``dim(r, p, q)``.
+formulas are valid on every page including r = 0.  Each Z^r is one kernel
+of the boundary written in the adapted bases
+(:meth:`FilteredComplex.relative_cycles`), with no preimage and no
+intersection.  Since F_s K_j is the span of the first dim F_s K_j basis
+vectors, Z^r and E^r depend on (r, p, q) only through the degree and such
+prefix counts, and are cached by them: spots whose counts agree, such as
+levels no vector sits at or spots past either end of the level range,
+share one subspace and one quotient.  Differentials are returned as
+explicit matrices in the canonical quotient bases, which is what makes
+page-by-page regression tests and homology cross-checks meaningful;
+``entry(r, p, q).dim`` is the oracle for ``dim(r, p, q)``.
 
 The weight-style reuse of the first page goes through
 :func:`reindexed_page`: the (r+1)-st reindexed page at (2p+q, -p) is the
@@ -38,7 +45,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .complexes import FilteredComplex, deligne_shift
-from .gf2 import BitMatrix, BitSubspace, Quotient, image_of_subspace, preimage
+from .gf2 import BitMatrix, BitSubspace, Quotient
 from .poly import Poly
 
 
@@ -47,7 +54,7 @@ class SpectralSequence:
 
     Dimensions read one barcode, made on first use, and each page is
     read off it once; entries and differentials are computed from the
-    defining subspaces.
+    defining subspaces, each built once per key of prefix counts.
     """
 
     def __init__(self, fc: FilteredComplex):
@@ -58,9 +65,8 @@ class SpectralSequence:
         # Differentials vanish for r > p_max - p_min, and one more page
         # stabilizes the groups.
         self.r_inf = (p_max - p_min) + 1
-        self._preimage_cache: dict[tuple[int, int], BitSubspace] = {}
         self._z_cache: dict[tuple[int, int, int], BitSubspace] = {}
-        self._entry_cache: dict[tuple[int, int, int], Quotient] = {}
+        self._entry_cache: dict[tuple[int, int, int, int, int], Quotient] = {}
         self._page_cache: dict[int, dict[tuple[int, int], int]] = {}
         self._bars: Counter | None = None
 
@@ -101,34 +107,43 @@ class SpectralSequence:
 
     # -- core subspaces ----------------------------------------------------
 
-    def _preimage(self, k: int, level: int) -> BitSubspace:
-        """∂_k-preimage of F_level in degree k-1, clamped and cached."""
-        level = max(min(level, self.p_max), self.p_min - 1)
-        key = (k, level)
-        if key not in self._preimage_cache:
-            self._preimage_cache[key] = preimage(
-                self.cx.d(k), self.fc.level(level, k - 1))
-        return self._preimage_cache[key]
-
     def z(self, r: int, p: int, q: int) -> BitSubspace:
-        """Approximate cycles Z^r_{p,q} (meaningful for r >= -1)."""
-        key = (r, p, q)
-        if key not in self._z_cache:
-            k = p + q
-            self._z_cache[key] = self.fc.level(p, k).intersect(
-                self._preimage(k, p - r))
-        return self._z_cache[key]
+        """Approximate cycles Z^r_{p,q} = F_p K_k ∩ ∂⁻¹(F_{p-r} K_{k-1}),
+        k = p + q (meaningful for r >= -1).
+
+        The subspace depends on (r, p, q) only through k and the two
+        prefix counts dim F_p K_k and dim F_{p-r} K_{k-1}, so it is cached
+        by those three: spots outside the level range, and levels no
+        vector sits at, share one kernel."""
+        fc, k = self.fc, p + q
+        key = (k, fc.level_dim(p, k), fc.level_dim(p - r, k - 1))
+        sub = self._z_cache.get(key)
+        if sub is None:
+            sub = self._z_cache[key] = fc.relative_cycles(p, p - r, k)
+        return sub
 
     def entry(self, r: int, p: int, q: int) -> Quotient:
-        """E^r_{p,q} with its canonical quotient presentation."""
-        key = (r, p, q)
-        if key not in self._entry_cache:
+        """E^r_{p,q} with its canonical quotient presentation.
+
+        Its three subspaces are Z^r_{p,q}, Z^{r-1}_{p-1,q+1} and
+        Z^{r-1}_{p+r-1,q-r+2}, so the quotient depends on (r, p, q) only
+        through k = p + q and the prefix counts dim F_p K_k,
+        dim F_{p-r} K_{k-1}, dim F_{p-1} K_k and dim F_{p+r-1} K_{k+1}; it
+        is cached by those five and built once per key.  The denominator
+        is spanned in one elimination of the lower cycles and the
+        boundaries of the incoming ones."""
+        fc, k = self.fc, p + q
+        key = (k, fc.level_dim(p, k), fc.level_dim(p - r, k - 1),
+               fc.level_dim(p - 1, k), fc.level_dim(p + r - 1, k + 1))
+        quotient = self._entry_cache.get(key)
+        if quotient is None:
             num = self.z(r, p, q)
             below = self.z(r - 1, p - 1, q + 1)
-            incoming = image_of_subspace(
-                self.cx.d(p + q + 1), self.z(r - 1, p + r - 1, q - r + 2))
-            self._entry_cache[key] = Quotient(num, below.sum(incoming))
-        return self._entry_cache[key]
+            incoming = self.z(r - 1, p + r - 1, q - r + 2)
+            d = self.cx.d(k + 1)
+            quotient = self._entry_cache[key] = Quotient(num, BitSubspace.span(
+                num.ambient_dim, below.basis + tuple(map(d.mul_vec, incoming.basis))))
+        return quotient
 
     def dim(self, r: int, p: int, q: int) -> int:
         """dim E^r_{p,q}."""

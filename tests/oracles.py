@@ -3,7 +3,11 @@
 Everything here works on plain lists of 0/1 ints (no bit packing, no
 code shared with the package under test) so agreement is meaningful;
 ``from_dense`` and ``matrix_to_dense`` convert between such lists and the
-package's ``BitMatrix``.
+package's ``BitMatrix``.  The exceptions are the two subspace formulas
+``relative_cycles_oracle`` and ``deligne_shift_oracle``: they keep the
+defining formula F_p ∩ ∂⁻¹F_t, written with the package's ``preimage``
+and ``intersect`` (each checked against enumeration in test_gf2), as the
+reference for the one-kernel computation in adapted bases.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
-from weightlab.gf2 import BitMatrix
+from weightlab.complexes import FilteredComplex
+from weightlab.gf2 import BitMatrix, preimage
 
 
 def dense_rank(rows: list[list[int]]) -> int:
@@ -591,3 +596,22 @@ def kunneth_bars(b1: Counter, b2: Counter) -> Counter:
                 out[(k + l, a + c, a + c + g)] += m * n
                 out[(k + l + 1, a + c + G, a + c + G + g)] += m * n
     return out
+
+
+def relative_cycles_oracle(fc, p: int, t: int, k: int):
+    """F_p K_k ∩ ∂⁻¹(F_t K_{k-1}) by its defining formula: the level
+    intersected with the preimage of the lower level."""
+    return fc.level(p, k).intersect(preimage(fc.complex.d(k), fc.level(t, k - 1)))
+
+
+def deligne_shift_oracle(fc) -> FilteredComplex:
+    """The shifted filtration by its defining formula: level p in degree k
+    is the part of the old level p + k whose boundary lies in the old
+    level p + k - 1, over the same range of levels as ``deligne_shift``."""
+    ks = fc.complex.degrees()
+    if not ks:
+        return fc
+    p_min, p_max = fc.p_range
+    return FilteredComplex.from_subspaces(fc.complex, {
+        p: {k: relative_cycles_oracle(fc, p + k, p + k - 1, k) for k in ks}
+        for p in range(p_min - ks[-1], p_max - ks[0] + 1)})

@@ -841,6 +841,18 @@ def test_wide_level_span_reads_only_occupied_levels(capsys, tmp_path):
       "faces": [{"level": 1, "face_index": 0, "matrix": {"0": [[0, 0]]}},
                 {"level": 1, "face_index": 0, "matrix": {}}]},
      "malformed hyperresolution document: face map d_0 at level 1 is given twice"),
+    # A key that int() reads but that is not its integer written plainly.
+    *(("ss --complex", {"dims": {key: 1}},
+       f"malformed complex document: dims keys {key!r} is not written as {want!r}")
+      for key, want in ((" 1", "1"), ("+1", "1"), ("1_0", "10"), ("00", "0"))),
+    ("ss --complex", {"dims": {"0": 1}, "filtration": {"-0": {"0": ["1"]}}},
+     "malformed filtration: filtration levels '-0' is not written as '0'"),
+    ("ss --complex", {"dims": {"0": 1}, "filtration": {"0": {"0 ": ["1"]}}},
+     "malformed filtration: filtration level 0 degrees '0 ' is not written as '0'"),
+    ("cubical-ss --diagram",
+     {"n": 0, "objects": {"0": {"dims": {"0": 1}}, "1": {"dims": {"0": 1}}},
+      "maps": [{"from_mask": 1, "to_mask": 0, "matrices": {"+0": [[0, 0]]}}]},
+     "malformed diagram document: map degrees '+0' is not written as '0'"),
 ])
 def test_malformed_documents_exit_3(capsys, tmp_path, verb, doc, message):
     path = tmp_path / "doc.json"
