@@ -474,7 +474,7 @@ def random_simplicial_complex(rng: random.Random) -> CellComplex:
 
 
 def random_function(rng: random.Random, cx: CellComplex) -> ConstructibleFunction:
-    weights = {c: rng.randint(-3, 3) for c in cx.dims if rng.random() < 0.7}
+    weights = {c: rng.randint(-3, 3) for c in cx if rng.random() < 0.7}
     return ConstructibleFunction(cx, weights)
 
 

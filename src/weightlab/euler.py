@@ -94,6 +94,10 @@ class CellComplex:
         j = next(j for j in sorted(self._face_ids[i]) if self._dims[j] >= self._dims[i])
         return f"face {self._cells[j]} of {c} does not drop dimension"
 
+    def __iter__(self):
+        """The cells in numbering order, the order of ``dims``."""
+        return iter(self._cells)
+
     @cached_property
     def dims(self) -> dict[Cell, int]:
         return dict(zip(self._cells, self._dims))
@@ -267,6 +271,15 @@ def _face_template(n: int) -> list[list[int]]:
             for s in subsets]
 
 
+def _built(cls, **fields):
+    """An instance of the frozen dataclass cls, built past its frozen
+    fields and its ``__post_init__`` checks: for an operator's output,
+    which is valid by construction."""
+    obj = cls.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class ConstructibleFunction:
     complex: CellComplex
@@ -296,7 +309,7 @@ class ConstructibleFunction:
 
     @classmethod
     def constant(cls, cx: CellComplex, value: int = 1) -> "ConstructibleFunction":
-        return cls(cx, dict.fromkeys(cx.dims, value))
+        return cls(cx, dict.fromkeys(cx, value))
 
 
 @dataclass(frozen=True)
@@ -306,9 +319,14 @@ class CellChain:
     members: frozenset
 
     def __post_init__(self) -> None:
-        for c in self.members:
-            if self.complex.dims.get(c) != self.k:
-                raise EulerError(f"chain member {c} is not a {self.k}-cell")
+        if self.k < 0:
+            raise EulerError(f"a chain's degree k must not be negative, not {self.k}")
+        ids, dims, k = self.complex._ids, self.complex._dims, self.k
+        bad = [c for c in self.members if c not in ids or dims[ids[c]] != k]
+        if bad:
+            # The first in cell order, unknown cells last by their text.
+            c = min(bad, key=lambda c: (ids.get(c, len(dims)), str(c)))
+            raise EulerError(f"chain member {c} is not a {k}-cell")
 
 
 @dataclass(frozen=True)
@@ -388,30 +406,27 @@ class SimpMap:
         dst = CellComplex.product(f.target, g.target)
         nt = len(g.target._cells)
         image = [ft * nt + gt for ft in f._image for gt in g._image]
-        product = cls.__new__(cls)  # past the frozen fields and __post_init__
-        product.__dict__.update(
-            source=src, target=dst, _image=image,
-            assignment=dict(zip(src._cells, map(dst._cells.__getitem__, image))))
-        return product
+        return _built(cls, source=src, target=dst, _image=image,
+                      assignment=dict(zip(src._cells, map(dst._cells.__getitem__, image))))
 
     @classmethod
     def identity(cls, cx: CellComplex) -> "SimpMap":
-        return cls(cx, cx, {c: c for c in cx.dims})
+        return cls(cx, cx, {c: c for c in cx})
 
 
 # ---------------------------------------------------------------------------
 # Operators
 
 
-def link(phi: ConstructibleFunction) -> ConstructibleFunction:
-    """The link operator, pushed forward from the support: a cell tau of
-    weight a adds a * (1 + (-1)^(dim tau - 1)) to itself and
-    a * (-1)^(dim tau - 1) to each of its faces, which sums to the
-    formula of the module docstring at every cell."""
-    cx = phi.complex
+def _link_numbers(cx: CellComplex, weights: Mapping[Cell, int]) -> list[int]:
+    """The link operator on weights over cells of cx, one value per cell
+    number, pushed forward from the support: a cell tau of weight a adds
+    a * (1 + (-1)^(dim tau - 1)) to itself and a * (-1)^(dim tau - 1) to
+    each of its faces, which sums to the formula of the module docstring
+    at every cell."""
     ids, dims, face_ids = cx._ids, cx._dims, cx._face_ids
     out = [0] * len(dims)
-    for tau, a in phi.weights.items():
+    for tau, a in weights.items():
         if not a:
             continue
         i = ids[tau]
@@ -421,17 +436,26 @@ def link(phi: ConstructibleFunction) -> ConstructibleFunction:
             a = -a
         for j in face_ids[i]:
             out[j] += a
-    return ConstructibleFunction(
-        cx, {c: v for c, v in zip(cx._cells, out) if v})
+    return out
+
+
+def link(phi: ConstructibleFunction) -> ConstructibleFunction:
+    """The link operator of the module docstring, zero values dropped."""
+    cx = phi.complex
+    return _built(ConstructibleFunction, complex=cx, weights={
+        c: v for c, v in zip(cx._cells, _link_numbers(cx, phi.weights)) if v})
 
 
 def chain_boundary(c: CellChain) -> CellChain:
+    """The parity boundary: the (k-1)-cells where the link of the
+    chain's indicator function is odd."""
+    cx = c.complex
     if c.k == 0:
-        return CellChain(c.complex, 0, frozenset())
-    lam = link(ConstructibleFunction.indicator(c.complex, c.members))
-    k, dims = c.k - 1, c.complex.dims
-    return CellChain(c.complex, k, frozenset(
-        w for w, v in lam.weights.items() if v % 2 and dims[w] == k))
+        return _built(CellChain, complex=cx, k=0, members=frozenset())
+    k = c.k - 1
+    lam = _link_numbers(cx, dict.fromkeys(c.members, 1))
+    return _built(CellChain, complex=cx, k=k, members=frozenset(
+        w for w, d, v in zip(cx._cells, cx._dims, lam) if v % 2 and d == k))
 
 
 def euler_integral(phi: ConstructibleFunction) -> int:
@@ -451,13 +475,17 @@ def pushforward_cf(f: SimpMap, phi: ConstructibleFunction) -> ConstructibleFunct
         t = image[i]
         sign = 1 if (src._dims[i] - dst._dims[t]) % 2 == 0 else -1
         out[t] = out.get(t, 0) + sign * v
-    return ConstructibleFunction(dst, {dst._cells[t]: v for t, v in out.items() if v})
+    return _built(ConstructibleFunction, complex=dst,
+                  weights={dst._cells[t]: v for t, v in out.items() if v})
 
 
 def pushforward_chain(f: SimpMap, c: CellChain) -> CellChain:
-    for m in c.members:
-        if f.target.dims[f.assignment[m]] != c.k:
-            raise EulerError(f"map collapses chain member {m}")
+    if c.complex is not f.source:
+        raise EulerError("chain lives on a different complex")
+    ids, image, dims = f.source._ids, f._image, f.target._dims
+    collapsed = [m for m in c.members if dims[image[ids[m]]] != c.k]
+    if collapsed:
+        raise EulerError(f"map collapses chain member {min(collapsed, key=ids.__getitem__)}")
     # Every member lands on a k-cell, so the image lives on k-cells.
     img = pushforward_cf(f, ConstructibleFunction.indicator(f.source, c.members))
     return CellChain(f.target, c.k, frozenset(d for d, v in img.weights.items() if v % 2))
@@ -537,13 +565,16 @@ def half_boundary(
     sum over incident top cells of the support.
     """
     cx = phi.complex
+    w_cells = list(w_cells)
+    for w in w_cells:
+        if w not in cx._ids:
+            raise EulerError(f"cell {w} is not in the complex")
     support = phi.support()
     if not support:
         return ConstructibleFunction(cx, {})
     k = max(cx.dims[c] for c in support)
     if any(cx.dims[c] != k for c in support):
         raise EulerError("function support is not pure-dimensional")
-    w_cells = list(w_cells)
     for w in w_cells:
         if cx.dims[w] != k - 1:
             raise EulerError(f"cell {w} is not codimension one in the support")
@@ -645,9 +676,14 @@ def function_from_doc(doc: Mapping, cx: CellComplex) -> ConstructibleFunction:
 def chain_from_doc(doc: Mapping, cx: CellComplex) -> CellChain:
     if "k" not in _object(doc, "chain document"):
         raise EulerError("chain document has no 'k'")
-    members = frozenset(
-        simplex_cell(*_cell_from_doc(e)) for e in _list(doc, "members", "chain"))
-    return CellChain(cx, json_int(doc["k"], "a chain's k", EulerError), members)
+    members: dict[Cell, None] = {}
+    for e in _list(doc, "members", "chain"):
+        cell = simplex_cell(*_cell_from_doc(e))
+        # Mod 2 a cell listed twice is zero: refused rather than read.
+        if cell in members:
+            raise EulerError(f"the chain lists cell {cell} twice")
+        members[cell] = None
+    return CellChain(cx, json_int(doc["k"], "a chain's k", EulerError), frozenset(members))
 
 
 def map_from_doc(doc: Mapping, src: CellComplex, dst: CellComplex) -> SimpMap:

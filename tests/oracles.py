@@ -333,6 +333,15 @@ def oracle_link(cx, weights) -> dict:
     return out
 
 
+def oracle_chain_boundary(cx, k, members) -> frozenset:
+    """The parity boundary of a k-chain read from the pull-form link: the
+    (k-1)-cells where the link of the chain's indicator is odd."""
+    if k == 0:
+        return frozenset()
+    lam = oracle_link(cx, dict.fromkeys(members, 1))
+    return frozenset(c for c, v in lam.items() if v % 2 and cx.dims[c] == k - 1)
+
+
 def oracle_map_fault(source, target, assignment) -> str | None:
     """The first fault of a cellwise map, scanning the assignment face by
     face, the faces of a cell in cell order, or None for a valid map."""

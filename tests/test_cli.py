@@ -853,6 +853,11 @@ def test_wide_level_span_reads_only_occupied_levels(capsys, tmp_path):
      {"n": 0, "objects": {"0": {"dims": {"0": 1}}, "1": {"dims": {"0": 1}}},
       "maps": [{"from_mask": 1, "to_mask": 0, "matrices": {"+0": [[0, 0]]}}]},
      "malformed diagram document: map degrees '+0' is not written as '0'"),
+    # Mod 2 a cell listed twice is zero, so a chain may list a cell once.
+    ("euler --op boundary --complex {complex} --chain",
+     {"k": 1, "members": [[1, 2], [2, 1]]}, "the chain lists cell ('s', (1, 2), 0) twice"),
+    ("euler --op boundary --complex {complex} --chain", {"k": -1, "members": []},
+     "a chain's degree k must not be negative, not -1"),
 ])
 def test_malformed_documents_exit_3(capsys, tmp_path, verb, doc, message):
     path = tmp_path / "doc.json"

@@ -36,6 +36,7 @@ from weightlab.euler import (
 from oracles import (
     dense_rank,
     matrix_to_dense,
+    oracle_chain_boundary,
     oracle_link,
     oracle_map_fault,
     oracle_product_tables,
@@ -179,6 +180,10 @@ def test_fold_pushforward_chain():
     assert pushforward_chain(f, cyc).members == frozenset()
     ident = SimpMap.identity(f.source)
     assert pushforward_chain(ident, cyc).members == cyc.members
+    # a chain on another complex is refused, even one whose cells f maps
+    elsewhere = CellChain(circle_complex(), 1, cyc.members)
+    with pytest.raises(EulerError, match="^chain lives on a different complex$"):
+        pushforward_chain(f, elsewhere)
 
 
 def test_pushforward_functorial():
@@ -253,6 +258,17 @@ def test_half_boundary():
     assert sorted(out.weights.values()) == [2, 2]  # value 1, stored doubled
     with pytest.raises(EulerError, match="pure"):
         half_boundary(ConstructibleFunction.constant(cx), verts)
+    for phi in (one_edge, ConstructibleFunction(cx, {})):
+        with pytest.raises(EulerError, match=r"^cell \('s', \(7,\), 0\) is not in the complex$"):
+            half_boundary(phi, [*verts, simplex_cell((7,))])
+
+
+def test_a_chain_of_negative_degree_is_refused():
+    cx = interval()
+    with pytest.raises(EulerError, match=r"^a chain's degree k must not be negative, not -1$"):
+        CellChain(cx, -1, frozenset())
+    empty = chain_boundary(CellChain(cx, 0, frozenset(cx.cells(0))))
+    assert (empty.k, empty.members) == (0, frozenset())
 
 
 def test_product_complex():
@@ -288,12 +304,13 @@ def test_pushforward_along_product_map():
 
 
 @st.composite
-def simplex_lists(draw, copies=True):
-    """(vertex set, copy) simplices on at most seven vertices, each pair
-    at most once; with copies, parallel cells up to copy 2."""
+def simplex_lists(draw, copies=True, size=4, count=8):
+    """(vertex set, copy) simplices on at most seven vertices, at most
+    ``count`` of at most ``size`` vertices, each pair at most once; with
+    copies, parallel cells up to copy 2."""
     out = {}
-    for vs in draw(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=4),
-                            min_size=1, max_size=8)):
+    for vs in draw(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=size),
+                            min_size=1, max_size=count)):
         copy = draw(st.integers(0, 2)) if copies else 0
         out[(tuple(sorted(set(vs))), copy)] = None
     return list(out)
@@ -314,6 +331,13 @@ complexes = st.one_of(
 )
 
 
+# Products of two small complexes, with parallel copies: cells are pairs,
+# and a product cell has faces from both closures.
+small_products = st.tuples(
+    *[simplex_lists(size=3, count=3).map(CellComplex.from_simplices)] * 2,
+).map(lambda ab: CellComplex.product(*ab))
+
+
 @given(complexes, st.data())
 def test_link_matches_the_pull_form(cx, data):
     cells = list(cx.dims)
@@ -321,6 +345,34 @@ def test_link_matches_the_pull_form(cx, data):
         st.sampled_from(cells), st.integers(-3, 3), max_size=len(cells)))
     got = link(ConstructibleFunction(cx, weights)).weights
     assert list(got.items()) == list(oracle_link(cx, weights).items())
+
+
+@given(st.one_of(simplex_lists().map(CellComplex.from_simplices), small_products), st.data())
+def test_the_link_kernel_matches_the_reference_and_builds_valid_objects(cx, data):
+    """link and chain_boundary share one kernel and, like pushforward_cf,
+    build their outputs without the constructors' checks: each output
+    must equal the reference and pass those checks."""
+    cells = list(cx)
+    assert cells == list(cx.dims)
+    weights = data.draw(st.dictionaries(
+        st.sampled_from(cells), st.integers(-3, 3), max_size=len(cells)))
+    phi = ConstructibleFunction(cx, weights)
+    lam = link(phi)
+    assert lam.weights == oracle_link(cx, weights)
+    assert ConstructibleFunction(cx, lam.weights) == lam
+
+    k = data.draw(st.integers(0, cx.top_dim()))
+    members = frozenset(data.draw(st.lists(
+        st.sampled_from([c for c in cells if cx.dims[c] == k]), unique=True)))
+    got = chain_boundary(CellChain(cx, k, members))
+    assert (got.k, got.members) == (max(k - 1, 0), oracle_chain_boundary(cx, k, members))
+    assert CellChain(cx, got.k, got.members) == got
+
+    point = CellComplex.simplicial([(0,)])
+    out = pushforward_cf(SimpMap(cx, point, dict.fromkeys(cx, simplex_cell((0,)))), phi)
+    assert out.weights == ({simplex_cell((0,)): euler_integral(phi)}
+                           if euler_integral(phi) else {})
+    assert ConstructibleFunction(point, out.weights) == out
 
 
 @given(simplex_lists())
@@ -411,8 +463,9 @@ def test_maps_match_the_face_scan(case, data):
         d = assignment[c]
         sign = 1 if (source.dims[c] - target.dims[d]) % 2 == 0 else -1
         expected[d] = expected.get(d, 0) + sign * v
-    got = pushforward_cf(f, ConstructibleFunction(source, weights)).weights
-    assert got == {d: v for d, v in expected.items() if v}
+    out = pushforward_cf(f, ConstructibleFunction(source, weights))
+    assert out.weights == {d: v for d, v in expected.items() if v}
+    assert ConstructibleFunction(target, out.weights) == out
 
 
 def test_map_with_a_cell_outside_the_source_is_refused():
@@ -597,10 +650,12 @@ def test_the_cap_counts_every_face_incidence(simplices):
 
 _FAULTS_IN_A_CHILD = """
 from weightlab.euler import (
-    CellChain, CellComplex, EulerError, SimpMap, restrict, simplex_cell as s)
+    CellChain, CellComplex, EulerError, SimpMap, pushforward_chain, restrict,
+    simplex_cell as s)
 
 triangle = CellComplex.from_simplices([((0, 1, 2), 0)])
 target = CellComplex.from_simplices([((0, 1), 0), ((2,), 0), ((3,), 0)])
+point = CellComplex.from_simplices([((0,), 0)])
 to_vertex = {0: s((2,)), 1: s((3,)), 2: s((2,))}
 assignment = {c: to_vertex[c[1][0]] if len(c[1]) == 1 else s((0, 1)) for c in triangle.dims}
 a, b, c, e = s((0,)), s((0, 1)), s((1,)), s((2,))
@@ -609,6 +664,9 @@ builds = [
     lambda: restrict(CellChain(triangle, 0, frozenset()), {s((0,))}.__contains__),
     lambda: CellComplex({a: 0, b: 1}, {b: frozenset({a, s((8,)), s((9,))})}),
     lambda: CellComplex({a: 0, c: 0, e: 0}, {a: frozenset({c, e})}),
+    lambda: CellChain(triangle, 1, frozenset({s((9,)), c, b, a})),
+    lambda: pushforward_chain(SimpMap(triangle, point, dict.fromkeys(triangle, s((0,)))),
+                              CellChain(triangle, 1, frozenset(triangle.cells(1)))),
 ]
 for build in builds:
     try:
@@ -636,4 +694,6 @@ def test_euler_faults_do_not_depend_on_the_hash_seed():
         "predicate is not open at ('s', (0,), 0) < ('s', (0, 1, 2), 0)",
         "cell ('s', (0, 1), 0) has unknown face ('s', (8,), 0)",
         "face ('s', (1,), 0) of ('s', (0,), 0) does not drop dimension",
+        "chain member ('s', (0,), 0) is not a 1-cell",
+        "map collapses chain member ('s', (0, 1), 0)",
     ]
