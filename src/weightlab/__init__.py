@@ -14,7 +14,7 @@ from .complexes import (
     deligne_shift,
     trivial_filtration,
 )
-from .gf2 import BitMatrix, BitSubspace, preimage, rank_kernel_image
+from .gf2 import BitMatrix, BitSubspace
 from .lattice import saturate_mod2, smith_normal_form
 from .pages import (
     SpectralSequence,
@@ -43,10 +43,8 @@ __all__ = [
     "deligne_shift",
     "orbit_group",
     "parse_fan",
-    "preimage",
     "product_fan",
     "purity_collapse_report",
-    "rank_kernel_image",
     "reindexed_page",
     "saturate_mod2",
     "smith_normal_form",

@@ -46,7 +46,6 @@ from .gf2 import (
     BitSubspace,
     json_int,
     kernel_of_columns,
-    rank_kernel_image,
     rref_prefixes,
     vec_from_string,
     vec_to_string,
@@ -135,13 +134,13 @@ class ChainComplex:
     def cycles(self, k: int) -> BitSubspace:
         return BitSubspace.span(self.dim(k), kernel_of_columns(self.d(k).col_data))
 
-    def boundaries(self, k: int) -> BitSubspace:
-        return rank_kernel_image(self.d(k + 1))[2]
-
     def betti(self, k: int) -> int:
         return self.dim(k) - self.d(k).rank() - self.d(k + 1).rank()
 
     def betti_numbers(self) -> dict[int, int]:
+        """The nonzero Betti numbers by degree.  No module of the package
+        calls it; outside the tests, perfbench's output check
+        (``perfbench/harness.py``) does, so it stays."""
         return {k: b for k in self.degrees() if (b := self.betti(k))}
 
 

@@ -3,15 +3,18 @@
 Vectors are Python ints used as bit vectors (bit i = coordinate i), so
 row operations are single word-level XORs of arbitrary width.  All bases
 are kept in reduced row-echelon form with lowest-index pivots, which
-makes every derived object (kernels, images, sums, intersections,
-quotient bases) canonical: equal subspaces have identical
-representations.
+makes every derived object (spans, kernels, quotient bases) canonical:
+equal subspaces have identical representations.
 
 A matrix is stored by columns and in no other layout: column j is a
 bit vector of its rows.  Matrix kernels walk set bits, so they cost time
 in proportion to nonzeros: ``mul_vec`` XORs the columns at the set bits
 of its argument, a product applies that to each column of the right
-factor, and ranks, kernels, images and preimages reduce the columns.
+factor, and ranks and kernels reduce the columns.
+
+The module holds what the package computes with: vectors and their
+text form, matrices and products, RREF bases and their prefixes,
+subspaces with membership and reduction, column kernels and quotients.
 
 Everything here is immutable after construction and safe to share
 between threads.
@@ -225,17 +228,6 @@ class BitMatrix:
     def rank(self) -> int:
         return len(rref(self.col_data))
 
-    def inverse(self) -> "BitMatrix":
-        if self.rows != self.cols:
-            raise DimensionError("inverse of non-square matrix")
-        n = self.rows
-        echelon = _Echelon()
-        for j, col in enumerate(self.col_data):
-            if not echelon.add(col, 1 << j)[0]:
-                raise DimensionError("matrix is singular")
-        # Column i of the inverse is the combination of columns summing to e_i.
-        return BitMatrix(n, n, tuple(echelon.solve(1 << i) for i in range(n)))
-
 
 @dataclass(frozen=True)
 class BitSubspace:
@@ -277,25 +269,10 @@ class BitSubspace:
     def reduce(self, v: int) -> int:
         return reduce_mod(v, self.basis)
 
-    def sum(self, other: "BitSubspace") -> "BitSubspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionError("ambient dimensions differ")
-        return BitSubspace.span(self.ambient_dim, self.basis + other.basis)
-
-    def intersect(self, other: "BitSubspace") -> "BitSubspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionError("ambient dimensions differ")
-        # Kernel of (c, d) -> c·A + d·B over the stacked bases; the A-part
-        # of each kernel vector lies in both spans.
-        a = BitMatrix.from_columns(self.ambient_dim, self.basis)
-        mask = (1 << a.cols) - 1
-        return BitSubspace.span(self.ambient_dim, [
-            a.mul_vec(c & mask) for c in kernel_of_columns(self.basis + other.basis)])
-
 
 class _Echelon:
     """Vectors in echelon form, keyed by pivot, each with its combination
-    (a coefficient bit vector): the solver of inverses, kernels, quotients."""
+    (a coefficient bit vector): the solver of kernels and quotients."""
 
     def __init__(self) -> None:
         self._rows: dict[int, tuple[int, int]] = {}
@@ -333,27 +310,6 @@ def kernel_of_columns(cols: Sequence[int]) -> list[int]:
         if not v:
             kernel.append(c)
     return kernel
-
-
-def rank_kernel_image(m: BitMatrix) -> tuple[int, BitSubspace, BitSubspace]:
-    """Rank, kernel (in the domain) and image (in the codomain) of m."""
-    kernel = BitSubspace.span(m.cols, kernel_of_columns(m.col_data))
-    image = BitSubspace.span(m.rows, m.col_data)
-    return image.dim, kernel, image
-
-
-def preimage(m: BitMatrix, target: BitSubspace) -> BitSubspace:
-    """The subspace {x : m·x in target} of the domain of m."""
-    if m.rows != target.ambient_dim:
-        raise DimensionError("target ambient does not match codomain")
-    residues = [target.reduce(c) for c in m.col_data]
-    return BitSubspace.span(m.cols, kernel_of_columns(residues))
-
-
-def image_of_subspace(m: BitMatrix, sub: BitSubspace) -> BitSubspace:
-    if m.cols != sub.ambient_dim:
-        raise DimensionError("subspace ambient does not match domain")
-    return BitSubspace.span(m.rows, [m.mul_vec(b) for b in sub.basis])
 
 
 class Quotient:

@@ -3,11 +3,14 @@
 Everything here works on plain lists of 0/1 ints (no bit packing, no
 code shared with the package under test) so agreement is meaningful;
 ``from_dense`` and ``matrix_to_dense`` convert between such lists and the
-package's ``BitMatrix``.  The exceptions are the two subspace formulas
-``relative_cycles_oracle`` and ``deligne_shift_oracle``: they keep the
-defining formula F_p ∩ ∂⁻¹F_t, written with the package's ``preimage``
-and ``intersect`` (each checked against enumeration in test_gf2), as the
-reference for the one-kernel computation in adapted bases.
+package's ``BitMatrix``.  The exception is the reference subspace algebra
+(``subspace_sum``, ``intersect``, ``preimage``, ``image_of_subspace``,
+``rank_kernel_image``, ``inverse`` and ``boundaries``), built on the
+package's public ``rref``, ``kernel_of_columns``, ``BitMatrix`` and
+``BitSubspace`` and checked against enumeration and dense rank in
+test_gf2.  The package needs none of it.  ``relative_cycles_oracle`` and
+``deligne_shift_oracle`` write the defining formula F_p ∩ ∂⁻¹F_t with it,
+as the reference for the one-kernel computation in adapted bases.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from itertools import combinations, product
 from typing import Sequence
 
 from weightlab.complexes import FilteredComplex
-from weightlab.gf2 import BitMatrix, preimage
+from weightlab.gf2 import BitMatrix, BitSubspace, DimensionError, kernel_of_columns, rref
 
 
 def dense_rank(rows: list[list[int]]) -> int:
@@ -607,10 +610,70 @@ def kunneth_bars(b1: Counter, b2: Counter) -> Counter:
     return out
 
 
+def _same_ambient(a: BitSubspace, b: BitSubspace) -> int:
+    if a.ambient_dim != b.ambient_dim:
+        raise DimensionError("ambient dimensions differ")
+    return a.ambient_dim
+
+
+def subspace_sum(a: BitSubspace, b: BitSubspace) -> BitSubspace:
+    """The span of two subspaces of one ambient space."""
+    return BitSubspace.span(_same_ambient(a, b), a.basis + b.basis)
+
+
+def intersect(a: BitSubspace, b: BitSubspace) -> BitSubspace:
+    """a ∩ b from the kernel of (c, d) -> c·A + d·B over the stacked
+    bases: the A-part of each kernel vector lies in both spans."""
+    n = _same_ambient(a, b)
+    mask = (1 << a.dim) - 1
+    m = BitMatrix.from_columns(n, a.basis)
+    return BitSubspace.span(n, [
+        m.mul_vec(c & mask) for c in kernel_of_columns(a.basis + b.basis)])
+
+
+def preimage(m: BitMatrix, target: BitSubspace) -> BitSubspace:
+    """The subspace {x : m·x in target} of the domain of m: the kernel of
+    the columns reduced modulo the target."""
+    if m.rows != target.ambient_dim:
+        raise DimensionError("target ambient does not match codomain")
+    return BitSubspace.span(m.cols, kernel_of_columns([target.reduce(c) for c in m.col_data]))
+
+
+def image_of_subspace(m: BitMatrix, sub: BitSubspace) -> BitSubspace:
+    if m.cols != sub.ambient_dim:
+        raise DimensionError("subspace ambient does not match domain")
+    return BitSubspace.span(m.rows, [m.mul_vec(b) for b in sub.basis])
+
+
+def rank_kernel_image(m: BitMatrix) -> tuple[int, BitSubspace, BitSubspace]:
+    """Rank, kernel (in the domain) and image (in the codomain) of m."""
+    kernel = BitSubspace.span(m.cols, kernel_of_columns(m.col_data))
+    image = BitSubspace.span(m.rows, m.col_data)
+    return image.dim, kernel, image
+
+
+def inverse(m: BitMatrix) -> BitMatrix:
+    """The inverse of a square m, from the RREF of its columns each tagged
+    with its index above the rows: row i of the RREF is e_i plus the tag
+    of the columns that sum to e_i, exactly when m is invertible."""
+    if m.rows != m.cols:
+        raise DimensionError("inverse of non-square matrix")
+    n = m.rows
+    rows = rref(c | 1 << (n + j) for j, c in enumerate(m.col_data))
+    if [r & ((1 << n) - 1) for r in rows] != [1 << i for i in range(n)]:
+        raise DimensionError("matrix is singular")
+    return BitMatrix(n, n, tuple(r >> n for r in rows))
+
+
+def boundaries(cx, k: int) -> BitSubspace:
+    """The boundaries in degree k of a chain complex: the image of d_{k+1}."""
+    return rank_kernel_image(cx.d(k + 1))[2]
+
+
 def relative_cycles_oracle(fc, p: int, t: int, k: int):
     """F_p K_k ∩ ∂⁻¹(F_t K_{k-1}) by its defining formula: the level
     intersected with the preimage of the lower level."""
-    return fc.level(p, k).intersect(preimage(fc.complex.d(k), fc.level(t, k - 1)))
+    return intersect(fc.level(p, k), preimage(fc.complex.d(k), fc.level(t, k - 1)))
 
 
 def deligne_shift_oracle(fc) -> FilteredComplex:

@@ -55,6 +55,7 @@ from oracles import (
     augmentation_to_cells,
     bergman_fan_doc,
     betti_numbers,
+    boundaries,
     from_dense,
     kunneth_bars,
     matrix_to_dense,
@@ -186,8 +187,8 @@ def _homology_map(src, dst, maps, degrees=range(3)):
     """Matrix of the induced map on mod-2 homology, degree by degree."""
     out = {}
     for k in degrees:
-        hs = Quotient(src.cycles(k), src.boundaries(k))
-        hd = Quotient(dst.cycles(k), dst.boundaries(k))
+        hs = Quotient(src.cycles(k), boundaries(src, k))
+        hd = Quotient(dst.cycles(k), boundaries(dst, k))
         f = maps.get(k, BitMatrix.zero(dst.dim(k), src.dim(k)))
         cols = [hd.coords(f.mul_vec(rep)) for rep in hs.reps]
         out[k] = BitMatrix.from_columns(hd.dim, cols)

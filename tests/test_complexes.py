@@ -17,10 +17,16 @@ from weightlab.complexes import (
     filtered_to_doc,
     trivial_filtration,
 )
-from weightlab.gf2 import BitMatrix, BitSubspace, rank_kernel_image
+from weightlab.gf2 import BitMatrix, BitSubspace
 from weightlab.toric import standard_fan, toric_cell_complex
 
-from oracles import betti_numbers, from_dense, matrix_to_dense, oracle_complex_diagnostics
+from oracles import (
+    betti_numbers,
+    from_dense,
+    matrix_to_dense,
+    oracle_complex_diagnostics,
+    rank_kernel_image,
+)
 
 
 def circle():

@@ -26,11 +26,11 @@ from weightlab.cubical import (
     skeleton_filtration,
 )
 from weightlab.fixtures import all_hyperres, corpus_fan, klein_square
-from weightlab.gf2 import BitMatrix, rank_kernel_image
+from weightlab.gf2 import BitMatrix
 from weightlab.pages import SpectralSequence, decalage_mismatches
 from weightlab.toric import standard_fan, toric_cell_complex
 
-from oracles import from_dense, matrix_to_dense, oracle_totalize
+from oracles import from_dense, matrix_to_dense, oracle_totalize, rank_kernel_image
 
 
 def circle():
