@@ -12,12 +12,25 @@ bit-sliced count over the facets' face masks, which must find every face
 two dimensions down exactly twice.  Only a fan this refuses is scanned
 face by face, to name its faults.  A cone's rank is the dimension of the
 mod-2 reduction of its saturated ray lattice, from one table per fan
-(:class:`weightlab.lattice.Saturations`).  :func:`parse_fan` sets the
-ranks and validation checks them in one pass by descending number of
-rays: a subset of independent rays is independent, so in either document
-form only the cones inside no cone with independent rays are spanned.
-The parser hands its face masks to the fan's lattice, so validation reads
-the masks it made rather than rebuilding them from the face ids.
+(:class:`weightlab.lattice.Saturations`).  A face-list document's parse
+sets the ranks and validation checks them in one pass by descending
+number of rays: a subset of independent rays is independent, so only the
+cones inside no cone with independent rays are spanned.  The parser hands
+its face masks to the fan's lattice, so validation reads the masks it
+made rather than rebuilding them from the face ids.  Every face-list
+document, every product and every ``Fan(...)`` made directly takes this
+whole bitmask test.
+
+A simplicial document (``"simplicial": true``) gets most axioms by
+construction.  Its parse ranks the declared cones, refuses dependent ones
+and holds the document to the cell cap before it walks their ray subsets;
+the faces of a simplicial cone are exactly the cones on subsets of its
+rays (Cox–Little–Schenck, ch. 1), so the walked lattice is graded, closed
+and diamond, each face lies on its cone's rays, and each cone's rank is
+its number of rays.  Its rays are primitive and of the right length once
+read.  It still tests what the walk cannot make true: that the rays its
+cones use are distinct vectors, with the helper that validation uses too,
+and that each face it declares is a face of its cone.
 Convex-geometric axioms — that cones actually intersect in common faces —
 are *not* checked; inputs are trusted on that point.
 """
@@ -27,9 +40,10 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import repeat
 from math import comb
+from operator import or_
 from typing import Callable, Iterable, Mapping
 
 from .gf2 import BitSubspace, json_int, set_bits
@@ -66,11 +80,27 @@ class Fan:
     def __post_init__(self) -> None:
         # The bitmask pass alone accepts a fan; the scans name what it refuses.
         # A valid fan is then held to the cell cap, so no fan above it exists.
+        # Every fan but a simplicial document's comes through here; that one
+        # (_walked) has its lattice, ranks and cap from the parse's subset
+        # walk, and tests its rays for repeats with the scans' helper.
         if not self._holds():
             raise FanError("; ".join(self.diagnostics()))
         from . import toric  # toric imports this module
 
         toric.capped_counts(Counter(self.n - c.dim for c in self.cones.values()))
+
+    @classmethod
+    def _walked(cls, n: int, rays: tuple[tuple[int, ...], ...], cones: Mapping[str, Cone],
+                spans: Saturations, lattice: "_FaceLattice") -> "Fan":
+        """The fan of a simplicial document, made past :meth:`__post_init__`
+        from :func:`parse_fan`'s subset walk, which must have held it to
+        the cell cap.  The walk makes every other axiom true, so this tests
+        only that the rays the cones use are distinct vectors."""
+        if faults := _repeated_rays(rays, set_bits(reduce(or_, lattice.rays, 0))):
+            raise FanError("; ".join(faults))
+        fan = cls.__new__(cls)
+        fan.__dict__.update(n=n, rays=rays, cones=cones, _saturations=spans, _lattice=lattice)
+        return fan
 
     def cone_ids(self) -> list[str]:
         return sorted(self.cones)
@@ -127,8 +157,8 @@ class Fan:
         used = frozenset().union(*(c.ray_indices for c in self.cones.values()))
         lattice = self._lattice
         return (all(len(ray) == self.n and is_primitive(ray) for ray in self.rays)
-                and used <= set(range(len(self.rays))) and len({self.rays[i] for i in used})
-                == len(used) and lattice.holds() and [c.dim for c in lattice.cones]
+                and used <= set(range(len(self.rays))) and not _repeated_rays(self.rays, used)
+                and lattice.holds() and [c.dim for c in lattice.cones]
                 == _ranks([c.ray_indices for c in lattice.cones], lattice.masks, self._spans))
 
     def diagnostics(self) -> list[str]:
@@ -143,11 +173,8 @@ class Fan:
                 out.append(f"ray {ray} has wrong length")
             elif not is_primitive(ray):
                 out.append(f"ray {ray} is not primitive")
-        first: dict[tuple[int, ...], int] = {}
-        for i in sorted(frozenset().union(*(c.ray_indices for c in self.cones.values()))):
-            if 0 <= i < len(self.rays) and first.setdefault(self.rays[i], i) != i:
-                out.append(f"rays {first[self.rays[i]]} and {i} are the same vector "
-                           f"{list(self.rays[i])}")
+        out += _repeated_rays(self.rays, frozenset().union(
+            *(c.ray_indices for c in self.cones.values())))
         # The rank check skips cones on a ray named above or on none.
         well_formed = {i for i, ray in enumerate(self.rays) if len(ray) == self.n}
         for c in self.cones.values():
@@ -278,7 +305,8 @@ def parse_fan(doc: Mapping) -> Fan:
     """Build and validate a fan from its document form.
 
     With ``simplicial: true`` every subset of each cone's rays becomes a
-    cone and face lists may be omitted; such a document whose cells pass
+    cone and face lists may be omitted, a face they list being refused
+    unless it is a face of its cone; such a document whose cells pass
     ``toric.MAX_CELLS`` is refused before any of its cones is made.
     Non-primitive rays are divided by their gcd with a warning.  The zero
     cone is implicit.
@@ -291,7 +319,7 @@ def parse_fan(doc: Mapping) -> Fan:
         if not isinstance(simplicial, bool):
             raise ValueError(f"simplicial must be true or false, not {simplicial!r}")
         # (id, ray indices, declared faces); ids are optional only in
-        # simplicial mode, face lists only outside it.
+        # simplicial mode, ray lists only outside it, face lists in both.
         raw_cones = [
             (None if simplicial and cd.get("id") is None else _cone_id(cd["id"], "a cone id"),
              frozenset(json_int(i, "a ray index")
@@ -382,7 +410,7 @@ def parse_fan(doc: Mapping) -> Fan:
                 faces |= bit[mask ^ low] | closed[mask ^ low]
             closed[mask] = faces
         ray_masks, masks = list(walked), [closed[mask] for mask in walked]
-        face_ids, stray = [], False
+        face_ids = []
         for mask in walked:
             faces, sub = [], mask
             while sub:
@@ -422,6 +450,19 @@ def parse_fan(doc: Mapping) -> Fan:
         face_ids = [[numbered[j][0] for j in set_bits(closed[cid])] for cid in rays_of]
         ray_masks, masks = None, [closed[cid] for cid in rays_of]
     _check_ids(ids)
+    if simplicial:
+        # A subset of independent rays is independent: each cone's rank is
+        # its number of rays.
+        cones = {cid: Cone(cid, idx, len(idx), frozenset(faces))
+                 for (cid, idx), faces in zip(numbered, face_ids)}
+        fan = Fan._walked(n, rays, cones, spans, _FaceLattice(cones, masks, ray_masks))
+        # A declared face list is read only to be checked against the walk.
+        for (cid, _), (_, _, faces) in zip(ids[1:], raw_cones):
+            if stray := faces - cones[cid].faces:
+                fid = min(stray)
+                raise FanError(f"cone {cid!r} lists unknown face {fid!r}" if fid not in cones
+                               else f"cone {cid!r} lists {fid!r}, which is not one of its faces")
+        return fan
     # A face on rays its cone lacks keeps its rank for validation to name.
     ranks = _ranks([idx for _, idx in numbered], [0] * len(masks) if stray else masks, spans)
     cones = {cid: Cone(cid, idx, rank, frozenset(faces))
@@ -432,6 +473,16 @@ def parse_fan(doc: Mapping) -> Fan:
     fan.__dict__["_lattice"] = _FaceLattice(cones, masks, ray_masks)
     fan.__init__(n, rays, cones, spans)
     return fan
+
+
+def _repeated_rays(rays: tuple[tuple[int, ...], ...], used: Iterable[int]) -> list[str]:
+    """One message for each index in ``used`` whose ray is the vector of a
+    smaller one, by ascending index; an index past the rays is skipped.
+    Both the validation of a fan and a simplicial document's walk test
+    that the rays its cones use are distinct with this."""
+    first: dict[tuple[int, ...], int] = {}
+    return [f"rays {first[rays[i]]} and {i} are the same vector {list(rays[i])}"
+            for i in sorted(used) if 0 <= i < len(rays) and first.setdefault(rays[i], i) != i]
 
 
 def _ranks(rays: list[frozenset[int]], faces: list[int], spans: Saturations) -> list[int]:

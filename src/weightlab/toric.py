@@ -308,7 +308,10 @@ def capped_counts(cones: Mapping[int, int]) -> dict[int, int]:
     ``cones``, {k: m}.  Raises :class:`FanError` when the total exceeds
     ``MAX_CELLS``, read at call time; a cone of codimension k alone brings
     2^k cells, so past the cap's bit length the total is refused before
-    it is formed.  Every ``Fan`` is held to it when made."""
+    it is formed.  Every ``Fan`` is held to it when made: one validated
+    on construction with the counts of its cones, a simplicial document's
+    by the parse, before its ray subsets are walked, with the counts of the
+    distinct subsets that the walk then makes into its cones."""
     if (k := max(cones)) >= MAX_CELLS.bit_length():
         raise FanError(f"the fan has a cone of codimension {k}, so more than "
                        f"the {MAX_CELLS} cells the build allows")

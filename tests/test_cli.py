@@ -65,6 +65,33 @@ def test_fan_info_builds_no_complex(capsys, monkeypatch):
     assert out.endswith("cell counts by degree: 0:4, 1:12, 2:16, 3:8\n")
 
 
+def test_a_simplicial_parse_tests_no_face_lattice_and_ranks_no_face(capsys, monkeypatch,
+                                                                    tmp_path):
+    # The subset walk makes a simplicial document's face lattice graded,
+    # closed and diamond and each cone's rank its number of rays, so its
+    # parse tests neither; it ranks the declared cones alone.  A face-list
+    # document's lattice is tested once, its ranks set and then checked.
+    p4 = standard_fan("P", 4)
+    face_list, simplicial = tmp_path / "faces.json", tmp_path / "simplicial.json"
+    face_list.write_text(json.dumps(fan_to_doc(p4)))
+    simplicial.write_text(json.dumps({
+        "lattice_rank": 4, "rays": [list(r) for r in p4.rays], "simplicial": True,
+        "cones": [{"rays": [j for j in range(5) if j != i]} for i in range(5)]}))
+    calls = Counter()
+    holds, ranks = weightlab.fan._FaceLattice.holds, weightlab.fan._ranks
+    monkeypatch.setattr(weightlab.fan._FaceLattice, "holds",
+                        lambda self: calls.update(["holds"]) or holds(self))
+    monkeypatch.setattr(weightlab.fan, "_ranks", lambda *args: calls.update(["_ranks"])
+                        or ranks(*args))
+    for argv, want in ((["--standard", "P:4"], {}), (["--fan", str(simplicial)], {}),
+                       (["--fan", str(face_list)], {"holds": 1, "_ranks": 2})):
+        calls.clear()
+        code, out, err = run(capsys, "fan-info", *argv)
+        assert code == 0, err
+        assert out.endswith("cell counts by degree: 0:5, 1:20, 2:40, 3:40, 4:16\n")
+        assert calls == Counter(want), argv
+
+
 def test_vpoly_builds_no_complex(capsys, monkeypatch, tmp_path):
     def refuse(*args):
         raise AssertionError("vpoly built part of the toric complex or its pages")
@@ -897,6 +924,15 @@ def test_malformed_documents_exit_3(capsys, tmp_path, verb, doc, message):
                {"from_mask": 3, "to_mask": 2, "matrices": {"0": [[0, 0]]}},
                {"from_mask": 1, "to_mask": 0, "matrices": {"0": [[0, 0]]}}]},
      "square 3->0 does not commute in degree 0"),
+    # A simplicial document's declared faces must be faces of their cone.
+    ("fan-info --fan",
+     {"lattice_rank": 1, "rays": [[1]], "simplicial": True,
+      "cones": [{"id": "x", "rays": [0], "faces": ["nope"]}]},
+     "{path}: cone 'x' lists unknown face 'nope'"),
+    ("vpoly --fan",
+     {"lattice_rank": 2, "rays": [[1, 0], [0, 1]], "simplicial": True,
+      "cones": [{"id": "x", "rays": [0]}, {"id": "y", "rays": [1], "faces": ["0", "x"]}]},
+     "{path}: cone 'y' lists 'x', which is not one of its faces"),
 ])
 def test_document_refusals_exit_3_with_their_message(capsys, tmp_path, verb, doc, message):
     path = tmp_path / "doc.json"

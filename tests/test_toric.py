@@ -1,6 +1,7 @@
 import functools
 import itertools
 import re
+import warnings
 from collections import Counter
 from dataclasses import replace
 from math import comb, gcd
@@ -42,6 +43,7 @@ from weightlab.toric import (
 from fansets import layout_fans
 from oracles import (
     augmentation_to_cells,
+    bergman_fan_doc,
     betti_numbers,
     matrix_to_dense,
     oracle_orbit_group,
@@ -446,6 +448,157 @@ def test_fans_are_held_to_the_cap_when_made(monkeypatch):
     monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 1)
     with pytest.raises(FanError, match=f"^cone '[^']+' lists unknown face '{ray}'"):
         Fan(p2.n, p2.rays, cones)
+
+
+# Rank-3 simple matroids by their lines of three or more points.
+_BERGMAN_LINES = {
+    "two lines": ["012", "234"],
+    "three lines": ["012", "034", "135"],
+    "fano minus a line": ["013", "124", "235", "346", "450", "561"],
+    "fano": ["013", "124", "235", "346", "450", "561", "602"],
+}
+
+
+@functools.cache
+def _simplicial_sources():
+    """Simplicial documents of the simplicial fans of ``layout_fans`` (the
+    ladder, the corpus and the product pairs) and of Bergman fans."""
+    docs = {name: _simplicial_doc(fan) for name, fan in layout_fans().items()
+            if all(c.dim == len(c.ray_indices) for c in fan.cones.values())}
+    docs.update({f"bergman {name}": bergman_fan_doc(lines)
+                 for name, lines in _BERGMAN_LINES.items()})
+    return docs
+
+
+def _generated(idx):
+    return "c" + ",".join(map(str, sorted(idx))) if idx else "0"
+
+
+@st.composite
+def simplicial_cases(draw):
+    """A valid simplicial document, from ``_simplicial_sources`` in random
+    lattice coordinates or from ``simplicial_documents``, its cones
+    shuffled, with at most one edit, and a cell cap.  The edits: a used
+    ray repeated, possibly as a multiple, in place of a ray of a cone
+    without it, or as a cone of its own where every cone has it; a cone
+    on the rays of another and a vector they span; a cone renamed to the
+    generated id of some ray set; an added cone on no rays; a cap at or
+    below the fan's cells."""
+    sources = _simplicial_sources()
+    if draw(st.booleans()):
+        doc = draw(simplicial_documents())
+    else:
+        doc = sources[draw(st.sampled_from(sorted(sources)))]
+        n, m = doc["lattice_rank"], _unimodular(draw, doc["lattice_rank"])
+        doc = {**doc, "rays": [[sum(r[k] * m[k][j] for k in range(n)) for j in range(n)]
+                               for r in doc["rays"]]}
+    rays = [list(r) for r in doc["rays"]]
+    cones = [dict(cd) for cd in draw(st.permutations(doc["cones"]))]
+    cap = weightlab.toric.MAX_CELLS
+    some = [cd for cd in cones if cd["rays"]]
+    kind = draw(st.sampled_from(["none", "repeated ray", "dependent cone", "generated id",
+                                 "empty cone", "over the cap"]))
+    if kind == "repeated ray" and some:
+        i = draw(st.sampled_from(sorted({i for cd in some for i in cd["rays"]})))
+        k = draw(st.sampled_from([1, 1, 2, 3]))
+        rays.append([k * x for x in rays[i]])
+        others = [cd for cd in some if i not in cd["rays"]]
+        if others:
+            cd = draw(st.sampled_from(others))
+            gone = draw(st.sampled_from(cd["rays"]))
+            cd["rays"] = [len(rays) - 1 if r == gone else r for r in cd["rays"]]
+        else:
+            cones.insert(draw(st.integers(0, len(cones))), {"id": None, "rays": [len(rays) - 1]})
+    elif kind == "dependent cone" and some:
+        idx = draw(st.sampled_from(some))["rays"]
+        pair = draw(st.lists(st.sampled_from(idx), min_size=2, max_size=2))
+        rays.append([a + b for a, b in zip(*(rays[r] for r in pair))])
+        cones.insert(draw(st.integers(0, len(cones))),
+                     {"id": None, "rays": [*idx, len(rays) - 1]})
+    elif kind == "generated id" and some:
+        cd, other = draw(st.sampled_from(some)), draw(st.sampled_from(some))
+        idx = draw(st.sampled_from([cd["rays"], other["rays"]]))
+        sub = draw(st.lists(st.sampled_from(idx), unique=True, max_size=len(idx)))
+        cd["id"] = _generated(sub) + draw(st.sampled_from(["", "'"]))
+    elif kind == "empty cone":
+        cid = draw(st.sampled_from([None, "0", "m", *(cd.get("id") for cd in cones)]))
+        cones.insert(draw(st.integers(0, len(cones))), {"id": cid, "rays": []})
+    elif kind == "over the cap":
+        cells = sum(cell_counts(parse_fan(doc)).values())
+        cap = draw(st.sampled_from([cells, cells - 1, max(1, cells // 2), 1]))
+    return {**doc, "rays": rays, "cones": cones}, cap
+
+
+def _outcome(doc):
+    """The fan ``parse_fan`` makes of doc, or the message it refuses with;
+    a ray drawn non-primitive warns, as a document's does."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return parse_fan(doc)
+    except FanError as exc:
+        return str(exc)
+
+
+def _fully_validated(doc):
+    """What :func:`_outcome` gives when the walk's fan is made by
+    ``Fan(...)``, whose construction tests every axiom on it, the face
+    lattice rebuilt from the face ids."""
+    def validated(n, rays, cones, spans, lattice):
+        return Fan(n, rays, cones, spans)
+
+    with mock.patch.object(Fan, "_walked", staticmethod(validated)):
+        return _outcome(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(simplicial_cases())
+def test_simplicial_parse_matches_full_validation(case):
+    # The walk's fan skips the lattice, rank and cap tests that its
+    # construction makes true: it refuses with the message, and accepts
+    # the fan, that validating every axiom gives.
+    doc, cap = case
+    with mock.patch.object(weightlab.toric, "MAX_CELLS", cap):
+        got, want = _outcome(doc), _fully_validated(doc)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got == want
+    for cid, c in want.cones.items():
+        assert (got.cone(cid).dim, got.cone(cid).faces) == (c.dim, c.faces), cid
+        assert got.covers(cid) == want.covers(cid), cid
+
+
+def test_simplicial_parse_keeps_the_repeated_ray_message():
+    # One helper names repeated rays for validation and for the walk.
+    doc = {"lattice_rank": 2, "rays": [[1, 0], [0, 1], [1, 0]], "simplicial": True,
+           "cones": [{"rays": [0, 1]}, {"rays": [1, 2]}]}
+    assert _outcome(doc) == _fully_validated(doc) == "rays 0 and 2 are the same vector [1, 0]"
+
+
+@pytest.mark.parametrize("faces", [[], ["0"], [0], [5], ["5"], ["c1"], ["c1", 5, "0"]])
+def test_simplicial_face_lists_naming_faces_are_accepted(faces):
+    # A declared face may be a declared id, a generated id or the zero
+    # cone; the fan is the one without the list.
+    doc = {"lattice_rank": 2, "rays": [[1, 0], [0, 1]], "simplicial": True,
+           "cones": [{"id": 5, "rays": [0]}, {"id": "m", "rays": [0, 1]}]}
+    listed = {**doc, "cones": [doc["cones"][0], {**doc["cones"][1], "faces": faces}]}
+    assert parse_fan(listed) == parse_fan(doc)
+
+
+@pytest.mark.parametrize("cones, message", [
+    ([{"id": "x", "rays": [0], "faces": ["nope"]}], "cone 'x' lists unknown face 'nope'"),
+    ([{"id": "x", "rays": [0], "faces": ["x"]}], "cone 'x' lists 'x', which is not one of its faces"),
+    ([{"id": "x", "rays": [0]}, {"id": "y", "rays": [1], "faces": ["0", "x"]}],
+     "cone 'y' lists 'x', which is not one of its faces"),
+    ([{"rays": [0, 1], "faces": ["c0", "c1", "c2", "c0,1"]}],
+     "cone 'c0,1' lists 'c0,1', which is not one of its faces"),
+    ([{"id": "m", "rays": [0, 1], "faces": [7, "c0"]}], "cone 'm' lists unknown face '7'"),
+])
+def test_simplicial_face_lists_naming_other_cones_are_refused(cones, message):
+    doc = {"lattice_rank": 2, "rays": [[1, 0], [0, 1]], "simplicial": True, "cones": cones}
+    with pytest.raises(FanError, match=f"^{re.escape(message)}$"):
+        parse_fan(doc)
 
 
 _SMOOTH = {
