@@ -17,9 +17,9 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
-from typing import Callable
+from typing import Callable, Iterable
 
 from .complexes import ChainComplex, canonical_filtration, trivial_filtration
 from .cubical import (
@@ -30,6 +30,7 @@ from .cubical import (
     skeleton_filtration,
 )
 from .euler import (
+    Cell,
     CellChain,
     CellComplex,
     ConstructibleFunction,
@@ -470,7 +471,46 @@ def random_simplicial_complex(rng: random.Random) -> CellComplex:
     for _ in range(rng.randint(0, 8)):
         size = rng.randint(2, min(4, n)) if n >= 2 else 1
         simplices.append(tuple(rng.sample(vertices, size)))
-    return CellComplex.simplicial(set(tuple(sorted(s)) for s in simplices))
+    return table_complex(set(tuple(sorted(s)) for s in simplices))
+
+
+@cache
+def _face_table() -> tuple[dict[tuple[int, ...], int], tuple[Cell, ...], tuple[int, ...],
+                           tuple[tuple[int, ...], ...]]:
+    """The nonempty faces of the simplex on ``range(MAX_VERTICES)``: each
+    vertex tuple's place, and by place its cell, its dimension and the
+    places of its proper faces by size in ``combinations`` order."""
+    simplices = [vs for r in range(1, MAX_VERTICES + 1)
+                 for vs in itertools.combinations(range(MAX_VERTICES), r)]
+    place = {vs: t for t, vs in enumerate(simplices)}
+    faces = tuple(tuple(place[sub] for r in range(1, len(vs))
+                        for sub in itertools.combinations(vs, r)) for vs in simplices)
+    return (place, tuple(map(simplex_cell, simplices)),
+            tuple(len(vs) - 1 for vs in simplices), faces)
+
+
+def table_complex(simplices: Iterable[tuple[int, ...]]) -> CellComplex:
+    """The closure of sorted vertex tuples on ``range(MAX_VERTICES)``,
+    numbered from the face table exactly as :meth:`CellComplex.simplicial`
+    numbers it: each simplex not yet present, then its new proper faces.
+    A repeated simplex adds nothing.  No such closure reaches the
+    face-incidence cap that ``from_simplices`` enforces."""
+    place, table_cells, table_dims, table_faces = _face_table()
+    number: list[int | None] = [None] * len(table_cells)
+    order: list[int] = []
+    for vs in simplices:
+        t = place[vs]
+        if number[t] is None:
+            number[t] = len(order)
+            order.append(t)
+            for f in table_faces[t]:
+                if number[f] is None:
+                    number[f] = len(order)
+                    order.append(f)
+    cells = [table_cells[t] for t in order]
+    face_ids = [[number[f] for f in table_faces[t]] for t in order]
+    return CellComplex._numbered(cells, [table_dims[t] for t in order],
+                                 dict(zip(cells, range(len(cells)))), face_ids)
 
 
 def random_function(rng: random.Random, cx: CellComplex) -> ConstructibleFunction:

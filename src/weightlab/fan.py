@@ -39,12 +39,13 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import repeat
 from math import comb
 from operator import or_
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .gf2 import BitSubspace, json_int, set_bits
 from .lattice import Saturations, is_primitive, make_primitive
@@ -312,32 +313,36 @@ def parse_fan(doc: Mapping) -> Fan:
     cone is implicit.
     """
     try:
+        doc = _object(doc, "the document")
         n = json_int(doc["lattice_rank"], "the lattice rank")
-        raw_rays = [[json_int(x, "a ray coordinate") for x in r]
-                    for r in doc.get("rays", [])]
+        raw_rays = [[json_int(x, "a ray coordinate") for x in _list(r, "rays[{}]", i)]
+                    for i, r in enumerate(_list(doc.get("rays", []), "'rays'"))]
         simplicial = doc.get("simplicial", False)
         if not isinstance(simplicial, bool):
             raise ValueError(f"simplicial must be true or false, not {simplicial!r}")
         # (id, ray indices, declared faces); ids are optional only in
         # simplicial mode, ray lists only outside it, face lists in both.
-        raw_cones = [
-            (None if simplicial and cd.get("id") is None else _cone_id(cd["id"], "a cone id"),
-             frozenset(json_int(i, "a ray index")
-                       for i in (cd["rays"] if simplicial else cd.get("rays", []))),
-             {_cone_id(fid, "a face") for fid in _face_list(cd.get("faces", []))})
-            for cd in doc.get("cones", [])
-        ]
+        raw_cones = []
+        for k, cd in enumerate(_list(doc.get("cones", []), "'cones'")):
+            cd = _object(cd, "cones[{}]", k)
+            raw_cones.append((
+                None if simplicial and cd.get("id") is None else _cone_id(cd["id"], "a cone id"),
+                frozenset(json_int(i, "a ray index") for i in _list(
+                    cd["rays"] if simplicial else cd.get("rays", []), "the rays of cones[{}]", k)),
+                {_cone_id(fid, "a face")
+                 for fid in _list(cd.get("faces", []), "the faces of a cone")},
+            ))
     except KeyError as exc:
         raise FanError(f"malformed fan document: missing key {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise FanError(f"malformed fan document: {exc}") from exc
     if n < 0:
         raise FanError(f"lattice rank {n} is negative")
-    for cid, idx, _ in raw_cones:
+    for k, (cid, idx, _) in enumerate(raw_cones):
         bad = sorted(i for i in idx if not 0 <= i < len(raw_rays))
         if bad:
-            raise FanError(f"cone {cid!r} uses ray indices {bad}, the fan has "
-                           f"{len(raw_rays)} rays")
+            name = f"cones[{k}]" if cid is None else f"cone {cid!r}"
+            raise FanError(f"{name} uses ray indices {bad}, the fan has {len(raw_rays)} rays")
 
     rays = []
     for i, r in enumerate(raw_rays):
@@ -538,12 +543,22 @@ def _cone_id(value, what: str) -> str:
     raise ValueError(f"{what} must be a string or an integer, not {value!r}")
 
 
-def _face_list(faces) -> list:
-    """A cone's declared faces: a JSON list, so a string is refused
-    rather than read as the set of its characters."""
-    if not isinstance(faces, list):
-        raise ValueError(f"the faces of a cone must be a list, not {faces!r}")
-    return faces
+def _object(value, what: str, *place) -> Mapping:
+    """A JSON object, refused by its field's name rather than read.  The
+    name is ``what.format(*place)``, formatted only for a refusal."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what.format(*place)} must be a JSON object, "
+                         f"not {type(value).__name__}")
+    return value
+
+
+def _list(value, what: str, *place) -> list:
+    """A JSON list, so a string is refused rather than read as its
+    characters, and a number by its field's name, named as by
+    :func:`_object`."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what.format(*place)} must be a list, not {value!r}")
+    return value
 
 
 def _check_ids(cones: Iterable[tuple[str, frozenset[int]]]) -> None:

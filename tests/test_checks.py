@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import weightlab.fan
 import weightlab.fixtures
 from weightlab import checks
+from weightlab.euler import CellComplex, circle_complex
 from weightlab.fan import fan_to_doc, product_fan, standard_fan
 from weightlab.fixtures import fan_corpus, smooth_complete_corpus
 from weightlab.pages import SpectralSequence
@@ -184,3 +185,51 @@ def test_euler_suite_draws_the_same_data(monkeypatch):
     assert all(result.ok for result in checks.run_suite("euler"))
     assert drawn == {"complexes": 1400, "functions": 1300}
     assert digest.hexdigest() == EULER_DRAWS
+
+
+def _numbered_form(cx: CellComplex) -> tuple:
+    return cx._cells, cx._dims, list(cx._ids.items()), cx._face_ids
+
+
+def test_euler_draws_are_numbered_as_simplicial_numbers_them(monkeypatch):
+    """Every draw of seeds 20240817, 9 and 12, built from the face table,
+    has the cells, dims, ids and face ids of ``CellComplex.simplicial``,
+    in order."""
+    build, compared = checks.table_complex, []
+
+    def comparing(simplices):
+        simplices = list(simplices)
+        cx = build(simplices)
+        assert _numbered_form(cx) == _numbered_form(CellComplex.simplicial(simplices))
+        compared.append(len(simplices))
+        return cx
+
+    monkeypatch.setattr(checks, "table_complex", comparing)
+    assert all(result.ok for result in checks.run_suite("euler"))
+    assert len(compared) == 1400
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, checks.MAX_VERTICES - 1), min_size=1,
+                         max_size=checks.MAX_VERTICES).map(lambda vs: tuple(sorted(set(vs)))),
+                max_size=12))
+def test_table_complex_is_numbered_as_simplicial_numbers_it(simplices):
+    # Any order, with repeats: a repeated simplex adds nothing, as it
+    # would at its first place in the list.
+    want = CellComplex.simplicial(list(dict.fromkeys(simplices)))
+    assert _numbered_form(checks.table_complex(simplices)) == _numbered_form(want)
+
+
+def test_euler_suite_builds_only_its_circles_from_simplices(monkeypatch):
+    build, given_simplices = CellComplex.from_simplices, []
+
+    def counting(cls, simplices):
+        simplices = list(simplices)
+        given_simplices.append(simplices)
+        return build(simplices)
+
+    circle = [((0,), 0), ((1,), 0), ((0, 1), 0), ((0, 1), 1)]
+    assert _numbered_form(build(circle)) == _numbered_form(circle_complex())
+    monkeypatch.setattr(CellComplex, "from_simplices", classmethod(counting))
+    assert all(result.ok for result in checks.run_suite("euler"))
+    assert given_simplices and all(s == circle for s in given_simplices)

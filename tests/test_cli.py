@@ -933,6 +933,26 @@ def test_malformed_documents_exit_3(capsys, tmp_path, verb, doc, message):
      {"lattice_rank": 2, "rays": [[1, 0], [0, 1]], "simplicial": True,
       "cones": [{"id": "x", "rays": [0]}, {"id": "y", "rays": [1], "faces": ["0", "x"]}]},
      "{path}: cone 'y' lists 'x', which is not one of its faces"),
+    # A cone without an id is named by its place in "cones".
+    ("fan-info --fan",
+     {"lattice_rank": 1, "rays": [[1]], "simplicial": True,
+      "cones": [{"rays": [0]}, {"rays": [3]}]},
+     "{path}: cones[1] uses ray indices [3], the fan has 1 rays"),
+    # Malformed shapes are refused by the field's name, not by Python's
+    # message for the operation they break.
+    ("fan-info --fan", [{"lattice_rank": 1}],
+     "{path}: malformed fan document: the document must be a JSON object, not list"),
+    ("vpoly --fan", {"lattice_rank": 1, "rays": [[1]], "cones": 5},
+     "{path}: malformed fan document: 'cones' must be a list, not 5"),
+    ("ss --fan", {"lattice_rank": 1, "rays": [[1]], "simplicial": True, "cones": [5]},
+     "{path}: malformed fan document: cones[0] must be a JSON object, not int"),
+    ("fan-info --fan", {"lattice_rank": 1, "rays": 5, "cones": []},
+     "{path}: malformed fan document: 'rays' must be a list, not 5"),
+    ("fan-info --fan", {"lattice_rank": 1, "rays": [[1], 5], "cones": []},
+     "{path}: malformed fan document: rays[1] must be a list, not 5"),
+    ("fan-info --fan",
+     {"lattice_rank": 1, "rays": [[1]], "simplicial": True, "cones": [{"rays": 0}]},
+     "{path}: malformed fan document: the rays of cones[0] must be a list, not 0"),
 ])
 def test_document_refusals_exit_3_with_their_message(capsys, tmp_path, verb, doc, message):
     path = tmp_path / "doc.json"
