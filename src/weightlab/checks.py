@@ -465,27 +465,40 @@ FUBINI_CASES, FUBINI_SEED = 200, 31
 
 
 def random_simplicial_complex(rng: random.Random) -> CellComplex:
-    n = rng.randint(1, MAX_VERTICES)
-    vertices = list(range(n))
-    simplices = [(v,) for v in vertices]
-    for _ in range(rng.randint(0, 8)):
-        size = rng.randint(2, min(4, n)) if n >= 2 else 1
-        simplices.append(tuple(rng.sample(vertices, size)))
-    return table_complex(set(tuple(sorted(s)) for s in simplices))
+    # The draws call the generator's primitive ``_randbelow`` directly.  On
+    # CPython >= 3.10, ``rng.randint(a, b)`` is ``a + _randbelow(b - a + 1)``
+    # and ``rng.sample`` of a population of at most 21 is the pool walk
+    # below, so the generator sees the same calls as through those methods,
+    # without their argument checks.  ``tests/oracles.py`` keeps the draw
+    # written with ``randint`` and ``sample``.
+    below = rng._randbelow
+    n = 1 + below(MAX_VERTICES)
+    simplices = [(v,) for v in range(n)]
+    for _ in range(below(9)):
+        size = 2 + below(min(4, n) - 1) if n >= 2 else 1
+        pool, drawn = list(range(n)), []
+        for i in range(size):
+            j = below(n - i)
+            drawn.append(pool[j])
+            pool[j] = pool[n - i - 1]
+        simplices.append(tuple(sorted(drawn)))
+    return table_complex(set(simplices))
 
 
 @cache
-def _face_table() -> tuple[dict[tuple[int, ...], int], tuple[Cell, ...], tuple[int, ...],
-                           tuple[tuple[int, ...], ...]]:
+def _face_table() -> tuple[dict[tuple[int, ...], int], tuple[Cell, ...], tuple[str, ...],
+                           tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The nonempty faces of the simplex on ``range(MAX_VERTICES)``: each
-    vertex tuple's place, and by place its cell, its dimension and the
-    places of its proper faces by size in ``combinations`` order."""
+    vertex tuple's place, and by place its cell, the cell's text, its
+    dimension and the places of its proper faces by size in
+    ``combinations`` order."""
     simplices = [vs for r in range(1, MAX_VERTICES + 1)
                  for vs in itertools.combinations(range(MAX_VERTICES), r)]
     place = {vs: t for t, vs in enumerate(simplices)}
     faces = tuple(tuple(place[sub] for r in range(1, len(vs))
                         for sub in itertools.combinations(vs, r)) for vs in simplices)
-    return (place, tuple(map(simplex_cell, simplices)),
+    cells = tuple(map(simplex_cell, simplices))
+    return (place, cells, tuple(map(str, cells)),
             tuple(len(vs) - 1 for vs in simplices), faces)
 
 
@@ -494,8 +507,9 @@ def table_complex(simplices: Iterable[tuple[int, ...]]) -> CellComplex:
     numbered from the face table exactly as :meth:`CellComplex.simplicial`
     numbers it: each simplex not yet present, then its new proper faces.
     A repeated simplex adds nothing.  No such closure reaches the
-    face-incidence cap that ``from_simplices`` enforces."""
-    place, table_cells, table_dims, table_faces = _face_table()
+    face-incidence cap that ``from_simplices`` enforces.  The cells' text
+    comes from the table too, so sorting the cells formats none."""
+    place, table_cells, table_names, table_dims, table_faces = _face_table()
     number: list[int | None] = [None] * len(table_cells)
     order: list[int] = []
     for vs in simplices:
@@ -509,12 +523,16 @@ def table_complex(simplices: Iterable[tuple[int, ...]]) -> CellComplex:
                     order.append(f)
     cells = [table_cells[t] for t in order]
     face_ids = [[number[f] for f in table_faces[t]] for t in order]
-    return CellComplex._numbered(cells, [table_dims[t] for t in order],
-                                 dict(zip(cells, range(len(cells)))), face_ids)
+    cx = CellComplex._numbered(cells, [table_dims[t] for t in order],
+                               dict(zip(cells, range(len(cells)))), face_ids)
+    cx.__dict__["_names"] = [table_names[t] for t in order]
+    return cx
 
 
 def random_function(rng: random.Random, cx: CellComplex) -> ConstructibleFunction:
-    weights = {c: rng.randint(-3, 3) for c in cx if rng.random() < 0.7}
+    # rng.randint(-3, 3), as in random_simplicial_complex.
+    below, uniform = rng._randbelow, rng.random
+    weights = {c: -3 + below(7) for c in cx if uniform() < 0.7}
     return ConstructibleFunction(cx, weights)
 
 
@@ -537,7 +555,7 @@ def check_boundary_oracle(corpus: ToricCorpus) -> CheckResult:
         top = cx.top_dim()
         if top < 1:
             continue
-        k = rng.randint(1, top)
+        k = 1 + rng._randbelow(top)  # rng.randint(1, top)
         k_cells = cx.cells(k)
         members = frozenset(c for c in k_cells if rng.random() < 0.5)
         got = chain_boundary(CellChain(cx, k, members))
@@ -631,7 +649,7 @@ def check_restriction_boundary(corpus: ToricCorpus) -> CheckResult:
         top = cx.top_dim()
         if top < 1:
             continue
-        k = rng.randint(1, top)
+        k = 1 + rng._randbelow(top)  # rng.randint(1, top)
         members = frozenset(c for c in cx.cells(k) if rng.random() < 0.5)
         # Open star of a random vertex: a canonical open subset.
         vs = cx.cells(0)

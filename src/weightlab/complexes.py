@@ -45,6 +45,8 @@ from .gf2 import (
     BitMatrix,
     BitSubspace,
     json_int,
+    json_list,
+    json_object,
     kernel_of_columns,
     rref_prefixes,
     vec_from_string,
@@ -469,10 +471,14 @@ def int_keys(table: Mapping, what: str) -> dict:
     integer, such as ``"0"`` and ``"00"``, are refused rather than the
     last one kept; then a key that is not its integer written plainly,
     such as ``" 1"``, ``"+1"`` or ``"1_0"`` (which ``int`` reads as 10),
-    is refused rather than read."""
+    is refused rather than read.  A key ``int`` cannot read, such as
+    ``"1.5"``, is refused by its table's name."""
     out, first = {}, {}
     for key, value in table.items():
-        k = int(key)
+        try:
+            k = int(key)
+        except ValueError:
+            raise ValueError(f"{what} {key!r} is not an integer") from None
         if k in first:
             raise ValueError(f"{what} {first[k]!r} and {key!r} both name {k}")
         first[k], out[k] = key, value
@@ -482,6 +488,20 @@ def int_keys(table: Mapping, what: str) -> dict:
     return out
 
 
+def matrix_entries(entries, what: str, *place) -> list[tuple[int, int]]:
+    """The (row, column) pairs of a matrix document: a list of
+    ``[row, column]`` lists, refused by its name (``what.format(*place)``)
+    and each entry by its place in the list, rather than unpacked."""
+    pairs = []
+    for i, entry in enumerate(json_list(entries, what, *place)):
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ValueError(f"{what.format(*place)}[{i}] must be a [row, column] "
+                             f"pair, not {entry!r}")
+        pairs.append((json_int(entry[0], "a row index"),
+                      json_int(entry[1], "a column index")))
+    return pairs
+
+
 def complex_from_doc(doc: Mapping) -> ChainComplex:
     """The complex of a document.  A total dimension, or a span of the
     degrees holding cells, above ``toric.MAX_CELLS``, read at call time,
@@ -489,8 +509,9 @@ def complex_from_doc(doc: Mapping) -> ChainComplex:
     from . import toric  # toric imports this module
 
     try:
-        dims = {k: json_int(n, "a dimension")
-                for k, n in int_keys(doc.get("dims", {}), "dims keys").items()}
+        doc = json_object(doc, "the document")
+        dims = {k: json_int(n, "a dimension") for k, n in int_keys(
+            json_object(doc.get("dims", {}), "'dims'"), "dims keys").items()}
         if any(n < 0 for n in dims.values()):
             raise ValueError("negative dimension")
         if (total := sum(dims.values())) > toric.MAX_CELLS:
@@ -498,12 +519,11 @@ def complex_from_doc(doc: Mapping) -> ChainComplex:
                              f"the {toric.MAX_CELLS} the build allows")
         _check_span("degrees holding cells", [k for k, n in dims.items() if n])
         boundary = {}
-        for k, entries in int_keys(doc.get("boundary", {}), "boundary keys").items():
+        for k, entries in int_keys(json_object(doc.get("boundary", {}), "'boundary'"),
+                                   "boundary keys").items():
             boundary[k] = BitMatrix.from_entries(
                 dims.get(k - 1, 0), dims.get(k, 0),
-                [(json_int(r, "a row index"), json_int(c, "a column index"))
-                 for r, c in entries],
-            )
+                matrix_entries(entries, "boundary[{!r}]", str(k)))
     except (AttributeError, TypeError, ValueError) as exc:
         raise ComplexError(f"malformed complex document: {exc}") from exc
     return ChainComplex.make(dims, boundary)
@@ -533,31 +553,28 @@ def _check_span(what: str, values: list[int]) -> None:
 
 
 def filtered_from_doc(doc: Mapping) -> FilteredComplex:
-    """The filtered complex of a document.  Filtration levels spanning
-    more than ``toric.MAX_CELLS`` are refused before any is read."""
+    """The filtered complex of a document.  A missing or null
+    ``filtration``, or an empty object, which lists no levels, is the
+    trivial filtration; anything else but an object is refused.
+    Filtration levels spanning more than ``toric.MAX_CELLS`` are refused
+    before any is read."""
     cx = complex_from_doc(doc)
     filt = doc.get("filtration")
-    if not filt:
+    if filt is None or filt == {}:
         return trivial_filtration(cx)
     try:
-        by_level = int_keys(filt, "filtration levels")
+        by_level = int_keys(json_object(filt, "'filtration'"), "filtration levels")
         _check_span("filtration levels", list(by_level))
         levels = {
             p: {
                 k: BitSubspace.span(
-                    cx.dim(k), [vec_from_string(s) for s in _level_list(vecs)])
-                for k, vecs in int_keys(by_deg, f"filtration level {p} degrees").items()
+                    cx.dim(k), [vec_from_string(s) for s in json_list(
+                        vecs, "the vectors of a filtration level")])
+                for k, vecs in int_keys(json_object(by_deg, "filtration[{!r}]", str(p)),
+                                        f"filtration level {p} degrees").items()
             }
             for p, by_deg in by_level.items()
         }
     except (AttributeError, TypeError, ValueError) as exc:
         raise ComplexError(f"malformed filtration: {exc}") from exc
     return FilteredComplex.from_subspaces(cx, levels)
-
-
-def _level_list(vecs) -> list:
-    """A level's vectors in one degree: a JSON list, so a string is
-    refused rather than read as one vector per character."""
-    if not isinstance(vecs, list):
-        raise ValueError(f"the vectors of a filtration level must be a list, not {vecs!r}")
-    return vecs

@@ -29,11 +29,12 @@ from .complexes import (
     filtered_from_doc,
     filtered_to_doc,
     int_keys,
+    matrix_entries,
     raised_levels,
     totalize,
     trivial_filtration,
 )
-from .gf2 import BitMatrix, json_int
+from .gf2 import BitMatrix, json_int, json_list, json_object
 from .pages import SpectralSequence
 
 
@@ -256,13 +257,13 @@ def _maps_to_doc(maps: DegreeMaps) -> dict:
             for k, m in sorted(maps.items())}
 
 
-def _maps_from_doc(doc: Mapping, src: ChainComplex, dst: ChainComplex) -> dict[int, BitMatrix]:
+def _maps_from_doc(doc, src: ChainComplex, dst: ChainComplex,
+                   what: str) -> dict[int, BitMatrix]:
+    """The matrices by degree of the field named ``what``."""
     out = {}
-    for k, entries in int_keys(doc, "map degrees").items():
+    for k, entries in int_keys(json_object(doc, what), "map degrees").items():
         out[k] = BitMatrix.from_entries(
-            dst.dim(k), src.dim(k),
-            [(json_int(r, "a row index"), json_int(c, "a column index"))
-             for r, c in entries])
+            dst.dim(k), src.dim(k), matrix_entries(entries, what + "[{!r}]", str(k)))
     return out
 
 
@@ -284,19 +285,22 @@ def diagram_to_doc(d: CubicalDiagram) -> dict:
 
 def diagram_from_doc(doc: Mapping) -> CubicalDiagram:
     try:
+        doc = json_object(doc, "the document")
         n = json_int(doc["n"], "n")
-        objects = {s: filtered_from_doc(od)
-                   for s, od in int_keys(doc["objects"], "diagram objects").items()}
+        objects = {s: filtered_from_doc(json_object(od, "objects[{!r}]", str(s)))
+                   for s, od in int_keys(json_object(doc["objects"], "'objects'"),
+                                         "diagram objects").items()}
         maps = {}
-        for entry in doc.get("maps", []):
+        for i, entry in enumerate(json_list(doc.get("maps", []), "'maps'")):
+            entry = json_object(entry, "maps[{}]", i)
             s = json_int(entry["from_mask"], "a map's from_mask")
             t = json_int(entry["to_mask"], "a map's to_mask")
             if s not in objects or t not in objects:
                 raise ValueError(f"map {s}->{t} names a missing vertex")
             if (s, t) in maps:
                 raise ValueError(f"map {s}->{t} is given twice")
-            maps[(s, t)] = _maps_from_doc(
-                entry.get("matrices", {}), objects[s].complex, objects[t].complex)
+            maps[(s, t)] = _maps_from_doc(entry.get("matrices", {}), objects[s].complex,
+                                          objects[t].complex, f"maps[{i}]['matrices']")
     except (KeyError, AttributeError, TypeError, ValueError) as exc:
         if isinstance(exc, ComplexError):
             raise
@@ -316,17 +320,20 @@ def hyperres_to_doc(h: Hyperresolution) -> dict:
 
 def hyperres_from_doc(doc: Mapping) -> Hyperresolution:
     try:
-        levels = tuple(complex_from_doc(cd) for cd in doc["levels"])
+        doc = json_object(doc, "the document")
+        levels = tuple(complex_from_doc(json_object(cd, "levels[{}]", i))
+                       for i, cd in enumerate(json_list(doc["levels"], "'levels'")))
         faces = {}
-        for entry in doc.get("faces", []):
+        for e, entry in enumerate(json_list(doc.get("faces", []), "'faces'")):
+            entry = json_object(entry, "faces[{}]", e)
             i = json_int(entry["level"], "a face map's level")
             j = json_int(entry["face_index"], "a face map's face_index")
             if not (1 <= i < len(levels) and 0 <= j <= i):
                 raise ValueError(f"face map d_{j} at level {i} does not exist")
             if (i, j) in faces:
                 raise ValueError(f"face map d_{j} at level {i} is given twice")
-            faces[(i, j)] = _maps_from_doc(
-                entry.get("matrix", {}), levels[i], levels[i - 1])
+            faces[(i, j)] = _maps_from_doc(entry.get("matrix", {}), levels[i],
+                                           levels[i - 1], f"faces[{e}]['matrix']")
     except (KeyError, AttributeError, TypeError, ValueError) as exc:
         if isinstance(exc, ComplexError):
             raise

@@ -60,7 +60,9 @@ class CellComplex:
     :meth:`from_simplices` and :meth:`product` number their cells as they
     build them; the constructor takes caller-supplied tables and
     validates them.  The cell-keyed ``dims``, ``faces`` and ``cofaces``,
-    the closures and the sorted cell lists are built on first use.
+    the closures, the cells' text (``_names``) and the sorted cell lists
+    are built on first use; a builder that already holds the text may set
+    ``_names`` itself.
     """
 
     def __init__(self, dims: Mapping[Cell, int], faces: Mapping[Cell, frozenset]):
@@ -124,9 +126,14 @@ class CellComplex:
         return [frozenset(face_ids).union((i,)) for i, face_ids in enumerate(self._face_ids)]
 
     @cached_property
+    def _names(self) -> list[str]:
+        """The text of each cell, by number."""
+        return list(map(str, self._cells))
+
+    @cached_property
     def _sorted_ids(self) -> dict[int, list[int]]:
         """Cell numbers by dimension, each list ordered by the cells' text."""
-        names = [str(c) for c in self._cells]
+        names = self._names
         by_dim: dict[int, list[int]] = {}
         for i in sorted(range(len(names)), key=lambda i: (self._dims[i], names[i])):
             by_dim.setdefault(self._dims[i], []).append(i)

@@ -47,7 +47,7 @@ from math import comb
 from operator import or_
 from typing import Callable, Iterable
 
-from .gf2 import BitSubspace, json_int, set_bits
+from .gf2 import BitSubspace, json_int, json_list, json_object, set_bits
 from .lattice import Saturations, is_primitive, make_primitive
 
 
@@ -313,24 +313,24 @@ def parse_fan(doc: Mapping) -> Fan:
     cone is implicit.
     """
     try:
-        doc = _object(doc, "the document")
+        doc = json_object(doc, "the document")
         n = json_int(doc["lattice_rank"], "the lattice rank")
-        raw_rays = [[json_int(x, "a ray coordinate") for x in _list(r, "rays[{}]", i)]
-                    for i, r in enumerate(_list(doc.get("rays", []), "'rays'"))]
+        raw_rays = [[json_int(x, "a ray coordinate") for x in json_list(r, "rays[{}]", i)]
+                    for i, r in enumerate(json_list(doc.get("rays", []), "'rays'"))]
         simplicial = doc.get("simplicial", False)
         if not isinstance(simplicial, bool):
             raise ValueError(f"simplicial must be true or false, not {simplicial!r}")
         # (id, ray indices, declared faces); ids are optional only in
         # simplicial mode, ray lists only outside it, face lists in both.
         raw_cones = []
-        for k, cd in enumerate(_list(doc.get("cones", []), "'cones'")):
-            cd = _object(cd, "cones[{}]", k)
+        for k, cd in enumerate(json_list(doc.get("cones", []), "'cones'")):
+            cd = json_object(cd, "cones[{}]", k)
             raw_cones.append((
                 None if simplicial and cd.get("id") is None else _cone_id(cd["id"], "a cone id"),
-                frozenset(json_int(i, "a ray index") for i in _list(
+                frozenset(json_int(i, "a ray index") for i in json_list(
                     cd["rays"] if simplicial else cd.get("rays", []), "the rays of cones[{}]", k)),
                 {_cone_id(fid, "a face")
-                 for fid in _list(cd.get("faces", []), "the faces of a cone")},
+                 for fid in json_list(cd.get("faces", []), "the faces of a cone")},
             ))
     except KeyError as exc:
         raise FanError(f"malformed fan document: missing key {exc}") from exc
@@ -541,24 +541,6 @@ def _cone_id(value, what: str) -> str:
     if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
         return str(value)
     raise ValueError(f"{what} must be a string or an integer, not {value!r}")
-
-
-def _object(value, what: str, *place) -> Mapping:
-    """A JSON object, refused by its field's name rather than read.  The
-    name is ``what.format(*place)``, formatted only for a refusal."""
-    if not isinstance(value, Mapping):
-        raise ValueError(f"{what.format(*place)} must be a JSON object, "
-                         f"not {type(value).__name__}")
-    return value
-
-
-def _list(value, what: str, *place) -> list:
-    """A JSON list, so a string is refused rather than read as its
-    characters, and a number by its field's name, named as by
-    :func:`_object`."""
-    if not isinstance(value, list):
-        raise ValueError(f"{what.format(*place)} must be a list, not {value!r}")
-    return value
 
 
 def _check_ids(cones: Iterable[tuple[str, frozenset[int]]]) -> None:

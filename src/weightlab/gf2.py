@@ -22,6 +22,7 @@ between threads.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -57,6 +58,24 @@ def json_int(value, what: str, error: type[ValueError] = ValueError) -> int:
     float is refused rather than truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise error(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def json_object(value, what: str, *place) -> Mapping:
+    """A JSON object, refused by its field's name rather than read.  The
+    name is ``what.format(*place)``, formatted only for a refusal."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what.format(*place)} must be a JSON object, "
+                         f"not {type(value).__name__}")
+    return value
+
+
+def json_list(value, what: str, *place) -> list:
+    """A JSON list, so a string is refused rather than read as its
+    characters, and a number by its field's name, named as by
+    :func:`json_object`."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what.format(*place)} must be a list, not {value!r}")
     return value
 
 

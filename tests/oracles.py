@@ -426,6 +426,27 @@ def oracle_sorted_cells(dims, k=None) -> list:
                   key=lambda c: (dims[c], str(c)))
 
 
+def oracle_random_simplices(rng, max_vertices: int) -> set:
+    """The simplex set of one random complex of the euler suite, drawn
+    with ``randint`` and ``sample``: the vertices ``range(n)`` for n in
+    1..max_vertices, and up to eight simplices on 2 to 4 of them (on the
+    one vertex when n is 1), each as a sorted tuple."""
+    n = rng.randint(1, max_vertices)
+    vertices = list(range(n))
+    simplices = [(v,) for v in vertices]
+    for _ in range(rng.randint(0, 8)):
+        size = rng.randint(2, min(4, n)) if n >= 2 else 1
+        simplices.append(tuple(rng.sample(vertices, size)))
+    return set(tuple(sorted(s)) for s in simplices)
+
+
+def oracle_random_weights(rng, cells) -> dict:
+    """The weights of one random function of the euler suite, drawn with
+    ``randint``: each cell, in order, with probability 0.7, a weight in
+    -3..3."""
+    return {c: rng.randint(-3, 3) for c in cells if rng.random() < 0.7}
+
+
 def oracle_collapse_page(page, r_inf: int) -> int:
     """The least r >= 2 whose reindexed page equals the limit page, found
     by walking the pages: ``page(r)`` is reindexed page r, and page

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import weakref
 from collections import Counter
 
@@ -15,6 +16,8 @@ from weightlab.fan import fan_to_doc, product_fan, standard_fan
 from weightlab.fixtures import fan_corpus, smooth_complete_corpus
 from weightlab.pages import SpectralSequence
 from weightlab.toric import toric_cell_complex
+
+from oracles import oracle_random_simplices, oracle_random_weights, oracle_sorted_cells
 
 
 def _key(doc) -> str:
@@ -233,3 +236,62 @@ def test_euler_suite_builds_only_its_circles_from_simplices(monkeypatch):
     monkeypatch.setattr(CellComplex, "from_simplices", classmethod(counting))
     assert all(result.ok for result in checks.run_suite("euler"))
     assert given_simplices and all(s == circle for s in given_simplices)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 64 - 1), st.integers(1, 8))
+def test_draws_match_randint_and_sample(seed, count):
+    # The draws call the generator's primitive directly; the reference
+    # calls randint and sample.  Same complexes, same weights, and the
+    # generator left in the same state after every draw.
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(count):
+        cx = checks.random_simplicial_complex(rng)
+        want = CellComplex.simplicial(oracle_random_simplices(ref, checks.MAX_VERTICES))
+        assert _numbered_form(cx) == _numbered_form(want)
+        assert rng.getstate() == ref.getstate()
+        phi = checks.random_function(rng, cx)
+        assert list(phi.weights.items()) == list(oracle_random_weights(ref, want).items())
+        assert rng.getstate() == ref.getstate()
+
+
+def test_euler_suite_draws_without_randint_or_sample(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the euler suite called randint or sample")
+
+    monkeypatch.setattr(random.Random, "randint", refuse)
+    monkeypatch.setattr(random.Random, "sample", refuse)
+    assert all(result.ok for result in checks.run_suite("euler"))
+
+
+def test_primed_cell_text_is_the_cells_text(monkeypatch):
+    """Every draw of seeds 20240817, 9 and 12 holds each cell's text from
+    the face table before anything sorts it, and sorts its cells and
+    boundary matrices as ``CellComplex.simplicial`` does."""
+    build, compared = checks.table_complex, []
+
+    def comparing(simplices):
+        simplices = list(simplices)
+        cx = build(simplices)
+        assert "_names" in vars(cx) and cx._names == [str(c) for c in cx]
+        want = CellComplex.simplicial(simplices)
+        for k in [None, *range(-1, want.top_dim() + 2)]:
+            assert cx.cells(k) == want.cells(k), k
+        for k in range(want.top_dim() + 2):
+            assert cx.boundary_matrix(k) == want.boundary_matrix(k), k
+        compared.append(len(simplices))
+        return cx
+
+    monkeypatch.setattr(checks, "table_complex", comparing)
+    assert all(result.ok for result in checks.run_suite("euler"))
+    assert len(compared) == 1400
+
+
+def test_products_of_circles_sort_by_the_cells_text():
+    circle = circle_complex()
+    cx = circle
+    for _ in range(3):
+        cx = CellComplex.product(cx, circle)
+        assert cx._names == [str(c) for c in cx]
+        for k in [None, *range(cx.top_dim() + 1)]:
+            assert cx.cells(k) == oracle_sorted_cells(cx.dims, k), k

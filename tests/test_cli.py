@@ -953,12 +953,65 @@ def test_malformed_documents_exit_3(capsys, tmp_path, verb, doc, message):
     ("fan-info --fan",
      {"lattice_rank": 1, "rays": [[1]], "simplicial": True, "cones": [{"rays": 0}]},
      "{path}: malformed fan document: the rays of cones[0] must be a list, not 0"),
+    # So are complex, hyperresolution and diagram documents.
+    ("ss --complex", [{"dims": {"0": 1}}],
+     "malformed complex document: the document must be a JSON object, not list"),
+    ("ss --complex", {"dims": []},
+     "malformed complex document: 'dims' must be a JSON object, not list"),
+    ("ss --complex", {"dims": {"0": 1, "1": 1}, "boundary": {"1": 5}},
+     "malformed complex document: boundary['1'] must be a list, not 5"),
+    ("ss --complex", {"dims": {"0": 1, "1": 1}, "boundary": {"1": [[0, 0, 0]]}},
+     "malformed complex document: boundary['1'][0] must be a [row, column] pair, "
+     "not [0, 0, 0]"),
+    ("cubical-ss --hyperres", [{"levels": []}],
+     "malformed hyperresolution document: the document must be a JSON object, not list"),
+    ("cubical-ss --hyperres", {"levels": [{"dims": []}]},
+     "malformed complex document: 'dims' must be a JSON object, not list"),
+    ("cubical-ss --hyperres", {"levels": [5]},
+     "malformed hyperresolution document: levels[0] must be a JSON object, not int"),
+    ("cubical-ss --hyperres",
+     {"levels": [{"dims": {"0": 1}}, {"dims": {"0": 1}}],
+      "faces": [{"level": 1, "face_index": 0, "matrix": {"0": 5}}]},
+     "malformed hyperresolution document: faces[0]['matrix']['0'] must be a list, not 5"),
+    ("cubical-ss --diagram", [{"n": 0}],
+     "malformed diagram document: the document must be a JSON object, not list"),
+    ("cubical-ss --diagram", {"n": 0, "objects": []},
+     "malformed diagram document: 'objects' must be a JSON object, not list"),
+    ("cubical-ss --diagram", {"n": 0, "objects": {"0": {"dims": []}, "1": {"dims": {}}}},
+     "malformed complex document: 'dims' must be a JSON object, not list"),
+    ("cubical-ss --diagram",
+     {"n": 0, "objects": {"0": {"dims": {"0": 1}}, "1": {"dims": {"0": 1}}},
+      "maps": [{"from_mask": 1, "to_mask": 0, "matrices": {"0": 5}}]},
+     "malformed diagram document: maps[0]['matrices']['0'] must be a list, not 5"),
+    # A filtration that is not an object is refused, not read as the
+    # trivial filtration.
+    *(("ss --complex", {"dims": {"0": 1}, "filtration": bad},
+       f"malformed filtration: 'filtration' must be a JSON object, not {kind}")
+      for bad, kind in (([], "list"), ("", "str"), (0, "int"), (False, "bool"))),
+    ("ss --complex", {"dims": {"0": 1}, "filtration": {"0": []}},
+     "malformed filtration: filtration['0'] must be a JSON object, not list"),
+    # A key that int() cannot read is named with its table.
+    ("ss --complex", {"dims": {"1.5": 1}},
+     "malformed complex document: dims keys '1.5' is not an integer"),
+    ("cubical-ss --diagram", {"n": 0, "objects": {"x": {}}},
+     "malformed diagram document: diagram objects 'x' is not an integer"),
 ])
 def test_document_refusals_exit_3_with_their_message(capsys, tmp_path, verb, doc, message):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert run(capsys, *verb.split(), str(path)) == (
         3, "", f"error: {message.format(path=path)}\n")
+
+
+@pytest.mark.parametrize("filtration", [{}, {"filtration": None}, {"filtration": {}}])
+def test_a_missing_null_or_empty_filtration_is_trivial(capsys, tmp_path, filtration):
+    want, path = tmp_path / "want.json", tmp_path / "doc.json"
+    want.write_text(json.dumps(
+        {"dims": {"0": 1, "1": 1}, "filtration": {"0": {"0": ["1"], "1": ["1"]}}}))
+    path.write_text(json.dumps({"dims": {"0": 1, "1": 1}, **filtration}))
+    code, out, err = run(capsys, "ss", "--complex", str(path))
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "ss", "--complex", str(want))[1]
 
 
 def _one_sign_per_coordinate(n: int, count: int) -> dict:
