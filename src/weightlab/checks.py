@@ -21,7 +21,7 @@ from functools import cache, cached_property
 from math import comb
 from typing import Callable, Iterable
 
-from .complexes import ChainComplex, canonical_filtration, trivial_filtration
+from .complexes import ChainComplex, canonical_filtration, complex_diagnostics, trivial_filtration
 from .cubical import (
     CubicalDiagram,
     additivity_check,
@@ -184,9 +184,13 @@ def per_fan(title: str, fans: FanSet) -> Callable[[Callable], Property]:
 
 @per_fan("toric boundary squares to zero", ALL_FANS)
 def check_boundary_squares_zero(name, fan, tcc, ss) -> list[str]:
-    cx = tcc.complex
-    return [f"{name} degree {k + 1}" for k in cx.degrees()
-            if not cx.d(k).mul(cx.d(k + 1)).is_zero()]
+    """∂∂ = 0, then that the boundary respects the levels, on the build's
+    complex: the checks it is made past, which every other complex takes
+    on construction."""
+    fc = tcc.filtered
+    faults = (complex_diagnostics(fc.complex.dims, fc.complex.boundary)
+              or fc.diagnostics())
+    return [f"{name}: {fault}" for fault in faults]
 
 
 def coset_indicators(tcc: ToricCellComplex, cid: str, q: int) -> list[int]:

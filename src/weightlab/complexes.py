@@ -19,11 +19,16 @@ columns (:meth:`FilteredComplex.relative_cycles`); ``level`` and
 ``level_dim`` counts.
 
 Both classes validate their defining identities on construction: ``∂∘∂
-= 0``, and that no boundary column has a coordinate above its source's
-level.  Producers emit adapted bases directly; a filtration given as
-nested level subspaces, as in documents, goes through
-:meth:`FilteredComplex.from_subspaces`, which also checks that it is
-monotone and exhaustive.
+= 0`` (:func:`complex_diagnostics`), and that no boundary column has a
+coordinate above its source's level (:meth:`FilteredComplex.diagnostics`).
+Every complex a caller, a document or :func:`totalize` makes takes these
+checks.  The one exception is the toric build's complex in the
+augmentation basis, a cellular chain complex filtered by subcomplexes,
+which :func:`weightlab.toric.toric_cell_complex` makes past them; the
+toric suite of ``weightlab check`` runs both on it.  Producers emit
+adapted bases directly; a filtration given as nested level subspaces, as
+in documents, goes through :meth:`FilteredComplex.from_subspaces`, which
+also checks that it is monotone and exhaustive.
 
 Block complexes have one totalization, :func:`totalize`: blocks placed
 at degree shifts and joined by maps between them, the boundary each
@@ -491,15 +496,19 @@ def int_keys(table: Mapping, what: str) -> dict:
 def matrix_entries(entries, what: str, *place) -> list[tuple[int, int]]:
     """The (row, column) pairs of a matrix document: a list of
     ``[row, column]`` lists, refused by its name (``what.format(*place)``)
-    and each entry by its place in the list, rather than unpacked."""
-    pairs = []
+    and each entry by its place in the list, rather than unpacked.  An
+    entry listed twice is refused at its second place, since the matrix
+    would sum it to zero mod 2."""
+    pairs: dict[tuple[int, int], None] = {}
     for i, entry in enumerate(json_list(entries, what, *place)):
         if not isinstance(entry, list) or len(entry) != 2:
             raise ValueError(f"{what.format(*place)}[{i}] must be a [row, column] "
                              f"pair, not {entry!r}")
-        pairs.append((json_int(entry[0], "a row index"),
-                      json_int(entry[1], "a column index")))
-    return pairs
+        pair = (json_int(entry[0], "a row index"), json_int(entry[1], "a column index"))
+        if pair in pairs:
+            raise ValueError(f"{what.format(*place)}[{i}] repeats {entry!r}")
+        pairs[pair] = None
+    return list(pairs)
 
 
 def complex_from_doc(doc: Mapping) -> ChainComplex:

@@ -323,6 +323,8 @@ def hyperres_from_doc(doc: Mapping) -> Hyperresolution:
         doc = json_object(doc, "the document")
         levels = tuple(complex_from_doc(json_object(cd, "levels[{}]", i))
                        for i, cd in enumerate(json_list(doc["levels"], "'levels'")))
+        if not levels:
+            raise ValueError("'levels' must list at least one level")
         faces = {}
         for e, entry in enumerate(json_list(doc.get("faces", []), "'faces'")):
             entry = json_object(entry, "faces[{}]", e)

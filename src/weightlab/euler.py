@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from weakref import WeakKeyDictionary
 
 from . import toric
-from .gf2 import BitMatrix, json_int
+from .gf2 import BitMatrix, _built, json_int
 
 
 class EulerError(ValueError):
@@ -276,15 +276,6 @@ def _face_template(n: int) -> list[list[int]]:
     place = {s: t for t, s in enumerate(subsets)}
     return [[place[sub] for r in range(1, len(s)) for sub in itertools.combinations(s, r)]
             for s in subsets]
-
-
-def _built(cls, **fields):
-    """An instance of the frozen dataclass cls, built past its frozen
-    fields and its ``__post_init__`` checks: for an operator's output,
-    which is valid by construction."""
-    obj = cls.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ mod-2 reduction of its saturated ray lattice, from one table per fan
 sets the ranks and validation checks them in one pass by descending
 number of rays: a subset of independent rays is independent, so only the
 cones inside no cone with independent rays are spanned.  The parser hands
-its face masks to the fan's lattice, so validation reads the masks it
-made rather than rebuilding them from the face ids.  Every face-list
+its face masks to the fan's lattice and its table of spans to the fan,
+so validation reads what the parse made rather than rebuilding it.  Every face-list
 document, every product and every ``Fan(...)`` made directly takes this
 whole bitmask test.
 
@@ -40,14 +40,14 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import repeat
 from math import comb
 from operator import or_
 from typing import Callable, Iterable
 
-from .gf2 import BitSubspace, json_int, json_list, json_object, set_bits
+from .gf2 import BitSubspace, _built, json_int, json_list, json_object, set_bits
 from .lattice import Saturations, is_primitive, make_primitive
 
 
@@ -75,8 +75,6 @@ class Fan:
     n: int
     rays: tuple[tuple[int, ...], ...]
     cones: Mapping[str, Cone]
-    # The table of spans that parse_fan filled while ranking the cones.
-    _saturations: Saturations | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # The bitmask pass alone accepts a fan; the scans name what it refuses.
@@ -99,9 +97,7 @@ class Fan:
         only that the rays the cones use are distinct vectors."""
         if faults := _repeated_rays(rays, set_bits(reduce(or_, lattice.rays, 0))):
             raise FanError("; ".join(faults))
-        fan = cls.__new__(cls)
-        fan.__dict__.update(n=n, rays=rays, cones=cones, _saturations=spans, _lattice=lattice)
-        return fan
+        return _built(cls, n=n, rays=rays, cones=cones, _spans=spans, _lattice=lattice)
 
     def cone_ids(self) -> list[str]:
         return sorted(self.cones)
@@ -129,11 +125,9 @@ class Fan:
 
     @cached_property
     def _spans(self) -> Saturations:
-        """The mod-2 saturations of ray sets, computed on first lookup: the
-        parser's table, unless this fan is a copy with other rays."""
-        spans = self._saturations
-        return spans if spans is not None and spans.vectors == self.rays else \
-            Saturations(self.rays, self.n)
+        """The mod-2 saturations of ray sets, computed on first lookup.  A
+        parsed fan has the parser's table, primed here by the parse."""
+        return Saturations(self.rays, self.n)
 
     @cached_property
     def _lattice(self) -> "_FaceLattice":
@@ -473,10 +467,11 @@ def parse_fan(doc: Mapping) -> Fan:
     cones = {cid: Cone(cid, idx, rank, frozenset(faces))
              for (cid, idx), rank, faces in zip(numbered, ranks, face_ids)}
     # The masks are the face lattice that construction would rebuild from
-    # the face ids: its cache is primed with them, and validation reads them.
+    # the face ids, and spans the table that ranked the cones: their caches
+    # are primed with them, and validation reads them.
     fan = Fan.__new__(Fan)
-    fan.__dict__["_lattice"] = _FaceLattice(cones, masks, ray_masks)
-    fan.__init__(n, rays, cones, spans)
+    fan.__dict__.update(_lattice=_FaceLattice(cones, masks, ray_masks), _spans=spans)
+    fan.__init__(n, rays, cones)
     return fan
 
 

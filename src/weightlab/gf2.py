@@ -15,6 +15,9 @@ factor, and ranks and kernels reduce the columns.
 The module holds what the package computes with: vectors and their
 text form, matrices and products, RREF bases and their prefixes,
 subspaces with membership and reduction, column kernels and quotients.
+Beside them are the helpers the other modules share: the readers of JSON
+values, and :func:`_built`, which makes an object that is valid by
+construction past its checks.
 
 Everything here is immutable after construction and safe to share
 between threads.
@@ -79,6 +82,16 @@ def json_list(value, what: str, *place) -> list:
     return value
 
 
+def _built(cls, **fields):
+    """An instance of the frozen dataclass cls, built past its frozen
+    fields and its ``__post_init__`` checks: for an object the program's
+    own construction makes valid, such as an operator's output or the
+    toric build's complex.  Every field, defaulted ones too, is given."""
+    obj = cls.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _pivot(v: int) -> int:
     """Index of the lowest set bit of a nonzero vector."""
     return (v & -v).bit_length() - 1
@@ -133,19 +146,6 @@ def rref_prefixes(vectors: Sequence[int], ends: Iterable[int]) -> list[tuple[int
         start = e
         out.append(tuple(by_pivot[p] for p in sorted(by_pivot)))
     return out
-
-
-def rref_insert(basis: tuple[int, ...], v: int) -> tuple[int, ...]:
-    """``rref(basis + (v,))`` for an RREF basis: v reduced by the basis,
-    then, if it is not zero, cleared from the rows that have its pivot
-    and put in its place by pivot."""
-    v = reduce_mod(v, basis)
-    if not v:
-        return basis
-    low = v & -v
-    rows = [b ^ v if b & low else b for b in basis]
-    rows.insert(sum(1 for b in basis if b & -b < low), v)
-    return tuple(rows)
 
 
 def reduce_mod(v: int, basis: Sequence[int]) -> int:

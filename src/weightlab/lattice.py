@@ -8,10 +8,8 @@ the rational rank of the generators — this is what makes mod-2 quotient
 tori well defined for non-smooth cones, and what lets the fan layer read
 each cone's rank off the same subspace.
 
-Most cones never need more than the mod-2 reductions of their rays.  A
-cone whose face without one ray is already done takes one insertion of
-that ray's reduction (:class:`Saturations`).  If the reductions are
-independent over GF(2), they span the answer:
+Most cones never need more than the mod-2 reductions of their rays.  If
+the reductions are independent over GF(2), they span the answer:
 
 - an integer relation with coprime coefficients reduces to a nonzero
   relation mod 2, so the vectors are independent over Q;
@@ -24,8 +22,9 @@ from scratch because we need the unimodular transform matrices, not just
 the diagonal.  It carries the inverse of the column transform v alongside
 v (each column operation on v is mirrored by the inverse row operation on
 v⁻¹), so the saturation reads v⁻¹ off directly and no rational arithmetic
-is needed.  Every route returns the canonical RREF basis, so they agree
-bit for bit.
+is needed.  Both routes return the canonical RREF basis, so they agree
+bit for bit.  The toric build's orbit walk (:func:`weightlab.toric._quotient`)
+is the one route that adds a ray to a known span.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence
 
-from .gf2 import BitSubspace, rref_insert, vec_from_bits
+from .gf2 import BitSubspace, vec_from_bits
 
 
 Matrix = list[list[int]]
@@ -164,17 +163,9 @@ def saturate_mod2(vectors: Sequence[Sequence[int]], n: int) -> BitSubspace:
 class Saturations(dict):
     """:func:`saturate_mod2` of subsets of a list of vectors in Z^n, keyed
     by the frozenset of their indices and computed on first lookup.  The
-    vectors are reduced mod 2 once, here.
-
-    A subset whose span without its largest index is already known takes
-    one insertion (:func:`weightlab.gf2.rref_insert`) when the largest
-    vector's reduction lies outside that span: with S the saturation of
-    the rest, S + Zv has rank one more, and the saturation of S + Zv, a
-    direct summand of that rank, reduces to a subspace of that dimension
-    which contains S mod 2 and v mod 2.  So looking subsets up by
-    ascending size spans each from the one without its largest index.  Any
-    other subset is spanned from its reductions, and the Smith normal
-    form runs only when those are dependent."""
+    vectors are reduced mod 2 once, here.  A subset is spanned from its
+    reductions, and the Smith normal form runs only when those are
+    dependent."""
 
     def __init__(self, vectors: Sequence[Sequence[int]], n: int) -> None:
         super().__init__()
@@ -182,32 +173,15 @@ class Saturations(dict):
         self.reduced = [vec_from_bits(v) for v in vectors]
 
     def __missing__(self, idx: frozenset[int]) -> BitSubspace:
-        span = self._inserted(idx)
-        if span is None:
-            vectors = [self.vectors[i] for i in sorted(idx)]
-            if any(len(v) != self.n for v in vectors):
-                raise ValueError("vector length does not match ambient rank")
-            span = BitSubspace.span(self.n, [self.reduced[i] for i in idx])
-            if span.dim < len(idx):
-                span = BitSubspace.span(
-                    self.n, [vec_from_bits(row) for row in saturation_basis(vectors, self.n)])
+        vectors = [self.vectors[i] for i in sorted(idx)]
+        if any(len(v) != self.n for v in vectors):
+            raise ValueError("vector length does not match ambient rank")
+        span = BitSubspace.span(self.n, [self.reduced[i] for i in idx])
+        if span.dim < len(idx):
+            span = BitSubspace.span(
+                self.n, [vec_from_bits(row) for row in saturation_basis(vectors, self.n)])
         self[idx] = span
         return span
-
-    def _inserted(self, idx: frozenset[int]) -> BitSubspace | None:
-        """The span of idx as the known span of idx without its largest
-        index plus that vector's reduction, or None when the smaller span
-        is not known or already holds the reduction."""
-        if not idx:
-            return None
-        top = max(idx)
-        rest = self.get(idx - {top})
-        if rest is None:
-            return None
-        if len(self.vectors[top]) != self.n:
-            raise ValueError("vector length does not match ambient rank")
-        basis = rref_insert(rest.basis, self.reduced[top])
-        return BitSubspace(self.n, basis) if len(basis) > rest.dim else None
 
 
 def is_primitive(v: Sequence[int]) -> bool:

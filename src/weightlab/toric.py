@@ -32,8 +32,11 @@ column's bit vector as it is read.  For smooth fans most x_i map to one
 generator or to the identity, so z_i maps to one z'_j or to 0, and most
 columns have one entry or none.  The coordinates of each degree are laid
 out in level order, so the filtered complex's adapted basis is the unit
-basis: the persistence reduction and the filtration check read the
-boundary's columns as they are.  The levels of that layout
+basis: the persistence reduction reads the boundary's columns as they
+are.  ∂∂ = 0 holds for a cellular chain complex, and the levels are a
+filtration by subcomplexes, so the build makes its complex past the
+checks every other construction runs; ``check --suite toric`` and the
+tests run them on the build instead.  The levels of that layout
 (:func:`levels`) depend on the cones' codimensions alone, and so does
 the Euler characteristic of E⁰ that ``vpoly`` reads off them.
 
@@ -69,7 +72,7 @@ from .fan import (  # re-exported: callers read fans from this module too
     product_fan,
     standard_fan,
 )
-from .gf2 import BitMatrix, set_bits
+from .gf2 import BitMatrix, _built, set_bits
 from .poly import Poly
 
 
@@ -254,11 +257,13 @@ class ToricCellComplex:
 
     ``filtered`` is the complex written in the augmentation basis (see the
     module docstring), its coordinates in level order, so that its adapted
-    basis is the unit basis.  ``cell_filtered`` is the same filtered
-    complex in the cell basis, built on first use as the total complex of
-    one group-algebra block per cone (:func:`_cell_block`) joined by the
-    orbit maps of the covers; ``complex`` is its chain complex, the cells
-    of cone sigma at ``offsets[sigma]`` onwards in their degree.
+    basis is the unit basis; it is made past validation, which the
+    registry's "toric boundary squares to zero" runs on it.
+    ``cell_filtered`` is the same filtered complex in the cell basis,
+    built on first use as the total complex of one group-algebra block per
+    cone (:func:`_cell_block`) joined by the orbit maps of the covers, and
+    validated there; ``complex`` is its chain complex, the cells of cone
+    sigma at ``offsets[sigma]`` onwards in their degree.
     """
 
     fan: Fan
@@ -369,7 +374,12 @@ def toric_cell_complex(f: Fan) -> ToricCellComplex:
                         columns[col] ^= 1 << rows_at[row0 + t]
         boundary[k] = BitMatrix.from_columns(dims[k - 1], columns)
 
-    fc = FilteredComplex(ChainComplex.make(dims, boundary), (-f.max_codim(), 0), None, layout)
+    # Valid by construction, so made past the checks that
+    # checks.check_boundary_squares_zero runs; every degree and boundary is
+    # nonzero, as ChainComplex.make would keep them.
+    fc = _built(FilteredComplex, complex=_built(ChainComplex, dims=dims, boundary=boundary),
+                p_range=(-f.max_codim(), 0), basis=None, levels=layout,
+                _by_pivot={}, _spans={}, _columns={})
     return ToricCellComplex(f, groups, offsets, fc)
 
 

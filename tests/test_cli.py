@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import weightlab
 from weightlab.cli import main, page_doc_text
-from weightlab.complexes import filtered_from_doc
+from weightlab.complexes import FilteredComplex, filtered_from_doc
 from weightlab.fan import fan_to_doc, standard_fan
 from weightlab.pages import PurityReport, SpectralSequence, virtual_poincare
 from weightlab.toric import toric_cell_complex
@@ -995,6 +995,22 @@ def test_malformed_documents_exit_3(capsys, tmp_path, verb, doc, message):
      "malformed complex document: dims keys '1.5' is not an integer"),
     ("cubical-ss --diagram", {"n": 0, "objects": {"x": {}}},
      "malformed diagram document: diagram objects 'x' is not an integer"),
+    # A matrix entry listed twice is refused at its second place, where
+    # mod 2 it would cancel.
+    ("ss --complex", {"dims": {"0": 1, "1": 1}, "boundary": {"1": [[0, 0], [0, 0]]}},
+     "malformed complex document: boundary['1'][1] repeats [0, 0]"),
+    ("cubical-ss --hyperres",
+     {"levels": [{"dims": {"0": 1}}, {"dims": {"0": 1}}],
+      "faces": [{"level": 1, "face_index": 0, "matrix": {"0": [[0, 0], [0, 0]]}}]},
+     "malformed hyperresolution document: faces[0]['matrix']['0'][1] repeats [0, 0]"),
+    ("cubical-ss --diagram",
+     {"n": 1, "objects": {"0": {"dims": {"0": 1}}, "1": {"dims": {"0": 1}}},
+      "maps": [{"from_mask": 1, "to_mask": 0, "matrices": {"0": [[0, 0], [0, 0]]}}]},
+     "malformed diagram document: maps[0]['matrices']['0'][1] repeats [0, 0]"),
+    # A hyperresolution without levels is refused by its field.
+    *((verb, {"levels": []},
+       "malformed hyperresolution document: 'levels' must list at least one level")
+      for verb in ("ss --hyperres", "cubical-ss --hyperres")),
 ])
 def test_document_refusals_exit_3_with_their_message(capsys, tmp_path, verb, doc, message):
     path = tmp_path / "doc.json"
@@ -1125,14 +1141,16 @@ def _paths(node, prefix=()):
 @st.composite
 def mutated_documents(draw):
     """A shipped document with one or two keys dropped, values retyped,
-    out-of-range indices written in, a list zeroed or an item repeated
-    with its last entry dropped, and a command that reads it."""
+    out-of-range indices written in, a list zeroed, an item repeated
+    with its last entry dropped or an entry duplicated, and a command
+    that reads it."""
     path, argv = draw(st.sampled_from(SHIPPED))
     doc = json.loads(path.read_text())
     for _ in range(draw(st.integers(1, 2))):
         target = draw(st.sampled_from(list(_paths(doc))))
-        kind = draw(st.sampled_from(["drop", "retype", "index", "zero", "repeat"]))
-        if kind in ("zero", "repeat"):
+        kind = draw(st.sampled_from(["drop", "retype", "index", "zero", "repeat",
+                                     "duplicate"]))
+        if kind in ("zero", "repeat", "duplicate"):
             new = None
         elif kind == "retype":
             new = draw(st.sampled_from(["x", None, [], {}, 1.5, True, [[0]]]))
@@ -1158,6 +1176,11 @@ def mutated_documents(draw):
                 if isinstance(item, dict) and isinstance(item.get("rays"), list):
                     item["rays"] = item["rays"][:-1]
                 parent.append(item)
+        elif kind == "duplicate":
+            # the same item again right after it, when the target is in a
+            # list: a matrix entry, a ray, a cone or a face map
+            if isinstance(parent, list):
+                parent.insert(target[-1] + 1, json.loads(json.dumps(parent[target[-1]])))
         elif kind == "index" and isinstance(parent[target[-1]], list):
             parent[target[-1]].append(new)
         else:
@@ -1220,6 +1243,33 @@ def test_fan_requests_stay_in_the_augmentation_basis(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert out
+
+
+def test_the_toric_build_is_checked_by_the_registry_not_per_request(
+        capsys, monkeypatch, tmp_path):
+    # The build's complex is made past the ∂∂ and level checks; the
+    # complex it emits, read back from its document, takes both.
+    calls = Counter()
+
+    def counted(key, fn):
+        def call(*args):
+            calls[key] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(weightlab.complexes, "complex_diagnostics",
+                        counted("chain", weightlab.complexes.complex_diagnostics))
+    monkeypatch.setattr(FilteredComplex, "diagnostics",
+                        counted("filtration", FilteredComplex.diagnostics))
+    code, out, err = run(capsys, "ss", "--standard", "P:4")
+    assert (code, err) == (0, "") and out
+    assert calls == Counter()
+    path = tmp_path / "p4.json"
+    assert run(capsys, "ss", "--standard", "P:4", "--emit-complex", str(path))[0] == 0
+    calls.clear()
+    code, out, err = run(capsys, "ss", "--complex", str(path))
+    assert (code, err) == (0, "") and out
+    assert calls["chain"] >= 1 and calls["filtration"] >= 1
 
 
 def test_closed_output_pipe_ends_quietly():

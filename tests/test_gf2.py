@@ -11,7 +11,6 @@ from weightlab.gf2 import (
     Quotient,
     reduce_mod,
     rref,
-    rref_insert,
     rref_prefixes,
     vec_from_bits,
     vec_from_string,
@@ -77,11 +76,6 @@ def test_rref_canonical_under_shuffle(vs):
     shuffled = list(vs)
     random.Random(0).shuffle(shuffled)
     assert rref(vs) == rref(shuffled)
-
-
-@given(vectors6, st.integers(0, 63))
-def test_rref_insert_is_the_rref_with_one_more_vector(vs, v):
-    assert rref_insert(rref(vs), v) == rref([*vs, v])
 
 
 @given(vectors6, st.data())

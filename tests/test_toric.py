@@ -16,6 +16,7 @@ import weightlab.fan
 import weightlab.gf2
 import weightlab.lattice
 import weightlab.toric
+from weightlab.checks import check_boundary_squares_zero
 from weightlab.fan import _face_sizes
 from weightlab.fixtures import corpus_fan, fan_corpus, product_pairs, smooth_complete_corpus
 from weightlab.lattice import saturate_mod2
@@ -470,6 +471,27 @@ def _simplicial_sources():
     return docs
 
 
+@functools.cache
+def _guarded_fans():
+    """The fans the build's registry guard is held to here: the ladder,
+    the corpus and the products (``layout_fans``), and the Bergman fan of
+    the Fano plane."""
+    return {**layout_fans(), "bergman fano": parse_fan(bergman_fan_doc(_BERGMAN_LINES["fano"]))}
+
+
+@pytest.mark.parametrize("name", sorted(_guarded_fans()))
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_the_build_passes_the_checks_it_is_made_past(name, data):
+    # The build makes its complex past the ∂∂ and level checks; the
+    # registry's "toric boundary squares to zero" runs both on it, in the
+    # fan's own lattice coordinates or in random ones.
+    fan = _guarded_fans()[name]
+    if data.draw(st.booleans()):
+        fan = _disguised(fan, _unimodular(data.draw, fan.n))
+    assert check_boundary_squares_zero.on_fan(name, fan, toric_cell_complex(fan), None) == []
+
+
 def _generated(idx):
     return "c" + ",".join(map(str, sorted(idx))) if idx else "0"
 
@@ -545,7 +567,7 @@ def _fully_validated(doc):
     ``Fan(...)``, whose construction tests every axiom on it, the face
     lattice rebuilt from the face ids."""
     def validated(n, rays, cones, spans, lattice):
-        return Fan(n, rays, cones, spans)
+        return Fan(n, rays, cones)
 
     with mock.patch.object(Fan, "_walked", staticmethod(validated)):
         return _outcome(doc)
