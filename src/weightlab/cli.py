@@ -233,10 +233,9 @@ def cmd_fan_info(args) -> int:
     print(f"lattice rank: {fan.n}")
     print(f"rays: {[list(r) for r in fan.rays]}")
     print("cones (id, dim, codim, rays, faces):")
-    for cid in fan.cone_ids():
-        c = fan.cone(cid)
-        print(f"  {cid}: dim {c.dim}, codim {fan.n - c.dim}, "
-              f"rays {sorted(c.ray_indices)}, faces {sorted(c.faces)}")
+    sys.stdout.writelines(f"  {cid}: dim {c.dim}, codim {fan.n - c.dim}, "
+                          f"rays {sorted(c.ray_indices)}, faces {sorted(c.faces)}\n"
+                          for cid, c in sorted(fan.cones.items()))
     by_degree = ", ".join(f"{k}:{n}" for k, n in sorted(counts.items()))
     print(f"cell counts by degree: {by_degree}")
     return EXIT_OK

@@ -23,11 +23,16 @@ whole bitmask test.
 
 A simplicial document (``"simplicial": true``) gets most axioms by
 construction.  Its parse ranks the declared cones, refuses dependent ones
-and holds the document to the cell cap before it walks their ray subsets;
-the faces of a simplicial cone are exactly the cones on subsets of its
-rays (Cox–Little–Schenck, ch. 1), so the walked lattice is graded, closed
-and diamond, each face lies on its cone's rays, and each cone's rank is
-its number of rays.  Its rays are primitive and of the right length once
+and holds the document to the cell cap before it walks their ray subsets:
+a declared cone on s rays brings 3^s·2^(n-s) cells with its faces, and
+only when the sum of these passes the cap are the distinct subsets
+counted (:func:`_face_sizes`).  The walk takes the subsets by ascending
+size: each extends the generated id and ray set of the subset without its
+highest ray, and its face mask is the union of its facets'.  The faces
+of a simplicial cone are exactly the cones on subsets of its rays
+(Cox–Little–Schenck, ch. 1), so the walked lattice is graded, closed and
+diamond, each face lies on its cone's rays, and each cone's rank is its
+number of rays.  Its rays are primitive and of the right length once
 read.  It still tests what the walk cannot make true: that the rays its
 cones use are distinct vectors, with the helper that validation uses too,
 and that each face it declares is a face of its cone.
@@ -86,7 +91,7 @@ class Fan:
             raise FanError("; ".join(self.diagnostics()))
         from . import toric  # toric imports this module
 
-        toric.capped_counts(Counter(self.n - c.dim for c in self.cones.values()))
+        toric.capped_counts(toric._codims(self))
 
     @classmethod
     def _walked(cls, n: int, rays: tuple[tuple[int, ...], ...], cones: Mapping[str, Cone],
@@ -302,9 +307,9 @@ def parse_fan(doc: Mapping) -> Fan:
     With ``simplicial: true`` every subset of each cone's rays becomes a
     cone and face lists may be omitted, a face they list being refused
     unless it is a face of its cone; such a document whose cells pass
-    ``toric.MAX_CELLS`` is refused before any of its cones is made.
-    Non-primitive rays are divided by their gcd with a warning.  The zero
-    cone is implicit.
+    ``toric.MAX_CELLS`` is refused before any of its cones is made.  A
+    cone that lists a ray index twice is refused.  Non-primitive rays are
+    divided by their gcd with a warning.  The zero cone is implicit.
     """
     try:
         doc = json_object(doc, "the document")
@@ -321,8 +326,8 @@ def parse_fan(doc: Mapping) -> Fan:
             cd = json_object(cd, "cones[{}]", k)
             raw_cones.append((
                 None if simplicial and cd.get("id") is None else _cone_id(cd["id"], "a cone id"),
-                frozenset(json_int(i, "a ray index") for i in json_list(
-                    cd["rays"] if simplicial else cd.get("rays", []), "the rays of cones[{}]", k)),
+                [json_int(i, "a ray index") for i in json_list(
+                    cd["rays"] if simplicial else cd.get("rays", []), "the rays of cones[{}]", k)],
                 {_cone_id(fid, "a face")
                  for fid in json_list(cd.get("faces", []), "the faces of a cone")},
             ))
@@ -332,11 +337,15 @@ def parse_fan(doc: Mapping) -> Fan:
         raise FanError(f"malformed fan document: {exc}") from exc
     if n < 0:
         raise FanError(f"lattice rank {n} is negative")
-    for k, (cid, idx, _) in enumerate(raw_cones):
-        bad = sorted(i for i in idx if not 0 <= i < len(raw_rays))
-        if bad:
-            name = f"cones[{k}]" if cid is None else f"cone {cid!r}"
+    for k, (cid, listed, faces) in enumerate(raw_cones):
+        name = f"cones[{k}]" if cid is None else f"cone {cid!r}"
+        if bad := sorted(i for i in listed if not 0 <= i < len(raw_rays)):
             raise FanError(f"{name} uses ray indices {bad}, the fan has {len(raw_rays)} rays")
+        idx = frozenset(listed)
+        if len(idx) < len(listed):
+            twice = next(i for j, i in enumerate(listed) if i in listed[:j])
+            raise FanError(f"{name} lists ray index {twice} twice")
+        raw_cones[k] = (cid, idx, faces)
 
     rays = []
     for i, r in enumerate(raw_rays):
@@ -353,11 +362,12 @@ def parse_fan(doc: Mapping) -> Fan:
     rays = tuple(rays)
     spans = Saturations(rays, n)  # the fan's, too
 
-    # The rays of each id, the last given; generated ids avoid declared ones.
+    # The rays of each id, the last given; a generated id, "c" and the
+    # sorted ray indices, gains a "'" while a declared cone on other rays
+    # has it.
     rays_of = {ZERO_ID: frozenset(), **{c: idx for c, idx, _ in raw_cones if c is not None}}
 
-    def generated_id(idx: frozenset[int]) -> str:
-        cid = "c" + ",".join(map(str, sorted(idx))) if idx else ZERO_ID
+    def suffixed(cid: str, idx: frozenset[int]) -> str:
         while rays_of.get(cid, idx) != idx:
             cid += "'"
         return cid
@@ -365,7 +375,8 @@ def parse_fan(doc: Mapping) -> Fan:
     # (id, ray indices) of the zero cone and the declared cones.  Each form
     # numbers its cones once, with their faces' ids and masks of face numbers.
     ids = [(ZERO_ID, frozenset())]
-    ids += [(generated_id(idx) if cid is None else cid, idx) for cid, idx, _ in raw_cones]
+    ids += [(suffixed("c" + ",".join(map(str, sorted(idx))) if idx else ZERO_ID, idx)
+             if cid is None else cid, idx) for cid, idx, _ in raw_cones]
     if simplicial:
         from . import toric  # toric imports this module
 
@@ -375,54 +386,65 @@ def parse_fan(doc: Mapping) -> Fan:
             if (dim := spans[idx].dim) != len(idx):
                 raise FanError(f"cone {cid!r} marked simplicial has {len(idx)} rays of rank {dim}")
             declared[sum(1 << i for i in idx)] = cid
-        # Every subset of a declared ray set is a cone, numbered as the walk
-        # meets it: its cells are held to the cap before any is walked, and
-        # a count too long to finish stops once it has passed the cap.
-        def past(sizes: Counter) -> None:
-            if (cells := sum(m << n - s for s, m in sizes.items())) > toric.MAX_CELLS:
-                raise FanError(f"the fan has at least {cells} cells, more than the "
-                               f"{toric.MAX_CELLS} the build allows")
+        # A declared cone on s rays brings 3^s·2^(n-s) cells with its faces,
+        # so their sum bounds the cells.  Only past the cap are the distinct
+        # subsets counted, before any is walked; a count too long to finish
+        # stops once it has passed the cap.
+        if sum(3 ** s << n - s for s in map(int.bit_count, declared)) > toric.MAX_CELLS:
+            def past(sizes: Counter) -> None:
+                if (cells := sum(m << n - s for s, m in sizes.items())) > toric.MAX_CELLS:
+                    raise FanError(f"the fan has at least {cells} cells, more than the "
+                                   f"{toric.MAX_CELLS} the build allows")
 
-        toric.capped_counts({n - s: m for s, m in _face_sizes(list(declared), past).items()})
+            toric.capped_counts({n - s: m for s, m in _face_sizes(list(declared), past).items()})
+        # Every subset of a declared ray set is a cone, numbered as the walk
+        # meets it.
         walked = {0: None}
         for top in declared:
             sub = top
             while sub:
                 walked[sub] = None
                 sub = (sub - 1) & top
-        id_of, numbered = {}, []
-        for sub in walked:
-            idx = frozenset(set_bits(sub))
-            id_of[sub] = (ZERO_ID if not sub else declared[sub] if sub in declared
-                          else generated_id(idx))
-            numbered.append((id_of[sub], idx))
-        # The proper subsets of a cone's rays, the empty one too, are its
-        # faces: their ids by walking them, their mask as the union over
-        # its facets, taken by ascending size.
+        # By ascending size, a subset extends the one without its highest
+        # ray r: its generated id's text and its rays gain r.  Its faces are
+        # its proper subsets, the empty one too, met by then: their mask is
+        # the union over its facets, and their ids are that subset's faces,
+        # that subset, and the proper subsets with r, read by walking them.
         bit = {sub: 1 << i for i, sub in enumerate(walked)}
-        closed = {}
-        for mask in sorted(walked, key=int.bit_count):
-            faces, rest = 0, mask
+        text, rays_at, id_of = {}, {0: frozenset()}, {0: ZERO_ID}
+        closed, faces_of = {0: 0}, {0: frozenset()}
+        for sub in sorted(walked, key=int.bit_count)[1:]:
+            r = sub.bit_length() - 1
+            below = sub ^ (high := 1 << r)
+            text[sub] = f"{text[below]},{r}" if below else f"c{r}"
+            rays_at[sub] = idx = rays_at[below].union((r,))
+            id_of[sub] = declared[sub] if sub in declared else suffixed(text[sub], idx)
+            mask, rest = 0, sub
             while rest:
                 low = rest & -rest
                 rest ^= low
-                faces |= bit[mask ^ low] | closed[mask ^ low]
-            closed[mask] = faces
-        ray_masks, masks = list(walked), [closed[mask] for mask in walked]
-        face_ids = []
-        for mask in walked:
-            faces, sub = [], mask
-            while sub:
-                sub = (sub - 1) & mask
-                faces.append(id_of[sub])
-            face_ids.append(faces)
+                mask |= bit[sub ^ low] | closed[sub ^ low]
+            closed[sub] = mask
+            faces, face = [*faces_of[below], id_of[below]], below
+            while face:
+                face = (face - 1) & below
+                faces.append(id_of[face | high])
+            faces_of[sub] = frozenset(faces)
+        numbered = [(id_of[sub], rays_at[sub]) for sub in walked]
+        ray_masks, masks = list(walked), [closed[sub] for sub in walked]
+        face_ids = [faces_of[sub] for sub in walked]
     else:
         # Transitive closure of the declared face lists, depth first from a
         # stack of the chain being closed, each list walked in sorted order.
         # A fan of lattice rank n has chains of at most n nonzero cones.
         numbered = list(rays_of.items())
         bit = {cid: 1 << i for i, (cid, _) in enumerate(numbered)}
-        declared_faces = {cid: sorted(faces | {ZERO_ID}) for cid, _, faces in raw_cones}
+        # A cone repeated with the same id and rays is one cone: its face
+        # lists are read as one.
+        listed: dict[str, set[str]] = {}
+        for cid, _, faces in raw_cones:
+            listed.setdefault(cid, {ZERO_ID}).update(faces)
+        declared_faces = {cid: sorted(faces) for cid, faces in listed.items()}
         closed, stray = {ZERO_ID: 0}, False
         for top in declared_faces:
             stack = {} if top in closed else {top: iter(declared_faces[top])}
@@ -452,7 +474,7 @@ def parse_fan(doc: Mapping) -> Fan:
     if simplicial:
         # A subset of independent rays is independent: each cone's rank is
         # its number of rays.
-        cones = {cid: Cone(cid, idx, len(idx), frozenset(faces))
+        cones = {cid: _built(Cone, id=cid, ray_indices=idx, dim=len(idx), faces=faces)
                  for (cid, idx), faces in zip(numbered, face_ids)}
         fan = Fan._walked(n, rays, cones, spans, _FaceLattice(cones, masks, ray_masks))
         # A declared face list is read only to be checked against the walk.

@@ -302,10 +302,15 @@ class ToricCellComplex:
         return totalize(blocks, maps)
 
 
+def _codims(f: Fan) -> Counter:
+    """{k: the number of cones of codimension k}."""
+    return Counter(f.n - c.dim for c in f.cones.values())
+
+
 def cell_counts(f: Fan) -> dict[int, int]:
     """The number of cells of each degree k, Σ_{codim σ = k} 2^k, from the
     cones alone; at most ``MAX_CELLS`` in all, as ``Fan`` refuses more."""
-    return {k: m << k for k, m in Counter(f.codim(cid) for cid in f.cone_ids()).items()}
+    return {k: m << k for k, m in _codims(f).items()}
 
 
 def capped_counts(cones: Mapping[int, int]) -> dict[int, int]:
@@ -316,7 +321,9 @@ def capped_counts(cones: Mapping[int, int]) -> dict[int, int]:
     it is formed.  Every ``Fan`` is held to it when made: one validated
     on construction with the counts of its cones, a simplicial document's
     by the parse, before its ray subsets are walked, with the counts of the
-    distinct subsets that the walk then makes into its cones."""
+    distinct subsets that the walk then makes into its cones; the parse
+    skips that count when a bound from the declared cones is within the
+    cap."""
     if (k := max(cones)) >= MAX_CELLS.bit_length():
         raise FanError(f"the fan has a cone of codimension {k}, so more than "
                        f"the {MAX_CELLS} cells the build allows")
@@ -387,7 +394,7 @@ def orbit_sum_poly(f: Fan) -> Poly:
     """The orbit decomposition's prediction for the virtual polynomial:
     sum over cones of (t - 1)^codim.  With m_k cones of codimension k,
     the coefficient of t^j is Σ_k m_k·C(k, j)·(-1)^(k-j)."""
-    cones = Counter(f.codim(cid) for cid in f.cone_ids())
+    cones = _codims(f)
     coeffs = [0] * (max(cones) + 1)
     for k, m in cones.items():
         for j in range(k + 1):

@@ -388,6 +388,44 @@ def test_declared_ids_that_are_generated_face_ids_are_accepted(capsys, tmp_path)
     assert "beta = 1 + t + t^2" in outputs[0][0]
 
 
+def _fan_info(capsys, tmp_path, doc) -> str:
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "fan-info", "--fan", str(path))
+    assert code == 0, err
+    return out
+
+
+_P2_RAYS = [[1, 0], [0, 1], [-1, -1]]
+
+
+def test_a_cone_repeated_with_its_id_and_rays_is_one_cone(capsys, tmp_path):
+    # In the simplicial form, with or without an id and in any ray order.
+    declared = [{"id": "m0", "rays": [1, 2]}, {"id": "m1", "rays": [0, 2]}, {"rays": [0, 1]}]
+    once = {"lattice_rank": 2, "rays": _P2_RAYS, "simplicial": True, "cones": declared}
+    twice = {**once, "cones": [*declared, {"id": "m0", "rays": [2, 1]}, {"rays": [1, 0]}]}
+    assert _fan_info(capsys, tmp_path, twice) == _fan_info(capsys, tmp_path, once)
+    # In the face-list form each copy may list some of the cone's faces:
+    # they are read as one list.
+    doc = fan_to_doc(standard_fan("P", 2))
+    top = next(cd for cd in doc["cones"] if len(cd["rays"]) == 2)
+    halves = [{**top, "faces": ["0", fid]} for fid in top["faces"] if fid != "0"]
+    split = {**doc, "cones": [cd for cd in doc["cones"] if cd is not top] + halves}
+    assert _fan_info(capsys, tmp_path, split) == _fan_info(capsys, tmp_path, doc)
+
+
+def test_a_face_listed_twice_is_read_once(capsys, tmp_path):
+    cones = [{"rays": [1, 2]}, {"rays": [0, 2]}]
+    plain = {"lattice_rank": 2, "rays": _P2_RAYS, "simplicial": True,
+             "cones": [*cones, {"id": "m", "rays": [0, 1]}]}
+    listed = {**plain, "cones": [*cones, {"id": "m", "rays": [0, 1], "faces": ["c0", "0", "c0"]}]}
+    assert _fan_info(capsys, tmp_path, listed) == _fan_info(capsys, tmp_path, plain)
+    face_list = fan_to_doc(standard_fan("P", 2))
+    doubled = {**face_list, "cones": [{**cd, "faces": cd["faces"] * 2}
+                                      for cd in face_list["cones"]]}
+    assert _fan_info(capsys, tmp_path, doubled) == _fan_info(capsys, tmp_path, face_list)
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "fan-info", "--fan", "/nonexistent.json")
     assert code == 2
@@ -1011,6 +1049,23 @@ def test_malformed_documents_exit_3(capsys, tmp_path, verb, doc, message):
     *((verb, {"levels": []},
        "malformed hyperresolution document: 'levels' must list at least one level")
       for verb in ("ss --hyperres", "cubical-ss --hyperres")),
+    # A cone that lists one ray index twice is refused, in either form,
+    # named as an index out of range is.
+    *((verb, {"lattice_rank": 1, "rays": [[1], [-1]], "simplicial": True,
+              "cones": [{"rays": [0, 0]}, {"rays": [1]}]},
+       "{path}: cones[0] lists ray index 0 twice") for verb in ("vpoly --fan", "fan-info --fan")),
+    ("vpoly --fan",
+     {"lattice_rank": 2, "rays": [[1, 0], [0, 1]], "simplicial": True,
+      "cones": [{"id": "m", "rays": [1, 0, 1, 0]}]},
+     "{path}: cone 'm' lists ray index 1 twice"),
+    ("vpoly --fan",
+     {"lattice_rank": 1, "rays": [[1], [-1]],
+      "cones": [{"id": "a", "rays": [0, 0]}, {"id": "b", "rays": [1]}]},
+     "{path}: cone 'a' lists ray index 0 twice"),
+    # Out of range is named first.
+    ("fan-info --fan",
+     {"lattice_rank": 1, "rays": [[1]], "cones": [{"id": "a", "rays": [0, 0, 2]}]},
+     "{path}: cone 'a' uses ray indices [2], the fan has 1 rays"),
 ])
 def test_document_refusals_exit_3_with_their_message(capsys, tmp_path, verb, doc, message):
     path = tmp_path / "doc.json"

@@ -408,6 +408,32 @@ def _simplicial_doc(fan):
                       for cid in fan.cone_ids() if cid not in below]}
 
 
+def test_a_simplicial_parse_counts_the_faces_only_past_its_bound(monkeypatch):
+    # A declared cone on s rays brings 3^s·2^(n-s) cells with its faces.
+    # While their sum is within the cap, the distinct faces are not
+    # counted; past it they are, and the exact count decides.
+    p2 = standard_fan("P", 2)
+    fans = {"P:6": standard_fan("P", 6), "A:6": standard_fan("A", 6),
+            "P2xP2": product_fan(p2, p2), "P:3": standard_fan("P", 3)}
+    docs = {name: _simplicial_doc(fan) for name, fan in fans.items()}
+    calls = []
+    sizes = weightlab.fan._face_sizes
+    monkeypatch.setattr(weightlab.fan, "_face_sizes",
+                        lambda *args: calls.append(args[0]) or sizes(*args))
+    for name in ("P:6", "A:6", "P2xP2"):
+        assert cell_counts(parse_fan(docs[name])) == cell_counts(fans[name]), name
+    assert calls == []
+    # P:3 has 40 cells, and its four cones a bound of 4·3^3 = 108.
+    for cap, counted in ((108, 0), (107, 1), (40, 1)):
+        calls.clear()
+        monkeypatch.setattr(weightlab.toric, "MAX_CELLS", cap)
+        assert sum(cell_counts(parse_fan(docs["P:3"])).values()) == 40, cap
+        assert len(calls) == counted, cap
+    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 39)
+    with pytest.raises(FanError, match="^the fan has 40 cells, more than the 39 the build allows$"):
+        parse_fan(docs["P:3"])
+
+
 @pytest.mark.parametrize("name", sorted(layout_fans()))
 def test_fan_documents_at_the_cap_are_read_and_above_it_refused(name):
     # A simplicial document is refused by the parse, before any cone is
