@@ -335,14 +335,8 @@ def check_deligne_comparison_toric(name, fan, tcc, ss) -> list[str]:
 
 @per_fan("differentials compute the next page", RANK_2)
 def check_page_homology(name, fan, tcc, ss) -> list[str]:
-    """d^r squares to zero and computes the next page, as matrices.
-
-    The entries and differentials come from a spectral sequence of the
-    property's own, dropped after the fan: no other property reads them,
-    and in the shared sequences the caches of every small fan would be
-    held at once."""
+    """d^r squares to zero and computes the next page, as matrices."""
     bad = []
-    ss = SpectralSequence(tcc.filtered)
     for r in range(0, ss.r_inf + 1):
         for (p, q) in ss.page(r):
             d_out = ss.differential(r, p, q)

@@ -18,7 +18,6 @@ import sys
 from typing import Sequence
 
 from .complexes import (
-    ComplexError,
     FilteredComplex,
     canonical_filtration,
     filtered_from_doc,
@@ -31,6 +30,7 @@ from .cubical import (
     simple_filtered,
     skeleton_filtration,
 )
+from .gf2 import InputError
 from .pages import (
     PurityReport,
     SpectralSequence,
@@ -42,7 +42,6 @@ from .pages import (
 )
 from .toric import (
     Fan,
-    FanError,
     cell_counts,
     levels,
     orbit_sum_poly,
@@ -64,19 +63,25 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_json(path: str) -> dict:
+def _read(path: str, reader, *args):
+    """``reader(doc, *args)`` of the JSON document at path: every document
+    is read here, and any refusal names its file, with exit 2 for a file
+    that cannot be read or parsed and 3 for a document refused."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}", EXIT_PARSE)
+    try:
+        return reader(doc, *args)
+    except InputError as exc:
+        raise CliError(f"{path}: {exc}", EXIT_VALIDATION)
 
 
 def _fan_from_args(args) -> Fan:
-    """The fan of ``--standard`` or ``--fan``; a refusal of a fan document
-    names the file."""
+    """The fan of ``--standard`` or ``--fan``."""
     if args.standard is not None:
         name, _, param = args.standard.partition(":")
         try:
@@ -85,11 +90,7 @@ def _fan_from_args(args) -> Fan:
             raise CliError(f"--standard {args.standard}: {param!r} is not an integer",
                            EXIT_PARSE)
         return standard_fan(name, size)
-    doc = _load_json(args.fan)
-    try:
-        return parse_fan(doc)
-    except FanError as exc:
-        raise CliError(f"{args.fan}: {exc}", EXIT_VALIDATION)
+    return _read(args.fan, parse_fan)
 
 
 # The --filtration names that each kind of input reads as its own
@@ -112,9 +113,9 @@ def _filtered_from_args(args) -> tuple[FilteredComplex, int]:
         kind, fan = "fans", _fan_from_args(args)
     elif args.hyperres is not None:
         kind = "hyperresolutions"
-        fc = skeleton_filtration(hyperres_from_doc(_load_json(args.hyperres)))
+        fc = skeleton_filtration(_read(args.hyperres, hyperres_from_doc))
     else:
-        kind, fc = "complex files", filtered_from_doc(_load_json(args.complex))
+        kind, fc = "complex files", _read(args.complex, filtered_from_doc)
     selector = args.filtration
     if selector != "canonical" and selector not in _NATIVE_FILTRATIONS[kind]:
         raise CliError(f"filtration {selector!r} does not apply to {kind}", EXIT_PARSE)
@@ -297,10 +298,10 @@ def cmd_check(args) -> int:
 
 def cmd_cubical_ss(args) -> int:
     if args.diagram is not None:
-        ss = SpectralSequence(simple_filtered(diagram_from_doc(_load_json(args.diagram))))
+        ss = SpectralSequence(simple_filtered(_read(args.diagram, diagram_from_doc)))
         print(f"total complex acyclic: {'yes' if is_acyclic(ss) else 'no'}")
     else:
-        h = hyperres_from_doc(_load_json(args.hyperres))
+        h = _read(args.hyperres, hyperres_from_doc)
         ss = SpectralSequence(skeleton_filtration(h))
         mismatches = decalage_mismatches(ss)
         print(f"shifted-filtration comparison: {mismatches or 'ok'}")
@@ -311,38 +312,35 @@ def cmd_cubical_ss(args) -> int:
 def cmd_euler(args) -> int:
     from . import euler
 
-    def doc(option: str):
+    def read(option: str, reader, *context):
         path = getattr(args, option)
         if path is None:
             raise CliError(f"--op {args.op} needs --{option}", EXIT_PARSE)
-        return _load_json(path)
+        return _read(path, reader, *context)
 
-    try:
-        cx = euler.complex_from_doc(doc("complex"))
-        if args.op == "link":
-            phi = euler.function_from_doc(doc("function"), cx)
-            print(json.dumps(euler.function_to_doc(euler.link(phi)), sort_keys=True))
-        elif args.op == "boundary":
-            chain = euler.chain_from_doc(doc("chain"), cx)
-            out = euler.chain_boundary(chain)
-            members = sorted(out.members, key=str)
-            print(json.dumps({
-                "k": out.k,
-                "members": [
-                    {"vertices": list(m[1]), "copy": m[2]} for m in members
-                ],
-            }, sort_keys=True))
-        elif args.op == "integral":
-            phi = euler.function_from_doc(doc("function"), cx)
-            print(euler.euler_integral(phi))
-        else:  # pushforward
-            target = euler.complex_from_doc(doc("target"))
-            f = euler.map_from_doc(doc("map"), cx, target)
-            phi = euler.function_from_doc(doc("function"), cx)
-            out = euler.pushforward_cf(f, phi)
-            print(json.dumps(euler.function_to_doc(out), sort_keys=True))
-    except euler.EulerError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION)
+    cx = read("complex", euler.complex_from_doc)
+    if args.op == "link":
+        phi = read("function", euler.function_from_doc, cx)
+        print(json.dumps(euler.function_to_doc(euler.link(phi)), sort_keys=True))
+    elif args.op == "boundary":
+        chain = read("chain", euler.chain_from_doc, cx)
+        out = euler.chain_boundary(chain)
+        members = sorted(out.members, key=str)
+        print(json.dumps({
+            "k": out.k,
+            "members": [
+                {"vertices": list(m[1]), "copy": m[2]} for m in members
+            ],
+        }, sort_keys=True))
+    elif args.op == "integral":
+        phi = read("function", euler.function_from_doc, cx)
+        print(euler.euler_integral(phi))
+    else:  # pushforward
+        target = read("target", euler.complex_from_doc)
+        f = read("map", euler.map_from_doc, cx, target)
+        phi = read("function", euler.function_from_doc, cx)
+        out = euler.pushforward_cf(f, phi)
+        print(json.dumps(euler.function_to_doc(out), sort_keys=True))
     return EXIT_OK
 
 
@@ -424,8 +422,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (FanError, ComplexError) as exc:
-        # A refused fan or document, with its message as raised.
+    except InputError as exc:
+        # A refused input that no document gave, such as a --standard fan.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except BrokenPipeError:

@@ -46,20 +46,23 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
+from . import gf2
 from .gf2 import (
     BitMatrix,
     BitSubspace,
+    InputError,
     json_int,
     json_list,
     json_object,
     kernel_of_columns,
+    malformed,
     rref_prefixes,
     vec_from_string,
     vec_to_string,
 )
 
 
-class ComplexError(ValueError):
+class ComplexError(InputError):
     """Raised when chain-complex or filtration axioms fail."""
 
 
@@ -513,19 +516,17 @@ def matrix_entries(entries, what: str, *place) -> list[tuple[int, int]]:
 
 def complex_from_doc(doc: Mapping) -> ChainComplex:
     """The complex of a document.  A total dimension, or a span of the
-    degrees holding cells, above ``toric.MAX_CELLS``, read at call time,
+    degrees holding cells, above ``gf2.MAX_CELLS``, read at call time,
     is refused before anything of that size is allocated."""
-    from . import toric  # toric imports this module
-
-    try:
+    with malformed(ComplexError, "complex document"):
         doc = json_object(doc, "the document")
         dims = {k: json_int(n, "a dimension") for k, n in int_keys(
             json_object(doc.get("dims", {}), "'dims'"), "dims keys").items()}
         if any(n < 0 for n in dims.values()):
             raise ValueError("negative dimension")
-        if (total := sum(dims.values())) > toric.MAX_CELLS:
+        if (total := sum(dims.values())) > gf2.MAX_CELLS:
             raise ValueError(f"the complex has {total} cells, more than "
-                             f"the {toric.MAX_CELLS} the build allows")
+                             f"the {gf2.MAX_CELLS} the build allows")
         _check_span("degrees holding cells", [k for k, n in dims.items() if n])
         boundary = {}
         for k, entries in int_keys(json_object(doc.get("boundary", {}), "'boundary'"),
@@ -533,8 +534,6 @@ def complex_from_doc(doc: Mapping) -> ChainComplex:
             boundary[k] = BitMatrix.from_entries(
                 dims.get(k - 1, 0), dims.get(k, 0),
                 matrix_entries(entries, "boundary[{!r}]", str(k)))
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ComplexError(f"malformed complex document: {exc}") from exc
     return ChainComplex.make(dims, boundary)
 
 
@@ -552,26 +551,24 @@ def filtered_to_doc(fc: FilteredComplex) -> dict:
 
 
 def _check_span(what: str, values: list[int]) -> None:
-    """Refuse values spread wider than ``toric.MAX_CELLS``: pages list every
+    """Refuse values spread wider than ``gf2.MAX_CELLS``: pages list every
     level between the ends, so output grows with the span, not the cells."""
-    from . import toric  # toric imports this module
-
-    if values and (span := max(values) - min(values)) > toric.MAX_CELLS:
+    if values and (span := max(values) - min(values)) > gf2.MAX_CELLS:
         raise ValueError(f"the {what} span {span}, more than the "
-                         f"{toric.MAX_CELLS} the build allows")
+                         f"{gf2.MAX_CELLS} the build allows")
 
 
 def filtered_from_doc(doc: Mapping) -> FilteredComplex:
     """The filtered complex of a document.  A missing or null
     ``filtration``, or an empty object, which lists no levels, is the
     trivial filtration; anything else but an object is refused.
-    Filtration levels spanning more than ``toric.MAX_CELLS`` are refused
+    Filtration levels spanning more than ``gf2.MAX_CELLS`` are refused
     before any is read."""
     cx = complex_from_doc(doc)
     filt = doc.get("filtration")
     if filt is None or filt == {}:
         return trivial_filtration(cx)
-    try:
+    with malformed(ComplexError, "filtration"):
         by_level = int_keys(json_object(filt, "'filtration'"), "filtration levels")
         _check_span("filtration levels", list(by_level))
         levels = {
@@ -584,6 +581,4 @@ def filtered_from_doc(doc: Mapping) -> FilteredComplex:
             }
             for p, by_deg in by_level.items()
         }
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ComplexError(f"malformed filtration: {exc}") from exc
     return FilteredComplex.from_subspaces(cx, levels)

@@ -34,7 +34,7 @@ from .complexes import (
     totalize,
     trivial_filtration,
 )
-from .gf2 import BitMatrix, json_int, json_list, json_object
+from .gf2 import BitMatrix, json_int, json_list, json_object, malformed
 from .pages import SpectralSequence
 
 
@@ -267,11 +267,6 @@ def _maps_from_doc(doc, src: ChainComplex, dst: ChainComplex,
     return out
 
 
-def _malformed(what: str, exc: Exception) -> ComplexError:
-    reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-    return ComplexError(f"malformed {what} document: {reason}")
-
-
 def diagram_to_doc(d: CubicalDiagram) -> dict:
     return {
         "n": d.n,
@@ -284,7 +279,7 @@ def diagram_to_doc(d: CubicalDiagram) -> dict:
 
 
 def diagram_from_doc(doc: Mapping) -> CubicalDiagram:
-    try:
+    with malformed(ComplexError, "diagram document"):
         doc = json_object(doc, "the document")
         n = json_int(doc["n"], "n")
         objects = {s: filtered_from_doc(json_object(od, "objects[{!r}]", str(s)))
@@ -301,10 +296,6 @@ def diagram_from_doc(doc: Mapping) -> CubicalDiagram:
                 raise ValueError(f"map {s}->{t} is given twice")
             maps[(s, t)] = _maps_from_doc(entry.get("matrices", {}), objects[s].complex,
                                           objects[t].complex, f"maps[{i}]['matrices']")
-    except (KeyError, AttributeError, TypeError, ValueError) as exc:
-        if isinstance(exc, ComplexError):
-            raise
-        raise _malformed("diagram", exc) from exc
     return CubicalDiagram(n, objects, maps)
 
 
@@ -319,7 +310,7 @@ def hyperres_to_doc(h: Hyperresolution) -> dict:
 
 
 def hyperres_from_doc(doc: Mapping) -> Hyperresolution:
-    try:
+    with malformed(ComplexError, "hyperresolution document"):
         doc = json_object(doc, "the document")
         levels = tuple(complex_from_doc(json_object(cd, "levels[{}]", i))
                        for i, cd in enumerate(json_list(doc["levels"], "'levels'")))
@@ -336,8 +327,4 @@ def hyperres_from_doc(doc: Mapping) -> Hyperresolution:
                 raise ValueError(f"face map d_{j} at level {i} is given twice")
             faces[(i, j)] = _maps_from_doc(entry.get("matrix", {}), levels[i],
                                            levels[i - 1], f"faces[{e}]['matrix']")
-    except (KeyError, AttributeError, TypeError, ValueError) as exc:
-        if isinstance(exc, ComplexError):
-            raise
-        raise _malformed("hyperresolution", exc) from exc
     return Hyperresolution(levels, faces)

@@ -32,11 +32,11 @@ from functools import cache, cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 from weakref import WeakKeyDictionary
 
-from . import toric
-from .gf2 import BitMatrix, _built, json_int
+from . import gf2
+from .gf2 import BitMatrix, InputError, _built, json_int, json_list, json_object
 
 
-class EulerError(ValueError):
+class EulerError(InputError):
     pass
 
 
@@ -156,9 +156,9 @@ class CellComplex:
         are numbered in order of first appearance: each simplex, then its
         new proper faces by size in ``combinations`` order.  A simplex
         whose closure alone, or simplices whose closures together, have
-        more face incidences than ``toric.MAX_CELLS`` are refused.
+        more face incidences than ``gf2.MAX_CELLS`` are refused.
         """
-        limit = toric.MAX_CELLS
+        limit = gf2.MAX_CELLS
         cells: list[Cell] = []
         dims: list[int] = []
         ids: dict[Cell, int] = {}
@@ -618,21 +618,8 @@ def fold_map() -> SimpMap:
 # TypeError from deeper down.
 
 
-def _object(doc, what: str) -> Mapping:
-    if not isinstance(doc, Mapping):
-        raise EulerError(f"{what} must be a JSON object, not {type(doc).__name__}")
-    return doc
-
-
-def _list(doc: Mapping, key: str, what: str) -> list:
-    entries = doc.get(key, [])
-    if not isinstance(entries, list):
-        raise EulerError(f"{what}: {key!r} must be a list")
-    return entries
-
-
 def _field(entry, key: str, what: str):
-    if key not in _object(entry, what):
+    if key not in json_object(entry, what, error=EulerError):
         raise EulerError(f"{what} {entry!r} has no {key!r}")
     return entry[key]
 
@@ -655,15 +642,22 @@ def _assign(table: dict, cell: Cell, value, what: str) -> None:
         raise EulerError(f"{what} gives cell {cell} two values")
 
 
+def _entries(doc, what: str, key: str) -> list:
+    """The list ``doc[key]`` of the document named ``what``, empty when
+    the key is missing."""
+    return json_list(json_object(doc, what, error=EulerError).get(key, []), repr(key),
+                     error=EulerError)
+
+
 def complex_from_doc(doc: Mapping) -> CellComplex:
-    entries = _list(_object(doc, "complex document"), "simplices", "complex")
+    entries = _entries(doc, "complex document", "simplices")
     return CellComplex.from_simplices([_cell_from_doc(e) for e in entries])
 
 
 def function_from_doc(doc: Mapping, cx: CellComplex) -> ConstructibleFunction:
     weights: dict[Cell, int] = {}
-    for e in _list(_object(doc, "function document"), "weights", "function"):
-        if "simplex" not in _object(e, "weight") and "cell" not in e:
+    for e in _entries(doc, "function document", "weights"):
+        if "simplex" not in json_object(e, "weight", error=EulerError) and "cell" not in e:
             raise EulerError(f"weight {e!r} has no 'simplex' or 'cell'")
         cell = simplex_cell(*_cell_from_doc(e["simplex"] if "simplex" in e else e["cell"]))
         value = json_int(_field(e, "value", "weight"), "a weight", EulerError)
@@ -672,10 +666,10 @@ def function_from_doc(doc: Mapping, cx: CellComplex) -> ConstructibleFunction:
 
 
 def chain_from_doc(doc: Mapping, cx: CellComplex) -> CellChain:
-    if "k" not in _object(doc, "chain document"):
+    if "k" not in json_object(doc, "chain document", error=EulerError):
         raise EulerError("chain document has no 'k'")
     members: dict[Cell, None] = {}
-    for e in _list(doc, "members", "chain"):
+    for e in _entries(doc, "chain document", "members"):
         cell = simplex_cell(*_cell_from_doc(e))
         # Mod 2 a cell listed twice is zero: refused rather than read.
         if cell in members:
@@ -686,7 +680,7 @@ def chain_from_doc(doc: Mapping, cx: CellComplex) -> CellChain:
 
 def map_from_doc(doc: Mapping, src: CellComplex, dst: CellComplex) -> SimpMap:
     assignment: dict[Cell, Cell] = {}
-    for e in _list(_object(doc, "map document"), "cells", "map"):
+    for e in _entries(doc, "map document", "cells"):
         _assign(assignment, simplex_cell(*_cell_from_doc(_field(e, "from", "map entry"))),
                 simplex_cell(*_cell_from_doc(_field(e, "to", "map entry"))), "the map")
     return SimpMap(src, dst, assignment)

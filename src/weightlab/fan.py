@@ -22,11 +22,12 @@ document, every product and every ``Fan(...)`` made directly takes this
 whole bitmask test.
 
 A simplicial document (``"simplicial": true``) gets most axioms by
-construction.  Its parse ranks the declared cones, refuses dependent ones
-and holds the document to the cell cap before it walks their ray subsets:
-a declared cone on s rays brings 3^s·2^(n-s) cells with its faces, and
-only when the sum of these passes the cap are the distinct subsets
-counted (:func:`_face_sizes`).  The walk takes the subsets by ascending
+construction.  Its parse checks the declared ids, ranks the declared
+cones, refuses dependent ones and holds the document to the cell cap
+(``gf2.MAX_CELLS``) before it walks their ray subsets: a declared cone on
+s rays brings 3^s·2^(n-s) cells with its faces, and only when the sum of
+these passes the cap are the distinct subsets counted
+(:func:`_face_sizes`).  The walk takes the subsets by ascending
 size: each extends the generated id and ray set of the subset without its
 highest ray, and its face mask is the union of its facets'.  The faces
 of a simplicial cone are exactly the cones on subsets of its rays
@@ -52,11 +53,21 @@ from math import comb
 from operator import or_
 from typing import Callable, Iterable
 
-from .gf2 import BitSubspace, _built, json_int, json_list, json_object, set_bits
+from . import gf2
+from .gf2 import (
+    BitSubspace,
+    InputError,
+    _built,
+    json_int,
+    json_list,
+    json_object,
+    malformed,
+    set_bits,
+)
 from .lattice import Saturations, is_primitive, make_primitive
 
 
-class FanError(ValueError):
+class FanError(InputError):
     """Raised for structural problems in fan data."""
 
 
@@ -89,9 +100,7 @@ class Fan:
         # walk, and tests its rays for repeats with the scans' helper.
         if not self._holds():
             raise FanError("; ".join(self.diagnostics()))
-        from . import toric  # toric imports this module
-
-        toric.capped_counts(toric._codims(self))
+        capped_counts(_codims(self))
 
     @classmethod
     def _walked(cls, n: int, rays: tuple[tuple[int, ...], ...], cones: Mapping[str, Cone],
@@ -307,11 +316,11 @@ def parse_fan(doc: Mapping) -> Fan:
     With ``simplicial: true`` every subset of each cone's rays becomes a
     cone and face lists may be omitted, a face they list being refused
     unless it is a face of its cone; such a document whose cells pass
-    ``toric.MAX_CELLS`` is refused before any of its cones is made.  A
+    ``gf2.MAX_CELLS`` is refused before any of its cones is made.  A
     cone that lists a ray index twice is refused.  Non-primitive rays are
     divided by their gcd with a warning.  The zero cone is implicit.
     """
-    try:
+    with malformed(FanError, "fan document"):
         doc = json_object(doc, "the document")
         n = json_int(doc["lattice_rank"], "the lattice rank")
         raw_rays = [[json_int(x, "a ray coordinate") for x in json_list(r, "rays[{}]", i)]
@@ -331,10 +340,6 @@ def parse_fan(doc: Mapping) -> Fan:
                 {_cone_id(fid, "a face")
                  for fid in json_list(cd.get("faces", []), "the faces of a cone")},
             ))
-    except KeyError as exc:
-        raise FanError(f"malformed fan document: missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise FanError(f"malformed fan document: {exc}") from exc
     if n < 0:
         raise FanError(f"lattice rank {n} is negative")
     for k, (cid, listed, faces) in enumerate(raw_cones):
@@ -378,9 +383,8 @@ def parse_fan(doc: Mapping) -> Fan:
     ids += [(suffixed("c" + ",".join(map(str, sorted(idx))) if idx else ZERO_ID, idx)
              if cid is None else cid, idx) for cid, idx, _ in raw_cones]
     if simplicial:
-        from . import toric  # toric imports this module
-
-        toric.capped_counts({n: 1})  # the zero cone, before any subset is walked
+        _check_ids(ids)  # before the cap, the ranks and the subset walk
+        capped_counts({n: 1})  # the zero cone
         declared: dict[int, str] = {}  # by ray set, as a bitmask
         for cid, idx in ids[1:]:
             if (dim := spans[idx].dim) != len(idx):
@@ -390,13 +394,13 @@ def parse_fan(doc: Mapping) -> Fan:
         # so their sum bounds the cells.  Only past the cap are the distinct
         # subsets counted, before any is walked; a count too long to finish
         # stops once it has passed the cap.
-        if sum(3 ** s << n - s for s in map(int.bit_count, declared)) > toric.MAX_CELLS:
+        if sum(3 ** s << n - s for s in map(int.bit_count, declared)) > gf2.MAX_CELLS:
             def past(sizes: Counter) -> None:
-                if (cells := sum(m << n - s for s, m in sizes.items())) > toric.MAX_CELLS:
+                if (cells := sum(m << n - s for s, m in sizes.items())) > gf2.MAX_CELLS:
                     raise FanError(f"the fan has at least {cells} cells, more than the "
-                                   f"{toric.MAX_CELLS} the build allows")
+                                   f"{gf2.MAX_CELLS} the build allows")
 
-            toric.capped_counts({n - s: m for s, m in _face_sizes(list(declared), past).items()})
+            capped_counts({n - s: m for s, m in _face_sizes(list(declared), past).items()})
         # Every subset of a declared ray set is a cone, numbered as the walk
         # meets it.
         walked = {0: None}
@@ -470,7 +474,7 @@ def parse_fan(doc: Mapping) -> Fan:
                     stack[fid] = iter(declared_faces[fid])
         face_ids = [[numbered[j][0] for j in set_bits(closed[cid])] for cid in rays_of]
         ray_masks, masks = None, [closed[cid] for cid in rays_of]
-    _check_ids(ids)
+        _check_ids(ids)
     if simplicial:
         # A subset of independent rays is independent: each cone's rank is
         # its number of rays.
@@ -550,6 +554,31 @@ def _face_sizes(tops: list[int], past: Callable[[Counter], None] | None = None) 
                 free ^= 1 << r
                 todo.append((chosen | 1 << r, free, masks))
     return sizes
+
+
+def _codims(f: Fan) -> Counter:
+    """{k: the number of cones of codimension k}."""
+    return Counter(f.n - c.dim for c in f.cones.values())
+
+
+def capped_counts(cones: Mapping[int, int]) -> dict[int, int]:
+    """The cells of each degree, m·2^k for m cones of codimension k, from
+    ``cones``, {k: m}.  Raises :class:`FanError` when the total exceeds
+    ``gf2.MAX_CELLS``, read at call time; a cone of codimension k alone
+    brings 2^k cells, so past the cap's bit length the total is refused
+    before it is formed.  Every ``Fan`` is held to it when made: on
+    construction, or by :func:`parse_fan` before a simplicial document's
+    ray subsets are walked."""
+    cap = gf2.MAX_CELLS
+    if (k := max(cones)) >= cap.bit_length():
+        raise FanError(f"the fan has a cone of codimension {k}, so more than "
+                       f"the {cap} cells the build allows")
+    counts = {k: m << k for k, m in cones.items()}
+    n_cells = sum(counts.values())
+    if n_cells > cap:
+        raise FanError(f"the fan has {n_cells} cells, more than the "
+                       f"{cap} the build allows")
+    return counts
 
 
 def _cone_id(value, what: str) -> str:

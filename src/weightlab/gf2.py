@@ -15,9 +15,10 @@ factor, and ranks and kernels reduce the columns.
 The module holds what the package computes with: vectors and their
 text form, matrices and products, RREF bases and their prefixes,
 subspaces with membership and reduction, column kernels and quotients.
-Beside them are the helpers the other modules share: the readers of JSON
-values, and :func:`_built`, which makes an object that is valid by
-construction past its checks.
+Beside them are the helpers the other modules share: the cell cap
+``MAX_CELLS``, the base class :class:`InputError` of every refusal, the
+readers of JSON values, and :func:`_built`, which makes an object that is
+valid by construction past its checks.
 
 Everything here is immutable after construction and safe to share
 between threads.
@@ -26,6 +27,7 @@ between threads.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -56,6 +58,32 @@ def vec_to_string(v: int, width: int) -> str:
     return format(v, f"0{width}b")[:-width - 1:-1]
 
 
+# The most cells of a fan's build or a complex document, or face incidences
+# of an Euler-calculus complex, read at call time: an input above it is
+# refused before anything of its size is allocated.
+MAX_CELLS = 1 << 20
+
+
+class InputError(ValueError):
+    """Raised for a refused input; ``FanError``, ``ComplexError`` and
+    ``EulerError`` derive from it."""
+
+
+@contextmanager
+def malformed(error: type[InputError], what: str) -> Iterator[None]:
+    """A block reading a document's fields, which refuses a field missing
+    or of the wrong shape as ``error("malformed <what>: <reason>")``; an
+    :class:`InputError` raised in the block passes as it is."""
+    try:
+        yield
+    except InputError:
+        raise
+    except KeyError as exc:
+        raise error(f"malformed {what}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise error(f"malformed {what}: {exc}") from exc
+
+
 def json_int(value, what: str, error: type[ValueError] = ValueError) -> int:
     """A number read from a JSON document: an integer and not a bool, so a
     float is refused rather than truncated."""
@@ -64,21 +92,21 @@ def json_int(value, what: str, error: type[ValueError] = ValueError) -> int:
     return value
 
 
-def json_object(value, what: str, *place) -> Mapping:
+def json_object(value, what: str, *place, error: type[ValueError] = ValueError) -> Mapping:
     """A JSON object, refused by its field's name rather than read.  The
     name is ``what.format(*place)``, formatted only for a refusal."""
     if not isinstance(value, Mapping):
-        raise ValueError(f"{what.format(*place)} must be a JSON object, "
-                         f"not {type(value).__name__}")
+        raise error(f"{what.format(*place)} must be a JSON object, "
+                    f"not {type(value).__name__}")
     return value
 
 
-def json_list(value, what: str, *place) -> list:
+def json_list(value, what: str, *place, error: type[ValueError] = ValueError) -> list:
     """A JSON list, so a string is refused rather than read as its
     characters, and a number by its field's name, named as by
     :func:`json_object`."""
     if not isinstance(value, list):
-        raise ValueError(f"{what.format(*place)} must be a list, not {value!r}")
+        raise error(f"{what.format(*place)} must be a list, not {value!r}")
     return value
 
 

@@ -54,7 +54,6 @@ re-exported here.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -72,13 +71,9 @@ from .fan import (  # re-exported: callers read fans from this module too
     product_fan,
     standard_fan,
 )
+from .fan import _codims
 from .gf2 import BitMatrix, _built, set_bits
 from .poly import Poly
-
-
-# The most cells toric_cell_complex builds; a fan above it is refused
-# before any orbit group or boundary is allocated.
-MAX_CELLS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -302,37 +297,10 @@ class ToricCellComplex:
         return totalize(blocks, maps)
 
 
-def _codims(f: Fan) -> Counter:
-    """{k: the number of cones of codimension k}."""
-    return Counter(f.n - c.dim for c in f.cones.values())
-
-
 def cell_counts(f: Fan) -> dict[int, int]:
     """The number of cells of each degree k, Σ_{codim σ = k} 2^k, from the
-    cones alone; at most ``MAX_CELLS`` in all, as ``Fan`` refuses more."""
+    cones alone; at most ``gf2.MAX_CELLS`` in all, as ``Fan`` refuses more."""
     return {k: m << k for k, m in _codims(f).items()}
-
-
-def capped_counts(cones: Mapping[int, int]) -> dict[int, int]:
-    """The cells of each degree, m·2^k for m cones of codimension k, from
-    ``cones``, {k: m}.  Raises :class:`FanError` when the total exceeds
-    ``MAX_CELLS``, read at call time; a cone of codimension k alone brings
-    2^k cells, so past the cap's bit length the total is refused before
-    it is formed.  Every ``Fan`` is held to it when made: one validated
-    on construction with the counts of its cones, a simplicial document's
-    by the parse, before its ray subsets are walked, with the counts of the
-    distinct subsets that the walk then makes into its cones; the parse
-    skips that count when a bound from the declared cones is within the
-    cap."""
-    if (k := max(cones)) >= MAX_CELLS.bit_length():
-        raise FanError(f"the fan has a cone of codimension {k}, so more than "
-                       f"the {MAX_CELLS} cells the build allows")
-    counts = {k: m << k for k, m in cones.items()}
-    n_cells = sum(counts.values())
-    if n_cells > MAX_CELLS:
-        raise FanError(f"the fan has {n_cells} cells, more than the "
-                       f"{MAX_CELLS} the build allows")
-    return counts
 
 
 def levels(f: Fan) -> dict[int, tuple[int, ...]]:

@@ -499,9 +499,9 @@ def test_p0_is_the_point(capsys, argv):
 @pytest.mark.parametrize("verb", ["fan-info", "ss", "vpoly"])
 def test_cell_count_above_the_cap_exits_3(capsys, monkeypatch, verb):
     # P:3 has 8 + 4*4 + 6*2 + 4*1 = 40 cells.
-    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 40)
+    monkeypatch.setattr(weightlab.gf2, "MAX_CELLS", 40)
     assert run(capsys, verb, "--standard", "P:3")[0] == 0
-    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 39)
+    monkeypatch.setattr(weightlab.gf2, "MAX_CELLS", 39)
 
     def no_orbit_group(*args):
         raise AssertionError("an orbit group was computed above the cap")
@@ -519,9 +519,9 @@ def test_cell_cap_refuses_a_large_codimension_before_counting(capsys, monkeypatc
     assert "a cone of codimension 20000, so more than the 1048576 cells" in err
     # P:3's zero cone has codimension 3, which alone brings 8 cells: the
     # early refusal starts at the cap's bit length, read at call time.
-    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 8)
+    monkeypatch.setattr(weightlab.gf2, "MAX_CELLS", 8)
     assert "the fan has 40 cells" in run(capsys, verb, "--standard", "P:3")[2]
-    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 7)
+    monkeypatch.setattr(weightlab.gf2, "MAX_CELLS", 7)
     code, _, err = run(capsys, verb, "--standard", "P:3")
     assert code == 3
     assert "a cone of codimension 3, so more than the 7 cells" in err
@@ -537,7 +537,7 @@ def test_cell_cap_refusal_names_the_fan_document(capsys, monkeypatch, tmp_path, 
     path.write_text(json.dumps({
         "lattice_rank": 1, "rays": [[1], [-1]], "simplicial": True,
         "cones": [{"rays": [0]}, {"rays": [1]}]}))
-    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 3)
+    monkeypatch.setattr(weightlab.gf2, "MAX_CELLS", 3)
     assert run(capsys, verb, "--fan", str(path)) == (
         3, "", f"error: {path}: the fan has 4 cells, more than the 3 the "
                "build allows\n")
@@ -573,31 +573,46 @@ def test_an_over_cap_simplicial_fan_is_refused_before_its_cones(
     assert time.perf_counter() - start < 15
 
 
+def test_a_repeated_ray_set_is_refused_before_the_cell_cap(capsys, monkeypatch, tmp_path):
+    # One ray set under two ids is refused by its ids before the cells are
+    # counted against the cap, so before any face of the cone is walked.
+    def no_cones(*args):
+        raise AssertionError("a cone was made for a refused fan")
+
+    rays = list(range(17))
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({**_RANK_17_CONE, "cones": [{"id": "a", "rays": rays},
+                                                          {"id": "b", "rays": rays}]}))
+    monkeypatch.setattr(weightlab.fan, "Cone", no_cones)
+    assert run(capsys, "vpoly", "--fan", str(path)) == (
+        3, "", f"error: {path}: cones 'a' and 'b' have the same rays {rays}\n")
+
+
 def test_euler_face_cap_is_read_at_call_time(capsys, monkeypatch):
     # The shipped complex has 6 face incidences: two parallel edges and
     # one more edge, two faces each.
     argv = _euler_argv("integral", "complex", "function") + [EULER_DOCS["complex"]]
-    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 5)
+    monkeypatch.setattr(weightlab.gf2, "MAX_CELLS", 5)
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert "the simplices have 6 face incidences, more than the 5 the build allows" in err
-    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 6)
+    monkeypatch.setattr(weightlab.gf2, "MAX_CELLS", 6)
     assert run(capsys, *argv)[0] == 0
 
 
 def test_complex_document_cap_is_read_at_call_time(capsys, monkeypatch, tmp_path):
     # P:3 has 40 cells; its emitted document loads at a cap of 40.
     path = tmp_path / "p3.json"
-    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 40)
+    monkeypatch.setattr(weightlab.gf2, "MAX_CELLS", 40)
     code, out, _ = run(capsys, "ss", "--standard", "P:3", "--emit-complex", str(path))
     assert code == 0
     assert run(capsys, "ss", "--complex", str(path)) == (0, out, "")
-    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 39)
+    monkeypatch.setattr(weightlab.gf2, "MAX_CELLS", 39)
     code, _, err = run(capsys, "ss", "--complex", str(path))
     assert code == 3
     assert "the complex has 40 cells, more than the 39 the build allows" in err
     # Hyperresolution levels and diagram objects are complex documents too.
-    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 1)
+    monkeypatch.setattr(weightlab.gf2, "MAX_CELLS", 1)
     for verb, name in [("--hyperres", "hyperres_single.json"),
                        ("--diagram", "klein_square.json")]:
         code, _, err = run(capsys, "cubical-ss", verb, str(DATA / name))
@@ -629,7 +644,7 @@ def test_a_span_above_the_cell_cap_exits_3(capsys, monkeypatch, tmp_path, argv, 
 
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 10)
+    monkeypatch.setattr(weightlab.gf2, "MAX_CELLS", 10)
     monkeypatch.setattr(SpectralSequence, "__init__", no_pages)
     code, out, err = run(capsys, *argv, str(path))
     assert (code, out) == (3, "")
@@ -645,7 +660,7 @@ def test_a_span_at_the_cell_cap_is_read(capsys, monkeypatch, tmp_path, doc):
     # Degrees without cells do not count towards the span.
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 10)
+    monkeypatch.setattr(weightlab.gf2, "MAX_CELLS", 10)
     code, _, err = run(capsys, "ss", "--complex", str(path))
     assert code == 0, err
 
@@ -938,7 +953,8 @@ def test_malformed_documents_exit_3(capsys, tmp_path, verb, doc, message):
 
 
 # Refusals that only a document reaches, each exiting 3 through main with
-# its exact message; a fan document's is prefixed with its path.
+# its exact message after the path of the document refused; the fan rows
+# write that path out as {path}.
 @pytest.mark.parametrize("verb, doc, message", [
     ("fan-info --fan", {"lattice_rank": -1, "rays": [], "cones": []},
      "{path}: lattice rank -1 is negative"),
@@ -1066,12 +1082,56 @@ def test_malformed_documents_exit_3(capsys, tmp_path, verb, doc, message):
     ("fan-info --fan",
      {"lattice_rank": 1, "rays": [[1]], "cones": [{"id": "a", "rays": [0, 0, 2]}]},
      "{path}: cone 'a' uses ray indices [2], the fan has 1 rays"),
+    # Each of the euler documents, by the option that names it: a list of
+    # the wrong shape is named by its key, and a refusal of the object the
+    # document makes names the file too.
+    ("euler --op integral --function {function} --complex", {"simplices": 5},
+     "'simplices' must be a list, not 5"),
+    ("euler --op pushforward --complex {complex} --map {map} --function {function} --target",
+     [[0]], "complex document must be a JSON object, not list"),
+    ("euler --op integral --complex {complex} --function", {"weights": "x"},
+     "'weights' must be a list, not 'x'"),
+    ("euler --op link --complex {complex} --function", {"weights": [{"simplex": [7], "value": 1}]},
+     "weight on unknown cell ('s', (7,), 0)"),
+    ("euler --op boundary --complex {complex} --chain", {"k": 1, "members": 5},
+     "'members' must be a list, not 5"),
+    ("euler --op boundary --complex {complex} --chain", {"k": 0, "members": [[1, 2]]},
+     "chain member ('s', (1, 2), 0) is not a 0-cell"),
+    ("euler --op pushforward --complex {complex} --target {complex} --function {function} "
+     "--map", {"cells": 5}, "'cells' must be a list, not 5"),
+    ("euler --op pushforward --complex {complex} --target {complex} --function {function} "
+     "--map", {"cells": []}, "map not defined on cell ('s', (0,), 0)"),
 ])
 def test_document_refusals_exit_3_with_their_message(capsys, tmp_path, verb, doc, message):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    assert run(capsys, *verb.split(), str(path)) == (
-        3, "", f"error: {message.format(path=path)}\n")
+    argv = [part.format(**EULER_DOCS) for part in verb.split()]
+    message = message.format(path=path).removeprefix(f"{path}: ")
+    assert run(capsys, *argv, str(path)) == (3, "", f"error: {path}: {message}\n")
+
+
+# The function and map readers' repeat rule: an entry repeated with the
+# same value is read once; with another value it is refused, naming the cell.
+@pytest.mark.parametrize("name, key, argv, conflicting", [
+    ("function", "weights", _euler_argv("pushforward", "function", "complex", "target", "map"),
+     {"simplex": [2], "value": 5}),
+    ("map", "cells", _euler_argv("pushforward", "map", "complex", "target", "function"),
+     {"from": [2], "to": [1]}),
+])
+def test_a_repeated_entry_is_read_once_with_its_value_and_refused_with_another(
+        capsys, tmp_path, name, key, argv, conflicting):
+    path = tmp_path / "doc.json"
+
+    def pushforward(entries):
+        path.write_text(json.dumps({key: entries}))
+        return run(capsys, *argv, str(path))
+
+    entries = json.loads((EULER / f"{name}.json").read_text())[key]
+    once = pushforward(entries)
+    assert once[0] == 0
+    assert pushforward(entries + entries) == pushforward(entries[::-1] + entries[:1]) == once
+    assert pushforward(entries + [conflicting]) == (
+        3, "", f"error: {path}: the {name} gives cell ('s', (2,), 0) two values\n")
 
 
 @pytest.mark.parametrize("filtration", [{}, {"filtration": None}, {"filtration": {}}])

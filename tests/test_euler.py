@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import weightlab
-from weightlab import checks, toric
+from weightlab import checks, gf2
 from weightlab.euler import (
     CellChain,
     CellComplex,
@@ -617,7 +617,7 @@ def test_chain_operators_do_not_sort_the_cells(monkeypatch):
 
 
 def test_a_simplex_whose_closure_passes_the_cap_is_refused(monkeypatch):
-    monkeypatch.setattr(toric, "MAX_CELLS", 50)
+    monkeypatch.setattr(gf2, "MAX_CELLS", 50)
     cx = CellComplex.simplicial([range(4)])  # 3^4 - 2^5 + 1 = 50 incidences
     assert sum(map(len, cx.faces.values())) == 50
     with pytest.raises(EulerError, match=r"^simplex \(0, 1, 2, 3, 4\) has more face incidences "
@@ -626,12 +626,12 @@ def test_a_simplex_whose_closure_passes_the_cap_is_refused(monkeypatch):
 
 
 def test_simplices_whose_closures_pass_the_cap_together_are_refused(monkeypatch):
-    monkeypatch.setattr(toric, "MAX_CELLS", 99)
+    monkeypatch.setattr(gf2, "MAX_CELLS", 99)
     with pytest.raises(EulerError, match=r"^the simplices have 100 face incidences, "
                                          r"more than the 99 the build allows$"):
         CellComplex.simplicial([range(4), range(4, 8)])
     # copies of one simplex count their own faces again
-    monkeypatch.setattr(toric, "MAX_CELLS", 63)
+    monkeypatch.setattr(gf2, "MAX_CELLS", 63)
     with pytest.raises(EulerError, match="have 64 face incidences"):
         CellComplex.from_simplices([(range(4), 0), (range(4), 1)])
 
@@ -640,10 +640,10 @@ def test_simplices_whose_closures_pass_the_cap_together_are_refused(monkeypatch)
 def test_the_cap_counts_every_face_incidence(simplices):
     incidences = sum(map(len, CellComplex.from_simplices(simplices).faces.values()))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(toric, "MAX_CELLS", incidences)
+        patch.setattr(gf2, "MAX_CELLS", incidences)
         CellComplex.from_simplices(simplices)
         if incidences:
-            patch.setattr(toric, "MAX_CELLS", incidences - 1)
+            patch.setattr(gf2, "MAX_CELLS", incidences - 1)
             with pytest.raises(EulerError, match="face incidences"):
                 CellComplex.from_simplices(simplices)
 

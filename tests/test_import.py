@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -41,3 +42,34 @@ def test_the_cli_imports_no_check_euler_or_fixture_module():
     loaded = set(proc.stdout.split())
     assert "weightlab.cli" in loaded
     assert not loaded & {"weightlab.euler", "weightlab.checks", "weightlab.fixtures"}
+
+
+
+def _package_modules(node: ast.AST) -> list[str]:
+    """The package modules that an import statement names ("" for the
+    package itself); none for another statement or another package."""
+    if isinstance(node, ast.ImportFrom) and node.level:
+        return [node.module] if node.module else [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom):
+        names = [node.module]
+    elif isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    else:
+        return []
+    return [name.partition(".")[2] for name in names if name.partition(".")[0] == "weightlab"]
+
+
+def test_no_package_module_is_imported_inside_a_function():
+    # An import in a function body hides a cycle in the import graph.  The
+    # exceptions are the CLI verbs that alone read the check suites and the
+    # Euler calculus (see the test above).
+    allowed = {("cli", "checks"), ("cli", "euler")}
+    found = set()
+    for path in sorted(Path(weightlab.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update(
+                    f"{path.name}:{node.lineno} imports {module or 'the package'}"
+                    for node in ast.walk(func) for module in _package_modules(node)
+                    if (path.stem, module) not in allowed)
+    assert not found, sorted(found)

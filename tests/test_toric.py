@@ -426,10 +426,10 @@ def test_a_simplicial_parse_counts_the_faces_only_past_its_bound(monkeypatch):
     # P:3 has 40 cells, and its four cones a bound of 4·3^3 = 108.
     for cap, counted in ((108, 0), (107, 1), (40, 1)):
         calls.clear()
-        monkeypatch.setattr(weightlab.toric, "MAX_CELLS", cap)
+        monkeypatch.setattr(weightlab.gf2, "MAX_CELLS", cap)
         assert sum(cell_counts(parse_fan(docs["P:3"])).values()) == 40, cap
         assert len(calls) == counted, cap
-    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 39)
+    monkeypatch.setattr(weightlab.gf2, "MAX_CELLS", 39)
     with pytest.raises(FanError, match="^the fan has 40 cells, more than the 39 the build allows$"):
         parse_fan(docs["P:3"])
 
@@ -446,10 +446,10 @@ def test_fan_documents_at_the_cap_are_read_and_above_it_refused(name):
     if all(c.dim == len(c.ray_indices) for c in fan.cones.values()):
         docs["simplicial"] = _simplicial_doc(fan)
     for form, doc in docs.items():
-        with mock.patch.object(weightlab.toric, "MAX_CELLS", cells):
+        with mock.patch.object(weightlab.gf2, "MAX_CELLS", cells):
             assert cell_counts(parse_fan(doc)) == cell_counts(fan), form
         no_cones = mock.patch.object(weightlab.fan, "Cone", side_effect=AssertionError(form))
-        with mock.patch.object(weightlab.toric, "MAX_CELLS", cells - 1), \
+        with mock.patch.object(weightlab.gf2, "MAX_CELLS", cells - 1), \
                 pytest.raises(FanError, match=re.escape(want)):
             if form == "simplicial":
                 with no_cones:
@@ -463,16 +463,16 @@ def test_fans_are_held_to_the_cap_when_made(monkeypatch):
     # made directly or as a product is refused above the cap, read when it
     # is made, and an invalid fan above it still gets its validation message.
     p1, p2 = standard_fan("P", 1), standard_fan("P", 2)
-    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 13)
+    monkeypatch.setattr(weightlab.gf2, "MAX_CELLS", 13)
     assert Fan(p2.n, p2.rays, p2.cones) == p2
-    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 12)
+    monkeypatch.setattr(weightlab.gf2, "MAX_CELLS", 12)
     with pytest.raises(FanError, match="^the fan has 13 cells, more than the 12 the build"):
         Fan(p2.n, p2.rays, p2.cones)
     with pytest.raises(FanError, match="^the fan has 16 cells, more than the 12 the build"):
         product_fan(p1, p1)
     ray = next(cid for cid in p2.cone_ids() if p2.codim(cid) == 1)
     cones = {cid: c for cid, c in p2.cones.items() if cid != ray}
-    monkeypatch.setattr(weightlab.toric, "MAX_CELLS", 1)
+    monkeypatch.setattr(weightlab.gf2, "MAX_CELLS", 1)
     with pytest.raises(FanError, match=f"^cone '[^']+' lists unknown face '{ray}'"):
         Fan(p2.n, p2.rays, cones)
 
@@ -542,7 +542,7 @@ def simplicial_cases(draw):
                                for r in doc["rays"]]}
     rays = [list(r) for r in doc["rays"]]
     cones = [dict(cd) for cd in draw(st.permutations(doc["cones"]))]
-    cap = weightlab.toric.MAX_CELLS
+    cap = weightlab.gf2.MAX_CELLS
     some = [cd for cd in cones if cd["rays"]]
     kind = draw(st.sampled_from(["none", "repeated ray", "dependent cone", "generated id",
                                  "empty cone", "over the cap"]))
@@ -606,7 +606,7 @@ def test_simplicial_parse_matches_full_validation(case):
     # construction makes true: it refuses with the message, and accepts
     # the fan, that validating every axiom gives.
     doc, cap = case
-    with mock.patch.object(weightlab.toric, "MAX_CELLS", cap):
+    with mock.patch.object(weightlab.gf2, "MAX_CELLS", cap):
         got, want = _outcome(doc), _fully_validated(doc)
     if isinstance(want, str):
         assert got == want
