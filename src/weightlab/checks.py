@@ -50,7 +50,7 @@ from .fixtures import (
     klein_square,
     smooth_complete_corpus,
 )
-from .gf2 import BitMatrix, BitSubspace
+from .gf2 import BitMatrix, BitSubspace, _built
 from .pages import (
     SpectralSequence,
     decalage_mismatches,
@@ -83,7 +83,7 @@ def _result(name: str, ok: bool, detail: str = "") -> CheckResult:
 class ToricCorpus:
     """The fans the toric and fcomplex suites run over, with each fan's
     toric cell complex and the spectral sequence of its filtration, and
-    the complexes of the standard fans the cubical suite reads.
+    the standard fans' complexes and hyperresolutions' sequences for cubical.
 
     Each is built on first use and shared by the checks that read it.
     :func:`run_suite` makes one corpus per call, so a request builds each
@@ -125,6 +125,12 @@ class ToricCorpus:
         if name not in self._sequences:
             self._sequences[name] = SpectralSequence(self.complex(name).filtered)
         return self._sequences[name]
+
+    @cached_property
+    def hyperres(self) -> dict[str, SpectralSequence]:
+        """The spectral sequence of each hyperresolution fixture, by name."""
+        return {name: SpectralSequence(skeleton_filtration(h))
+                for name, h in all_hyperres().items()}
 
 
 @dataclass(frozen=True)
@@ -278,12 +284,16 @@ def check_support_triangle(name, fan, tcc, ss) -> list[str]:
     return [] if purity_collapse_report(ss, fan.n).support_ok else [name]
 
 
-@per_fan("limit page sums to homology", ALL_FANS)
-def check_convergence(name, fan, tcc, ss) -> list[str]:
-    cx = tcc.filtered.complex
-    inf = ss.infinity_page()
+def _unconverged(name: str, ss: SpectralSequence) -> list[str]:
+    """The degrees in which the limit page of ss misses the homology."""
+    cx, inf = ss.cx, ss.infinity_page()
     return [f"{name} degree {k}" for k in cx.degrees()
             if sum(d for (p, q), d in inf.items() if p + q == k) != cx.betti(k)]
+
+
+@per_fan("limit page sums to homology", ALL_FANS)
+def check_convergence(name, fan, tcc, ss) -> list[str]:
+    return _unconverged(name, ss)
 
 
 @per_fan("orbit maps are path independent", ALL_FANS)
@@ -417,36 +427,21 @@ def check_additivity_full(corpus: ToricCorpus) -> CheckResult:
 
 def check_hyperres_homology(corpus: ToricCorpus) -> CheckResult:
     want = {"single": {0: 1, 1: 1}, "wedge1": {0: 1, 1: 2}, "wedge2": {0: 1, 1: 3}}
-    bad = []
-    for name, h in all_hyperres().items():
-        total = skeleton_filtration(h).complex
-        got = {k: total.betti(k) for k in total.degrees() if total.betti(k)}
-        if got != want[name]:
-            bad.append(f"{name}: {got}")
+    bad = [f"{name}: {got}" for name, ss in corpus.hyperres.items()
+           if (got := ss.cx.betti_numbers()) != want[name]]
     return _result("hyperresolution totals have the expected homology",
                    not bad, ", ".join(bad))
 
 
 def check_hyperres_compare(corpus: ToricCorpus) -> CheckResult:
-    bad = []
-    for name, h in all_hyperres().items():
-        mismatches = decalage_mismatches(SpectralSequence(skeleton_filtration(h)))
-        if mismatches:
-            bad.append(f"{name}: {mismatches}")
+    bad = [f"{name}: {mismatches}" for name, ss in corpus.hyperres.items()
+           if (mismatches := decalage_mismatches(ss))]
     return _result("hyperresolution pages match the shifted filtration",
                    not bad, "; ".join(bad))
 
 
 def check_hyperres_convergence(corpus: ToricCorpus) -> CheckResult:
-    bad = []
-    for name, h in all_hyperres().items():
-        fc = skeleton_filtration(h)
-        ss = SpectralSequence(fc)
-        inf = ss.infinity_page()
-        for k in fc.complex.degrees():
-            total = sum(d for (p, q), d in inf.items() if p + q == k)
-            if total != fc.complex.betti(k):
-                bad.append(f"{name} degree {k}")
+    bad = [fault for name, ss in corpus.hyperres.items() for fault in _unconverged(name, ss)]
     return _result("hyperresolution pages converge to homology", not bad, ", ".join(bad))
 
 
@@ -521,10 +516,9 @@ def table_complex(simplices: Iterable[tuple[int, ...]]) -> CellComplex:
                     order.append(f)
     cells = [table_cells[t] for t in order]
     face_ids = [[number[f] for f in table_faces[t]] for t in order]
-    cx = CellComplex._numbered(cells, [table_dims[t] for t in order],
-                               dict(zip(cells, range(len(cells)))), face_ids)
-    cx.__dict__["_names"] = [table_names[t] for t in order]
-    return cx
+    return _built(CellComplex, _cells=cells, _dims=[table_dims[t] for t in order],
+                  _ids=dict(zip(cells, range(len(cells)))), _face_ids=face_ids,
+                  _names=[table_names[t] for t in order])
 
 
 def random_function(rng: random.Random, cx: CellComplex) -> ConstructibleFunction:

@@ -15,6 +15,7 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 from typing import Sequence
 
 from .complexes import (
@@ -63,17 +64,30 @@ class CliError(Exception):
         self.code = code
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object, a key given twice refused rather than read as its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise InputError(f"key {key!r} is given twice in one object")
+    return obj
+
+
 def _read(path: str, reader, *args):
-    """``reader(doc, *args)`` of the JSON document at path: every document
-    is read here, and any refusal names its file, with exit 2 for a file
-    that cannot be read or parsed and 3 for a document refused."""
+    """``reader(doc, *args)`` of the UTF-8 JSON document at path: every
+    document is read here, and any refusal names its file, with exit 2 for
+    a file that cannot be read or decoded and 3 for a document refused."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}", EXIT_PARSE)
+    except InputError as exc:
+        raise CliError(f"{path}: {exc}", EXIT_VALIDATION)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too deep, too long an int
+        raise CliError(f"{path}: {exc}", EXIT_PARSE)
     try:
         return reader(doc, *args)
     except InputError as exc:

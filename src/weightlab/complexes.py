@@ -148,9 +148,7 @@ class ChainComplex:
         return self.dim(k) - self.d(k).rank() - self.d(k + 1).rank()
 
     def betti_numbers(self) -> dict[int, int]:
-        """The nonzero Betti numbers by degree.  No module of the package
-        calls it; outside the tests, perfbench's output check
-        (``perfbench/harness.py``) does, so it stays."""
+        """The nonzero Betti numbers by degree."""
         return {k: b for k in self.degrees() if (b := self.betti(k))}
 
 

@@ -58,11 +58,10 @@ class CellComplex:
     numbers, so a cell (a nested tuple for product cells) is hashed once
     per construction instead of once per incidence.
     :meth:`from_simplices` and :meth:`product` number their cells as they
-    build them; the constructor takes caller-supplied tables and
-    validates them.  The cell-keyed ``dims``, ``faces`` and ``cofaces``,
-    the closures, the cells' text (``_names``) and the sorted cell lists
-    are built on first use; a builder that already holds the text may set
-    ``_names`` itself.
+    build them, past the checks; the constructor takes caller-supplied
+    tables and validates them.  The cell-keyed ``dims``, ``faces`` and
+    ``cofaces``, the closures, the cells' text (``_names``) and the sorted
+    cell lists are built on first use, or given to ``gf2._built``.
     """
 
     def __init__(self, dims: Mapping[Cell, int], faces: Mapping[Cell, frozenset]):
@@ -76,14 +75,6 @@ class CellComplex:
         for c, d, face_ids in zip(self._cells, self._dims, self._face_ids):
             if face_ids and (None in face_ids or max(map(dim_of, face_ids)) >= d):
                 raise EulerError(self._face_fault(c))
-
-    @classmethod
-    def _numbered(cls, cells: list[Cell], dims: list[int], ids: dict[Cell, int],
-                  face_ids: list[list[int]]) -> "CellComplex":
-        """A complex from its numbered form, which must be valid."""
-        cx = cls.__new__(cls)
-        cx._cells, cx._dims, cx._ids, cx._face_ids = cells, dims, ids, face_ids
-        return cx
 
     def _face_fault(self, c: Cell) -> str:
         """The message for the first faulty face of c: an unknown face,
@@ -210,7 +201,7 @@ class CellComplex:
             if incidences > limit:
                 raise EulerError(f"the simplices have {incidences} face incidences, "
                                  f"more than the {limit} the build allows")
-        return cls._numbered(cells, dims, ids, face_ids)
+        return _built(cls, _cells=cells, _dims=dims, _ids=ids, _face_ids=face_ids)
 
     @classmethod
     def simplicial(cls, simplices: Iterable[Sequence[int]]) -> "CellComplex":
@@ -242,8 +233,8 @@ class CellComplex:
                 pairs = [row + jb for row in rows for jb in closure_b]
                 pairs.pop()  # the last pair is the cell itself
                 face_ids.append(pairs)
-        product = a._products[b] = cls._numbered(
-            cells, dims, {c: i for i, c in enumerate(cells)}, face_ids)
+        product = a._products[b] = _built(cls, _cells=cells, _dims=dims, _face_ids=face_ids,
+                                          _ids={c: i for i, c in enumerate(cells)})
         return product
 
     def cells(self, k: int | None = None) -> list[Cell]:
@@ -331,7 +322,7 @@ class CellChain:
 class SimpMap:
     """Cellwise map: every open cell maps onto an open cell of the target.
 
-    Construction checks the map and keeps, as ``_image``, the number of
+    Construction checks the map by reading ``_image``, the number of
     each source cell's image in the target.
     """
 
@@ -340,12 +331,11 @@ class SimpMap:
     assignment: Mapping[Cell, Cell]
 
     def __post_init__(self) -> None:
-        image = self._image_ids()
-        if image is None:
+        if self._image is None:
             raise EulerError(self._first_fault())
-        object.__setattr__(self, "_image", image)
 
-    def _image_ids(self) -> list[int] | None:
+    @cached_property
+    def _image(self) -> list[int] | None:
         """The number of each source cell's image, or None if the map is
         not a cellwise map: the assignment must cover exactly the source
         cells, land in the target, not raise dimension, and send the
@@ -365,7 +355,7 @@ class SimpMap:
 
     def _first_fault(self) -> str:
         """The message for the first fault, in assignment order and then
-        in the cell order of the faces, of a map that :meth:`_image_ids`
+        in the cell order of the faces, of a map that :attr:`_image`
         refused."""
         for c in self.source.dims:
             if c not in self.assignment:

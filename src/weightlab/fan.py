@@ -492,12 +492,11 @@ def parse_fan(doc: Mapping) -> Fan:
     ranks = _ranks([idx for _, idx in numbered], [0] * len(masks) if stray else masks, spans)
     cones = {cid: Cone(cid, idx, rank, frozenset(faces))
              for (cid, idx), rank, faces in zip(numbered, ranks, face_ids)}
-    # The masks are the face lattice that construction would rebuild from
-    # the face ids, and spans the table that ranked the cones: their caches
-    # are primed with them, and validation reads them.
-    fan = Fan.__new__(Fan)
-    fan.__dict__.update(_lattice=_FaceLattice(cones, masks, ray_masks), _spans=spans)
-    fan.__init__(n, rays, cones)
+    # The checks read the face lattice of the masks and the table of spans
+    # that ranked the cones, rather than rebuilding them.
+    fan = _built(Fan, n=n, rays=rays, cones=cones, _spans=spans,
+                 _lattice=_FaceLattice(cones, masks, ray_masks))
+    fan.__post_init__()
     return fan
 
 
@@ -654,6 +653,8 @@ def product_fan(f1: Fan, f2: Fan) -> Fan:
 
 def standard_fan(name: str, param: int = 0) -> Fan:
     """Named fixture fans: projective/affine spaces, tori, Hirzebruch."""
+    if name in ("A", "P") and param >= 0:  # the zero cone, before param² coordinates
+        capped_counts({param: 1})
     if name == "trivial":
         return parse_fan({"lattice_rank": param, "rays": [], "cones": []})
     if name == "A":

@@ -111,10 +111,10 @@ def json_list(value, what: str, *place, error: type[ValueError] = ValueError) ->
 
 
 def _built(cls, **fields):
-    """An instance of the frozen dataclass cls, built past its frozen
-    fields and its ``__post_init__`` checks: for an object the program's
-    own construction makes valid, such as an operator's output or the
-    toric build's complex.  Every field, defaulted ones too, is given."""
+    """An instance of cls made past its constructor's checks, the package's
+    only such path: for an object the program's own construction makes
+    valid, such as an operator's output or the toric build's complex.
+    Every field, defaulted ones too, is given."""
     obj = cls.__new__(cls)
     obj.__dict__.update(fields)
     return obj

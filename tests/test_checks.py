@@ -82,6 +82,35 @@ def test_run_suite_builds_each_corpus_fan_once(monkeypatch):
     assert counters.refs and all(ref() is None for ref in counters.refs)
 
 
+def test_the_cubical_suite_makes_one_spectral_sequence_per_hyperresolution(monkeypatch):
+    # The three hyperresolution checks share the corpus's one spectral
+    # sequence of each fixture, as the toric checks share each fan's.
+    fixtures = len(weightlab.fixtures.all_hyperres())
+    made: Counter = Counter()
+    totals = []
+    read, skeleton = weightlab.fixtures.hyperres_from_doc, checks.skeleton_filtration
+    sequence = checks.SpectralSequence
+
+    def counting_read(doc):
+        made["read"] += 1
+        return read(doc)
+
+    def counting_skeleton(h):
+        made["totalized"] += 1
+        totals.append(fc := skeleton(h))
+        return fc
+
+    def counting_sequence(fc):
+        made["sequences"] += any(fc is total for total in totals)
+        return sequence(fc)
+
+    monkeypatch.setattr(weightlab.fixtures, "hyperres_from_doc", counting_read)
+    monkeypatch.setattr(checks, "skeleton_filtration", counting_skeleton)
+    monkeypatch.setattr(checks, "SpectralSequence", counting_sequence)
+    assert all(r.ok for r in checks.run_suite("cubical"))
+    assert made == {"read": fixtures, "totalized": fixtures, "sequences": fixtures}
+
+
 def _name(check) -> str:
     return getattr(check, "on_fan", check).__name__
 

@@ -431,6 +431,35 @@ def test_missing_file_exit_code(capsys):
     assert code == 2
 
 
+# Files that the JSON decoder refuses exit 2 with its reason after the path.
+@pytest.mark.parametrize("content, reason", [
+    (b'{"lattice_rank": 1}\xff', "'utf-8' codec can't decode byte 0xff in position 19"),
+    (b"[" * 100000, "maximum recursion depth exceeded while decoding a JSON array"),
+    (b'{"lattice_rank": ' + b"1" * 5000 + b"}",
+     "Exceeds the limit (4300 digits) for integer string conversion"),
+], ids=["not-utf-8", "nested-past-the-recursion-limit", "integer-past-the-digit-limit"])
+def test_a_file_the_decoder_refuses_exits_2(capsys, tmp_path, content, reason):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "vpoly", "--fan", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: {reason}")
+
+
+# A key given twice in one object is refused by name, where the decoder
+# would keep its last value.
+@pytest.mark.parametrize("verb, text, key", [
+    ("vpoly --fan", '{"lattice_rank": 1, "rays": [[1], [-1]], "simplicial": true, '
+     '"cones": [{"rays": [0]}], "cones": [{"rays": [0]}, {"rays": [1]}]}', "cones"),
+    ("ss --complex", '{"dims": {"0": 1, "0": 2}}', "0"),
+], ids=["fan", "complex"])
+def test_a_key_repeated_in_one_object_exits_3(capsys, tmp_path, verb, text, key):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert run(capsys, *verb.split(), str(path)) == (
+        3, "", f"error: {path}: key {key!r} is given twice in one object\n")
+
+
 def test_cubical_ss_hyperres(capsys, tmp_path):
     from weightlab.cubical import hyperres_to_doc
     from weightlab.fixtures import hyperres
@@ -525,6 +554,22 @@ def test_cell_cap_refuses_a_large_codimension_before_counting(capsys, monkeypatc
     code, _, err = run(capsys, verb, "--standard", "P:3")
     assert code == 3
     assert "a cone of codimension 3, so more than the 7 cells" in err
+
+
+@pytest.mark.parametrize("fan, message", [
+    ("P:2000", "the fan has a cone of codimension 2000, so more than the 1048576 cells "
+               "the build allows"),
+    ("A:2000", "the fan has a cone of codimension 2000, so more than the 1048576 cells "
+               "the build allows"),
+    ("P:-1", "lattice rank -1 is negative"),
+    ("A:-1", "lattice rank -1 is negative"),
+])
+def test_a_standard_rank_is_refused_before_its_rays_are_written(capsys, fan, message):
+    # P:n and A:n write n² ray coordinates; the zero cone's 2^n cells are
+    # held to the cap first.
+    start = time.perf_counter()
+    assert run(capsys, "vpoly", "--standard", fan) == (3, "", f"error: {message}\n")
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("verb", ["fan-info", "ss", "vpoly"])

@@ -73,3 +73,20 @@ def test_no_package_module_is_imported_inside_a_function():
                     for node in ast.walk(func) for module in _package_modules(node)
                     if (path.stem, module) not in allowed)
     assert not found, sorted(found)
+
+
+def test_only_gf2_built_makes_an_object_past_its_constructor():
+    # gf2._built is the one way past a constructor's checks, so its call
+    # sites are the whole set of objects the package makes unchecked.
+    found = []
+    for path in sorted(Path(weightlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exempt = set()
+        if path.name == "gf2.py":
+            built = next(f for f in tree.body
+                         if isinstance(f, ast.FunctionDef) and f.name == "_built")
+            exempt = set(map(id, ast.walk(built)))
+        found += [f"{path.name}:{node.lineno} {node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and id(node) not in exempt
+                  and node.attr in ("__new__", "__dict__", "__setattr__")]
+    assert not found, found
