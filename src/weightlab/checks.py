@@ -17,9 +17,10 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from math import comb
-from typing import Callable, Iterable
+from operator import xor
+from typing import Callable, Iterable, Iterator
 
 from .complexes import ChainComplex, canonical_filtration, complex_diagnostics, trivial_filtration
 from .cubical import (
@@ -35,6 +36,7 @@ from .euler import (
     CellComplex,
     ConstructibleFunction,
     SimpMap,
+    _face_template,
     chain_boundary,
     circle_complex,
     euler_integral,
@@ -50,7 +52,7 @@ from .fixtures import (
     klein_square,
     smooth_complete_corpus,
 )
-from .gf2 import BitMatrix, BitSubspace, _built
+from .gf2 import BitMatrix, BitSubspace, _built, set_bits
 from .pages import (
     SpectralSequence,
     decalage_mismatches,
@@ -61,8 +63,8 @@ from .pages import (
 from .toric import (
     Fan,
     ToricCellComplex,
+    _cover_images,
     _level_order,
-    _orbit_map,
     orbit_sum_poly,
     standard_fan,
     toric_cell_complex,
@@ -298,18 +300,18 @@ def check_convergence(name, fan, tcc, ss) -> list[str]:
 
 @per_fan("orbit maps are path independent", ALL_FANS)
 def check_orbit_map_paths(name, fan, tcc, ss) -> list[str]:
+    """Each two-step path of covers sends the generators of its first
+    orbit group where the direct quotient map does: the images through
+    the middle group, composed by the unit tables, are the direct ones."""
     bad = []
     groups = tcc.groups
     for cid in fan.cone_ids():
         for mid in fan.covers(cid):
             for top in fan.covers(mid):
-                composites = set()
-                for other in fan.covers(cid):
-                    if top in fan.covers(other):
-                        m = _orbit_map(groups[other], groups[top]).mul(
-                            _orbit_map(groups[cid], groups[other]))
-                        composites.add(m)
-                if len(composites) > 1:
+                direct = _cover_images(groups[cid], groups[top])
+                second = _cover_images(groups[mid], groups[top])
+                if direct != tuple(reduce(xor, map(second.__getitem__, set_bits(x)), 0)
+                                   for x in _cover_images(groups[cid], groups[mid])):
                     bad.append(f"{name}: {cid} -> {top}")
     return bad
 
@@ -484,12 +486,13 @@ def _face_table() -> tuple[dict[tuple[int, ...], int], tuple[Cell, ...], tuple[s
     """The nonempty faces of the simplex on ``range(MAX_VERTICES)``: each
     vertex tuple's place, and by place its cell, the cell's text, its
     dimension and the places of its proper faces by size in
-    ``combinations`` order."""
+    ``combinations`` order, those of all but the whole simplex from
+    ``CellComplex.from_simplices``' template."""
     simplices = [vs for r in range(1, MAX_VERTICES + 1)
                  for vs in itertools.combinations(range(MAX_VERTICES), r)]
     place = {vs: t for t, vs in enumerate(simplices)}
-    faces = tuple(tuple(place[sub] for r in range(1, len(vs))
-                        for sub in itertools.combinations(vs, r)) for vs in simplices)
+    template = _face_template(MAX_VERTICES)
+    faces = (*map(tuple, template), tuple(range(len(template))))
     cells = tuple(map(simplex_cell, simplices))
     return (place, cells, tuple(map(str, cells)),
             tuple(len(vs) - 1 for vs in simplices), faces)
@@ -540,20 +543,26 @@ def check_link_idempotence(corpus: ToricCorpus) -> CheckResult:
     return _result("link operator satisfies L(L) = 2L", True)
 
 
-def check_boundary_oracle(corpus: ToricCorpus) -> CheckResult:
-    rng = random.Random(BOUNDARY_SEED)
-    for i in range(BOUNDARY_CHAINS):
+def _random_chains(rng: random.Random, count: int) -> Iterator[tuple[int, CellChain]]:
+    """(i, a random chain on it) for each of ``count`` random simplicial
+    complexes, numbered i, that has a cell of dimension 1 or more: the
+    chain's degree k is drawn from 1 to the top dimension, and each k-cell
+    is a member with probability 1/2.  The caller may draw from ``rng``
+    before taking the next."""
+    for i in range(count):
         cx = random_simplicial_complex(rng)
-        top = cx.top_dim()
-        if top < 1:
-            continue
-        k = 1 + rng._randbelow(top)  # rng.randint(1, top)
-        k_cells = cx.cells(k)
-        members = frozenset(c for c in k_cells if rng.random() < 0.5)
-        got = chain_boundary(CellChain(cx, k, members))
+        if (top := cx.top_dim()) >= 1:
+            k = 1 + rng._randbelow(top)  # rng.randint(1, top)
+            yield i, CellChain(cx, k, frozenset(c for c in cx.cells(k) if rng.random() < 0.5))
+
+
+def check_boundary_oracle(corpus: ToricCorpus) -> CheckResult:
+    for i, chain in _random_chains(random.Random(BOUNDARY_SEED), BOUNDARY_CHAINS):
+        cx, k, members = chain.complex, chain.k, chain.members
+        got = chain_boundary(chain)
         m = cx.boundary_matrix(k)
         vec = 0
-        for j, c in enumerate(k_cells):
+        for j, c in enumerate(cx.cells(k)):
             if c in members:
                 vec |= 1 << j
         img = m.mul_vec(vec)
@@ -636,18 +645,11 @@ def check_pushforward_functorial(corpus: ToricCorpus) -> CheckResult:
 
 def check_restriction_boundary(corpus: ToricCorpus) -> CheckResult:
     rng = random.Random(12)
-    for i in range(200):
-        cx = random_simplicial_complex(rng)
-        top = cx.top_dim()
-        if top < 1:
-            continue
-        k = 1 + rng._randbelow(top)  # rng.randint(1, top)
-        members = frozenset(c for c in cx.cells(k) if rng.random() < 0.5)
+    for i, c in _random_chains(rng, 200):
         # Open star of a random vertex: a canonical open subset.
-        vs = cx.cells(0)
+        vs = c.complex.cells(0)
         v = vs[rng.randrange(len(vs))]
-        is_open = cx.cofaces[v].union((v,)).__contains__
-        c = CellChain(cx, k, members)
+        is_open = c.complex.cofaces[v].union((v,)).__contains__
         lhs = chain_boundary(restrict(c, is_open))
         # Restriction truncates the complex, so compare members inside U only.
         rhs = restrict(chain_boundary(c), is_open)

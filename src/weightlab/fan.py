@@ -24,19 +24,20 @@ whole bitmask test.
 A simplicial document (``"simplicial": true``) gets most axioms by
 construction.  Its parse checks the declared ids, ranks the declared
 cones, refuses dependent ones and holds the document to the cell cap
-(``gf2.MAX_CELLS``) before it walks their ray subsets: a declared cone on
-s rays brings 3^s·2^(n-s) cells with its faces, and only when the sum of
-these passes the cap are the distinct subsets counted
-(:func:`_face_sizes`).  The walk takes the subsets by ascending
-size: each extends the generated id and ray set of the subset without its
-highest ray, and its face mask is the union of its facets'.  The faces
-of a simplicial cone are exactly the cones on subsets of its rays
-(Cox–Little–Schenck, ch. 1), so the walked lattice is graded, closed and
-diamond, each face lies on its cone's rays, and each cone's rank is its
-number of rays.  Its rays are primitive and of the right length once
-read.  It still tests what the walk cannot make true: that the rays its
-cones use are distinct vectors, with the helper that validation uses too,
-and that each face it declares is a face of its cone.
+(``gf2.MAX_CELLS``) as it walks their ray subsets: a declared cone on s
+rays brings 3^s·2^(n-s) cells with its faces, so one past the cap is
+refused before anything is walked, and only when the sum of these passes
+the cap does the walk count 2^(n-|S|) cells for each subset S new to it,
+refusing after a cone once the count has passed the cap.  The subsets are
+then taken by ascending size: each extends the generated id and ray set
+of the subset without its highest ray, and its face mask is the union of
+its facets'.  The faces of a simplicial cone are exactly the cones on
+subsets of its rays (Cox–Little–Schenck, ch. 1), so the walked lattice is
+graded, closed and diamond, each face lies on its cone's rays, and each
+cone's rank is its number of rays.  Its rays are primitive and of the
+right length once read.  It still tests what the walk cannot make true:
+that the rays its cones use are distinct vectors, with the helper that
+validation uses too, and that each face it declares is a face of its cone.
 Convex-geometric axioms — that cones actually intersect in common faces —
 are *not* checked; inputs are trusted on that point.
 """
@@ -51,7 +52,7 @@ from functools import cached_property, reduce
 from itertools import repeat
 from math import comb
 from operator import or_
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import gf2
 from .gf2 import (
@@ -72,10 +73,6 @@ class FanError(InputError):
 
 
 ZERO_ID = "0"
-
-# The mask tests between two looks at a simplicial document's partial cell
-# count (:func:`_face_sizes`): some hundredths of a second of counting.
-_COUNT_STEPS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -316,7 +313,8 @@ def parse_fan(doc: Mapping) -> Fan:
     With ``simplicial: true`` every subset of each cone's rays becomes a
     cone and face lists may be omitted, a face they list being refused
     unless it is a face of its cone; such a document whose cells pass
-    ``gf2.MAX_CELLS`` is refused before any of its cones is made.  A
+    ``gf2.MAX_CELLS`` is refused before any of its cones is made, with
+    "at least" its cells counted so far when the count stopped early.  A
     cone that lists a ray index twice is refused.  Non-primitive rays are
     divided by their gcd with a warning.  The zero cone is implicit.
     """
@@ -390,25 +388,28 @@ def parse_fan(doc: Mapping) -> Fan:
             if (dim := spans[idx].dim) != len(idx):
                 raise FanError(f"cone {cid!r} marked simplicial has {len(idx)} rays of rank {dim}")
             declared[sum(1 << i for i in idx)] = cid
-        # A declared cone on s rays brings 3^s·2^(n-s) cells with its faces,
-        # so their sum bounds the cells.  Only past the cap are the distinct
-        # subsets counted, before any is walked; a count too long to finish
-        # stops once it has passed the cap.
-        if sum(3 ** s << n - s for s in map(int.bit_count, declared)) > gf2.MAX_CELLS:
-            def past(sizes: Counter) -> None:
-                if (cells := sum(m << n - s for s, m in sizes.items())) > gf2.MAX_CELLS:
-                    raise FanError(f"the fan has at least {cells} cells, more than the "
-                                   f"{gf2.MAX_CELLS} the build allows")
-
-            capped_counts({n - s: m for s, m in _face_sizes(list(declared), past).items()})
+        # A declared cone on s rays brings 3^s·2^(n-s) cells with its faces:
+        # one past the cap is refused before anything is walked.  Only when
+        # their sum passes it does the walk count the cells, 2^(n-|S|) for
+        # each subset S new to it, and refuse after a cone once the count
+        # has passed it, with "at least" before the last cone.
+        bounds = [3 ** s << n - s for s in map(int.bit_count, declared)]
+        if max(bounds, default=0) > gf2.MAX_CELLS:
+            raise _over_cap(max(bounds), exact=len(bounds) == 1)
+        counting, cells = sum(bounds) > gf2.MAX_CELLS, 1 << n
         # Every subset of a declared ray set is a cone, numbered as the walk
         # meets it.
         walked = {0: None}
-        for top in declared:
+        for i, top in enumerate(declared, 1):
             sub = top
             while sub:
-                walked[sub] = None
+                if sub not in walked:
+                    walked[sub] = None
+                    if counting:
+                        cells += 1 << n - sub.bit_count()
                 sub = (sub - 1) & top
+            if cells > gf2.MAX_CELLS:
+                raise _over_cap(cells, exact=i == len(declared))
         # By ascending size, a subset extends the one without its highest
         # ray r: its generated id's text and its rays gain r.  Its faces are
         # its proper subsets, the empty one too, met by then: their mask is
@@ -521,40 +522,6 @@ def _ranks(rays: list[frozenset[int]], faces: list[int], spans: Saturations) -> 
     return ranks
 
 
-def _face_sizes(tops: list[int], past: Callable[[Counter], None] | None = None) -> Counter:
-    """{size: number} of the distinct subsets of the ray masks ``tops``,
-    counted without listing them: each top counts its subsets in no
-    earlier top, those that meet each ray set it has and an earlier one
-    lacks.  With no top, the empty set alone.  The count is exponential
-    in the worst case, so every ``_COUNT_STEPS`` mask tests the sizes
-    counted so far, which only grow, are handed to ``past``, which may
-    raise to stop it."""
-    sizes = Counter() if tops else Counter({0: 1})
-    steps = 0
-    for i, top in enumerate(tops):
-        # The sets chosen ∪ G, G ⊆ free, that meet every mask: C(f, j) of
-        # size k + j when chosen (k rays) meets them all and f rays are
-        # free, else, for each ray r of the smallest mask it misses, those
-        # with r chosen and the rays before r left out.
-        todo = [(0, top, [top & ~earlier for earlier in tops[:i]])]
-        while todo:
-            chosen, free, masks = todo.pop()
-            steps += len(masks) + 1
-            if steps > _COUNT_STEPS and past is not None:
-                past(sizes)
-                steps = 0
-            masks = [m & free for m in masks if not m & chosen]
-            if not masks:
-                k, f = chosen.bit_count(), free.bit_count()
-                for j in range(f + 1):
-                    sizes[k + j] += comb(f, j)
-                continue
-            for r in set_bits(min(masks, key=int.bit_count)):
-                free ^= 1 << r
-                todo.append((chosen | 1 << r, free, masks))
-    return sizes
-
-
 def _codims(f: Fan) -> Counter:
     """{k: the number of cones of codimension k}."""
     return Counter(f.n - c.dim for c in f.cones.values())
@@ -566,18 +533,23 @@ def capped_counts(cones: Mapping[int, int]) -> dict[int, int]:
     ``gf2.MAX_CELLS``, read at call time; a cone of codimension k alone
     brings 2^k cells, so past the cap's bit length the total is refused
     before it is formed.  Every ``Fan`` is held to it when made: on
-    construction, or by :func:`parse_fan` before a simplicial document's
-    ray subsets are walked."""
+    construction, or by :func:`parse_fan` as a simplicial document's ray
+    subsets are walked."""
     cap = gf2.MAX_CELLS
     if (k := max(cones)) >= cap.bit_length():
         raise FanError(f"the fan has a cone of codimension {k}, so more than "
                        f"the {cap} cells the build allows")
     counts = {k: m << k for k, m in cones.items()}
-    n_cells = sum(counts.values())
-    if n_cells > cap:
-        raise FanError(f"the fan has {n_cells} cells, more than the "
-                       f"{cap} the build allows")
+    if (n_cells := sum(counts.values())) > cap:
+        raise _over_cap(n_cells)
     return counts
+
+
+def _over_cap(cells: int, exact: bool = True) -> FanError:
+    """The refusal of a fan of ``cells`` cells, or of at least that many
+    when not ``exact``."""
+    return FanError(f"the fan has {'' if exact else 'at least '}{cells} cells, "
+                    f"more than the {gf2.MAX_CELLS} the build allows")
 
 
 def _cone_id(value, what: str) -> str:
@@ -655,6 +627,9 @@ def standard_fan(name: str, param: int = 0) -> Fan:
     """Named fixture fans: projective/affine spaces, tori, Hirzebruch."""
     if name in ("A", "P") and param >= 0:  # the zero cone, before param² coordinates
         capped_counts({param: 1})
+        # Every cone: C(n, d) of dimension d on the n rays of A:n, C(n + 1, d)
+        # on the n + 1 of P:n.
+        capped_counts({param - d: comb(param + (name == "P"), d) for d in range(param + 1)})
     if name == "trivial":
         return parse_fan({"lattice_rank": param, "rays": [], "cones": []})
     if name == "A":

@@ -151,11 +151,6 @@ def _orbit_groups(f: Fan) -> dict[str, OrbitGroup]:
     return {cid: groups[cid] for cid in f.cone_ids()}
 
 
-def _orbit_map(g_sigma: OrbitGroup, g_tau: OrbitGroup) -> BitMatrix:
-    """The map T_sigma -> T_tau of the given orbit groups of a cover."""
-    return BitMatrix.from_columns(g_tau.dim, _cover_images(g_sigma, g_tau))
-
-
 def _cover_images(g_sigma: OrbitGroup, g_tau: OrbitGroup) -> tuple[int, ...]:
     """The images in T_tau of the generators of T_sigma, as masks."""
     return tuple([g_tau.units[i] for i in g_sigma.free])

@@ -532,6 +532,64 @@ def oracle_toric_boundary(fan, groups) -> tuple[dict, dict]:
     return boundary, levels
 
 
+def exterior_page1(fan, groups) -> dict[tuple[int, int], int]:
+    """The nonzero dimensions of page 1 of the toric spectral sequence
+    from exterior powers, keyed by (p, q): E¹_{-q, k+q} = dim H_k(C^q), for
+    C^q_k = ⊕_{codim σ = k} Λ^q(T_σ) with the cellular differential.  A
+    cover σ → τ sends the wedge e_S of the generators S of T_σ to the wedge
+    of their images in T_τ (``toric._cover_images``), whose coefficient on
+    e_T is the GF(2) determinant of the minor of those images on the rows
+    T: the wedge expands it term by term.  Ranks come from elimination on
+    bitmask columns."""
+    from weightlab.toric import _cover_images
+
+    by_codim: dict[int, list[str]] = {}
+    for cid in fan.cone_ids():
+        by_codim.setdefault(fan.codim(cid), []).append(cid)
+    page = {}
+    for q in range(max(by_codim) + 1):
+        # The basis of C^q_k: each cone's q-subsets of its generators, as
+        # masks, numbered cone by cone.
+        basis = {k: [(cid, sum(1 << i for i in sub)) for cid in cids
+                     for sub in combinations(range(k), q)] for k, cids in by_codim.items()}
+        number = {k: {b: j for j, b in enumerate(bs)} for k, bs in basis.items()}
+        ranks = {}
+        for k, cells in basis.items():
+            columns = []
+            for cid, subset in cells:
+                column = 0
+                for tau in fan.covers(cid):
+                    images = _cover_images(groups[cid], groups[tau])
+                    wedge = {0}  # the e_T with coefficient 1
+                    for i in range(k):
+                        if subset >> i & 1:
+                            terms: set[int] = set()
+                            for t in wedge:
+                                for j in range(k - 1):
+                                    if images[i] >> j & 1 and not t >> j & 1:
+                                        terms ^= {t | 1 << j}
+                            wedge = terms
+                    for t in wedge:
+                        column ^= 1 << number[k - 1][(tau, t)]
+                columns.append(column)
+            ranks[k] = _bit_rank(columns)
+        for k, cells in basis.items():
+            if h := len(cells) - ranks[k] - ranks.get(k + 1, 0):
+                page[(-q, k + q)] = h
+    return page
+
+
+def _bit_rank(vectors: list[int]) -> int:
+    """The GF(2) rank of vectors given as bitmasks."""
+    basis: dict[int, int] = {}  # by leading bit
+    for v in vectors:
+        while v and (top := v.bit_length() - 1) in basis:
+            v ^= basis[top]
+        if v:
+            basis[top] = v
+    return len(basis)
+
+
 def oracle_orbit_sum_poly(fan):
     """Σ_σ (t − 1)^codim σ, one polynomial product per factor."""
     from weightlab.poly import Poly

@@ -1220,6 +1220,40 @@ def test_a_cap_count_too_long_to_finish_stops_once_past_the_cap(capsys, monkeypa
     assert int(err.removeprefix(prefix).split()[0]) >= 3 ** 20
 
 
+def test_cones_each_under_the_cap_are_refused_as_the_walk_counts_them(
+        capsys, monkeypatch, tmp_path):
+    # Each of these 3000 cones brings 3^12 cells, under the cap, and their
+    # sum passes it: the walk counts the cells each cone adds and refuses
+    # once the count has passed the cap, before any cone is made.
+    def no_cones(*args):
+        raise AssertionError("a cone was made for a fan above the cap")
+
+    path = tmp_path / "signs.json"
+    path.write_text(json.dumps(_one_sign_per_coordinate(12, 3000)))
+    monkeypatch.setattr(weightlab.fan, "Cone", no_cones)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "vpoly", "--fan", str(path))
+    assert time.perf_counter() - start < 1
+    prefix = f"error: {path}: the fan has at least "
+    assert (code, out) == (3, "") and err.startswith(prefix)
+    assert err.endswith(" cells, more than the 1048576 the build allows\n")
+    assert int(err.removeprefix(prefix).split()[0]) > 1048576
+
+
+def test_a_projective_document_past_the_cap_is_refused_by_one_cone(capsys, tmp_path):
+    # Written out, P:13 declares 14 cones on 13 rays each, and one of them
+    # brings 3^13 cells with its faces: the fan has at least that many.
+    # ``--standard P:13`` is held to its exact 2391484.
+    rays = [[int(i == j) for j in range(13)] for i in range(13)] + [[-1] * 13]
+    path = tmp_path / "p13.json"
+    path.write_text(json.dumps({
+        "lattice_rank": 13, "rays": rays, "simplicial": True,
+        "cones": [{"rays": [j for j in range(14) if j != i]} for i in range(14)]}))
+    assert run(capsys, "fan-info", "--fan", str(path)) == (
+        3, "", f"error: {path}: the fan has at least 1594323 cells, more than the 1048576 "
+               "the build allows\n")
+
+
 def test_unknown_face_refusal_does_not_depend_on_the_hash_seed(tmp_path):
     # A face list is a set of strings, whose order follows the process's
     # hash seed; the refusal names the first unknown face in sorted order.

@@ -17,7 +17,6 @@ import weightlab.gf2
 import weightlab.lattice
 import weightlab.toric
 from weightlab.checks import check_boundary_squares_zero
-from weightlab.fan import _face_sizes
 from weightlab.fixtures import corpus_fan, fan_corpus, product_pairs, smooth_complete_corpus
 from weightlab.lattice import saturate_mod2
 from weightlab.pages import SpectralSequence, virtual_poincare
@@ -32,7 +31,6 @@ from weightlab.toric import (
     FanError,
     cell_counts,
     fan_to_doc,
-    _orbit_map,
     orbit_group,
     orbit_sum_poly,
     parse_fan,
@@ -46,6 +44,7 @@ from oracles import (
     augmentation_to_cells,
     bergman_fan_doc,
     betti_numbers,
+    exterior_page1,
     matrix_to_dense,
     oracle_orbit_group,
     oracle_orbit_sum_poly,
@@ -393,13 +392,6 @@ def test_face_list_documents_parse_to_their_fans(name):
     _assert_face_list_document_is_the_fan(_round_trip_fans()[name])
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, 511), max_size=8))
-def test_face_sizes_count_the_distinct_subsets(tops):
-    subsets = {0}.union(*(_subsets(top) for top in tops))
-    assert _face_sizes(tops) == Counter(map(int.bit_count, subsets))
-
-
 def _simplicial_doc(fan):
     """The simplicial document that declares the maximal cones of a fan."""
     below = frozenset().union(*(c.faces for c in fan.cones.values()))
@@ -410,28 +402,27 @@ def _simplicial_doc(fan):
 
 def test_a_simplicial_parse_counts_the_faces_only_past_its_bound(monkeypatch):
     # A declared cone on s rays brings 3^s·2^(n-s) cells with its faces.
-    # While their sum is within the cap, the distinct faces are not
-    # counted; past it they are, and the exact count decides.
+    # One cone past the cap is refused before the walk.  Past the cap their
+    # sum has the walk count the cells of each subset new to it, refusing
+    # after a cone once the count passes the cap: exactly after the last.
     p2 = standard_fan("P", 2)
     fans = {"P:6": standard_fan("P", 6), "A:6": standard_fan("A", 6),
             "P2xP2": product_fan(p2, p2), "P:3": standard_fan("P", 3)}
     docs = {name: _simplicial_doc(fan) for name, fan in fans.items()}
-    calls = []
-    sizes = weightlab.fan._face_sizes
-    monkeypatch.setattr(weightlab.fan, "_face_sizes",
-                        lambda *args: calls.append(args[0]) or sizes(*args))
     for name in ("P:6", "A:6", "P2xP2"):
         assert cell_counts(parse_fan(docs[name])) == cell_counts(fans[name]), name
-    assert calls == []
     # P:3 has 40 cells, and its four cones a bound of 4·3^3 = 108.
-    for cap, counted in ((108, 0), (107, 1), (40, 1)):
-        calls.clear()
+    for cap in (108, 107, 40):
         monkeypatch.setattr(weightlab.gf2, "MAX_CELLS", cap)
         assert sum(cell_counts(parse_fan(docs["P:3"])).values()) == 40, cap
-        assert len(calls) == counted, cap
-    monkeypatch.setattr(weightlab.gf2, "MAX_CELLS", 39)
-    with pytest.raises(FanError, match="^the fan has 40 cells, more than the 39 the build allows$"):
-        parse_fan(docs["P:3"])
+    # With the zero cone's 8, the cones bring 19, 9, 3 and 1 cells new to
+    # the walk: 27, 36, 39 and 40 in all.
+    for cap, refusal in ((39, "40 cells"), (38, "at least 39 cells"),
+                         (35, "at least 36 cells"), (26, "at least 27 cells")):
+        monkeypatch.setattr(weightlab.gf2, "MAX_CELLS", cap)
+        with pytest.raises(FanError, match=f"^the fan has {refusal}, more than the {cap} "
+                                           "the build allows$"):
+            parse_fan(docs["P:3"])
 
 
 @pytest.mark.parametrize("name", sorted(layout_fans()))
@@ -516,6 +507,17 @@ def test_the_build_passes_the_checks_it_is_made_past(name, data):
     if data.draw(st.booleans()):
         fan = _disguised(fan, _unimodular(data.draw, fan.n))
     assert check_boundary_squares_zero.on_fan(name, fan, toric_cell_complex(fan), None) == []
+
+
+@pytest.mark.parametrize("name", sorted(_guarded_fans()))
+def test_page_one_is_the_homology_of_the_exterior_powers(name):
+    # Over F_2 the associated graded of the augmentation filtration of
+    # F_2[T] is the exterior algebra Λ(T), and the same-level part of a
+    # cover map is Λ^q of its generator images: E¹_{-q, k+q} = H_k(C^q),
+    # worked out without the build's Jennings-basis products.
+    fan = _guarded_fans()[name]
+    tcc = toric_cell_complex(fan)
+    assert SpectralSequence(tcc.filtered).page(1) == exterior_page1(fan, tcc.groups)
 
 
 def _generated(idx):
@@ -692,16 +694,22 @@ def test_smooth_fans_need_no_smith_form(monkeypatch, name):
 
 
 def test_orbit_map_path_independence():
-    fan = standard_fan("P", 2)
-    for top in (c for c in fan.cone_ids() if fan.codim(c) == 0):
-        rays = [t for t in fan.cone(top).faces if fan.codim(t) == 1]
+    # The generator images of T_0 -> T_ray -> T_top, composed by the unit
+    # tables, are the same through either ray of each two-ray cone of P:3,
+    # and are those of T_0 -> T_top.
+    fan = standard_fan("P", 3)
+    zero = orbit_group(fan, "0")
+    for top in (c for c in fan.cone_ids() if fan.codim(c) == 1):
+        rays = [t for t in fan.cone(top).faces if fan.codim(t) == 2]
         assert len(rays) == 2
-        composites = [
-            _orbit_map(orbit_group(fan, ray), orbit_group(fan, top)).mul(
-                _orbit_map(orbit_group(fan, "0"), orbit_group(fan, ray)))
-            for ray in rays
-        ]
-        assert composites[0] == composites[1]
+        composites = []
+        for ray in rays:
+            second = _cover_images(orbit_group(fan, ray), orbit_group(fan, top))
+            composites.append([functools.reduce(xor, (second[j] for j in range(len(second))
+                                                      if x >> j & 1), 0)
+                               for x in _cover_images(zero, orbit_group(fan, ray))])
+        assert composites[0] == composites[1] == list(_cover_images(zero, orbit_group(fan, top)))
+        assert any(composites[0])
 
 
 def test_cell_counts():
